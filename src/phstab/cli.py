@@ -53,6 +53,36 @@ class _Parser(argparse.ArgumentParser):
         raise _Exit(0, self.format_help().rstrip())
 
 
+def _ranged(convert, option: str, low, high=None):
+    """Argument type that rejects values outside [low, high].
+
+    Text ``convert`` cannot read gets argparse's usual usage error; a value
+    out of range stops parsing with a one-line message naming ``option``.
+    """
+    def parse(text):
+        value = convert(text)
+        if not (low <= value and (high is None or value <= high)):
+            rule = f"at least {low}" if high is None else f"in [{low}, {high}]"
+            raise _Exit(1, f"error: {option} must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in its errors
+    return parse
+
+
+def _add_generator_options(p) -> None:
+    p.add_argument("--seed", type=int, default=0, metavar="S")
+    p.add_argument(
+        "--vertices", type=_ranged(int, "--vertices", 1), default=5, metavar="V"
+    )
+    p.add_argument(
+        "--max-dim", type=_ranged(int, "--max-dim", 0), default=3, metavar="D"
+    )
+    p.add_argument(
+        "--prob", type=_ranged(float, "--prob", 0, 1), default=0.5, metavar="P"
+    )
+
+
 def _fmt_t(t) -> str:
     exact = format_value(t)
     if is_terminating(t):
@@ -296,19 +326,20 @@ def build_parser() -> _Parser:
         action="store_true",
         help="verify randomly generated instances instead of a file",
     )
-    p.add_argument("--trials", type=int, default=10, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="S")
-    p.add_argument("--vertices", type=int, default=5, metavar="V")
-    p.add_argument("--max-dim", type=int, default=3, metavar="D")
-    p.add_argument("--prob", type=float, default=0.5, metavar="P")
+    p.add_argument(
+        "--trials", type=_ranged(int, "--trials", 1), default=10, metavar="N"
+    )
+    _add_generator_options(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("gen", help="generate a random instance file")
-    p.add_argument("--seed", type=int, default=0, metavar="S")
-    p.add_argument("--vertices", type=int, default=5, metavar="V")
-    p.add_argument("--max-dim", type=int, default=3, metavar="D")
-    p.add_argument("--prob", type=float, default=0.5, metavar="P")
-    p.add_argument("--value-range", type=int, default=4, metavar="R")
+    _add_generator_options(p)
+    p.add_argument(
+        "--value-range",
+        type=_ranged(int, "--value-range", 1),
+        default=4,
+        metavar="R",
+    )
     p.add_argument(
         "--ties",
         action="store_true",

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .complexes import FiltrationFunction, find_duplicate_value
 from .errors import DomainMismatch, InternalProofViolation, NonUniqueValues, TOutOfRange
-from .rational import to_fraction
+from .rational import common_numerators, to_fraction
 
 
 @dataclass(frozen=True)
@@ -91,21 +91,25 @@ def crossing_times(
                 (f.complex.simplices[i], f.complex.simplices[j]),
                 f.values[i],
             )
+    # Scan integer numerators over one common denominator: a pair's gaps
+    # and crossing time are unchanged by the scale, and only pairs that
+    # actually cross pay for a Fraction.
+    v0, v1 = common_numerators(f0.values, f1.values)
     by_time: dict[Fraction, list[tuple[int, int]]] = {}
-    v0, v1 = f0.values, f1.values
     n = len(v0)
     for i in range(n):
+        a0, a1 = v0[i], v1[i]
         for j in range(i + 1, n):
-            d0 = v0[i] - v0[j]
-            d1 = v1[i] - v1[j]
+            d0 = a0 - v0[j]
+            d1 = a1 - v1[j]
             if (d0 > 0) == (d1 > 0):
                 continue
-            t = d0 / (d0 - d1)
-            if not 0 < t < 1:
+            if d0 == 0 or d1 == 0:
                 raise InternalProofViolation(
-                    f"crossing of pair ({i}, {j}) at t = {t} despite unique endpoints"
+                    f"crossing of pair ({i}, {j}) at t = {Fraction(d0, d0 - d1)} "
+                    "despite unique endpoints"
                 )
-            by_time.setdefault(t, []).append((i, j))
+            by_time.setdefault(Fraction(d0, d0 - d1), []).append((i, j))
     times = tuple(sorted(by_time))
     pairs_at = tuple(tuple(sorted(by_time[t])) for t in times)
     return CrossingSchedule(times, pairs_at)

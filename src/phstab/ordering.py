@@ -17,7 +17,7 @@ from .complexes import (
     validate_filtration,
 )
 from .errors import DomainMismatch, IncompatibleOrder
-from .rational import to_fraction
+from .rational import common_numerators, to_fraction
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,10 @@ def is_order_constant(
     a, b = to_fraction(alpha), to_fraction(beta)
     if not a < b:
         raise ValueError(f"need alpha < beta, got {a} >= {b}")
-    va = [(1 - a) * x + a * y for x, y in zip(f0.values, f1.values)]
-    vb = [(1 - b) * x + b * y for x, y in zip(f0.values, f1.values)]
+    # f_t scaled by a positive constant: (q - p) * x + p * y for t = p / q
+    x, y = common_numerators(f0.values, f1.values)
+    va = [(a.denominator - a.numerator) * u + a.numerator * v for u, v in zip(x, y)]
+    vb = [(b.denominator - b.numerator) * u + b.numerator * v for u, v in zip(x, y)]
     n = len(va)
     for i in range(n):
         for j in range(i + 1, n):

@@ -42,6 +42,17 @@ def to_fraction(value) -> Fraction:
     raise TypeError(f"cannot convert {type(value).__name__} to Fraction")
 
 
+def common_numerators(*columns) -> list[list[int]]:
+    """Each column of Fractions as integer numerators over one shared
+    positive denominator.
+
+    Scaling by a positive constant keeps every sign of a difference and
+    every ratio of differences, so exact comparisons can run on ints.
+    """
+    scale = math.lcm(*(x.denominator for col in columns for x in col))
+    return [[x.numerator * (scale // x.denominator) for x in col] for col in columns]
+
+
 def is_terminating(x: Fraction) -> bool:
     """True iff x has a finite decimal expansion (denominator 2^a * 5^b)."""
     d = x.denominator

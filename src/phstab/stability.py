@@ -2,15 +2,22 @@
 
 The pipeline mirrors the interpolation argument.  Split [0, 1] at the
 crossing times of the two functions.  Inside one interval the simplex order
-is constant, so the order taken at the interval midpoint serves both
-endpoints; the persistence pairs under that one order are literally
-identical, and matching points by their pivot pair costs at most the
-interval's share of the total sup-norm.  At a crossing time the adjacent
-intervals disagree about the order, but both orders produce the same value
-multiset for the function at that time, so a zero-cost re-identification
-exists.  Composing everything gives an explicit bijection between the two
-end diagrams whose cost telescopes to at most the sup-norm, which the exact
-bottleneck distance can only undercut.
+is constant, so one order serves both endpoints; the persistence pairs
+under that one order are literally identical, and matching points by their
+pivot pair costs at most the interval's share of the total sup-norm.  At a
+crossing time the adjacent intervals disagree about the order, but both
+orders produce the same value multiset for the function at that time, so a
+zero-cost re-identification exists.  Composing everything gives an
+explicit bijection between the two end diagrams whose cost telescopes to at
+most the sup-norm, which the exact bottleneck distance can only undercut.
+
+The order is carried from interval to interval rather than rebuilt, as in
+the vineyard picture of Cohen-Steiner, Edelsbrunner and Morozov: at a
+crossing only the simplices tied there change places, and their run in the
+order reverses.  Each breakpoint's values are computed once, and each
+interval is checked in O(n) plus one reduction.  ``interval_matching``
+certifies a single interval from scratch and serves as the reference the
+carried certificates must equal.
 
 Every inequality used along the way is checked with exact rational
 arithmetic; a failure raises InternalProofViolation, because no input can
@@ -21,17 +28,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .bottleneck import Matching, bottleneck_bijection, matching_cost, pair_cost
 from .complexes import (
     FiltrationFunction,
     SimplicialComplex,
     find_duplicate_value,
-    has_unique_values,
     validate_filtration,
 )
 from .errors import (
     ChainMismatch,
+    IncompatibleOrder,
     InternalProofViolation,
     MultisetMismatch,
     NonUniqueValues,
@@ -87,6 +95,59 @@ class StabilityReport:
     holds: bool
 
 
+def _simplex_pair(K: SimplicialComplex, i: int, j: "int | None") -> str:
+    """Render two simplex positions (or a pivot pair) for a message."""
+    second = "-" if j is None else f"{{{K.simplices[j]}}}"
+    return f"({{{K.simplices[i]}}}, {second})"
+
+
+def _costliest_pair(K: SimplicialComplex, left: Diagram, right: Diagram) -> str:
+    """The pivot pair whose point moves farthest; only for messages."""
+    p, q = max(zip(left.points, right.points), key=lambda pq: pair_cost(*pq))
+    return _simplex_pair(K, p.pair.birth, p.pair.death)
+
+
+def _certify(
+    K: SimplicialComplex,
+    order: TotalOrder,
+    t_lo: Fraction,
+    t_hi: Fraction,
+    f_lo: FiltrationFunction,
+    f_hi: FiltrationFunction,
+    where: str,
+) -> IntervalCertificate:
+    """Certificate for one interval whose endpoints share ``order``.
+
+    One reduction serves both endpoint functions, so the pair lists
+    coincide; matching by pivot identity is then a bijection whose cost is
+    the largest coordinate move of any pivot simplex.  ``where`` names the
+    interval in violation messages.
+    """
+    pairs = pivot_pairs(K, order)
+    left = diagram_from_pivots(K, order, f_lo, pairs, f"f@{t_lo}")
+    right = diagram_from_pivots(K, order, f_hi, pairs, f"f@{t_hi}")
+    cost = 0
+    for p, q in zip(left.points, right.points):
+        if p.pair != q.pair:
+            raise InternalProofViolation(
+                f"{where}: pivot pairs diverged under one order: "
+                f"{_simplex_pair(K, p.pair.birth, p.pair.death)} vs "
+                f"{_simplex_pair(K, q.pair.birth, q.pair.death)}"
+            )
+        cost = max(cost, pair_cost(p, q))
+    bound = sup_norm(f_lo, f_hi)
+    if cost != bound:
+        # Every simplex is a birth or death coordinate of exactly one point
+        # (essentials included), so the largest coordinate move IS the
+        # sup-norm; any discrepancy in either direction is a bug.
+        raise InternalProofViolation(
+            f"{where}: matching cost {cost} != sup-norm {bound}; costliest "
+            f"pivot pair {_costliest_pair(K, left, right)}"
+        )
+    matching = Matching(tuple((i, i) for i in range(len(left.points))))
+    return IntervalCertificate(t_lo, t_hi, order, left, right, matching, cost, bound)
+
+
 def interval_matching(
     K: SimplicialComplex,
     f0: FiltrationFunction,
@@ -94,12 +155,13 @@ def interval_matching(
     t_lo,
     t_hi,
 ) -> IntervalCertificate:
-    """Match the diagrams at the two ends of an order-constant interval.
+    """Certify one order-constant interval from scratch.
 
-    The order induced at the interval midpoint is valid for every t in the
-    interval, so one reduction serves both endpoints and the pair lists
-    coincide; matching by pivot identity is then a bijection whose cost is
-    the largest coordinate move of any pivot simplex.
+    Checks that no simplex pair swaps strictly inside the interval, takes
+    the order induced at the midpoint (valid for every t in the interval)
+    and certifies both endpoints under it.  ``verify_stability`` carries
+    its order across crossings instead; this is the reference it must
+    agree with.
     """
     t_lo, t_hi = to_fraction(t_lo), to_fraction(t_hi)
     if not 0 <= t_lo < t_hi <= 1:
@@ -115,26 +177,105 @@ def interval_matching(
     f_hi = interpolate(f0, f1, t_hi)
     check_order_compatible(K, f_lo, order)
     check_order_compatible(K, f_hi, order)
-    pairs = pivot_pairs(K, order)
-    left = diagram_from_pivots(K, order, f_lo, pairs, f"f@{t_lo}")
-    right = diagram_from_pivots(K, order, f_hi, pairs, f"f@{t_hi}")
-    cost = 0
-    for p, q in zip(left.points, right.points):
-        if p.pair != q.pair:
+    return _certify(K, order, t_lo, t_hi, f_lo, f_hi, f"interval [{t_lo}, {t_hi}]")
+
+
+def _reverse_tied_runs(
+    K: SimplicialComplex,
+    perm: list,
+    values: tuple,
+    expected: tuple,
+    k: int,
+    t: Fraction,
+) -> None:
+    """Carry ``perm`` across crossing ``k`` at ``t``, in place.
+
+    ``perm`` is non-decreasing in ``values`` (the values at ``t``), so the
+    simplices tied at ``t`` form maximal runs.  The lines of one run meet
+    at one point with distinct slopes (equal slopes would mean a tie at
+    t = 0 too), so their order simply reverses.  Every pair inside a run
+    swaps, and those pairs must be exactly ``expected``, the schedule's
+    pairs at ``t``.
+    """
+    swapped = []
+    n = len(perm)
+    start = 0
+    while start < n:
+        value = values[perm[start]]
+        end = start + 1
+        while end < n and values[perm[end]] == value:
+            end += 1
+        if end - start > 1:
+            run = perm[start:end]
+            swapped.extend((min(a, b), max(a, b)) for a, b in combinations(run, 2))
+            perm[start:end] = run[::-1]
+        start = end
+    swapped.sort()
+    if tuple(swapped) != expected:
+        unscheduled = sorted(set(swapped) - set(expected))
+        untied = sorted(set(expected) - set(swapped))
+        if unscheduled:
+            what = f"simplices {_simplex_pair(K, *unscheduled[0])} tie but are not scheduled"
+        else:
+            what = f"scheduled simplices {_simplex_pair(K, *untied[0])} do not tie"
+        raise InternalProofViolation(f"crossing {k} at t = {t}: {what}")
+
+
+def _carried_certificates(
+    K: SimplicialComplex,
+    f0: FiltrationFunction,
+    f1: FiltrationFunction,
+    schedule: CrossingSchedule,
+    gap: Fraction,
+) -> list:
+    """Certify every interval of ``schedule``, carrying one simplex order.
+
+    f_t is evaluated once per breakpoint, and each interval's upper values
+    become the next interval's lower values.  The order starts as the
+    canonical order of f0 (the order just after t = 0, since f0 is
+    untied) and is carried across each crossing by ``_reverse_tied_runs``.
+    Per interval, in O(n) besides the one reduction: the order is
+    compatible with both endpoint functions, hence non-decreasing for every
+    t in between, so no pair swaps inside; no adjacent pair is tied at both
+    ends, so the interior is untied; the certificate's bound is the
+    interval's share of ``gap``.  Any failure is a bug, so every one is an
+    InternalProofViolation naming the interval or crossing, t and the
+    simplex pair involved.
+    """
+    bps = schedule.breakpoints()
+    perm = list(total_order(K, f0).permutation)
+    certificates = []
+    f_lo = f0
+    for k, (lo, hi) in enumerate(zip(bps, bps[1:])):
+        f_hi = interpolate(f0, f1, hi)
+        order = TotalOrder(K, tuple(perm))
+        where = f"interval {k} [{lo}, {hi}]"
+        for t, f in ((lo, f_lo), (hi, f_hi)):
+            try:
+                check_order_compatible(K, f, order)
+            except IncompatibleOrder as exc:
+                raise InternalProofViolation(
+                    f"{where}: carried order fails at t = {t}: {exc}"
+                ) from None
+        v_lo, v_hi = f_lo.values, f_hi.values
+        for a, b in zip(perm, perm[1:]):
+            if v_lo[a] == v_lo[b] and v_hi[a] == v_hi[b]:
+                raise InternalProofViolation(
+                    f"{where}: simplices {_simplex_pair(K, a, b)} are tied at "
+                    f"both ends, so also at the midpoint t = {(lo + hi) / 2}"
+                )
+        cert = _certify(K, order, lo, hi, f_lo, f_hi, where)
+        if cert.bound != (hi - lo) * gap:
             raise InternalProofViolation(
-                f"pivot pairs diverged under one order: {p.pair} vs {q.pair}"
+                f"{where}: sup-norm {cert.bound} is not the interval's share "
+                f"{(hi - lo) * gap}; costliest pivot pair "
+                f"{_costliest_pair(K, cert.left, cert.right)}"
             )
-        cost = max(cost, pair_cost(p, q))
-    bound = sup_norm(f_lo, f_hi)
-    if cost != bound:
-        # Every simplex is a birth or death coordinate of exactly one point
-        # (essentials included), so the largest coordinate move IS the
-        # sup-norm; any discrepancy in either direction is a bug.
-        raise InternalProofViolation(
-            f"interval [{t_lo}, {t_hi}]: matching cost {cost} != sup-norm {bound}"
-        )
-    matching = Matching(tuple((i, i) for i in range(len(left.points))))
-    return IntervalCertificate(t_lo, t_hi, order, left, right, matching, cost, bound)
+        certificates.append(cert)
+        if k < len(schedule):
+            _reverse_tied_runs(K, perm, v_hi, schedule.pairs_at[k], k, hi)
+        f_lo = f_hi
+    return certificates
 
 
 def breakpoint_matching(D_left: Diagram, D_right: Diagram) -> Matching:
@@ -216,21 +357,7 @@ def verify_stability(
             )
     gap = sup_norm(f0, f1)
     schedule = crossing_times(f0, f1)
-    bps = schedule.breakpoints()
-
-    certificates = []
-    for lo, hi in zip(bps, bps[1:]):
-        cert = interval_matching(K, f0, f1, lo, hi)
-        if not has_unique_values(interpolate(f0, f1, (lo + hi) / 2)):
-            raise InternalProofViolation(
-                f"interval midpoint {(lo + hi) / 2} has tied values"
-            )
-        if cert.bound != (hi - lo) * gap:
-            raise InternalProofViolation(
-                f"interval [{lo}, {hi}]: sup-norm {cert.bound} is not the "
-                f"interval's share {(hi - lo) * gap}"
-            )
-        certificates.append(cert)
+    certificates = _carried_certificates(K, f0, f1, schedule, gap)
 
     chain = [certificates[0].matching]
     link_costs = [certificates[0].cost]

@@ -30,7 +30,7 @@ from phstab.instances import format_instance
 from phstab.interpolation import interpolate, sup_norm
 from phstab.ordering import total_order
 from phstab.persistence import diagram, diagram_with_order, pivot_pairs
-from phstab.stability import verify_stability
+from phstab.stability import interval_matching, verify_stability
 
 from oracles import diagram_rank_count, persistent_betti, value_grid
 
@@ -120,6 +120,23 @@ def test_3_schedules_are_small_and_midpoints_untied(corpus, capsys):
         failures == 0,
         f"{len(corpus)} schedules, {failures} violations",
     )
+
+
+def test_carried_certificates_equal_the_from_scratch_reference(corpus):
+    """verify_stability carries one order across crossings; every one of its
+    certificates must equal interval_matching's rebuild of that interval."""
+    fields = ("order_used", "left", "right", "matching", "cost", "bound")
+    checked = 0
+    for inst, report in corpus:
+        f0, f1 = inst.functions
+        for k, cert in enumerate(report.certificates):
+            ref = interval_matching(inst.complex, f0, f1, cert.t_lo, cert.t_hi)
+            for name in fields:
+                assert getattr(cert, name) == getattr(ref, name), (
+                    f"{format_instance(inst)}interval {k}: {name} differs"
+                )
+            checked += 1
+    assert checked == sum(len(r.certificates) for _, r in corpus)
 
 
 def test_4_point_counts_depend_only_on_the_complex(capsys):

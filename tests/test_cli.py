@@ -181,3 +181,32 @@ def test_console_entry_point(instance):
     assert a.returncode == 0
     assert a.stdout == b.stdout
     assert "holds=true" in a.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["gen", "--vertices", "-3"], "--vertices"),
+        (["gen", "--vertices", "0"], "--vertices"),
+        (["gen", "--prob", "7"], "--prob"),
+        (["gen", "--prob", "-0.5"], "--prob"),
+        (["gen", "--prob", "nan"], "--prob"),
+        (["gen", "--max-dim", "-1"], "--max-dim"),
+        (["gen", "--value-range", "0"], "--value-range"),
+        (["verify", "--random", "--trials", "0"], "--trials"),
+        (["verify", "--random", "--vertices", "-1"], "--vertices"),
+        (["verify", "--random", "--prob", "1.5"], "--prob"),
+    ],
+)
+def test_out_of_range_generator_arguments_exit_one(argv, option):
+    status, text = run_command(argv)
+    assert status == 1
+    assert len(text.splitlines()) == 1
+    assert text.startswith(f"error: {option} must be")
+
+
+def test_generator_argument_limits_are_accepted():
+    assert _ok(["gen", "--vertices", "1", "--max-dim", "0", "--prob", "0"])
+    assert _ok(["gen", "--vertices", "2", "--prob", "1", "--value-range", "1"])
+    text = _ok(["verify", "--random", "--trials", "1", "--vertices", "1"])
+    assert text.splitlines()[-1] == "1 trial(s): all hold"

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from phstab import stability
 from phstab.bottleneck import Matching, matching_cost
+from phstab.cli import run_command
 from phstab.complexes import FiltrationFunction, validate_complex
 from phstab.errors import (
     ChainMismatch,
+    InternalProofViolation,
     InvalidFiltration,
     MultisetMismatch,
     NonUniqueValues,
@@ -19,6 +22,7 @@ from phstab.generate import (
     random_compatible_order,
     random_filtration,
 )
+from phstab.interpolation import CrossingSchedule, crossing_times
 from phstab.ordering import check_order_compatible
 from phstab.persistence import diagram, diagram_with_order
 from phstab.stability import (
@@ -167,3 +171,99 @@ def test_verify_stability_random_instances():
             )
             == report.composed_cost
         )
+
+
+def _vertices(n):
+    return validate_complex([(v,) for v in range(n)])
+
+
+def _same_as_reference(K, f0, f1, report):
+    for cert in report.certificates:
+        ref = interval_matching(K, f0, f1, cert.t_lo, cert.t_hi)
+        assert cert.order_used == ref.order_used
+        assert cert.left == ref.left and cert.right == ref.right
+        assert cert.matching == ref.matching
+        assert (cert.cost, cert.bound) == (ref.cost, ref.bound)
+
+
+def test_three_way_tie_reverses_its_run():
+    # three lines through (1/2, 1): all three pairs swap at once
+    K = _vertices(3)
+    f0 = FiltrationFunction(K, (0, 1, 2))
+    f1 = FiltrationFunction(K, (2, 1, 0))
+    report = verify_stability(K, f0, f1)
+    assert report.schedule.times == (Fraction(1, 2),)
+    assert report.schedule.pairs_at == (((0, 1), (0, 2), (1, 2)),)
+    first, second = report.certificates
+    assert first.order_used.permutation == (0, 1, 2)
+    assert second.order_used.permutation == (2, 1, 0)
+    _same_as_reference(K, f0, f1, report)
+    assert report.holds
+
+
+def test_two_disjoint_pairs_swap_at_one_time():
+    K = _vertices(4)
+    f0 = FiltrationFunction(K, (0, 1, 10, 11))
+    f1 = FiltrationFunction(K, (1, 0, 11, 10))
+    report = verify_stability(K, f0, f1)
+    assert report.schedule.times == (Fraction(1, 2),)
+    assert report.schedule.pairs_at == (((0, 1), (2, 3)),)
+    assert report.certificates[1].order_used.permutation == (1, 0, 3, 2)
+    _same_as_reference(K, f0, f1, report)
+    assert report.holds
+
+
+def _doctor_schedule(monkeypatch, schedule):
+    monkeypatch.setattr(stability, "crossing_times", lambda f0, f1: schedule)
+
+
+def test_schedule_disagreeing_with_the_tied_runs_is_a_violation(monkeypatch):
+    K = _vertices(4)
+    f0 = FiltrationFunction(K, (0, 1, 10, 11))
+    f1 = FiltrationFunction(K, (1, 0, 11, 10))
+    true = crossing_times(f0, f1)
+    _doctor_schedule(monkeypatch, CrossingSchedule(true.times, (((0, 1),),)))
+    with pytest.raises(InternalProofViolation) as ei:
+        verify_stability(K, f0, f1)
+    message = str(ei.value)
+    assert "crossing 0" in message and "t = 1/2" in message
+    assert "({2}, {3})" in message
+    # a scheduled pair that does not tie there is named the same way
+    extra = (((0, 1), (0, 2), (2, 3)),)
+    _doctor_schedule(monkeypatch, CrossingSchedule(true.times, extra))
+    with pytest.raises(InternalProofViolation, match=r"crossing 0 at t = 1/2: .*\(\{0\}, \{2\}\)"):
+        verify_stability(K, f0, f1)
+
+
+def test_missing_crossing_is_a_violation_naming_interval_t_and_pair(monkeypatch):
+    K = _vertices(2)
+    f0 = FiltrationFunction(K, (0, 1))
+    f1 = FiltrationFunction(K, (1, 0))
+    _doctor_schedule(monkeypatch, CrossingSchedule((), ()))
+    with pytest.raises(InternalProofViolation) as ei:
+        verify_stability(K, f0, f1)
+    message = str(ei.value)
+    assert "interval 0 [0, 1]" in message and "at t = 1:" in message
+    assert "f(0) = 1 > 0 = f(1)" in message
+
+
+def test_interior_tie_is_a_violation_naming_interval_t_and_pair(monkeypatch):
+    # identical lines tie everywhere; reachable only past the uniqueness check
+    K = _vertices(2)
+    f = FiltrationFunction(K, (0, 0))
+    monkeypatch.setattr(stability, "find_duplicate_value", lambda f: None)
+    _doctor_schedule(monkeypatch, CrossingSchedule((), ()))
+    with pytest.raises(InternalProofViolation) as ei:
+        verify_stability(K, f, f)
+    message = str(ei.value)
+    assert "interval 0 [0, 1]" in message and "t = 1/2" in message
+    assert "({0}, {1})" in message
+
+
+def test_violation_exits_two_through_the_cli(monkeypatch, tmp_path):
+    path = tmp_path / "swap.txt"
+    path.write_text("0 : 0 1\n1 : 1 0\n")
+    _doctor_schedule(monkeypatch, CrossingSchedule((), ()))
+    status, text = run_command(["verify", str(path)])
+    assert status == 2
+    assert text.startswith("internal consistency failure: interval 0 [0, 1]")
