@@ -7,10 +7,14 @@ complex and therefore have equal point counts.  The diagonal-augmented
 variant additionally lets any finite point pay (death - birth) / 2 to match
 its diagonal projection.
 
-Both are computed exactly: all candidate thresholds are rationals, the
-optimal value is found by binary search over the sorted candidates, and
-feasibility at a threshold is a maximum bipartite matching on the graph of
-pairs within that cost.
+Both are one exact core over two graph builders.  The core takes a square
+cost matrix, ranks its distinct finite costs and binary-searches the
+smallest rank at which the entries within it admit a perfect matching,
+found by iterative augmenting paths.  The bijection variant passes the
+per-dimension matrix of pair costs; the diagonal variant passes the
+bijection problem on augmented diagrams (Efrat, Itai and Katz 2001;
+Kerber, Morozov and Nigmetov 2017), where each point gains a diagonal
+partner on the other side.
 """
 
 from __future__ import annotations
@@ -111,57 +115,78 @@ def matching_cost(D0: Diagram, D1: Diagram, m: Matching):
     return worst
 
 
-def _max_bipartite_matching(n_left: int, adjacency: list[list[int]]) -> dict[int, int]:
-    """Deterministic augmenting-path maximum matching; left -> right."""
-    match_right: dict[int, int] = {}
+def _perfect_matching(adjacency: list[list[int]]) -> "list[int] | None":
+    """Perfect matching of a square bipartite graph, or None if none exists.
 
-    def try_augment(u: int, visited: set[int]) -> bool:
-        for v in adjacency[u]:
-            if v in visited:
-                continue
-            visited.add(v)
-            if v not in match_right or try_augment(match_right[v], visited):
-                match_right[v] = u
-                return True
-        return False
-
-    for u in range(n_left):
-        try_augment(u, set())
-    return {u: v for v, u in match_right.items()}
-
-
-def _min_max_bijection(points0, points1):
-    """Exact min over perfect matchings of the max pair cost, with witness.
-
-    points0/points1 are lists of DiagramPoint of one dimension and equal
-    length.  Returns (cost, pairs) with pairs indexing into the two lists;
-    cost is +inf when no finite-cost bijection exists (then a positional
-    matching is returned as witness).
+    ``adjacency[u]`` lists the right vertices of left vertex u.  Each left
+    vertex in turn looks depth-first, in adjacency order, for an augmenting
+    path to a free right vertex (Kuhn's algorithm).  The search keeps its
+    own stack, so a path may be as long as the graph.  A left vertex that
+    finds no augmenting path stays unmatched under every later matching,
+    so the first failure settles the answer.  Returns match[u] = v.
     """
-    n = len(points0)
-    if n == 0:
-        return 0, []
-    costs = [[pair_cost(p, q) for q in points1] for p in points0]
+    n = len(adjacency)
+    match = [None] * n  # left vertex -> its right partner
+    owner = [None] * n  # right vertex -> its left partner
+    seen = [-1] * n  # right vertex -> last root whose search reached it
+    for root in range(n):
+        stack = [(root, iter(adjacency[root]))]
+        path = []  # path[k]: right vertex through which stack[k + 1] was entered
+        while stack:
+            u, edges = stack[-1]
+            for v in edges:
+                if seen[v] != root:
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            seen[v] = root
+            path.append(v)
+            w = owner[v]
+            if w is None:
+                for (x, _), y in zip(stack, path):
+                    match[x], owner[y] = y, x
+                break
+            stack.append((w, iter(adjacency[w])))
+        else:
+            return None
+    return match
+
+
+def _min_max_matching(costs: list[list]):
+    """Exact min over perfect matchings of the max entry, with witness.
+
+    ``costs`` is a non-empty square matrix of rationals and INF.  Each
+    finite cost is replaced by its rank among the distinct finite costs,
+    and the smallest rank that admits a perfect matching on the entries of
+    at most that rank is found by binary search.  Returns (cost, pairs)
+    with pairs (row, column) sorted by row; cost is INF when no finite
+    perfect matching exists, and the witness is then the identity.
+    """
     candidates = sorted({c for row in costs for c in row if c != INF})
+    rank = {c: k for k, c in enumerate(candidates)}
+    rank[INF] = len(candidates)  # above every rank probed
+    ranks = [[rank[c] for c in row] for row in costs]
 
-    def matching_at(c):
-        adjacency = [
-            [j for j in range(n) if costs[i][j] <= c] for i in range(n)
-        ]
-        return _max_bipartite_matching(n, adjacency)
+    def matching_at(r):
+        return _perfect_matching(
+            [[j for j, k in enumerate(row) if k <= r] for row in ranks]
+        )
 
-    if not candidates or len(matching_at(candidates[-1])) < n:
-        return INF, [(i, i) for i in range(n)]
     lo, hi = 0, len(candidates) - 1
+    best = matching_at(hi) if candidates else None
+    if best is None:
+        return INF, [(i, i) for i in range(len(costs))]
     while lo < hi:
         mid = (lo + hi) // 2
-        if len(matching_at(candidates[mid])) == n:
-            hi = mid
-        else:
+        found = matching_at(mid)
+        if found is None:
             lo = mid + 1
-    best = candidates[lo]
-    witness = matching_at(best)
-    return best, sorted(witness.items())
+        else:
+            hi, best = mid, found
+    return candidates[lo], list(enumerate(best))
 
 
 def _split_by_dim(D0: Diagram, D1: Diagram, require_equal: bool):
@@ -186,9 +211,8 @@ def bottleneck_bijection(D0: Diagram, D1: Diagram):
     all_pairs = []
     worst = 0
     for d, idx0, idx1 in _split_by_dim(D0, D1, require_equal=True):
-        pts0 = [D0.points[i] for i in idx0]
-        pts1 = [D1.points[j] for j in idx1]
-        cost, local = _min_max_bijection(pts0, pts1)
+        costs = [[pair_cost(D0.points[i], D1.points[j]) for j in idx1] for i in idx0]
+        cost, local = _min_max_matching(costs)
         worst = max(worst, cost)
         all_pairs.extend((idx0[a], idx1[b]) for a, b in local)
     all_pairs.sort()
@@ -198,60 +222,39 @@ def bottleneck_bijection(D0: Diagram, D1: Diagram):
 def bottleneck_diagonal(D0: Diagram, D1: Diagram):
     """Exact bottleneck distance when points may match the diagonal.
 
-    Uses the standard augmented bipartite graph: each side is the real
-    points of one diagram plus one diagonal partner per point of the other
-    side; partner-to-partner edges are free, a point reaches its own partner
-    at cost (death - birth) / 2, and essential points can only match
-    essential points.  Point counts may differ; the diagonal absorbs any
-    surplus.
+    Per dimension, the bijection problem on augmented diagrams: rows are
+    the n0 points of D0 followed by one diagonal partner per point of D1,
+    columns the n1 points of D1 followed by one partner per point of D0.
+    Real points pay ``pair_cost``, a point reaches its own partner at
+    ``diagonal_cost``, partners match each other for free, and every other
+    entry is INF.  Point counts may differ; the diagonal absorbs any
+    surplus.  Returns (cost, witness matching) like ``bottleneck_bijection``,
+    with (i, None) and (None, j) for points sent to the diagonal; entries
+    are sorted by left index, those with none last, by right index.
     """
+    all_pairs = []
     worst = 0
     for d, idx0, idx1 in _split_by_dim(D0, D1, require_equal=False):
         pts0 = [D0.points[i] for i in idx0]
         pts1 = [D1.points[j] for j in idx1]
         n0, n1 = len(pts0), len(pts1)
-        if n0 == 0 and n1 == 0:
-            continue
-        costs = [[pair_cost(p, q) for q in pts1] for p in pts0]
-        diag0 = [diagonal_cost(p) for p in pts0]
-        diag1 = [diagonal_cost(q) for q in pts1]
-        candidates = sorted(
-            {0}
-            | {c for row in costs for c in row if c != INF}
-            | {c for c in diag0 + diag1 if c != INF}
+        costs = [
+            [pair_cost(p, q) for q in pts1]
+            + [diagonal_cost(p) if k == i else INF for k in range(n0)]
+            for i, p in enumerate(pts0)
+        ] + [
+            [diagonal_cost(q) if k == j else INF for k in range(n1)] + [0] * n0
+            for j, q in enumerate(pts1)
+        ]
+        cost, local = _min_max_matching(costs)
+        worst = max(worst, cost)
+        all_pairs.extend(
+            (idx0[a] if a < n0 else None, idx1[b] if b < n1 else None)
+            for a, b in local
+            if a < n0 or b < n1
         )
-
-        # Left nodes: 0..n0-1 real points of D0, then n0..n0+n1-1 partners
-        # of D1 points.  Right nodes: 0..n1-1 real points of D1, then
-        # n1..n1+n0-1 partners of D0 points.
-        size = n0 + n1
-
-        def feasible(c, costs=costs, diag0=diag0, diag1=diag1, n0=n0, n1=n1):
-            adjacency = []
-            for i in range(n0):
-                row = [j for j in range(n1) if costs[i][j] <= c]
-                if diag0[i] <= c:
-                    row.append(n1 + i)
-                adjacency.append(row)
-            for j in range(n1):
-                row = list(range(n1, n1 + n0))  # partner-to-partner, free
-                if diag1[j] <= c:
-                    row.append(j)
-                adjacency.append(sorted(row))
-            return len(_max_bipartite_matching(size, adjacency)) == size
-
-        if not candidates or not feasible(candidates[-1]):
-            worst = max(worst, INF)
-            continue
-        lo, hi = 0, len(candidates) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if feasible(candidates[mid]):
-                hi = mid
-            else:
-                lo = mid + 1
-        worst = max(worst, candidates[lo])
-    return worst
+    all_pairs.sort(key=lambda p: (p[0] is None, p[1] if p[0] is None else p[0]))
+    return worst, Matching(tuple(all_pairs))
 
 
 def brute_force_bottleneck(D0: Diagram, D1: Diagram, limit: int = 8):

@@ -152,14 +152,15 @@ def _cmd_bottleneck(args) -> tuple[int, str]:
         inst1 = parse_instance(args.file2)
         D0 = diagram(inst0.complex, _pick_function(inst0, args.function), "f0")
         D1 = diagram(inst1.complex, _pick_function(inst1, args.function), "f1")
-    if args.diagonal:
-        return 0, f"distance {format_value(bottleneck_diagonal(D0, D1))}"
-    dist, matching = bottleneck_bijection(D0, D1)
+    distance = bottleneck_diagonal if args.diagonal else bottleneck_bijection
+    dist, matching = distance(D0, D1)
     lines = [f"distance {format_value(dist)}"]
     if args.matching:
         for i, j in matching.pairs:
-            p, q = D0.points[i], D1.points[j]
-            lines.append(f"{p.dim} {p} -> {q}")
+            p = "diagonal" if i is None else D0.points[i]
+            q = "diagonal" if j is None else D1.points[j]
+            dim = D1.points[j].dim if i is None else D0.points[i].dim
+            lines.append(f"{dim} {p} -> {q}")
     return 0, "\n".join(lines)
 
 

@@ -101,10 +101,10 @@ def boundary_matrix(K: SimplicialComplex, order: TotalOrder) -> BoundaryMatrix:
     return BoundaryMatrix(order, cols)
 
 
-def reduce(M: BoundaryMatrix) -> tuple[BoundaryMatrix, tuple[PivotPair, ...]]:
-    """Reduce M and return (reduced matrix, pivot pairs).
+def reduce(M: BoundaryMatrix) -> tuple[PivotPair, ...]:
+    """Reduce M and return its pivot pairs.
 
-    The pair list contains one PivotPair per diagram point: paired simplices
+    The list contains one PivotPair per diagram point: paired simplices
     first, essentials with death None, all sorted by the order position of
     the birth simplex.
     """
@@ -126,17 +126,14 @@ def reduce(M: BoundaryMatrix) -> tuple[BoundaryMatrix, tuple[PivotPair, ...]]:
         if not col and i not in owner:
             births.append((i, None))
     births.sort(key=lambda t: t[0])
-    pairs = tuple(
+    return tuple(
         PivotPair(perm[b], perm[d] if d is not None else None) for b, d in births
     )
-    reduced = BoundaryMatrix(M.order, tuple(frozenset(c) for c in cols))
-    return reduced, pairs
 
 
 def pivot_pairs(K: SimplicialComplex, order: TotalOrder) -> tuple[PivotPair, ...]:
     """Pairs and essentials for (K, order); value-independent."""
-    _, pairs = reduce(boundary_matrix(K, order))
-    return pairs
+    return reduce(boundary_matrix(K, order))
 
 
 def diagram_from_pivots(

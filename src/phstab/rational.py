@@ -14,9 +14,6 @@ from fractions import Fraction
 
 INF = math.inf
 
-Value = Fraction
-Cost = "Fraction | float"  # float only ever holds math.inf
-
 
 def to_fraction(value) -> Fraction:
     """Coerce an int, str, float, or Fraction to an exact Fraction.

@@ -7,6 +7,7 @@ point counts are then checked against rank differences, which gives a
 second, structurally different route to the same numbers.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -93,3 +94,60 @@ def value_grid(values):
     grid.append(vs[-1])
     grid.append(vs[-1] + 1)
     return grid
+
+
+def brute_force_diagonal(points0, points1):
+    """Diagonal-augmented bottleneck distance by enumerating bijections.
+
+    Points need ``dim``, ``birth`` and ``death`` (``math.inf`` when
+    essential).  Per dimension, each side is augmented with the diagonal
+    projection ((b + d) / 2, (b + d) / 2) of every finite point of the
+    other side; costs are L-infinity distances, two diagonal points match
+    for free, and an essential point only matches an essential point, at
+    their birth gap.  A branch stops once it cannot beat the best bijection
+    found so far.
+    """
+
+    def cost(p, q):
+        (b0, d0, on_diag0), (b1, d1, on_diag1) = p, q
+        if on_diag0 and on_diag1:
+            return 0
+        if (d0 == math.inf) != (d1 == math.inf):
+            return math.inf
+        if d0 == math.inf:
+            return abs(b0 - b1)
+        return max(abs(b0 - b1), abs(d0 - d1))
+
+    def augmented(own, other):
+        real = [(p.birth, p.death, False) for p in own]
+        mids = [(p.birth + p.death) / 2 for p in other if p.death != math.inf]
+        return real + [(m, m, True) for m in mids]
+
+    def min_max(left, right):
+        if len(left) != len(right):
+            return math.inf  # essential counts differ
+        best = math.inf
+        used = [False] * len(right)
+
+        def extend(i, worst):
+            nonlocal best
+            if worst >= best:
+                return
+            if i == len(left):
+                best = worst
+                return
+            for j, taken in enumerate(used):
+                if not taken:
+                    used[j] = True
+                    extend(i + 1, max(worst, cost(left[i], right[j])))
+                    used[j] = False
+
+        extend(0, 0)
+        return best
+
+    worst = 0
+    for d in {p.dim for p in points0} | {p.dim for p in points1}:
+        own0 = [p for p in points0 if p.dim == d]
+        own1 = [p for p in points1 if p.dim == d]
+        worst = max(worst, min_max(augmented(own0, own1), augmented(own1, own0)))
+    return worst

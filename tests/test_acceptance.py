@@ -169,7 +169,7 @@ def test_5_diagonal_matching_never_costs_more(corpus, capsys):
     pairs = 0
     failures = 0
     for _, report in corpus[:200]:
-        d_diag = bottleneck_diagonal(report.left_diagram, report.right_diagram)
+        d_diag, _ = bottleneck_diagonal(report.left_diagram, report.right_diagram)
         pairs += 1
         if d_diag > report.exact_bottleneck:
             failures += 1

@@ -5,6 +5,7 @@ import pytest
 
 from phstab.bottleneck import (
     Matching,
+    _perfect_matching,
     bottleneck_bijection,
     bottleneck_diagonal,
     brute_force_bottleneck,
@@ -22,6 +23,8 @@ from phstab.errors import (
 from phstab.generate import GeneratorConfig, generate_complex, random_filtration
 from phstab.persistence import DiagramPoint, PivotPair, diagram
 from phstab.rational import INF
+
+from oracles import brute_force_diagonal
 
 
 def _point(dim, birth, death):
@@ -97,18 +100,25 @@ def test_bijection_requires_equal_counts():
         bottleneck_bijection(D0, D1)
     # the diagonal variant tolerates the extra finite point: (1, 3) folds
     # onto the diagonal at cost 1 while the essentials match for free
-    assert bottleneck_diagonal(D0, D1) == 1
+    dist, _ = bottleneck_diagonal(D0, D1)
+    assert dist == 1
 
 
-def test_infinite_distance_when_essential_counts_differ():
+def _essential_count_mismatch():
     # same total count per dimension, different essential counts
     K0 = validate_complex([(0,), (1,)])
     K1 = validate_complex([(0,), (1,), (0, 1)])
     D0 = diagram(K0, FiltrationFunction(K0, (0, 1)))  # two essentials
     D1 = diagram(K1, FiltrationFunction(K1, (0, 1, 2)))  # one essential, one pair
+    return D0, D1
+
+
+def test_infinite_distance_when_essential_counts_differ():
+    D0, D1 = _essential_count_mismatch()
     dist, _ = bottleneck_bijection(D0, D1)
     assert dist == INF
-    assert bottleneck_diagonal(D0, D1) == INF
+    dist, _ = bottleneck_diagonal(D0, D1)
+    assert dist == INF
 
 
 def test_diagonal_distance_frozen_example():
@@ -116,10 +126,12 @@ def test_diagonal_distance_frozen_example():
     K = validate_complex([(0,), (1,), (0, 1)])
     D0 = diagram(K, FiltrationFunction(K, (0, 0, 2)), "a")
     D1 = diagram(K, FiltrationFunction(K, (0, "0.9", "1.1")), "b")
-    assert bottleneck_diagonal(D0, D1) == Fraction(9, 10)
+    dist, _ = bottleneck_diagonal(D0, D1)
+    assert dist == Fraction(9, 10)
     # push the points apart and the diagonal wins
     D2 = diagram(K, FiltrationFunction(K, (0, 2, 4)), "c")
-    assert bottleneck_diagonal(D2, D1) == 1
+    dist, _ = bottleneck_diagonal(D2, D1)
+    assert dist == 1
 
 
 def test_brute_force_limit():
@@ -141,7 +153,8 @@ def test_diagonal_never_exceeds_bijection():
     for seed in range(30):
         D0, D1 = _pair_of_diagrams(seed, vertices=5)
         dist, _ = bottleneck_bijection(D0, D1)
-        assert bottleneck_diagonal(D0, D1) <= dist
+        diag, _ = bottleneck_diagonal(D0, D1)
+        assert diag <= dist
 
 
 def test_matching_is_reported_sorted_and_total():
@@ -151,3 +164,43 @@ def test_matching_is_reported_sorted_and_total():
     rights = sorted(j for _, j in matching.pairs)
     assert lefts == list(range(len(D0.points)))
     assert rights == list(range(len(D1.points)))
+
+
+def _random_diagram(rng, vertices):
+    K = generate_complex(
+        rng, GeneratorConfig(seed=0, num_vertices=vertices, max_dimension=2)
+    )
+    return diagram(K, random_filtration(K, rng))
+
+
+def test_diagonal_matches_brute_force_on_unequal_counts():
+    unequal = finite = 0
+    for seed in range(60):
+        rng = random.Random(1000 + seed)
+        D0 = _random_diagram(rng, rng.randint(1, 4))
+        D1 = _random_diagram(rng, rng.randint(1, 4))
+        unequal += D0.counts_by_dim() != D1.counts_by_dim()
+        dist, matching = bottleneck_diagonal(D0, D1)
+        finite += dist != INF
+        assert dist == brute_force_diagonal(D0.points, D1.points)
+        assert matching_cost(D0, D1, matching) == dist
+    assert unequal >= 30 and finite >= 30
+
+
+def test_witness_achieves_distance_for_both_variants():
+    cases = [_pair_of_diagrams(seed) for seed in range(10)]
+    cases.append(_essential_count_mismatch())  # both distances INF
+    for D0, D1 in cases:
+        for variant in (bottleneck_bijection, bottleneck_diagonal):
+            dist, matching = variant(D0, D1)
+            assert matching_cost(D0, D1, matching) == dist
+
+
+def test_perfect_matching_follows_long_augmenting_paths():
+    # Left vertex u takes right vertex u - 1 first, so each new vertex
+    # shifts every earlier one along: the last augmenting path has length
+    # n, far deeper than the interpreter's recursion limit.
+    n = 2000
+    adjacency = [[0]] + [[u - 1, u] for u in range(1, n)]
+    assert _perfect_matching(adjacency) == list(range(n))
+    assert _perfect_matching([[0], [0]]) is None

@@ -75,6 +75,27 @@ def test_bottleneck_two_files(tmp_path, instance):
     assert text == "distance 0"
 
 
+def test_bottleneck_diagonal_matching(tmp_path):
+    # (2, 4) has no partner in the one-vertex file and folds onto the
+    # diagonal at cost 1; the essentials match each other for free
+    long = tmp_path / "long.txt"
+    long.write_text("0 : 0\n1 : 2\n0 1 : 4\n")
+    single = tmp_path / "single.txt"
+    single.write_text("0 : 0\n")
+    text = _ok(["bottleneck", str(long), str(single), "--diagonal", "--matching"])
+    assert text.splitlines() == [
+        "distance 1",
+        "0 (0, inf) -> (0, inf)",
+        "0 (2, 4) -> diagonal",
+    ]
+    text = _ok(["bottleneck", str(single), str(long), "--diagonal", "--matching"])
+    assert text.splitlines() == [
+        "distance 1",
+        "0 (0, inf) -> (0, inf)",
+        "0 diagonal -> (2, 4)",
+    ]
+
+
 def test_bottleneck_needs_two_functions(tmp_path):
     p = tmp_path / "one.txt"
     p.write_text(EDGE_ONE)

@@ -109,8 +109,8 @@ def test_verify_stability_single_crossing():
     assert len(report.certificates) == 2
     assert report.composed_cost == Fraction(1, 4)
     assert report.exact_bottleneck == Fraction(1, 4)
-    assert report.left_diagram.points == diagram(K, f0, "f0").points
-    assert report.right_diagram.points == diagram(K, f1, "f1").points
+    assert report.left_diagram == diagram(K, f0, "f0")
+    assert report.right_diagram == diagram(K, f1, "f1")
 
 
 def test_verify_stability_shift_by_constant():
