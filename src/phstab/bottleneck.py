@@ -7,20 +7,27 @@ complex and therefore have equal point counts.  The diagonal-augmented
 variant additionally lets any finite point pay (death - birth) / 2 to match
 its diagonal projection.
 
-Both are one exact core over two graph builders.  The core takes a square
-cost matrix, ranks its distinct finite costs and binary-searches the
-smallest rank at which the entries within it admit a perfect matching,
-found by iterative augmenting paths.  The bijection variant passes the
-per-dimension matrix of pair costs; the diagonal variant passes the
-bijection problem on augmented diagrams (Efrat, Itai and Katz 2001;
-Kerber, Morozov and Nigmetov 2017), where each point gains a diagonal
-partner on the other side.
+Both variants split each dimension in two.  An essential point can only
+match an essential point, so the essential points form a problem on a line:
+equal counts are paired in sorted order, unequal counts cost +inf.  The
+finite points go to one exact core.  It takes a square cost matrix, ranks
+its distinct finite costs and binary-searches the smallest rank at which
+the entries within it admit a perfect matching, found by iterative
+augmenting paths.  The bijection variant passes the matrix of pair costs;
+the diagonal variant passes the bijection problem on augmented diagrams
+(Efrat, Itai and Katz 2001; Kerber, Morozov and Nigmetov 2017), where each
+point gains a diagonal partner on the other side.  All costs are ints: the
+births and deaths of both diagrams over one shared denominator, so the
+matcher sorts and compares ints, and the chosen cost becomes a Fraction
+once.  The public ``pair_cost``, ``diagonal_cost`` and ``matching_cost``
+stay in Fractions for the callers that re-check a matching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from fractions import Fraction
+from itertools import permutations, zip_longest
 
 from .errors import (
     CountMismatch,
@@ -29,7 +36,7 @@ from .errors import (
     TooLarge,
 )
 from .persistence import Diagram, DiagramPoint
-from .rational import INF
+from .rational import INF, common_denominator, common_numerators
 
 
 @dataclass(frozen=True)
@@ -201,60 +208,120 @@ def _split_by_dim(D0: Diagram, D1: Diagram, require_equal: bool):
     return groups
 
 
+def _scaled_points(D0: Diagram, D1: Diagram):
+    """Every point of both diagrams as an int (birth, death) pair.
+
+    Returns (q, pts0, pts1) with pts[i] = (birth * q, death * q), where q
+    is twice the lcm of all denominators.  Scaling by q > 0 keeps every
+    sign and ratio of differences, and the factor 2 makes every numerator
+    even, so a diagonal cost (death - birth) / 2 is an int too.  An
+    essential point's death slot holds its birth; it is never read.
+    """
+    columns = []
+    for D in (D0, D1):
+        columns.append([p.birth for p in D.points])
+        columns.append([p.birth if p.is_essential else p.death for p in D.points])
+    q = 2 * common_denominator(*columns)
+    b0, d0, b1, d1 = common_numerators(*columns, scale=q)
+    return q, list(zip(b0, d0)), list(zip(b1, d1))
+
+
+def _min_max_by_dim(D0: Diagram, D1: Diagram, require_equal: bool, match_finite):
+    """Exact (cost, witness) of either variant, one dimension at a time.
+
+    An essential point can only match an essential point: every other
+    partner, the diagonal included, costs INF.  So each dimension splits
+    into two problems.  If the essential counts differ, the dimension
+    costs INF and its witness pairs the points by position, the surplus
+    to the diagonal.  Otherwise the essentials of each side are sorted by
+    (birth, index) and paired in order, which on a line minimises the
+    largest gap (exchange argument), and ``match_finite(pts0, pts1)``
+    matches the finite points' scaled (birth, death) pairs, returning
+    (int cost, local index pairs) with None for the diagonal.  The cost
+    goes back to a Fraction once, at the end.
+    """
+    q, pts0, pts1 = _scaled_points(D0, D1)
+    worst = 0
+    pairs = []
+    for d, idx0, idx1 in _split_by_dim(D0, D1, require_equal):
+        ess0 = [i for i in idx0 if D0.points[i].is_essential]
+        ess1 = [j for j in idx1 if D1.points[j].is_essential]
+        if len(ess0) != len(ess1):
+            worst = INF
+            pairs.extend(zip_longest(idx0, idx1))
+            continue
+        ess0.sort(key=lambda i: (pts0[i][0], i))
+        ess1.sort(key=lambda j: (pts1[j][0], j))
+        pairs.extend(zip(ess0, ess1))
+        cost = max(
+            (abs(pts0[i][0] - pts1[j][0]) for i, j in zip(ess0, ess1)), default=0
+        )
+        fin0 = [i for i in idx0 if not D0.points[i].is_essential]
+        fin1 = [j for j in idx1 if not D1.points[j].is_essential]
+        if fin0 or fin1:
+            finite_cost, local = match_finite(
+                [pts0[i] for i in fin0], [pts1[j] for j in fin1]
+            )
+            cost = max(cost, finite_cost)
+            pairs.extend(
+                (None if a is None else fin0[a], None if b is None else fin1[b])
+                for a, b in local
+            )
+        worst = max(worst, cost)
+    pairs.sort(key=lambda p: (p[0] is None, p[1] if p[0] is None else p[0]))
+    return (INF if worst == INF else Fraction(worst, q)), Matching(tuple(pairs))
+
+
+def _pair_cost_matching(pts0, pts1):
+    return _min_max_matching(
+        [[max(abs(b0 - b1), abs(d0 - d1)) for b1, d1 in pts1] for b0, d0 in pts0]
+    )
+
+
+def _augmented_matching(pts0, pts1):
+    n0, n1 = len(pts0), len(pts1)
+    costs = [
+        [max(abs(b - b1), abs(d - d1)) for b1, d1 in pts1]
+        + [(d - b) // 2 if k == i else INF for k in range(n0)]
+        for i, (b, d) in enumerate(pts0)
+    ] + [
+        [(d - b) // 2 if k == j else INF for k in range(n1)] + [0] * n0
+        for j, (b, d) in enumerate(pts1)
+    ]
+    cost, local = _min_max_matching(costs)
+    return cost, [
+        (a if a < n0 else None, b if b < n1 else None)
+        for a, b in local
+        if a < n0 or b < n1
+    ]
+
+
 def bottleneck_bijection(D0: Diagram, D1: Diagram):
     """Exact bottleneck distance over dimension-respecting bijections.
 
     Requires equal per-dimension point counts (always true for diagrams of
     the same complex); returns (cost, witness matching) with the witness
-    achieving the cost exactly.
+    achieving the cost exactly, sorted by left index.  The finite points
+    of each dimension go to the core as their matrix of pair costs.
     """
-    all_pairs = []
-    worst = 0
-    for d, idx0, idx1 in _split_by_dim(D0, D1, require_equal=True):
-        costs = [[pair_cost(D0.points[i], D1.points[j]) for j in idx1] for i in idx0]
-        cost, local = _min_max_matching(costs)
-        worst = max(worst, cost)
-        all_pairs.extend((idx0[a], idx1[b]) for a, b in local)
-    all_pairs.sort()
-    return worst, Matching(tuple(all_pairs))
+    return _min_max_by_dim(D0, D1, True, _pair_cost_matching)
 
 
 def bottleneck_diagonal(D0: Diagram, D1: Diagram):
     """Exact bottleneck distance when points may match the diagonal.
 
-    Per dimension, the bijection problem on augmented diagrams: rows are
-    the n0 points of D0 followed by one diagonal partner per point of D1,
-    columns the n1 points of D1 followed by one partner per point of D0.
-    Real points pay ``pair_cost``, a point reaches its own partner at
-    ``diagonal_cost``, partners match each other for free, and every other
-    entry is INF.  Point counts may differ; the diagonal absorbs any
-    surplus.  Returns (cost, witness matching) like ``bottleneck_bijection``,
-    with (i, None) and (None, j) for points sent to the diagonal; entries
-    are sorted by left index, those with none last, by right index.
+    The finite points of each dimension go to the core as the bijection
+    problem on augmented diagrams: rows are the n0 points of D0 followed
+    by one diagonal partner per point of D1, columns the n1 points of D1
+    followed by one partner per point of D0.  Real points pay the pair
+    cost, a point reaches its own partner at half its lifetime, partners
+    match each other for free, and every other entry is INF.  Point counts
+    may differ; the diagonal absorbs any finite surplus.  Returns (cost,
+    witness matching) like ``bottleneck_bijection``, with (i, None) and
+    (None, j) for points sent to the diagonal; entries are sorted by left
+    index, those with none last, by right index.
     """
-    all_pairs = []
-    worst = 0
-    for d, idx0, idx1 in _split_by_dim(D0, D1, require_equal=False):
-        pts0 = [D0.points[i] for i in idx0]
-        pts1 = [D1.points[j] for j in idx1]
-        n0, n1 = len(pts0), len(pts1)
-        costs = [
-            [pair_cost(p, q) for q in pts1]
-            + [diagonal_cost(p) if k == i else INF for k in range(n0)]
-            for i, p in enumerate(pts0)
-        ] + [
-            [diagonal_cost(q) if k == j else INF for k in range(n1)] + [0] * n0
-            for j, q in enumerate(pts1)
-        ]
-        cost, local = _min_max_matching(costs)
-        worst = max(worst, cost)
-        all_pairs.extend(
-            (idx0[a] if a < n0 else None, idx1[b] if b < n1 else None)
-            for a, b in local
-            if a < n0 or b < n1
-        )
-    all_pairs.sort(key=lambda p: (p[0] is None, p[1] if p[0] is None else p[0]))
-    return worst, Matching(tuple(all_pairs))
+    return _min_max_by_dim(D0, D1, False, _augmented_matching)
 
 
 def brute_force_bottleneck(D0: Diagram, D1: Diagram, limit: int = 8):

@@ -39,14 +39,22 @@ def to_fraction(value) -> Fraction:
     raise TypeError(f"cannot convert {type(value).__name__} to Fraction")
 
 
-def common_numerators(*columns) -> list[list[int]]:
+def common_denominator(*columns) -> int:
+    """Least common multiple of the denominators of every value in
+    ``columns``; 1 when there are none."""
+    return math.lcm(*(x.denominator for col in columns for x in col))
+
+
+def common_numerators(*columns, scale: "int | None" = None) -> list[list[int]]:
     """Each column of Fractions as integer numerators over one shared
-    positive denominator.
+    positive denominator: ``scale`` if given (a multiple of every
+    denominator), else the least one.
 
     Scaling by a positive constant keeps every sign of a difference and
     every ratio of differences, so exact comparisons can run on ints.
     """
-    scale = math.lcm(*(x.denominator for col in columns for x in col))
+    if scale is None:
+        scale = common_denominator(*columns)
     return [[x.numerator * (scale // x.denominator) for x in col] for col in columns]
 
 

@@ -31,18 +31,13 @@ from fractions import Fraction
 from itertools import combinations
 
 from .bottleneck import Matching, bottleneck_bijection, matching_cost, pair_cost
-from .complexes import (
-    FiltrationFunction,
-    SimplicialComplex,
-    find_duplicate_value,
-    validate_filtration,
-)
+from .complexes import FiltrationFunction, SimplicialComplex, validate_filtration
 from .errors import (
     ChainMismatch,
     IncompatibleOrder,
     InternalProofViolation,
+    InvalidMatching,
     MultisetMismatch,
-    NonUniqueValues,
     OrderNotConstant,
 )
 from .interpolation import (
@@ -329,6 +324,33 @@ def compose_matchings(chain) -> Matching:
     return Matching(tuple(sorted(composed.items())))
 
 
+def _check_witness(
+    K: SimplicialComplex, D0: Diagram, D1: Diagram, witness: Matching, exact
+) -> None:
+    """Re-check in rationals that ``witness`` is a bijection costing ``exact``.
+
+    The matcher ranks scaled ints; this O(n) pass with the Fraction pair
+    costs confirms its answer.
+    """
+    try:
+        cost = matching_cost(D0, D1, witness)
+    except InvalidMatching as exc:
+        raise InternalProofViolation(
+            f"the exact bottleneck witness is not a bijection: {exc}"
+        ) from None
+    if cost != exact:
+        p, q = max(
+            ((D0.points[i], D1.points[j]) for i, j in witness.pairs),
+            key=lambda pq: pair_cost(*pq),
+        )
+        raise InternalProofViolation(
+            f"exact bottleneck {exact} != its witness's cost {cost}; costliest "
+            f"pair {p} -> {q}, pivot pairs "
+            f"{_simplex_pair(K, p.pair.birth, p.pair.death)} -> "
+            f"{_simplex_pair(K, q.pair.birth, q.pair.death)}"
+        )
+
+
 def verify_stability(
     K: SimplicialComplex, f0: FiltrationFunction, f1: FiltrationFunction
 ) -> StabilityReport:
@@ -338,19 +360,14 @@ def verify_stability(
     composed end-to-end bijection with its directly measured cost, and the
     exact bottleneck distance.  Exact-rational checks along the way:
     every certificate cost is at most its interval bound, the composed cost
-    is at most the sum of the link costs and at most the sup-norm, and the
-    exact bottleneck distance is at most the composed cost.
+    is at most the sum of the link costs and at most the sup-norm, the
+    exact bottleneck distance is what its witness costs in Fractions, and
+    it is at most the composed cost.
     """
-    for fid, f in (("f0", f0), ("f1", f1)):
+    for f in (f0, f1):
         validate_filtration(K, f).raise_if_invalid()
-        dup = find_duplicate_value(f)
-        if dup is not None:
-            i, j = dup
-            raise NonUniqueValues(
-                fid, (K.simplices[i], K.simplices[j]), f.values[i]
-            )
     gap = sup_norm(f0, f1)
-    schedule = crossing_times(f0, f1)
+    schedule = crossing_times(f0, f1)  # raises NonUniqueValues on any tie
     certificates = _carried_certificates(K, f0, f1, schedule, gap)
 
     chain = [certificates[0].matching]
@@ -385,6 +402,7 @@ def verify_stability(
             f"telescoped sum {total_link_cost} exceeds the sup-norm {gap}"
         )
     exact, witness = bottleneck_bijection(D0, D1)
+    _check_witness(K, D0, D1, witness, exact)
     if exact > composed_cost:
         raise InternalProofViolation(
             f"exact bottleneck {exact} exceeds the composed matching cost {composed_cost}"

@@ -5,11 +5,22 @@ code: it rebuilds sublevel boundary matrices from raw vertex tuples and
 computes GF(2) ranks by Gaussian elimination on integer bitmasks.  Diagram
 point counts are then checked against rank differences, which gives a
 second, structurally different route to the same numbers.
+
+The Fraction-matrix bottleneck twin runs the library's matcher core on the
+plain per-dimension cost matrices, essential points included, with no
+integer scaling and no separate sorted matching of essential points.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations
+
+from phstab.bottleneck import (
+    _min_max_matching,
+    _split_by_dim,
+    diagonal_cost,
+    pair_cost,
+)
 
 
 def gf2_rank(rows):
@@ -150,4 +161,35 @@ def brute_force_diagonal(points0, points1):
         own0 = [p for p in points0 if p.dim == d]
         own1 = [p for p in points1 if p.dim == d]
         worst = max(worst, min_max(augmented(own0, own1), augmented(own1, own0)))
+    return worst
+
+
+def fraction_matrix_bottleneck(D0, D1, diagonal=False):
+    """Either exact bottleneck distance from whole Fraction cost matrices.
+
+    Per dimension the core gets every point at once: the ``pair_cost``
+    matrix for the bijection variant, or for the diagonal variant the
+    augmented matrix, where a point reaches its own diagonal partner at
+    ``diagonal_cost``, partners match each other for free and every other
+    entry is infinite.
+    """
+    worst = 0
+    for _, idx0, idx1 in _split_by_dim(D0, D1, require_equal=not diagonal):
+        pts0 = [D0.points[i] for i in idx0]
+        pts1 = [D1.points[j] for j in idx1]
+        n0, n1 = len(pts0), len(pts1)
+        if diagonal:
+            costs = [
+                [pair_cost(p, q) for q in pts1]
+                + [diagonal_cost(p) if k == i else math.inf for k in range(n0)]
+                for i, p in enumerate(pts0)
+            ] + [
+                [diagonal_cost(q) if k == j else math.inf for k in range(n1)]
+                + [0] * n0
+                for j, q in enumerate(pts1)
+            ]
+        else:
+            costs = [[pair_cost(p, q) for q in pts1] for p in pts0]
+        cost, _ = _min_max_matching(costs)
+        worst = max(worst, cost)
     return worst

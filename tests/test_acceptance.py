@@ -32,7 +32,12 @@ from phstab.ordering import total_order
 from phstab.persistence import diagram, diagram_with_order, pivot_pairs
 from phstab.stability import interval_matching, verify_stability
 
-from oracles import diagram_rank_count, persistent_betti, value_grid
+from oracles import (
+    diagram_rank_count,
+    fraction_matrix_bottleneck,
+    persistent_betti,
+    value_grid,
+)
 
 CORPUS_SIZE = 500
 SIZE_CAP = 40
@@ -168,11 +173,15 @@ def test_4_point_counts_depend_only_on_the_complex(capsys):
 def test_5_diagonal_matching_never_costs_more(corpus, capsys):
     pairs = 0
     failures = 0
-    for _, report in corpus[:200]:
-        d_diag, _ = bottleneck_diagonal(report.left_diagram, report.right_diagram)
+    for _, report in corpus:
+        D0, D1 = report.left_diagram, report.right_diagram
+        d_diag, _ = bottleneck_diagonal(D0, D1)
         pairs += 1
         if d_diag > report.exact_bottleneck:
             failures += 1
+        # both variants equal their from-scratch twin on Fraction matrices
+        assert report.exact_bottleneck == fraction_matrix_bottleneck(D0, D1)
+        assert d_diag == fraction_matrix_bottleneck(D0, D1, diagonal=True)
     _announce(
         capsys,
         5,
@@ -266,7 +275,7 @@ def test_7_independent_oracles_agree(capsys):
     )
 
 
-def test_8_everything_is_deterministic(corpus, capsys, tmp_path):
+def test_8_everything_is_deterministic(corpus, capsys, tmp_path, cli_env):
     stable = True
     # pair lists: recompute from scratch on a corpus slice
     for inst, _ in corpus[:20]:
@@ -285,8 +294,8 @@ def test_8_everything_is_deterministic(corpus, capsys, tmp_path):
             stable = False
     # and byte-identical across separate processes
     cmd = [sys.executable, "-m", "phstab.cli", "verify", str(path), "--machine"]
-    a = subprocess.run(cmd, capture_output=True)
-    b = subprocess.run(cmd, capture_output=True)
+    a = subprocess.run(cmd, capture_output=True, env=cli_env)
+    b = subprocess.run(cmd, capture_output=True, env=cli_env)
     if a.stdout != b.stdout or a.returncode != 0:
         stable = False
     _announce(

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from phstab.errors import (
     TooLarge,
 )
 from phstab.generate import GeneratorConfig, generate_complex, random_filtration
-from phstab.persistence import DiagramPoint, PivotPair, diagram
+from phstab.persistence import Diagram, DiagramPoint, PivotPair, diagram
 from phstab.rational import INF
 
 from oracles import brute_force_diagonal
@@ -58,6 +59,11 @@ def test_diagonal_cost():
     assert diagonal_cost(_point(0, 1, Fraction(4))) == Fraction(3, 2)
     assert diagonal_cost(_point(0, 2, Fraction(2))) == 0
     assert diagonal_cost(_point(0, 1, INF)) == INF
+
+
+def _points_diagram(points):
+    """A diagram straight from (dim, birth, death) triples."""
+    return Diagram(None, tuple(_point(*p) for p in points))
 
 
 def _two_point_diagrams():
@@ -118,6 +124,16 @@ def test_infinite_distance_when_essential_counts_differ():
     dist, _ = bottleneck_bijection(D0, D1)
     assert dist == INF
     dist, _ = bottleneck_diagonal(D0, D1)
+    assert dist == INF
+    # births tied across the sides; the witness still costs INF
+    D0 = _points_diagram([(0, 1, INF), (0, 1, INF), (0, 1, 2)])
+    D1 = _points_diagram([(0, 1, INF), (0, 1, 2), (0, 1, 3)])
+    for variant in (bottleneck_bijection, bottleneck_diagonal):
+        dist, matching = variant(D0, D1)
+        assert dist == INF
+        assert matching_cost(D0, D1, matching) == INF
+    # the diagonal absorbs a finite surplus but never an essential point
+    dist, _ = bottleneck_diagonal(D0, _points_diagram([(0, 1, INF)]))
     assert dist == INF
 
 
@@ -204,3 +220,78 @@ def test_perfect_matching_follows_long_augmenting_paths():
     adjacency = [[0]] + [[u - 1, u] for u in range(1, n)]
     assert _perfect_matching(adjacency) == list(range(n))
     assert _perfect_matching([[0], [0]]) is None
+
+
+def _tied_points(rng, dims, essential_share):
+    """Points with births from a tiny set, so many births tie."""
+    out = []
+    for dim, count in dims.items():
+        for _ in range(count):
+            birth = Fraction(rng.randint(0, 3), 2)
+            if rng.random() < essential_share:
+                out.append((dim, birth, INF))
+            else:
+                out.append((dim, birth, birth + Fraction(rng.randint(0, 4), 2)))
+    return out
+
+
+def test_essential_and_mixed_diagrams_with_tied_births_match_brute_force():
+    rng = random.Random(55)
+    finite = 0
+    for trial in range(80):
+        dims = {d: rng.randint(1, 5) for d in range(rng.randint(1, 2))}
+        share = 1 if trial % 4 == 0 else rng.choice((0.3, 0.5, 0.8))
+        D0 = _points_diagram(_tied_points(rng, dims, share))
+        D1 = _points_diagram(_tied_points(rng, dims, share))
+        for variant, oracle in (
+            (bottleneck_bijection, brute_force_bottleneck(D0, D1)),
+            (bottleneck_diagonal, brute_force_diagonal(D0.points, D1.points)),
+        ):
+            dist, matching = variant(D0, D1)
+            assert dist == oracle
+            assert matching_cost(D0, D1, matching) == dist
+        finite += dist != INF
+    assert finite >= 30
+
+
+def test_coprime_denominators():
+    third, seventh, eleventh, thirteenth = (Fraction(1, k) for k in (3, 7, 11, 13))
+    D0 = _points_diagram(
+        [
+            (0, third, INF),
+            (0, seventh, seventh + eleventh),  # A = (1/7, 18/77)
+            (0, 0, thirteenth),  # B = (0, 1/13)
+        ]
+    )
+    D1 = _points_diagram(
+        [
+            (0, third + thirteenth, INF),  # essential gap 1/13
+            (0, eleventh, third),  # C = (1/11, 1/3)
+            (0, seventh, third + seventh),  # E = (1/7, 10/21)
+        ]
+    )
+    # A-E costs 8/33 and B-C 10/39; A-C costs 23/231 but forces B-E, 109/273
+    dist, matching = bottleneck_bijection(D0, D1)
+    assert dist == Fraction(10, 39) == brute_force_bottleneck(D0, D1)
+    assert matching_cost(D0, D1, matching) == dist
+    # E pays at least 1/6: half its lifetime 1/3, and more to A or B;
+    # everything else can go to the diagonal for less
+    dist, matching = bottleneck_diagonal(D0, D1)
+    assert dist == Fraction(1, 6) == brute_force_diagonal(D0.points, D1.points)
+    assert matching_cost(D0, D1, matching) == dist
+
+
+def test_thousand_point_shift_pair_is_fast():
+    # 1000 isolated vertices at distinct quarter-integers, shifted by 1/2:
+    # every point is essential, so both variants only sort
+    rng = random.Random(1000)
+    K = validate_complex([(v,) for v in range(1000)])
+    values = [Fraction(v, 4) for v in rng.sample(range(4000), 1000)]
+    D0 = diagram(K, FiltrationFunction(K, values), "f0")
+    D1 = diagram(K, FiltrationFunction(K, [v + Fraction(1, 2) for v in values]), "f1")
+    for variant in (bottleneck_bijection, bottleneck_diagonal):
+        start = time.perf_counter()
+        dist, matching = variant(D0, D1)
+        assert time.perf_counter() - start < 10
+        assert dist == Fraction(1, 2)
+        assert matching_cost(D0, D1, matching) == dist

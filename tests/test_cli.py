@@ -194,11 +194,11 @@ def test_repeated_runs_are_identical(instance):
         assert run_command(argv) == run_command(argv)
 
 
-def test_console_entry_point(instance):
+def test_console_entry_point(instance, cli_env):
     """End to end through a real process, twice, byte for byte."""
     cmd = [sys.executable, "-m", "phstab.cli", "verify", instance, "--machine"]
-    a = subprocess.run(cmd, capture_output=True, text=True)
-    b = subprocess.run(cmd, capture_output=True, text=True)
+    a = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
+    b = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
     assert a.returncode == 0
     assert a.stdout == b.stdout
     assert "holds=true" in a.stdout

@@ -6,6 +6,8 @@ import pytest
 from phstab.rational import (
     INF,
     approx_string,
+    common_denominator,
+    common_numerators,
     decimal_string,
     format_value,
     is_terminating,
@@ -77,3 +79,14 @@ def test_approx_string():
     assert approx_string(INF) == "inf"
     assert approx_string(Fraction(1, 3)) == "0.333333"
     assert approx_string(Fraction(1, 2)) == "0.5"
+
+
+def test_common_numerators_over_a_chosen_scale():
+    column = [Fraction(1, 3), Fraction(-2, 7), 5]
+    assert common_denominator(column) == 21
+    assert common_denominator() == 1
+    assert common_numerators(column) == [[7, -6, 105]]
+    assert common_numerators(column, [Fraction(1, 2)], scale=84) == [
+        [28, -24, 420],
+        [42],
+    ]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from phstab import stability
-from phstab.bottleneck import Matching, matching_cost
+from phstab.bottleneck import Matching, bottleneck_bijection, matching_cost
 from phstab.cli import run_command
 from phstab.complexes import FiltrationFunction, validate_complex
 from phstab.errors import (
@@ -251,7 +251,6 @@ def test_interior_tie_is_a_violation_naming_interval_t_and_pair(monkeypatch):
     # identical lines tie everywhere; reachable only past the uniqueness check
     K = _vertices(2)
     f = FiltrationFunction(K, (0, 0))
-    monkeypatch.setattr(stability, "find_duplicate_value", lambda f: None)
     _doctor_schedule(monkeypatch, CrossingSchedule((), ()))
     with pytest.raises(InternalProofViolation) as ei:
         verify_stability(K, f, f)
@@ -267,3 +266,60 @@ def test_violation_exits_two_through_the_cli(monkeypatch, tmp_path):
     status, text = run_command(["verify", str(path)])
     assert status == 2
     assert text.startswith("internal consistency failure: interval 0 [0, 1]")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 : 0 1\n1 : 0 2\n", "error: f0: simplices 0 and 1 share value 0"),
+        ("0 : 0 1\n1 : 1 1\n", "error: f1: simplices 0 and 1 share value 1"),
+        # f0 tied, f1 not monotone: both are validated before any tie check
+        (
+            "0 : 0 5\n1 : 0 1\n0 1 : 2 3\n",
+            "error: face {0} has value 5 > 3 on coface {0,1}",
+        ),
+    ],
+)
+def test_ties_exit_one_through_verify(tmp_path, text, message):
+    # the uniqueness check runs once, inside crossing_times
+    path = tmp_path / "tie.txt"
+    path.write_text(text)
+    assert run_command(["verify", str(path)]) == (1, message)
+
+
+def _wrong_witness(D0, D1):
+    """The exact distance with the matching reversed inside each dimension."""
+    exact, witness = bottleneck_bijection(D0, D1)
+    reversed_pairs = []
+    for d in D0.dims():
+        idx0, idx1 = D0.points_in_dim(d), D1.points_in_dim(d)
+        reversed_pairs.extend(zip(idx0, reversed(idx1)))
+    return exact, Matching(tuple(sorted(reversed_pairs)))
+
+
+def test_wrong_bottleneck_witness_is_a_violation(monkeypatch, tmp_path):
+    # essential births 0, 1, 10 against 0, 2, 10: the exact distance is 1,
+    # but pairing them in reverse moves the first point by 10
+    K = _vertices(3)
+    f0 = FiltrationFunction(K, (0, 1, 10))
+    f1 = FiltrationFunction(K, (0, 2, 10))
+    assert verify_stability(K, f0, f1).exact_bottleneck == 1
+    monkeypatch.setattr(stability, "bottleneck_bijection", _wrong_witness)
+    with pytest.raises(InternalProofViolation) as ei:
+        verify_stability(K, f0, f1)
+    message = str(ei.value)
+    assert "exact bottleneck 1 != its witness's cost 10" in message
+    assert "(0, inf) -> (10, inf)" in message and "({0}, -) -> ({2}, -)" in message
+    path = tmp_path / "three.txt"
+    path.write_text("0 : 0 0\n1 : 1 2\n2 : 10 10\n")
+    status, text = run_command(["verify", str(path)])
+    assert status == 2
+    assert text.startswith("internal consistency failure: exact bottleneck 1")
+    # a witness that leaves a point out is a violation too, not bad input
+    monkeypatch.setattr(
+        stability,
+        "bottleneck_bijection",
+        lambda D0, D1: (1, Matching(((0, 0), (1, 1)))),
+    )
+    with pytest.raises(InternalProofViolation, match="witness is not a bijection"):
+        verify_stability(K, f0, f1)
