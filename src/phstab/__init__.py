@@ -3,165 +3,26 @@ simplicial complexes: exact diagrams, exact bottleneck distances, and a
 constructive certificate that diagrams move no farther than the functions.
 
 Everything is computed in exact rational arithmetic (fractions.Fraction);
-math.inf is the single sentinel for infinite deaths.
+math.inf is the single sentinel for infinite deaths.  The package root
+exports what the README's example uses, PhstabError (the base of every
+error raised) and InternalProofViolation (the one that means a bug);
+everything else is reached through its module (``from phstab import cli``).
 """
 
-from .bottleneck import (
-    Matching,
-    bottleneck_bijection,
-    bottleneck_diagonal,
-    brute_force_bottleneck,
-    diagonal_cost,
-    matching_cost,
-    pair_cost,
-)
-from .complexes import (
-    FiltrationFunction,
-    FiltrationReport,
-    Simplex,
-    SimplicialComplex,
-    find_duplicate_value,
-    has_unique_values,
-    sublevel,
-    validate_complex,
-    validate_filtration,
-)
-from .errors import (
-    ChainMismatch,
-    CountMismatch,
-    DimensionMismatch,
-    DomainMismatch,
-    IncompatibleOrder,
-    InternalProofViolation,
-    InvalidComplex,
-    InvalidFiltration,
-    InvalidMatching,
-    MultisetMismatch,
-    NonUniqueValues,
-    OrderNotConstant,
-    ParseError,
-    PhstabError,
-    TOutOfRange,
-    TooLarge,
-)
-from .generate import (
-    GeneratorConfig,
-    generate_complex,
-    generate_instance,
-    random_compatible_order,
-    random_filtration,
-)
-from .instances import (
-    InstanceFile,
-    format_instance,
-    parse_instance,
-    parse_instance_text,
-)
-from .interpolation import (
-    CrossingSchedule,
-    crossing_times,
-    interpolate,
-    interval_midpoints,
-    sup_norm,
-)
-from .ordering import (
-    TotalOrder,
-    check_order_compatible,
-    is_order_constant,
-    total_order,
-)
-from .persistence import (
-    BoundaryMatrix,
-    Diagram,
-    DiagramPoint,
-    PivotPair,
-    boundary_matrix,
-    diagram,
-    diagram_with_order,
-    format_diagram,
-    pivot_pairs,
-    reduce,
-)
-from .rational import INF, format_value, to_fraction
-from .stability import (
-    IntervalCertificate,
-    StabilityReport,
-    breakpoint_matching,
-    compose_matchings,
-    interval_matching,
-    verify_stability,
-)
+from .bottleneck import bottleneck_bijection
+from .complexes import FiltrationFunction, validate_complex
+from .errors import InternalProofViolation, PhstabError
+from .persistence import diagram
+from .stability import verify_stability
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "INF",
-    "BoundaryMatrix",
-    "ChainMismatch",
-    "CountMismatch",
-    "CrossingSchedule",
-    "Diagram",
-    "DiagramPoint",
-    "DimensionMismatch",
-    "DomainMismatch",
     "FiltrationFunction",
-    "FiltrationReport",
-    "GeneratorConfig",
-    "IncompatibleOrder",
-    "InstanceFile",
     "InternalProofViolation",
-    "IntervalCertificate",
-    "InvalidComplex",
-    "InvalidFiltration",
-    "InvalidMatching",
-    "Matching",
-    "MultisetMismatch",
-    "NonUniqueValues",
-    "OrderNotConstant",
-    "ParseError",
     "PhstabError",
-    "PivotPair",
-    "Simplex",
-    "SimplicialComplex",
-    "StabilityReport",
-    "TOutOfRange",
-    "TooLarge",
-    "TotalOrder",
-    "boundary_matrix",
     "bottleneck_bijection",
-    "bottleneck_diagonal",
-    "breakpoint_matching",
-    "brute_force_bottleneck",
-    "check_order_compatible",
-    "compose_matchings",
-    "crossing_times",
-    "diagonal_cost",
     "diagram",
-    "diagram_with_order",
-    "find_duplicate_value",
-    "format_diagram",
-    "format_instance",
-    "format_value",
-    "generate_complex",
-    "generate_instance",
-    "has_unique_values",
-    "interpolate",
-    "interval_matching",
-    "interval_midpoints",
-    "is_order_constant",
-    "matching_cost",
-    "pair_cost",
-    "parse_instance",
-    "parse_instance_text",
-    "pivot_pairs",
-    "random_compatible_order",
-    "random_filtration",
-    "reduce",
-    "sublevel",
-    "sup_norm",
-    "to_fraction",
-    "total_order",
     "validate_complex",
-    "validate_filtration",
     "verify_stability",
 ]

@@ -27,14 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, zip_longest
+from itertools import zip_longest
 
-from .errors import (
-    CountMismatch,
-    DimensionMismatch,
-    InvalidMatching,
-    TooLarge,
-)
+from .errors import CountMismatch, DimensionMismatch, InvalidMatching
 from .persistence import Diagram, DiagramPoint
 from .rational import INF, common_denominator, common_numerators
 
@@ -322,29 +317,3 @@ def bottleneck_diagonal(D0: Diagram, D1: Diagram):
     index, those with none last, by right index.
     """
     return _min_max_by_dim(D0, D1, False, _augmented_matching)
-
-
-def brute_force_bottleneck(D0: Diagram, D1: Diagram, limit: int = 8):
-    """Exact bijection bottleneck by enumerating all bijections.
-
-    Test oracle: refuses more than ``limit`` points in any dimension.
-    """
-    worst = 0
-    for d, idx0, idx1 in _split_by_dim(D0, D1, require_equal=True):
-        n = len(idx0)
-        if n > limit:
-            raise TooLarge(f"{n} points in dimension {d} (limit {limit})")
-        if n == 0:
-            continue
-        pts0 = [D0.points[i] for i in idx0]
-        pts1 = [D1.points[j] for j in idx1]
-        best = INF
-        for perm in permutations(range(n)):
-            cost = 0
-            for i, j in enumerate(perm):
-                cost = max(cost, pair_cost(pts0[i], pts1[j]))
-                if cost >= best:
-                    break
-            best = min(best, cost)
-        worst = max(worst, best)
-    return worst

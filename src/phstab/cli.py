@@ -21,8 +21,8 @@ import argparse
 import sys
 
 from .bottleneck import bottleneck_bijection, bottleneck_diagonal
-from .complexes import has_unique_values, validate_filtration
-from .errors import InternalProofViolation, MultisetMismatch, PhstabError
+from .complexes import find_duplicate_value, validate_filtration
+from .errors import InternalProofViolation, PhstabError
 from .generate import GeneratorConfig, generate_instance
 from .instances import InstanceFile, format_instance, parse_instance
 from .interpolation import crossing_times
@@ -118,7 +118,8 @@ def _cmd_validate(args) -> tuple[int, str]:
         f"complex: {len(inst.complex)} simplices, dimension {inst.complex.dim}"
     ]
     for k, f in enumerate(inst.functions):
-        tag = "all values distinct" if has_unique_values(f) else "tied values"
+        distinct = find_duplicate_value(f) is None
+        tag = "all values distinct" if distinct else "tied values"
         lines.append(f"f{k}: monotone, {tag}")
     return 0, "\n".join(lines)
 
@@ -360,7 +361,7 @@ def run_command(argv) -> tuple[int, str]:
         return args.handler(args)
     except _Exit as stop:
         return stop.status, stop.message
-    except (InternalProofViolation, MultisetMismatch) as exc:
+    except InternalProofViolation as exc:
         return 2, f"internal consistency failure: {exc}"
     except PhstabError as exc:
         return 1, f"error: {exc}"

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import DomainMismatch, InvalidComplex, InvalidFiltration
-from .rational import to_fraction
+from .rational import fraction_string, to_fraction
 
 
 @dataclass(frozen=True, order=True)
@@ -135,8 +135,8 @@ class NonMonotone:
 
     def __str__(self) -> str:
         return (
-            f"face {{{self.face}}} has value {self.face_value} > "
-            f"{self.coface_value} on coface {{{self.coface}}}"
+            f"face {{{self.face}}} has value {fraction_string(self.face_value)}"
+            f" > {fraction_string(self.coface_value)} on coface {{{self.coface}}}"
         )
 
 
@@ -209,9 +209,6 @@ class FiltrationFunction:
     def __len__(self) -> int:
         return len(self.values)
 
-    def value(self, position: int) -> Fraction:
-        return self.values[position]
-
 
 @dataclass(frozen=True)
 class FiltrationReport:
@@ -262,20 +259,6 @@ def validate_filtration(K: SimplicialComplex, f) -> FiltrationReport:
             if vi > vj:
                 issues.append(NonMonotone(K.simplices[i], s, vi, vj))
     return FiltrationReport(tuple(issues))
-
-
-def sublevel(K: SimplicialComplex, f: FiltrationFunction, alpha) -> SimplicialComplex:
-    """The subcomplex of all simplices with value at most alpha."""
-    a = to_fraction(alpha)
-    kept = tuple(
-        s for s, v in zip(K.simplices, f.values) if v <= a
-    )
-    return SimplicialComplex(kept)
-
-
-def has_unique_values(f: FiltrationFunction) -> bool:
-    """True iff all values of f are pairwise distinct (vacuously true when empty)."""
-    return len(set(f.values)) == len(f.values)
 
 
 def find_duplicate_value(f: FiltrationFunction):

@@ -2,9 +2,12 @@
 
 User-facing errors (bad input, bad preconditions) derive from PhstabError.
 InternalProofViolation is different in kind: it signals that one of the
-certified inequalities the library maintains internally failed, which is
-an implementation bug, never a property of the input.
+certified inequalities or consistency checks the library maintains
+internally failed, which is an implementation bug, never a property of the
+input.
 """
+
+from .rational import fraction_string
 
 
 class PhstabError(Exception):
@@ -54,10 +57,6 @@ class CountMismatch(PhstabError):
         super().__init__(f"dimension {dim}: {n0} points vs {n1} points")
 
 
-class TooLarge(PhstabError):
-    """Input exceeds the size limit of a brute-force oracle."""
-
-
 class DomainMismatch(PhstabError):
     """Two filtration functions do not live on the same complex."""
 
@@ -75,28 +74,14 @@ class NonUniqueValues(PhstabError):
         self.pair = pair
         self.value = value
         super().__init__(
-            f"{function_id}: simplices {pair[0]} and {pair[1]} share value {value}"
+            f"{function_id}: simplices {pair[0]} and {pair[1]} share value "
+            f"{fraction_string(value)}"
         )
 
 
-class OrderNotConstant(PhstabError):
-    """The simplex order changes strictly inside the requested interval."""
-
-
-class MultisetMismatch(PhstabError):
-    """Two diagrams of the same function disagree as value multisets.
-
-    This would falsify the order-invariance of diagrams and is treated as
-    an internal-consistency failure, not a user error.
-    """
-
-
-class ChainMismatch(PhstabError):
-    """Consecutive matchings in a composition chain do not share endpoints."""
-
-
 class InternalProofViolation(PhstabError):
-    """A certified inequality failed while verifying stability.
+    """A certified inequality or consistency check failed while verifying
+    stability (a bound, a zero-cost re-identification, a composition).
 
     This is a bug detector: it can only fire if the implementation is wrong,
     never because of the input.

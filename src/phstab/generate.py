@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .complexes import FiltrationFunction, Simplex, SimplicialComplex
 from .instances import InstanceFile
-from .ordering import TotalOrder
 
 
 @dataclass(frozen=True)
@@ -86,36 +85,3 @@ def generate_instance(cfg: GeneratorConfig) -> InstanceFile:
     f0 = random_filtration(K, rng, cfg.value_range, cfg.unique)
     f1 = random_filtration(K, rng, cfg.value_range, cfg.unique)
     return InstanceFile(K, (f0, f1))
-
-
-def random_compatible_order(
-    K: SimplicialComplex, f: FiltrationFunction, rng: random.Random
-) -> TotalOrder:
-    """A uniformly shuffled valid order for (K, f).
-
-    Within each group of equal values, repeatedly pick a random simplex all
-    of whose faces (inside the group) were already emitted; faces outside
-    the group carry strictly smaller values and sit in earlier groups.
-    Exercises orders other than the canonical tie-break.
-    """
-    groups: dict[Fraction, list[int]] = {}
-    for i, v in enumerate(f.values):
-        groups.setdefault(v, []).append(i)
-    perm: list[int] = []
-    placed: set[int] = set()
-    for v in sorted(groups):
-        pending = set(groups[v])
-        while pending:
-            ready = [
-                i
-                for i in sorted(pending)
-                if all(
-                    fp in placed or fp not in pending
-                    for fp in K.facet_positions[i]
-                )
-            ]
-            pick = rng.choice(ready)
-            pending.discard(pick)
-            placed.add(pick)
-            perm.append(pick)
-    return TotalOrder(K, tuple(perm))

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .complexes import FiltrationFunction, find_duplicate_value
 from .errors import DomainMismatch, InternalProofViolation, NonUniqueValues, TOutOfRange
-from .rational import common_numerators, to_fraction
+from .rational import common_numerators, fraction_string, to_fraction
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def interpolate(
     _require_shared_complex(f0, f1)
     t = to_fraction(t)
     if not 0 <= t <= 1:
-        raise TOutOfRange(f"t = {t} outside [0, 1]")
+        raise TOutOfRange(f"t = {fraction_string(t)} outside [0, 1]")
     if t == 0:
         return f0
     if t == 1:
@@ -106,20 +106,11 @@ def crossing_times(
                 continue
             if d0 == 0 or d1 == 0:
                 raise InternalProofViolation(
-                    f"crossing of pair ({i}, {j}) at t = {Fraction(d0, d0 - d1)} "
+                    f"crossing of pair ({i}, {j}) at t = "
+                    f"{fraction_string(Fraction(d0, d0 - d1))} "
                     "despite unique endpoints"
                 )
             by_time.setdefault(Fraction(d0, d0 - d1), []).append((i, j))
     times = tuple(sorted(by_time))
     pairs_at = tuple(tuple(sorted(by_time[t])) for t in times)
     return CrossingSchedule(times, pairs_at)
-
-
-def interval_midpoints(schedule: CrossingSchedule) -> tuple[Fraction, ...]:
-    """Midpoints of the intervals cut out of [0, 1] by the schedule.
-
-    One midpoint per interval; at each of them every simplex pair has
-    distinct interpolated values.
-    """
-    bps = schedule.breakpoints()
-    return tuple((a + b) / 2 for a, b in zip(bps, bps[1:]))

@@ -16,8 +16,8 @@ from .complexes import (
     SimplicialComplex,
     validate_filtration,
 )
-from .errors import DomainMismatch, IncompatibleOrder
-from .rational import common_numerators, to_fraction
+from .errors import IncompatibleOrder
+from .rational import fraction_string
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,8 @@ def check_order_compatible(
         if f.values[a] > f.values[b]:
             raise IncompatibleOrder(
                 f"values decrease along the order: f({K.simplices[a]}) = "
-                f"{f.values[a]} > {f.values[b]} = f({K.simplices[b]})"
+                f"{fraction_string(f.values[a])} > "
+                f"{fraction_string(f.values[b])} = f({K.simplices[b]})"
             )
     pos = order.position_of
     for j, complex_pos in enumerate(perm):
@@ -86,32 +87,3 @@ def check_order_compatible(
                     f"face {{{K.simplices[face_pos]}}} does not precede "
                     f"{{{K.simplices[complex_pos]}}}"
                 )
-
-
-def is_order_constant(
-    f0: FiltrationFunction, f1: FiltrationFunction, alpha, beta
-) -> bool:
-    """True iff no simplex pair swaps strictly inside [alpha, beta].
-
-    For every pair, the sign of f_t(sigma) - f_t(tau) must not flip over the
-    interval; a zero at either end is compatible with both signs.  Because
-    the interpolation is linear in t, testing the two endpoint values is
-    exact.
-    """
-    if f0.complex is not f1.complex and f0.complex != f1.complex:
-        raise DomainMismatch("functions live on different complexes")
-    a, b = to_fraction(alpha), to_fraction(beta)
-    if not a < b:
-        raise ValueError(f"need alpha < beta, got {a} >= {b}")
-    # f_t scaled by a positive constant: (q - p) * x + p * y for t = p / q
-    x, y = common_numerators(f0.values, f1.values)
-    va = [(a.denominator - a.numerator) * u + a.numerator * v for u, v in zip(x, y)]
-    vb = [(b.denominator - b.numerator) * u + b.numerator * v for u, v in zip(x, y)]
-    n = len(va)
-    for i in range(n):
-        for j in range(i + 1, n):
-            da = va[i] - va[j]
-            db = vb[i] - vb[j]
-            if (da > 0 and db < 0) or (da < 0 and db > 0):
-                return False
-    return True

@@ -14,20 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import FiltrationFunction, SimplicialComplex, validate_filtration
-from .ordering import TotalOrder, check_order_compatible, total_order
+from .complexes import FiltrationFunction, SimplicialComplex
+from .ordering import TotalOrder, total_order
 from .rational import INF, format_value
-
-
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Sparse GF(2) boundary matrix; rows and columns are order positions."""
-
-    order: TotalOrder
-    columns: tuple[frozenset[int], ...]
-
-    def __len__(self) -> int:
-        return len(self.columns)
 
 
 @dataclass(frozen=True)
@@ -73,42 +62,18 @@ class Diagram:
     def points_in_dim(self, dim: int) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.points) if p.dim == dim)
 
-    def dims(self) -> tuple[int, ...]:
-        return tuple(sorted({p.dim for p in self.points}))
 
-    def counts_by_dim(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for p in self.points:
-            counts[p.dim] = counts.get(p.dim, 0) + 1
-        return counts
+def pivot_pairs(K: SimplicialComplex, order: TotalOrder) -> tuple[PivotPair, ...]:
+    """Reduce the boundary matrix of (K, order) and return its pivot pairs.
 
-    def value_multiset(self) -> dict:
-        """Multiset of (dim, birth, death) with multiplicities."""
-        out: dict = {}
-        for p in self.points:
-            key = (p.dim, p.birth, p.death)
-            out[key] = out.get(key, 0) + 1
-        return out
-
-
-def boundary_matrix(K: SimplicialComplex, order: TotalOrder) -> BoundaryMatrix:
-    """Column j holds the order positions of the codim-1 faces of simplex j."""
-    pos = order.position_of
-    cols = tuple(
-        frozenset(pos[i] for i in K.facet_positions[complex_pos])
-        for complex_pos in order.permutation
-    )
-    return BoundaryMatrix(order, cols)
-
-
-def reduce(M: BoundaryMatrix) -> tuple[PivotPair, ...]:
-    """Reduce M and return its pivot pairs.
-
-    The list contains one PivotPair per diagram point: paired simplices
-    first, essentials with death None, all sorted by the order position of
-    the birth simplex.
+    Rows and columns are order positions: column j holds the positions of
+    the codimension-1 faces of the j-th simplex in the order.  The list
+    contains one PivotPair per diagram point: paired simplices first,
+    essentials with death None, all sorted by the order position of the
+    birth simplex.  It depends on K and the order only, not on values.
     """
-    cols = [set(c) for c in M.columns]
+    perm, pos = order.permutation, order.position_of
+    cols = [{pos[i] for i in K.facet_positions[c]} for c in perm]
     owner: dict[int, int] = {}  # pivot row -> owning column
     for j, col in enumerate(cols):
         while col:
@@ -118,22 +83,13 @@ def reduce(M: BoundaryMatrix) -> tuple[PivotPair, ...]:
                 owner[low] = j
                 break
             col ^= cols[k]
-    perm = M.order.permutation
-    births = []  # (birth order position, death order position or None)
-    for low, j in owner.items():
-        births.append((low, j))
-    for i, col in enumerate(cols):
-        if not col and i not in owner:
-            births.append((i, None))
+    # (birth order position, death order position or None)
+    births = list(owner.items())
+    births += [(i, None) for i, col in enumerate(cols) if not col and i not in owner]
     births.sort(key=lambda t: t[0])
     return tuple(
         PivotPair(perm[b], perm[d] if d is not None else None) for b, d in births
     )
-
-
-def pivot_pairs(K: SimplicialComplex, order: TotalOrder) -> tuple[PivotPair, ...]:
-    """Pairs and essentials for (K, order); value-independent."""
-    return reduce(boundary_matrix(K, order))
 
 
 def diagram_from_pivots(
@@ -150,22 +106,6 @@ def diagram_from_pivots(
         death = f.values[pv.death] if pv.death is not None else INF
         points.append(DiagramPoint(K.simplices[pv.birth].dim, birth, death, pv))
     return Diagram(order, tuple(points), function_id)
-
-
-def diagram_with_order(
-    K: SimplicialComplex,
-    f: FiltrationFunction,
-    order: TotalOrder,
-    function_id: str = "f",
-) -> Diagram:
-    """Diagram of f under a caller-supplied compatible order.
-
-    Needed wherever one order must serve several functions; raises
-    IncompatibleOrder if the order is not valid for f.
-    """
-    validate_filtration(K, f).raise_if_invalid()
-    check_order_compatible(K, f, order)
-    return diagram_from_pivots(K, order, f, pivot_pairs(K, order), function_id)
 
 
 def diagram(

@@ -67,10 +67,40 @@ def is_terminating(x: Fraction) -> bool:
     return d == 1
 
 
+# Below 2000 bits (602 digits) str(int) is safe: the interpreter's int -> str
+# limit (3.10.7 and later) cannot be set under 640 digits.
+_STR_SAFE_BITS = 2000
+
+
+def int_string(n: int) -> str:
+    """``str(n)``, also for ints past the interpreter's int -> str limit.
+
+    A large ``n`` is split by a power of ten into two halves of about equal
+    length, so no single conversion reaches the limit.
+    """
+    if n.bit_length() <= _STR_SAFE_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + int_string(-n)
+    k = n.bit_length() * 3 // 20  # about half of its log10(2) * bits digits
+    high, low = divmod(n, 10**k)
+    return int_string(high) + int_string(low).zfill(k)
+
+
+def fraction_string(x) -> str:
+    """``str(x)`` for an int, a Fraction (``p`` or ``p/q``) or INF (``inf``),
+    without the int -> str limit; for values in messages."""
+    if x == INF:
+        return "inf"
+    if x.denominator == 1:
+        return int_string(x.numerator)
+    return f"{int_string(x.numerator)}/{int_string(x.denominator)}"
+
+
 def decimal_string(x: Fraction) -> str:
     """Exact decimal expansion of a terminating rational, no trailing zeros."""
     if not is_terminating(x):
-        raise ValueError(f"{x} has no finite decimal expansion")
+        raise ValueError(f"{fraction_string(x)} has no finite decimal expansion")
     sign = "-" if x < 0 else ""
     x = abs(x)
     d = x.denominator
@@ -84,9 +114,9 @@ def decimal_string(x: Fraction) -> str:
     k = max(two, five)
     scaled = x.numerator * 10**k // x.denominator
     if k == 0:
-        return f"{sign}{scaled}"
+        return f"{sign}{int_string(scaled)}"
     whole, frac = divmod(scaled, 10**k)
-    return f"{sign}{whole}.{str(frac).zfill(k)}"
+    return f"{sign}{int_string(whole)}.{int_string(frac).zfill(k)}"
 
 
 def format_value(x) -> str:
@@ -97,7 +127,7 @@ def format_value(x) -> str:
     x = to_fraction(x)
     if is_terminating(x):
         return decimal_string(x)
-    return f"{x.numerator}/{x.denominator}"
+    return fraction_string(x)
 
 
 def approx_string(x, digits: int = 6) -> str:

@@ -15,9 +15,9 @@ The order is carried from interval to interval rather than rebuilt, as in
 the vineyard picture of Cohen-Steiner, Edelsbrunner and Morozov: at a
 crossing only the simplices tied there change places, and their run in the
 order reverses.  Each breakpoint's values are computed once, and each
-interval is checked in O(n) plus one reduction.  ``interval_matching``
-certifies a single interval from scratch and serves as the reference the
-carried certificates must equal.
+interval is checked in O(n) plus one reduction.  The test suite keeps a
+reference that certifies each interval from scratch, and the carried
+certificates must equal it.
 
 Every inequality used along the way is checked with exact rational
 arithmetic; a failure raises InternalProofViolation, because no input can
@@ -31,29 +31,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from .bottleneck import Matching, bottleneck_bijection, matching_cost, pair_cost
-from .complexes import FiltrationFunction, SimplicialComplex, validate_filtration
-from .errors import (
-    ChainMismatch,
-    IncompatibleOrder,
-    InternalProofViolation,
-    InvalidMatching,
-    MultisetMismatch,
-    OrderNotConstant,
-)
-from .interpolation import (
-    CrossingSchedule,
-    crossing_times,
-    interpolate,
-    sup_norm,
-)
-from .ordering import TotalOrder, check_order_compatible, is_order_constant, total_order
-from .persistence import (
-    Diagram,
-    diagram,
-    diagram_from_pivots,
-    pivot_pairs,
-)
-from .rational import to_fraction
+from .complexes import FiltrationFunction, SimplicialComplex
+from .errors import IncompatibleOrder, InternalProofViolation, InvalidMatching
+from .interpolation import CrossingSchedule, crossing_times, interpolate, sup_norm
+from .ordering import TotalOrder, check_order_compatible, total_order
+from .persistence import Diagram, diagram_from_pivots, pivot_pairs
+from .rational import fraction_string
 
 
 @dataclass(frozen=True)
@@ -119,8 +102,8 @@ def _certify(
     interval in violation messages.
     """
     pairs = pivot_pairs(K, order)
-    left = diagram_from_pivots(K, order, f_lo, pairs, f"f@{t_lo}")
-    right = diagram_from_pivots(K, order, f_hi, pairs, f"f@{t_hi}")
+    left = diagram_from_pivots(K, order, f_lo, pairs, f"f@{fraction_string(t_lo)}")
+    right = diagram_from_pivots(K, order, f_hi, pairs, f"f@{fraction_string(t_hi)}")
     cost = 0
     for p, q in zip(left.points, right.points):
         cost = max(cost, pair_cost(p, q))
@@ -130,43 +113,12 @@ def _certify(
         # (essentials included), so the largest coordinate move IS the
         # sup-norm; any discrepancy in either direction is a bug.
         raise InternalProofViolation(
-            f"{where}: matching cost {cost} != sup-norm {bound}; costliest "
+            f"{where}: matching cost {fraction_string(cost)} != sup-norm "
+            f"{fraction_string(bound)}; costliest "
             f"pivot pair {_costliest_pair(K, left, right)}"
         )
     matching = Matching(tuple((i, i) for i in range(len(left.points))))
     return IntervalCertificate(t_lo, t_hi, order, left, right, matching, cost, bound)
-
-
-def interval_matching(
-    K: SimplicialComplex,
-    f0: FiltrationFunction,
-    f1: FiltrationFunction,
-    t_lo,
-    t_hi,
-) -> IntervalCertificate:
-    """Certify one order-constant interval from scratch.
-
-    Checks that no simplex pair swaps strictly inside the interval, takes
-    the order induced at the midpoint (valid for every t in the interval)
-    and certifies both endpoints under it.  ``verify_stability`` carries
-    its order across crossings instead; this is the reference it must
-    agree with.
-    """
-    t_lo, t_hi = to_fraction(t_lo), to_fraction(t_hi)
-    if not 0 <= t_lo < t_hi <= 1:
-        raise ValueError(f"bad interval [{t_lo}, {t_hi}]")
-    if not is_order_constant(f0, f1, t_lo, t_hi):
-        raise OrderNotConstant(
-            f"simplex order changes strictly inside [{t_lo}, {t_hi}]"
-        )
-    mid = (t_lo + t_hi) / 2
-    f_mid = interpolate(f0, f1, mid)
-    order = total_order(K, f_mid)
-    f_lo = interpolate(f0, f1, t_lo)
-    f_hi = interpolate(f0, f1, t_hi)
-    check_order_compatible(K, f_lo, order)
-    check_order_compatible(K, f_hi, order)
-    return _certify(K, order, t_lo, t_hi, f_lo, f_hi, f"interval [{t_lo}, {t_hi}]")
 
 
 def _reverse_tied_runs(
@@ -207,7 +159,9 @@ def _reverse_tied_runs(
             what = f"simplices {_simplex_pair(K, *unscheduled[0])} tie but are not scheduled"
         else:
             what = f"scheduled simplices {_simplex_pair(K, *untied[0])} do not tie"
-        raise InternalProofViolation(f"crossing {k} at t = {t}: {what}")
+        raise InternalProofViolation(
+            f"crossing {k} at t = {fraction_string(t)}: {what}"
+        )
 
 
 def _carried_certificates(
@@ -216,14 +170,15 @@ def _carried_certificates(
     f1: FiltrationFunction,
     schedule: CrossingSchedule,
     gap: Fraction,
+    order0: TotalOrder,
 ) -> list:
     """Certify every interval of ``schedule``, carrying one simplex order.
 
     f_t is evaluated once per breakpoint, and each interval's upper values
-    become the next interval's lower values.  The order starts as the
-    canonical order of f0 (the order just after t = 0, since f0 is
-    untied) and is carried across each crossing by ``_reverse_tied_runs``.
-    Per interval, in O(n) besides the one reduction: the order is
+    become the next interval's lower values.  The order starts as
+    ``order0``, the canonical order of f0 (the order just after t = 0,
+    since f0 is untied), and is carried across each crossing by
+    ``_reverse_tied_runs``.  Per interval, in O(n) besides the one reduction: the order is
     compatible with both endpoint functions, hence non-decreasing for every
     t in between, so no pair swaps inside; no adjacent pair is tied at both
     ends, so the interior is untied; the certificate's bound is the
@@ -232,32 +187,34 @@ def _carried_certificates(
     simplex pair involved.
     """
     bps = schedule.breakpoints()
-    perm = list(total_order(K, f0).permutation)
+    perm = list(order0.permutation)
     certificates = []
     f_lo = f0
     for k, (lo, hi) in enumerate(zip(bps, bps[1:])):
         f_hi = interpolate(f0, f1, hi)
         order = TotalOrder(K, tuple(perm))
-        where = f"interval {k} [{lo}, {hi}]"
+        where = f"interval {k} [{fraction_string(lo)}, {fraction_string(hi)}]"
         for t, f in ((lo, f_lo), (hi, f_hi)):
             try:
                 check_order_compatible(K, f, order)
             except IncompatibleOrder as exc:
                 raise InternalProofViolation(
-                    f"{where}: carried order fails at t = {t}: {exc}"
+                    f"{where}: carried order fails at t = {fraction_string(t)}: {exc}"
                 ) from None
         v_lo, v_hi = f_lo.values, f_hi.values
         for a, b in zip(perm, perm[1:]):
             if v_lo[a] == v_lo[b] and v_hi[a] == v_hi[b]:
                 raise InternalProofViolation(
                     f"{where}: simplices {_simplex_pair(K, a, b)} are tied at "
-                    f"both ends, so also at the midpoint t = {(lo + hi) / 2}"
+                    f"both ends, so also at the midpoint "
+                    f"t = {fraction_string((lo + hi) / 2)}"
                 )
         cert = _certify(K, order, lo, hi, f_lo, f_hi, where)
         if cert.bound != (hi - lo) * gap:
             raise InternalProofViolation(
-                f"{where}: sup-norm {cert.bound} is not the interval's share "
-                f"{(hi - lo) * gap}; costliest pivot pair "
+                f"{where}: sup-norm {fraction_string(cert.bound)} is not the "
+                f"interval's share "
+                f"{fraction_string((hi - lo) * gap)}; costliest pivot pair "
                 f"{_costliest_pair(K, cert.left, cert.right)}"
             )
         certificates.append(cert)
@@ -274,8 +231,8 @@ def breakpoint_matching(D_left: Diagram, D_right: Diagram) -> Matching:
     crossing time), so their pivot pairs may differ, but their value
     multisets agree.  Within each dimension both point lists are sorted by
     (birth, death, birth-simplex order position) and matched positionally;
-    any disagreement in the matched values is a MultisetMismatch, which
-    would falsify order-invariance of diagrams and means a bug.
+    any disagreement in the matched values would falsify order-invariance
+    of diagrams, so it is an InternalProofViolation.
     """
     def sort_key(diag):
         def key(i):
@@ -289,13 +246,13 @@ def breakpoint_matching(D_left: Diagram, D_right: Diagram) -> Matching:
         left_idx = sorted(D_left.points_in_dim(d), key=sort_key(D_left))
         right_idx = sorted(D_right.points_in_dim(d), key=sort_key(D_right))
         if len(left_idx) != len(right_idx):
-            raise MultisetMismatch(
+            raise InternalProofViolation(
                 f"dimension {d}: {len(left_idx)} points vs {len(right_idx)}"
             )
         for i, j in zip(left_idx, right_idx):
             p, q = D_left.points[i], D_right.points[j]
             if (p.birth, p.death) != (q.birth, q.death):
-                raise MultisetMismatch(
+                raise InternalProofViolation(
                     f"dimension {d}: {p} has no partner with equal values ({q})"
                 )
             pairs.append((i, j))
@@ -304,21 +261,25 @@ def breakpoint_matching(D_left: Diagram, D_right: Diagram) -> Matching:
 
 
 def compose_matchings(chain) -> Matching:
-    """Relational composition of a chain of bijections."""
+    """Relational composition of a chain of bijections.
+
+    Inside ``verify_stability`` consecutive links always share their middle
+    diagram, so a chain that does not compose is an InternalProofViolation.
+    """
     chain = list(chain)
     if not chain:
-        raise ChainMismatch("empty chain")
+        raise InternalProofViolation("empty chain")
     composed = chain[0].as_map()
     for link in chain[1:]:
         step = link.as_map()
         if len(step) != len(composed):
-            raise ChainMismatch(
+            raise InternalProofViolation(
                 f"link of size {len(step)} after matching of size {len(composed)}"
             )
         try:
             composed = {a: step[b] for a, b in composed.items()}
         except KeyError as exc:
-            raise ChainMismatch(
+            raise InternalProofViolation(
                 f"middle index {exc.args[0]} missing from the next link"
             ) from None
     return Matching(tuple(sorted(composed.items())))
@@ -344,7 +305,8 @@ def _check_witness(
             key=lambda pq: pair_cost(*pq),
         )
         raise InternalProofViolation(
-            f"exact bottleneck {exact} != its witness's cost {cost}; costliest "
+            f"exact bottleneck {fraction_string(exact)} != its witness's cost "
+            f"{fraction_string(cost)}; costliest "
             f"pair {p} -> {q}, pivot pairs "
             f"{_simplex_pair(K, p.pair.birth, p.pair.death)} -> "
             f"{_simplex_pair(K, q.pair.birth, q.pair.death)}"
@@ -364,11 +326,11 @@ def verify_stability(
     exact bottleneck distance is what its witness costs in Fractions, and
     it is at most the composed cost.
     """
-    for f in (f0, f1):
-        validate_filtration(K, f).raise_if_invalid()
+    order0 = total_order(K, f0)  # each validates its function, f0 first
+    order1 = total_order(K, f1)
     gap = sup_norm(f0, f1)
     schedule = crossing_times(f0, f1)  # raises NonUniqueValues on any tie
-    certificates = _carried_certificates(K, f0, f1, schedule, gap)
+    certificates = _carried_certificates(K, f0, f1, schedule, gap, order0)
 
     chain = [certificates[0].matching]
     link_costs = [certificates[0].cost]
@@ -384,7 +346,7 @@ def verify_stability(
     # certificate's left diagram is the canonical diagram of f0; the last
     # right diagram is checked against a fresh canonical diagram of f1.
     D0 = replace(certificates[0].left, function_id="f0")
-    D1 = diagram(K, f1, "f1")
+    D1 = diagram_from_pivots(K, order1, f1, pivot_pairs(K, order1), "f1")
     if certificates[-1].right.points != D1.points:
         raise InternalProofViolation(
             "the last interval's right diagram disagrees with the canonical "
@@ -395,17 +357,20 @@ def verify_stability(
     total_link_cost = sum(link_costs)
     if composed_cost > total_link_cost:
         raise InternalProofViolation(
-            f"composed cost {composed_cost} exceeds the telescoped sum {total_link_cost}"
+            f"composed cost {fraction_string(composed_cost)} exceeds the "
+            f"telescoped sum {fraction_string(total_link_cost)}"
         )
     if total_link_cost > gap:
         raise InternalProofViolation(
-            f"telescoped sum {total_link_cost} exceeds the sup-norm {gap}"
+            f"telescoped sum {fraction_string(total_link_cost)} exceeds the "
+            f"sup-norm {fraction_string(gap)}"
         )
     exact, witness = bottleneck_bijection(D0, D1)
     _check_witness(K, D0, D1, witness, exact)
     if exact > composed_cost:
         raise InternalProofViolation(
-            f"exact bottleneck {exact} exceeds the composed matching cost {composed_cost}"
+            f"exact bottleneck {fraction_string(exact)} exceeds the composed "
+            f"matching cost {fraction_string(composed_cost)}"
         )
     holds = exact <= gap
     return StabilityReport(

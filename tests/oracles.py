@@ -1,4 +1,4 @@
-"""Independent oracles used only by the test suite.
+"""Independent oracles and reference code used only by the test suite.
 
 The persistent-Betti oracle here deliberately avoids the library's reduction
 code: it rebuilds sublevel boundary matrices from raw vertex tuples and
@@ -9,11 +9,20 @@ second, structurally different route to the same numbers.
 The Fraction-matrix bottleneck twin runs the library's matcher core on the
 plain per-dimension cost matrices, essential points included, with no
 integer scaling and no separate sorted matching of essential points.
+
+``interval_matching`` certifies one interval from scratch (pairwise order
+check, midpoint order, fresh reduction); every certificate that
+``verify_stability`` carries across crossings must equal it.  The other
+helpers build what the library itself never needs: random compatible
+orders, diagrams under a supplied order, sublevel complexes, interval
+midpoints and a permutation-enumerating bottleneck.
 """
 
 import math
+import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from phstab.bottleneck import (
     _min_max_matching,
@@ -21,6 +30,187 @@ from phstab.bottleneck import (
     diagonal_cost,
     pair_cost,
 )
+from phstab.complexes import FiltrationFunction, SimplicialComplex, validate_filtration
+from phstab.errors import DomainMismatch, PhstabError
+from phstab.interpolation import CrossingSchedule, interpolate
+from phstab.ordering import TotalOrder, check_order_compatible, total_order
+from phstab.persistence import Diagram, diagram_from_pivots, pivot_pairs
+from phstab.rational import INF, common_numerators, to_fraction
+from phstab.stability import IntervalCertificate, _certify
+
+
+class OrderNotConstant(PhstabError):
+    """The simplex order changes strictly inside the requested interval."""
+
+
+class TooLarge(PhstabError):
+    """Input exceeds the size limit of a brute-force oracle."""
+
+
+def is_order_constant(
+    f0: FiltrationFunction, f1: FiltrationFunction, alpha, beta
+) -> bool:
+    """True iff no simplex pair swaps strictly inside [alpha, beta].
+
+    For every pair, the sign of f_t(sigma) - f_t(tau) must not flip over the
+    interval; a zero at either end is compatible with both signs.  Because
+    the interpolation is linear in t, testing the two endpoint values is
+    exact.
+    """
+    if f0.complex is not f1.complex and f0.complex != f1.complex:
+        raise DomainMismatch("functions live on different complexes")
+    a, b = to_fraction(alpha), to_fraction(beta)
+    if not a < b:
+        raise ValueError(f"need alpha < beta, got {a} >= {b}")
+    # f_t scaled by a positive constant: (q - p) * x + p * y for t = p / q
+    x, y = common_numerators(f0.values, f1.values)
+    va = [(a.denominator - a.numerator) * u + a.numerator * v for u, v in zip(x, y)]
+    vb = [(b.denominator - b.numerator) * u + b.numerator * v for u, v in zip(x, y)]
+    n = len(va)
+    for i in range(n):
+        for j in range(i + 1, n):
+            da = va[i] - va[j]
+            db = vb[i] - vb[j]
+            if (da > 0 and db < 0) or (da < 0 and db > 0):
+                return False
+    return True
+
+
+def interval_matching(
+    K: SimplicialComplex,
+    f0: FiltrationFunction,
+    f1: FiltrationFunction,
+    t_lo,
+    t_hi,
+) -> IntervalCertificate:
+    """Certify one order-constant interval from scratch.
+
+    Checks that no simplex pair swaps strictly inside the interval, takes
+    the order induced at the midpoint (valid for every t in the interval)
+    and certifies both endpoints under it.  ``verify_stability`` carries
+    its order across crossings instead; this is the reference it must
+    agree with.
+    """
+    t_lo, t_hi = to_fraction(t_lo), to_fraction(t_hi)
+    if not 0 <= t_lo < t_hi <= 1:
+        raise ValueError(f"bad interval [{t_lo}, {t_hi}]")
+    if not is_order_constant(f0, f1, t_lo, t_hi):
+        raise OrderNotConstant(
+            f"simplex order changes strictly inside [{t_lo}, {t_hi}]"
+        )
+    mid = (t_lo + t_hi) / 2
+    f_mid = interpolate(f0, f1, mid)
+    order = total_order(K, f_mid)
+    f_lo = interpolate(f0, f1, t_lo)
+    f_hi = interpolate(f0, f1, t_hi)
+    check_order_compatible(K, f_lo, order)
+    check_order_compatible(K, f_hi, order)
+    return _certify(K, order, t_lo, t_hi, f_lo, f_hi, f"interval [{t_lo}, {t_hi}]")
+
+
+def interval_midpoints(schedule: CrossingSchedule) -> tuple[Fraction, ...]:
+    """Midpoints of the intervals cut out of [0, 1] by the schedule.
+
+    One midpoint per interval; at each of them every simplex pair has
+    distinct interpolated values.
+    """
+    bps = schedule.breakpoints()
+    return tuple((a + b) / 2 for a, b in zip(bps, bps[1:]))
+
+
+def diagram_with_order(
+    K: SimplicialComplex,
+    f: FiltrationFunction,
+    order: TotalOrder,
+    function_id: str = "f",
+) -> Diagram:
+    """Diagram of f under a caller-supplied compatible order.
+
+    Raises IncompatibleOrder if the order is not valid for f.
+    """
+    validate_filtration(K, f).raise_if_invalid()
+    check_order_compatible(K, f, order)
+    return diagram_from_pivots(K, order, f, pivot_pairs(K, order), function_id)
+
+
+def sublevel(K: SimplicialComplex, f: FiltrationFunction, alpha) -> SimplicialComplex:
+    """The subcomplex of all simplices with value at most alpha."""
+    a = to_fraction(alpha)
+    return SimplicialComplex(tuple(s for s, v in zip(K.simplices, f.values) if v <= a))
+
+
+def random_compatible_order(
+    K: SimplicialComplex, f: FiltrationFunction, rng: random.Random
+) -> TotalOrder:
+    """A uniformly shuffled valid order for (K, f).
+
+    Within each group of equal values, repeatedly pick a random simplex all
+    of whose faces (inside the group) were already emitted; faces outside
+    the group carry strictly smaller values and sit in earlier groups.
+    Exercises orders other than the canonical tie-break.
+    """
+    groups: dict[Fraction, list[int]] = {}
+    for i, v in enumerate(f.values):
+        groups.setdefault(v, []).append(i)
+    perm: list[int] = []
+    placed: set[int] = set()
+    for v in sorted(groups):
+        pending = set(groups[v])
+        while pending:
+            ready = [
+                i
+                for i in sorted(pending)
+                if all(
+                    fp in placed or fp not in pending
+                    for fp in K.facet_positions[i]
+                )
+            ]
+            pick = rng.choice(ready)
+            pending.discard(pick)
+            placed.add(pick)
+            perm.append(pick)
+    return TotalOrder(K, tuple(perm))
+
+
+def dims(D: Diagram) -> tuple[int, ...]:
+    """Sorted dimensions that carry a point of D."""
+    return tuple(sorted({p.dim for p in D.points}))
+
+
+def counts_by_dim(D: Diagram) -> Counter:
+    """Dimension -> number of points of D."""
+    return Counter(p.dim for p in D.points)
+
+
+def value_multiset(D: Diagram) -> Counter:
+    """Multiset of (dim, birth, death) with multiplicities."""
+    return Counter((p.dim, p.birth, p.death) for p in D.points)
+
+
+def brute_force_bottleneck(D0: Diagram, D1: Diagram, limit: int = 8):
+    """Exact bijection bottleneck by enumerating all bijections.
+
+    Refuses more than ``limit`` points in any dimension.
+    """
+    worst = 0
+    for d, idx0, idx1 in _split_by_dim(D0, D1, require_equal=True):
+        n = len(idx0)
+        if n > limit:
+            raise TooLarge(f"{n} points in dimension {d} (limit {limit})")
+        if n == 0:
+            continue
+        pts0 = [D0.points[i] for i in idx0]
+        pts1 = [D1.points[j] for j in idx1]
+        best = INF
+        for perm in permutations(range(n)):
+            cost = 0
+            for i, j in enumerate(perm):
+                cost = max(cost, pair_cost(pts0[i], pts1[j]))
+                if cost >= best:
+                    break
+            best = min(best, cost)
+        worst = max(worst, best)
+    return worst
 
 
 def gf2_rank(rows):

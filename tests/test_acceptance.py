@@ -12,31 +12,32 @@ from fractions import Fraction
 
 import pytest
 
-from phstab.bottleneck import (
-    bottleneck_bijection,
-    bottleneck_diagonal,
-    brute_force_bottleneck,
-)
+from phstab.bottleneck import bottleneck_bijection, bottleneck_diagonal
 from phstab.cli import run_command
-from phstab.complexes import FiltrationFunction, has_unique_values
+from phstab.complexes import FiltrationFunction, find_duplicate_value
 from phstab.generate import (
     GeneratorConfig,
     generate_complex,
     generate_instance,
-    random_compatible_order,
     random_filtration,
 )
 from phstab.instances import format_instance
 from phstab.interpolation import interpolate, sup_norm
 from phstab.ordering import total_order
-from phstab.persistence import diagram, diagram_with_order, pivot_pairs
-from phstab.stability import interval_matching, verify_stability
+from phstab.persistence import diagram, pivot_pairs
+from phstab.stability import verify_stability
 
 from oracles import (
+    brute_force_bottleneck,
+    counts_by_dim,
     diagram_rank_count,
+    diagram_with_order,
     fraction_matrix_bottleneck,
+    interval_matching,
     persistent_betti,
+    random_compatible_order,
     value_grid,
+    value_multiset,
 )
 
 CORPUS_SIZE = 500
@@ -115,7 +116,7 @@ def test_3_schedules_are_small_and_midpoints_untied(corpus, capsys):
         f0, f1 = inst.functions
         bps = report.schedule.breakpoints()
         for lo, hi in zip(bps, bps[1:]):
-            if not has_unique_values(interpolate(f0, f1, (lo + hi) / 2)):
+            if find_duplicate_value(interpolate(f0, f1, (lo + hi) / 2)) is not None:
                 failures += 1
                 break
     _announce(
@@ -156,7 +157,7 @@ def test_4_point_counts_depend_only_on_the_complex(capsys):
         reference = None
         for _ in range(20):
             f = random_filtration(K, rng)
-            counts = diagram(K, f).counts_by_dim()
+            counts = counts_by_dim(diagram(K, f))
             if reference is None:
                 reference = counts
             elif counts != reference:
@@ -202,13 +203,13 @@ def test_6_tie_break_choice_never_changes_the_diagram(capsys):
         )
         seed += 1
         f = random_filtration(K, rng, unique=False)
-        if has_unique_values(f):
+        if find_duplicate_value(f) is None:
             continue
         tied += 1
-        reference = diagram(K, f).value_multiset()
+        reference = value_multiset(diagram(K, f))
         for _ in range(5):
             order = random_compatible_order(K, f, rng)
-            if diagram_with_order(K, f, order).value_multiset() != reference:
+            if value_multiset(diagram_with_order(K, f, order)) != reference:
                 failures += 1
     _announce(
         capsys,
@@ -231,7 +232,7 @@ def test_7_independent_oracles_agree(capsys):
         seed += 1
         D0 = diagram(inst.complex, inst.functions[0], "f0")
         D1 = diagram(inst.complex, inst.functions[1], "f1")
-        counts = list(D0.counts_by_dim().values()) + list(D1.counts_by_dim().values())
+        counts = list(counts_by_dim(D0).values()) + list(counts_by_dim(D1).values())
         if any(c > 7 for c in counts):
             continue
         trials += 1

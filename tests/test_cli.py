@@ -231,3 +231,51 @@ def test_generator_argument_limits_are_accepted():
     assert _ok(["gen", "--vertices", "2", "--prob", "1", "--value-range", "1"])
     text = _ok(["verify", "--random", "--trials", "1", "--vertices", "1"])
     assert text.splitlines()[-1] == "1 trial(s): all hold"
+
+
+# 1e5000 has more digits than str(int) converts by default (4300); the
+# second file's values are smaller, but its costs and crossing time are not.
+BIG_TIED = "0 : 0 1\n1 : 1e5000 0.25\n0 1 : 1e5000 2e5000\n"
+BIG_DERIVED = "0 : 0 3e3000\n1 : 1e3000 7/3\n0 1 : 4e3000 5e3000\n"
+
+
+@pytest.fixture
+def big_files(tmp_path):
+    tied, derived = tmp_path / "tied.txt", tmp_path / "derived.txt"
+    tied.write_text(BIG_TIED)
+    derived.write_text(BIG_DERIVED)
+    return str(tied), str(derived)
+
+
+def test_values_past_the_int_string_limit_print_in_full(big_files):
+    tied, derived = big_files
+    big = "1" + "0" * 5000
+    assert run_command(["verify", tied]) == (
+        1,
+        f"error: f0: simplices 1 and 0,1 share value {big}",
+    )
+    assert run_command(["diagram", tied]) == (0, f"0 0 inf 0 -\n0 {big} {big} 1 0,1")
+    status, text = run_command(["verify", derived])
+    assert status == 0
+    assert text.splitlines()[0] == "sup norm: 3" + "0" * 3000
+    assert text.splitlines()[-1].startswith("HOLDS")
+    assert max(len(token) for token in text.split()) > 4300
+    assert run_command(["diagram", derived])[0] == 0
+
+
+def test_values_past_the_int_string_limit_in_a_process(big_files, cli_env):
+    tied, derived = big_files
+    for argv, status in (
+        (["verify", tied], 1),
+        (["diagram", tied], 0),
+        (["verify", derived], 0),
+        (["diagram", derived], 0),
+    ):
+        cmd = [sys.executable, "-m", "phstab.cli", *argv]
+        done = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
+        assert done.returncode == status
+        assert "Traceback" not in done.stderr
+        expected = run_command(argv)[1] + "\n"
+        assert (done.stdout if status == 0 else done.stderr) == expected
+        if status == 1:
+            assert len(done.stderr.splitlines()) == 1

@@ -6,13 +6,9 @@ import pytest
 from phstab.complexes import FiltrationFunction, validate_complex, validate_filtration
 from phstab.errors import DomainMismatch, NonUniqueValues, TOutOfRange
 from phstab.generate import GeneratorConfig, generate_complex, random_filtration
-from phstab.interpolation import (
-    crossing_times,
-    interpolate,
-    interval_midpoints,
-    sup_norm,
-)
-from phstab.ordering import is_order_constant
+from phstab.interpolation import crossing_times, interpolate, sup_norm
+
+from oracles import interval_midpoints, is_order_constant
 
 PAIR = [(0,), (1,)]
 

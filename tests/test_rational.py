@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from phstab.rational import (
     common_numerators,
     decimal_string,
     format_value,
+    fraction_string,
+    int_string,
     is_terminating,
     to_fraction,
 )
@@ -90,3 +93,33 @@ def test_common_numerators_over_a_chosen_scale():
         [28, -24, 420],
         [42],
     ]
+
+
+def test_int_string_matches_str_and_passes_the_limit():
+    rng = random.Random(5)
+    # up to 4000 digits str() still works, so both routes must agree
+    for digits in (1, 602, 603, 700, 1500, 4000):
+        for n in (10 ** (digits - 1), 10**digits - 1, rng.randrange(10**digits)):
+            assert int_string(n) == str(n)
+            assert int_string(-n) == str(-n)
+    # past the limit: read the digits back in 1000-digit chunks
+    n = 7 * 10**6000 + rng.randrange(10**6000)
+    text = int_string(n)
+    assert len(text) == 6001
+    back = 0
+    for k in range(0, len(text), 1000):
+        chunk = text[k : k + 1000]
+        back = back * 10 ** len(chunk) + int(chunk)
+    assert back == n
+
+
+def test_fraction_string_is_str_without_the_limit():
+    for x in (Fraction(0), Fraction(-3), Fraction(1, 3), Fraction(-22, 7)):
+        assert fraction_string(x) == str(x)
+    assert fraction_string(5) == "5"
+    assert fraction_string(math.inf) == "inf"
+    big = Fraction(10**5000 + 1, 3)
+    assert fraction_string(big) == "1" + "0" * 4999 + "1/3"
+    assert format_value(big) == fraction_string(big)
+    assert format_value(Fraction(10**5000, 4)) == "25" + "0" * 4998
+    assert format_value(Fraction(1, 2**5000)).startswith("0." + "0" * 1500)

@@ -1,35 +1,33 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import phstab
 from phstab import stability
 from phstab.bottleneck import Matching, bottleneck_bijection, matching_cost
 from phstab.cli import run_command
 from phstab.complexes import FiltrationFunction, validate_complex
-from phstab.errors import (
-    ChainMismatch,
-    InternalProofViolation,
-    InvalidFiltration,
-    MultisetMismatch,
-    NonUniqueValues,
-    OrderNotConstant,
-)
+from phstab.errors import InternalProofViolation, InvalidFiltration, NonUniqueValues
 from phstab.generate import (
     GeneratorConfig,
     generate_complex,
     generate_instance,
-    random_compatible_order,
     random_filtration,
 )
 from phstab.interpolation import CrossingSchedule, crossing_times
 from phstab.ordering import check_order_compatible
-from phstab.persistence import diagram, diagram_with_order
-from phstab.stability import (
-    breakpoint_matching,
-    compose_matchings,
+from phstab.persistence import diagram
+from phstab.stability import breakpoint_matching, compose_matchings, verify_stability
+
+from oracles import (
+    OrderNotConstant,
+    diagram_with_order,
+    dims,
     interval_matching,
-    verify_stability,
+    random_compatible_order,
 )
 
 EDGE = [(0,), (1,), (0, 1)]
@@ -83,7 +81,7 @@ def test_breakpoint_matching_rejects_different_functions():
     K = validate_complex(EDGE)
     D_a = diagram(K, FiltrationFunction(K, (0, 1, 2)))
     D_b = diagram(K, FiltrationFunction(K, (0, 1, 3)))
-    with pytest.raises(MultisetMismatch):
+    with pytest.raises(InternalProofViolation):
         breakpoint_matching(D_a, D_b)
 
 
@@ -92,9 +90,9 @@ def test_compose_matchings():
     b = Matching(((0, 0), (1, 1)))
     assert compose_matchings([a, b]).pairs == ((0, 1), (1, 0))
     assert compose_matchings([a, a]).pairs == ((0, 0), (1, 1))
-    with pytest.raises(ChainMismatch):
+    with pytest.raises(InternalProofViolation):
         compose_matchings([])
-    with pytest.raises(ChainMismatch):
+    with pytest.raises(InternalProofViolation):
         compose_matchings([a, Matching(((0, 0),))])
 
 
@@ -278,20 +276,35 @@ def test_violation_exits_two_through_the_cli(monkeypatch, tmp_path):
             "0 : 0 5\n1 : 0 1\n0 1 : 2 3\n",
             "error: face {0} has value 5 > 3 on coface {0,1}",
         ),
+        # one function not monotone, then both: f0 is validated first
+        (
+            "0 : 5 0\n1 : 0 1\n0 1 : 1 2\n",
+            "error: face {0} has value 5 > 1 on coface {0,1}",
+        ),
+        (
+            "0 : 0 5\n1 : 1 0\n0 1 : 2 1\n",
+            "error: face {0} has value 5 > 1 on coface {0,1}",
+        ),
+        (
+            "0 : 0 5\n1 : 5 0\n0 1 : 1 1\n",
+            "error: face {1} has value 5 > 1 on coface {0,1}",
+        ),
     ],
 )
 def test_ties_exit_one_through_verify(tmp_path, text, message):
-    # the uniqueness check runs once, inside crossing_times
+    # each function is validated once, by its total_order; the uniqueness
+    # check runs once, inside crossing_times
     path = tmp_path / "tie.txt"
     path.write_text(text)
     assert run_command(["verify", str(path)]) == (1, message)
+    assert run_command(["verify", str(path), "--machine"]) == (1, message)
 
 
 def _wrong_witness(D0, D1):
     """The exact distance with the matching reversed inside each dimension."""
     exact, witness = bottleneck_bijection(D0, D1)
     reversed_pairs = []
-    for d in D0.dims():
+    for d in dims(D0):
         idx0, idx1 = D0.points_in_dim(d), D1.points_in_dim(d)
         reversed_pairs.extend(zip(idx0, reversed(idx1)))
     return exact, Matching(tuple(sorted(reversed_pairs)))
@@ -323,3 +336,24 @@ def test_wrong_bottleneck_witness_is_a_violation(monkeypatch, tmp_path):
     )
     with pytest.raises(InternalProofViolation, match="witness is not a bijection"):
         verify_stability(K, f0, f1)
+
+
+def test_readme_library_example_uses_the_package_root_exports(capsys):
+    """The README's one Python block runs, and the package root exports
+    exactly the names it shows plus the two error bases."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[2] == "True"
+    assert set(phstab.__all__) == {
+        "FiltrationFunction",
+        "InternalProofViolation",
+        "PhstabError",
+        "bottleneck_bijection",
+        "diagram",
+        "validate_complex",
+        "verify_stability",
+    }
+    for name in phstab.__all__:
+        assert getattr(phstab, name) is not None
+        assert name in readme
