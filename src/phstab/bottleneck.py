@@ -51,15 +51,6 @@ class Matching:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def as_map(self) -> dict[int, int]:
-        """Left index -> right index; rejects diagonal entries."""
-        out = {}
-        for i, j in self.pairs:
-            if i is None or j is None:
-                raise InvalidMatching("matching contains diagonal entries")
-            out[i] = j
-        return out
-
 
 def pair_cost(p: DiagramPoint, q: DiagramPoint):
     """L-infinity cost of matching two points of equal dimension.

@@ -117,8 +117,18 @@ def parse_instance_text(text: str, path: "str | None" = None) -> InstanceFile:
 
 
 def parse_instance(path: str) -> InstanceFile:
-    with open(path, encoding="utf-8") as fh:
-        return parse_instance_text(fh.read(), path)
+    """Read and parse an instance file; bytes that are not UTF-8 are a
+    ParseError naming their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            [(line_no, f"not UTF-8 text (byte 0x{data[exc.start]:02x})")], path
+        ) from None
+    return parse_instance_text(text, path)
 
 
 def format_instance(instance: InstanceFile) -> str:

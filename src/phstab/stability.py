@@ -2,22 +2,25 @@
 
 The pipeline mirrors the interpolation argument.  Split [0, 1] at the
 crossing times of the two functions.  Inside one interval the simplex order
-is constant, so one order serves both endpoints; the persistence pairs
-under that one order are literally identical, and matching points by their
-pivot pair costs at most the interval's share of the total sup-norm.  At a
-crossing time the adjacent intervals disagree about the order, but both
-orders produce the same value multiset for the function at that time, so a
-zero-cost re-identification exists.  Composing everything gives an
-explicit bijection between the two end diagrams whose cost telescopes to at
-most the sup-norm, which the exact bottleneck distance can only undercut.
+is constant, so one order serves both endpoints and its pivot pairs match
+the two endpoint diagrams by identity.  Every simplex is the birth or death
+of exactly one pair, so that matching costs exactly the interval's share of
+the sup-norm: the certificate checks this partition, not a measured cost,
+and holds no diagram.  At a crossing time both adjacent orders give the
+same value multiset, so a zero-cost re-identification of the two pair
+lists exists.  One point map carried through them is an explicit
+bijection between the end diagrams, the only diagrams built, whose cost
+telescopes to at most the sup-norm, which the exact bottleneck distance
+can only undercut.
 
 The order is carried from interval to interval rather than rebuilt, as in
 the vineyard picture of Cohen-Steiner, Edelsbrunner and Morozov: at a
 crossing only the simplices tied there change places, and their run in the
 order reverses.  Each breakpoint's values are computed once, and each
 interval is checked in O(n) plus one reduction.  The test suite keeps a
-reference that certifies each interval from scratch, and the carried
-certificates must equal it.
+reference that measures each interval on its two diagrams and composes
+the whole chain of matchings; the carried certificates and point map must
+equal it.
 
 Every inequality used along the way is checked with exact rational
 arithmetic; a failure raises InternalProofViolation, because no input can
@@ -26,7 +29,7 @@ make the mathematics fail, only an implementation bug can.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -35,27 +38,23 @@ from .complexes import FiltrationFunction, SimplicialComplex
 from .errors import IncompatibleOrder, InternalProofViolation, InvalidMatching
 from .interpolation import CrossingSchedule, crossing_times, interpolate, sup_norm
 from .ordering import TotalOrder, check_order_compatible, total_order
-from .persistence import Diagram, diagram_from_pivots, pivot_pairs
-from .rational import fraction_string
+from .persistence import Diagram, PivotPair, diagram_from_pivots, pivot_pairs
+from .rational import INF, format_value, fraction_string
 
 
 @dataclass(frozen=True)
 class IntervalCertificate:
-    """One interval's worth of the proof.
-
-    ``matching`` pairs points of the two endpoint diagrams with identical
-    pivot pairs; because every simplex shows up as a coordinate of exactly
-    one point, its cost equals ``bound``, the sup-norm between the endpoint
-    functions.
+    """One interval's worth of the proof: ``order_used`` serves both ends,
+    and its pivot pairs, which partition the simplices, match the two
+    endpoint diagrams by identity at ``cost``, the interval's share of the
+    sup-norm (equal to ``bound``).
     """
 
     t_lo: Fraction
     t_hi: Fraction
     order_used: TotalOrder
-    left: Diagram
-    right: Diagram
-    matching: Matching
-    cost: "Fraction | int"
+    pairs: tuple[PivotPair, ...]
+    cost: Fraction
     bound: Fraction
 
 
@@ -79,46 +78,21 @@ def _simplex_pair(K: SimplicialComplex, i: int, j: "int | None") -> str:
     return f"({{{K.simplices[i]}}}, {second})"
 
 
-def _costliest_pair(K: SimplicialComplex, left: Diagram, right: Diagram) -> str:
-    """The pivot pair whose point moves farthest; only for messages."""
-    p, q = max(zip(left.points, right.points), key=lambda pq: pair_cost(*pq))
-    return _simplex_pair(K, p.pair.birth, p.pair.death)
-
-
-def _certify(
-    K: SimplicialComplex,
-    order: TotalOrder,
-    t_lo: Fraction,
-    t_hi: Fraction,
-    f_lo: FiltrationFunction,
-    f_hi: FiltrationFunction,
-    where: str,
-) -> IntervalCertificate:
-    """Certificate for one interval whose endpoints share ``order``.
-
-    One reduction serves both endpoint functions, so the pair lists
-    coincide; matching by pivot identity is then a bijection whose cost is
-    the largest coordinate move of any pivot simplex.  ``where`` names the
-    interval in violation messages.
-    """
-    pairs = pivot_pairs(K, order)
-    left = diagram_from_pivots(K, order, f_lo, pairs, f"f@{fraction_string(t_lo)}")
-    right = diagram_from_pivots(K, order, f_hi, pairs, f"f@{fraction_string(t_hi)}")
-    cost = 0
-    for p, q in zip(left.points, right.points):
-        cost = max(cost, pair_cost(p, q))
-    bound = sup_norm(f_lo, f_hi)
-    if cost != bound:
-        # Every simplex is a birth or death coordinate of exactly one point
-        # (essentials included), so the largest coordinate move IS the
-        # sup-norm; any discrepancy in either direction is a bug.
-        raise InternalProofViolation(
-            f"{where}: matching cost {fraction_string(cost)} != sup-norm "
-            f"{fraction_string(bound)}; costliest "
-            f"pivot pair {_costliest_pair(K, left, right)}"
-        )
-    matching = Matching(tuple((i, i) for i in range(len(left.points))))
-    return IntervalCertificate(t_lo, t_hi, order, left, right, matching, cost, bound)
+def _check_partition(K: SimplicialComplex, pairs: tuple, where: str) -> None:
+    """Every simplex must be the birth or death of exactly one pivot pair:
+    that is what makes the pivot-identity matching cost exactly the
+    interval's share of the sup-norm, so it is checked instead of the cost."""
+    uses = [0] * len(K)
+    for pv in pairs:
+        uses[pv.birth] += 1
+        if pv.death is not None:
+            uses[pv.death] += 1
+    for s, count in enumerate(uses):
+        if count != 1:
+            raise InternalProofViolation(
+                f"{where}: simplex {{{K.simplices[s]}}} is a coordinate of "
+                f"{count} pivot pairs"
+            )
 
 
 def _reverse_tied_runs(
@@ -164,6 +138,53 @@ def _reverse_tied_runs(
         )
 
 
+def _reidentify(
+    K: SimplicialComplex,
+    left: IntervalCertificate,
+    right: IntervalCertificate,
+    values: tuple,
+    where: str,
+) -> list:
+    """Zero-cost re-identification of two pair lists at one crossing.
+
+    Both orders serve f at the crossing (``values``), so both lists give
+    one diagram.  Each is sorted by (dimension, birth value, death value,
+    birth position in its own order) and matched in that order.  Returns
+    the map from ``left``'s pair indices to ``right``'s; unequal matched
+    values would falsify order-invariance, an InternalProofViolation.
+    """
+    def point(pv):
+        death = values[pv.death] if pv.death is not None else INF
+        return K.simplices[pv.birth].dim, values[pv.birth], death
+
+    def ranked(cert):
+        pos = cert.order_used.position_of
+        return sorted(
+            range(len(cert.pairs)),
+            key=lambda i: (*point(cert.pairs[i]), pos[cert.pairs[i].birth]),
+        )
+
+    if len(left.pairs) != len(right.pairs):
+        raise InternalProofViolation(
+            f"{where}: {len(left.pairs)} pivot pairs before vs "
+            f"{len(right.pairs)} after"
+        )
+    step = [0] * len(left.pairs)
+    for i, j in zip(ranked(left), ranked(right)):
+        p, q = left.pairs[i], right.pairs[j]
+        if point(p) != point(q):
+            (d, b, dth), (e, c, eth) = point(p), point(q)
+            raise InternalProofViolation(
+                f"{where}: pivot pair {_simplex_pair(K, p.birth, p.death)} at "
+                f"dim {d} ({format_value(b)}, {format_value(dth)}) has no "
+                f"partner with equal values; matched with "
+                f"{_simplex_pair(K, q.birth, q.death)} at dim {e} "
+                f"({format_value(c)}, {format_value(eth)})"
+            )
+        step[i] = j
+    return step
+
+
 def _carried_certificates(
     K: SimplicialComplex,
     f0: FiltrationFunction,
@@ -171,36 +192,39 @@ def _carried_certificates(
     schedule: CrossingSchedule,
     gap: Fraction,
     order0: TotalOrder,
-) -> list:
+) -> tuple[list, list]:
     """Certify every interval of ``schedule``, carrying one simplex order.
 
-    f_t is evaluated once per breakpoint, and each interval's upper values
-    become the next interval's lower values.  The order starts as
-    ``order0``, the canonical order of f0 (the order just after t = 0,
-    since f0 is untied), and is carried across each crossing by
-    ``_reverse_tied_runs``.  Per interval, in O(n) besides the one reduction: the order is
-    compatible with both endpoint functions, hence non-decreasing for every
-    t in between, so no pair swaps inside; no adjacent pair is tied at both
-    ends, so the interior is untied; the certificate's bound is the
-    interval's share of ``gap``.  Any failure is a bug, so every one is an
-    InternalProofViolation naming the interval or crossing, t and the
-    simplex pair involved.
+    Returns the certificates and the carried point map: point i of the
+    first interval's pair list is point ``track[i]`` of the last one's.
+    f_t is evaluated once per breakpoint.  The order starts as ``order0``,
+    the canonical order of f0 (the order just after t = 0, since f0 is
+    untied), and ``_reverse_tied_runs`` carries it across each crossing.
+    Per interval, in O(n) besides the one reduction: the order is
+    compatible with the upper function (with the lower one by
+    construction, as only tied runs were reversed), hence with every t in
+    between; no adjacent pair is tied at both ends, so the interior is
+    untied; the pivot pairs partition the simplices, so the certificate
+    costs exactly its share of ``gap``.  Each crossing re-identifies the
+    two pair lists and the point map follows.  Any failure is a bug, so
+    every one is an InternalProofViolation naming the interval or
+    crossing, t and the simplex pair involved.
     """
     bps = schedule.breakpoints()
     perm = list(order0.permutation)
-    certificates = []
+    certificates: list = []
+    track: list = []
     f_lo = f0
     for k, (lo, hi) in enumerate(zip(bps, bps[1:])):
         f_hi = interpolate(f0, f1, hi)
         order = TotalOrder(K, tuple(perm))
         where = f"interval {k} [{fraction_string(lo)}, {fraction_string(hi)}]"
-        for t, f in ((lo, f_lo), (hi, f_hi)):
-            try:
-                check_order_compatible(K, f, order)
-            except IncompatibleOrder as exc:
-                raise InternalProofViolation(
-                    f"{where}: carried order fails at t = {fraction_string(t)}: {exc}"
-                ) from None
+        try:
+            check_order_compatible(K, f_hi, order)
+        except IncompatibleOrder as exc:
+            raise InternalProofViolation(
+                f"{where}: carried order fails at t = {fraction_string(hi)}: {exc}"
+            ) from None
         v_lo, v_hi = f_lo.values, f_hi.values
         for a, b in zip(perm, perm[1:]):
             if v_lo[a] == v_lo[b] and v_hi[a] == v_hi[b]:
@@ -209,80 +233,21 @@ def _carried_certificates(
                     f"both ends, so also at the midpoint "
                     f"t = {fraction_string((lo + hi) / 2)}"
                 )
-        cert = _certify(K, order, lo, hi, f_lo, f_hi, where)
-        if cert.bound != (hi - lo) * gap:
-            raise InternalProofViolation(
-                f"{where}: sup-norm {fraction_string(cert.bound)} is not the "
-                f"interval's share "
-                f"{fraction_string((hi - lo) * gap)}; costliest pivot pair "
-                f"{_costliest_pair(K, cert.left, cert.right)}"
-            )
+        pairs = pivot_pairs(K, order)
+        _check_partition(K, pairs, where)
+        share = (hi - lo) * gap
+        cert = IntervalCertificate(lo, hi, order, pairs, share, share)
+        if certificates:
+            crossing = f"crossing {k - 1} at t = {fraction_string(lo)}"
+            step = _reidentify(K, certificates[-1], cert, v_lo, crossing)
+            track = [step[j] for j in track]
+        else:
+            track = list(range(len(pairs)))
         certificates.append(cert)
         if k < len(schedule):
             _reverse_tied_runs(K, perm, v_hi, schedule.pairs_at[k], k, hi)
         f_lo = f_hi
-    return certificates
-
-
-def breakpoint_matching(D_left: Diagram, D_right: Diagram) -> Matching:
-    """Zero-cost bijection between two diagrams of one function.
-
-    The diagrams were computed under different orders (the two sides of a
-    crossing time), so their pivot pairs may differ, but their value
-    multisets agree.  Within each dimension both point lists are sorted by
-    (birth, death, birth-simplex order position) and matched positionally;
-    any disagreement in the matched values would falsify order-invariance
-    of diagrams, so it is an InternalProofViolation.
-    """
-    def sort_key(diag):
-        def key(i):
-            p = diag.points[i]
-            return (p.birth, p.death, diag.order.position_of[p.pair.birth])
-        return key
-
-    dims = sorted({p.dim for p in D_left.points} | {p.dim for p in D_right.points})
-    pairs = []
-    for d in dims:
-        left_idx = sorted(D_left.points_in_dim(d), key=sort_key(D_left))
-        right_idx = sorted(D_right.points_in_dim(d), key=sort_key(D_right))
-        if len(left_idx) != len(right_idx):
-            raise InternalProofViolation(
-                f"dimension {d}: {len(left_idx)} points vs {len(right_idx)}"
-            )
-        for i, j in zip(left_idx, right_idx):
-            p, q = D_left.points[i], D_right.points[j]
-            if (p.birth, p.death) != (q.birth, q.death):
-                raise InternalProofViolation(
-                    f"dimension {d}: {p} has no partner with equal values ({q})"
-                )
-            pairs.append((i, j))
-    pairs.sort()
-    return Matching(tuple(pairs))
-
-
-def compose_matchings(chain) -> Matching:
-    """Relational composition of a chain of bijections.
-
-    Inside ``verify_stability`` consecutive links always share their middle
-    diagram, so a chain that does not compose is an InternalProofViolation.
-    """
-    chain = list(chain)
-    if not chain:
-        raise InternalProofViolation("empty chain")
-    composed = chain[0].as_map()
-    for link in chain[1:]:
-        step = link.as_map()
-        if len(step) != len(composed):
-            raise InternalProofViolation(
-                f"link of size {len(step)} after matching of size {len(composed)}"
-            )
-        try:
-            composed = {a: step[b] for a, b in composed.items()}
-        except KeyError as exc:
-            raise InternalProofViolation(
-                f"middle index {exc.args[0]} missing from the next link"
-            ) from None
-    return Matching(tuple(sorted(composed.items())))
+    return certificates, track
 
 
 def _check_witness(
@@ -318,43 +283,33 @@ def verify_stability(
 ) -> StabilityReport:
     """Run the whole pipeline and certify the stability bound.
 
-    Produces per-interval certificates, zero-cost crossing matchings, the
-    composed end-to-end bijection with its directly measured cost, and the
-    exact bottleneck distance.  Exact-rational checks along the way:
-    every certificate cost is at most its interval bound, the composed cost
-    is at most the sum of the link costs and at most the sup-norm, the
-    exact bottleneck distance is what its witness costs in Fractions, and
-    it is at most the composed cost.
+    Produces per-interval certificates, the end-to-end bijection carried
+    through the zero-cost re-identifications at the crossings, and the
+    exact bottleneck distance.  Checked in exact rationals: each interval's
+    pivot pairs partition the simplices, the composed cost is at most the
+    sum of the interval shares and that at most the sup-norm, and the exact
+    distance is its witness's cost and at most the composed cost.
     """
     order0 = total_order(K, f0)  # each validates its function, f0 first
     order1 = total_order(K, f1)
     gap = sup_norm(f0, f1)
     schedule = crossing_times(f0, f1)  # raises NonUniqueValues on any tie
-    certificates = _carried_certificates(K, f0, f1, schedule, gap, order0)
+    certificates, track = _carried_certificates(K, f0, f1, schedule, gap, order0)
+    composed = Matching(tuple(enumerate(track)))
 
-    chain = [certificates[0].matching]
-    link_costs = [certificates[0].cost]
-    for prev, cur in zip(certificates, certificates[1:]):
-        bp = breakpoint_matching(prev.right, cur.left)
-        chain.append(bp)
-        link_costs.append(0)
-        chain.append(cur.matching)
-        link_costs.append(cur.cost)
-    composed = compose_matchings(chain)
-
-    # The carried order starts as the canonical order of f0, so the first
-    # certificate's left diagram is the canonical diagram of f0; the last
-    # right diagram is checked against a fresh canonical diagram of f1.
-    D0 = replace(certificates[0].left, function_id="f0")
-    D1 = diagram_from_pivots(K, order1, f1, pivot_pairs(K, order1), "f1")
-    if certificates[-1].right.points != D1.points:
+    # The carried order starts as the canonical order of f0 and must end as
+    # the canonical order of f1 (both untied), so the first and last pair
+    # lists are the canonical pairs of f0 and f1.
+    first, last = certificates[0], certificates[-1]
+    if last.order_used != order1:
         raise InternalProofViolation(
-            "the last interval's right diagram disagrees with the canonical "
-            "diagram of f1"
+            "the order carried to t = 1 is not the canonical order of f1"
         )
+    D0 = diagram_from_pivots(K, first.order_used, f0, first.pairs, "f0")
+    D1 = diagram_from_pivots(K, order1, f1, last.pairs, "f1")
 
     composed_cost = matching_cost(D0, D1, composed)
-    total_link_cost = sum(link_costs)
+    total_link_cost = sum(cert.cost for cert in certificates)
     if composed_cost > total_link_cost:
         raise InternalProofViolation(
             f"composed cost {fraction_string(composed_cost)} exceeds the "

@@ -11,32 +11,43 @@ plain per-dimension cost matrices, essential points included, with no
 integer scaling and no separate sorted matching of essential points.
 
 ``interval_matching`` certifies one interval from scratch (pairwise order
-check, midpoint order, fresh reduction); every certificate that
-``verify_stability`` carries across crossings must equal it.  The other
-helpers build what the library itself never needs: random compatible
-orders, diagrams under a supplied order, sublevel complexes, interval
-midpoints and a permutation-enumerating bottleneck.
+check, midpoint order, fresh reduction, both endpoint diagrams and the
+measured cost of matching them by pivot identity); every certificate that
+``verify_stability`` carries across crossings must equal it.
+``reference_composition`` re-identifies those diagrams at each crossing
+(``breakpoint_matching``) and composes the whole chain of full maps
+(``compose_matchings``); the point map ``verify_stability`` carries must
+equal it.  The other helpers build what the library itself never needs:
+random compatible orders, diagrams under a supplied order, sublevel
+complexes, interval midpoints and a permutation-enumerating bottleneck.
 """
 
 import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from phstab.bottleneck import (
+    Matching,
     _min_max_matching,
     _split_by_dim,
     diagonal_cost,
     pair_cost,
 )
 from phstab.complexes import FiltrationFunction, SimplicialComplex, validate_filtration
-from phstab.errors import DomainMismatch, PhstabError
-from phstab.interpolation import CrossingSchedule, interpolate
+from phstab.errors import (
+    DomainMismatch,
+    InternalProofViolation,
+    InvalidMatching,
+    PhstabError,
+)
+from phstab.interpolation import CrossingSchedule, interpolate, sup_norm
 from phstab.ordering import TotalOrder, check_order_compatible, total_order
-from phstab.persistence import Diagram, diagram_from_pivots, pivot_pairs
-from phstab.rational import INF, common_numerators, to_fraction
-from phstab.stability import IntervalCertificate, _certify
+from phstab.persistence import Diagram, PivotPair, diagram_from_pivots, pivot_pairs
+from phstab.rational import INF, common_numerators, fraction_string, to_fraction
+from phstab.stability import _simplex_pair
 
 
 class OrderNotConstant(PhstabError):
@@ -45,6 +56,22 @@ class OrderNotConstant(PhstabError):
 
 class TooLarge(PhstabError):
     """Input exceeds the size limit of a brute-force oracle."""
+
+
+@dataclass(frozen=True)
+class ReferenceCertificate:
+    """One interval certified from scratch: both endpoint diagrams, the
+    pivot-identity matching between them and its measured cost."""
+
+    t_lo: Fraction
+    t_hi: Fraction
+    order_used: TotalOrder
+    pairs: tuple[PivotPair, ...]
+    left: Diagram
+    right: Diagram
+    matching: Matching
+    cost: "Fraction | int"
+    bound: Fraction
 
 
 def is_order_constant(
@@ -82,7 +109,7 @@ def interval_matching(
     f1: FiltrationFunction,
     t_lo,
     t_hi,
-) -> IntervalCertificate:
+) -> ReferenceCertificate:
     """Certify one order-constant interval from scratch.
 
     Checks that no simplex pair swaps strictly inside the interval, takes
@@ -106,6 +133,157 @@ def interval_matching(
     check_order_compatible(K, f_lo, order)
     check_order_compatible(K, f_hi, order)
     return _certify(K, order, t_lo, t_hi, f_lo, f_hi, f"interval [{t_lo}, {t_hi}]")
+
+
+def _costliest_pair(K: SimplicialComplex, left: Diagram, right: Diagram) -> str:
+    """The pivot pair whose point moves farthest; only for messages."""
+    p, q = max(zip(left.points, right.points), key=lambda pq: pair_cost(*pq))
+    return _simplex_pair(K, p.pair.birth, p.pair.death)
+
+
+def _certify(
+    K: SimplicialComplex,
+    order: TotalOrder,
+    t_lo: Fraction,
+    t_hi: Fraction,
+    f_lo: FiltrationFunction,
+    f_hi: FiltrationFunction,
+    where: str,
+) -> ReferenceCertificate:
+    """Certificate for one interval whose endpoints share ``order``.
+
+    One reduction serves both endpoint functions, so the pair lists
+    coincide; matching by pivot identity is then a bijection whose cost is
+    the largest coordinate move of any pivot simplex.  ``where`` names the
+    interval in violation messages.
+    """
+    pairs = pivot_pairs(K, order)
+    left = diagram_from_pivots(K, order, f_lo, pairs, f"f@{fraction_string(t_lo)}")
+    right = diagram_from_pivots(K, order, f_hi, pairs, f"f@{fraction_string(t_hi)}")
+    cost = 0
+    for p, q in zip(left.points, right.points):
+        cost = max(cost, pair_cost(p, q))
+    bound = sup_norm(f_lo, f_hi)
+    if cost != bound:
+        # Every simplex is a birth or death coordinate of exactly one point
+        # (essentials included), so the largest coordinate move IS the
+        # sup-norm; any discrepancy in either direction is a bug.
+        raise InternalProofViolation(
+            f"{where}: matching cost {fraction_string(cost)} != sup-norm "
+            f"{fraction_string(bound)}; costliest "
+            f"pivot pair {_costliest_pair(K, left, right)}"
+        )
+    matching = Matching(tuple((i, i) for i in range(len(left.points))))
+    return ReferenceCertificate(
+        t_lo, t_hi, order, pairs, left, right, matching, cost, bound
+    )
+
+
+def breakpoint_matching(D_left: Diagram, D_right: Diagram) -> Matching:
+    """Zero-cost bijection between two diagrams of one function.
+
+    The diagrams were computed under different orders (the two sides of a
+    crossing time), so their pivot pairs may differ, but their value
+    multisets agree.  Within each dimension both point lists are sorted by
+    (birth, death, birth-simplex order position) and matched positionally;
+    any disagreement in the matched values would falsify order-invariance
+    of diagrams, so it is an InternalProofViolation.
+    """
+    def sort_key(diag):
+        def key(i):
+            p = diag.points[i]
+            return (p.birth, p.death, diag.order.position_of[p.pair.birth])
+        return key
+
+    dims = sorted({p.dim for p in D_left.points} | {p.dim for p in D_right.points})
+    pairs = []
+    for d in dims:
+        left_idx = sorted(D_left.points_in_dim(d), key=sort_key(D_left))
+        right_idx = sorted(D_right.points_in_dim(d), key=sort_key(D_right))
+        if len(left_idx) != len(right_idx):
+            raise InternalProofViolation(
+                f"dimension {d}: {len(left_idx)} points vs {len(right_idx)}"
+            )
+        for i, j in zip(left_idx, right_idx):
+            p, q = D_left.points[i], D_right.points[j]
+            if (p.birth, p.death) != (q.birth, q.death):
+                raise InternalProofViolation(
+                    f"dimension {d}: {p} has no partner with equal values ({q})"
+                )
+            pairs.append((i, j))
+    pairs.sort()
+    return Matching(tuple(pairs))
+
+
+def compose_matchings(chain) -> Matching:
+    """Relational composition of a chain of bijections.
+
+    Inside ``verify_stability`` consecutive links always share their middle
+    diagram, so a chain that does not compose is an InternalProofViolation.
+    """
+    chain = list(chain)
+    if not chain:
+        raise InternalProofViolation("empty chain")
+    composed = as_map(chain[0])
+    for link in chain[1:]:
+        step = as_map(link)
+        if len(step) != len(composed):
+            raise InternalProofViolation(
+                f"link of size {len(step)} after matching of size {len(composed)}"
+            )
+        try:
+            composed = {a: step[b] for a, b in composed.items()}
+        except KeyError as exc:
+            raise InternalProofViolation(
+                f"middle index {exc.args[0]} missing from the next link"
+            ) from None
+    return Matching(tuple(sorted(composed.items())))
+
+
+def as_map(m: Matching) -> dict[int, int]:
+    """Left index -> right index; rejects diagonal entries."""
+    out = {}
+    for i, j in m.pairs:
+        if i is None or j is None:
+            raise InvalidMatching("matching contains diagonal entries")
+        out[i] = j
+    return out
+
+
+def reference_composition(refs) -> Matching:
+    """The chain of ``interval_matching`` certificates composed end to end:
+    each interval's matching, then the zero-cost re-identification into the
+    next interval's left diagram."""
+    chain = [refs[0].matching]
+    for prev, cur in zip(refs, refs[1:]):
+        chain += [breakpoint_matching(prev.right, cur.left), cur.matching]
+    return compose_matchings(chain)
+
+
+def reference_differences(K, f0, f1, report) -> list[str]:
+    """How ``report`` departs from the from-scratch reference; empty if not.
+
+    Every certificate's order, pivot pairs, cost and bound must equal
+    ``interval_matching``'s, its pairs evaluated at both ends must give the
+    reference's two diagrams, and the carried point map must equal
+    ``reference_composition``.
+    """
+    out = []
+    refs = []
+    for k, cert in enumerate(report.certificates):
+        ref = interval_matching(K, f0, f1, cert.t_lo, cert.t_hi)
+        refs.append(ref)
+        for name in ("order_used", "pairs", "cost", "bound"):
+            if getattr(cert, name) != getattr(ref, name):
+                out.append(f"interval {k}: {name} differs")
+        for t, side in ((cert.t_lo, ref.left), (cert.t_hi, ref.right)):
+            f_t, at = interpolate(f0, f1, t), fraction_string(t)
+            D = diagram_from_pivots(K, cert.order_used, f_t, cert.pairs, f"f@{at}")
+            if D != side:
+                out.append(f"interval {k}: diagram at t = {at} differs")
+    if report.composed_matching != reference_composition(refs):
+        out.append("composed matching differs")
+    return out
 
 
 def interval_midpoints(schedule: CrossingSchedule) -> tuple[Fraction, ...]:

@@ -33,9 +33,9 @@ from oracles import (
     diagram_rank_count,
     diagram_with_order,
     fraction_matrix_bottleneck,
-    interval_matching,
     persistent_betti,
     random_compatible_order,
+    reference_differences,
     value_grid,
     value_multiset,
 )
@@ -129,20 +129,12 @@ def test_3_schedules_are_small_and_midpoints_untied(corpus, capsys):
 
 
 def test_carried_certificates_equal_the_from_scratch_reference(corpus):
-    """verify_stability carries one order across crossings; every one of its
-    certificates must equal interval_matching's rebuild of that interval."""
-    fields = ("order_used", "left", "right", "matching", "cost", "bound")
-    checked = 0
+    """verify_stability carries one order and one point map across
+    crossings; its certificates, the diagrams their pair lists give at both
+    ends and its composed matching must equal the from-scratch reference."""
     for inst, report in corpus:
-        f0, f1 = inst.functions
-        for k, cert in enumerate(report.certificates):
-            ref = interval_matching(inst.complex, f0, f1, cert.t_lo, cert.t_hi)
-            for name in fields:
-                assert getattr(cert, name) == getattr(ref, name), (
-                    f"{format_instance(inst)}interval {k}: {name} differs"
-                )
-            checked += 1
-    assert checked == sum(len(r.certificates) for _, r in corpus)
+        differences = reference_differences(inst.complex, *inst.functions, report)
+        assert not differences, f"{format_instance(inst)}{'; '.join(differences)}"
 
 
 def test_4_point_counts_depend_only_on_the_complex(capsys):

@@ -125,6 +125,38 @@ def test_verify_human_and_machine(instance):
     assert entries["holds"] == "true"
 
 
+# Three vertices tie at t = 1/2, and the other two crossings (8/11, 6/7)
+# do not terminate in decimal, so every form of an interval line shows.
+GOLDEN = "0 : 0 2\n1 : 1 1\n2 : 2 0\n3 : 4 1/2\n0 1 : 5 3\n2 3 : 6 4\n"
+GOLDEN_VERIFY = """\
+sup norm: 3.5
+crossings: 3
+interval [0, 0.5]: cost 1.75 <= bound 1.75
+interval [0.5, 8/11 (~0.727273)]: cost 35/44 <= bound 35/44
+interval [8/11 (~0.727273), 6/7 (~0.857143)]: cost 5/11 <= bound 5/11
+interval [6/7 (~0.857143), 1]: cost 0.5 <= bound 0.5
+composed matching cost: 3.5
+exact bottleneck: 3
+HOLDS: exact bottleneck 3 <= sup norm 3.5"""
+GOLDEN_MACHINE = """\
+sup_norm=3.5
+crossings=3
+intervals=4
+composed_cost=3.5
+exact_bottleneck=3
+holds=true"""
+
+
+def test_verify_output_is_pinned_in_full(tmp_path):
+    path = tmp_path / "golden.txt"
+    path.write_text(GOLDEN)
+    assert run_command(["verify", str(path)]) == (0, GOLDEN_VERIFY)
+    assert run_command(["verify", str(path), "--machine"]) == (0, GOLDEN_MACHINE)
+    assert _ok(["crossings", str(path)]).splitlines()[1] == (
+        "t = 0.5: {0}={1} {0}={2} {1}={2}"
+    )
+
+
 def test_verify_random_batch():
     text = _ok(["verify", "--random", "--trials", "3", "--seed", "5"])
     lines = text.splitlines()
@@ -177,6 +209,39 @@ def test_parse_error_exits_one(tmp_path):
     status, text = run_command(["diagram", str(p)])
     assert status == 1
     assert "missing face" in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "BAD"],
+        ["order", "BAD"],
+        ["diagram", "BAD"],
+        ["crossings", "BAD"],
+        ["verify", "BAD"],
+        ["verify", "BAD", "--machine"],
+        ["bottleneck", "BAD"],
+        ["bottleneck", "BAD", "GOOD"],
+        ["bottleneck", "GOOD", "BAD"],
+    ],
+)
+def test_non_utf8_file_exits_one_naming_the_line(tmp_path, instance, argv):
+    bad = tmp_path / "bin.txt"
+    bad.write_bytes(b"0 : 0 1\n\xff\xfe\n")
+    files = {"BAD": str(bad), "GOOD": instance}
+    assert run_command([files.get(a, a) for a in argv]) == (
+        1,
+        f"error: {bad}: line 2: not UTF-8 text (byte 0xff)",
+    )
+
+
+def test_non_utf8_file_leaves_no_traceback_in_a_process(tmp_path, cli_env):
+    bad = tmp_path / "bin.txt"
+    bad.write_bytes(b"\xff\xfe\n")
+    cmd = [sys.executable, "-m", "phstab.cli", "verify", str(bad)]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
+    assert done.returncode == 1
+    assert done.stderr == f"error: {bad}: line 1: not UTF-8 text (byte 0xff)\n"
 
 
 def test_help_exits_zero():

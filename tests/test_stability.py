@@ -18,16 +18,19 @@ from phstab.generate import (
     random_filtration,
 )
 from phstab.interpolation import CrossingSchedule, crossing_times
-from phstab.ordering import check_order_compatible
-from phstab.persistence import diagram
-from phstab.stability import breakpoint_matching, compose_matchings, verify_stability
+from phstab.ordering import check_order_compatible, total_order
+from phstab.persistence import PivotPair, diagram, pivot_pairs
+from phstab.stability import IntervalCertificate, _reidentify, verify_stability
 
 from oracles import (
     OrderNotConstant,
+    breakpoint_matching,
+    compose_matchings,
     diagram_with_order,
     dims,
     interval_matching,
     random_compatible_order,
+    reference_differences,
 )
 
 EDGE = [(0,), (1,), (0, 1)]
@@ -176,12 +179,7 @@ def _vertices(n):
 
 
 def _same_as_reference(K, f0, f1, report):
-    for cert in report.certificates:
-        ref = interval_matching(K, f0, f1, cert.t_lo, cert.t_hi)
-        assert cert.order_used == ref.order_used
-        assert cert.left == ref.left and cert.right == ref.right
-        assert cert.matching == ref.matching
-        assert (cert.cost, cert.bound) == (ref.cost, ref.bound)
+    assert reference_differences(K, f0, f1, report) == []
 
 
 def test_three_way_tie_reverses_its_run():
@@ -209,6 +207,22 @@ def test_two_disjoint_pairs_swap_at_one_time():
     assert report.certificates[1].order_used.permutation == (1, 0, 3, 2)
     _same_as_reference(K, f0, f1, report)
     assert report.holds
+
+
+def test_three_way_tie_can_rotate_the_point_map():
+    # at t = 47/48 vertices 1, 2 and 3 tie and so do edges {0,2} and {0,3}:
+    # the points born at 3 and 2 are equal there and the tie-break by order
+    # position matches them crosswise, so three points move in a cycle
+    simplices = [(0,), (1,), (2,), (3,), (0, 2), (0, 3), (1, 3), (2, 3), (0, 2, 3)]
+    K = validate_complex(simplices)
+    f0 = FiltrationFunction(K, (1, 130, 83, 36, 85, 38, 135, 136, 137))
+    f1 = FiltrationFunction(K, (129, 130, 131, 132, 133, 134, 135, 136, 137))
+    report = verify_stability(K, f0, f1)
+    assert report.schedule.times[-1] == Fraction(47, 48)
+    assert report.composed_matching.pairs == (
+        (0, 0), (1, 2), (2, 3), (3, 1), (4, 4)
+    )
+    _same_as_reference(K, f0, f1, report)
 
 
 def _doctor_schedule(monkeypatch, schedule):
@@ -255,6 +269,66 @@ def test_interior_tie_is_a_violation_naming_interval_t_and_pair(monkeypatch):
     message = str(ei.value)
     assert "interval 0 [0, 1]" in message and "t = 1/2" in message
     assert "({0}, {1})" in message
+
+
+def _break_partition(monkeypatch, edit):
+    """Make every pivot pair list pass through ``edit`` first."""
+    real = stability.pivot_pairs
+    monkeypatch.setattr(
+        stability, "pivot_pairs", lambda K, order: edit(real(K, order))
+    )
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # drop the essential pair of {0}: no pair uses {0} any more
+        (lambda pairs: pairs[1:], r"simplex \{0\} is a coordinate of 0 pivot pairs"),
+        # a second essential pair born at {0, 1}, which already dies
+        (
+            lambda pairs: pairs + (PivotPair(pairs[-1].death, None),),
+            r"simplex \{0,1\} is a coordinate of 2 pivot pairs",
+        ),
+    ],
+    ids=["dropped", "repeated"],
+)
+def test_pair_list_that_does_not_partition_is_a_violation(
+    monkeypatch, tmp_path, edit, message
+):
+    K = validate_complex(EDGE)
+    f0 = FiltrationFunction(K, (0, 1, 2))
+    f1 = FiltrationFunction(K, (1, Fraction(1, 4), 2))
+    _break_partition(monkeypatch, edit)
+    where = r"interval 0 \[0, 4/7\]: "
+    with pytest.raises(InternalProofViolation, match="^" + where + message):
+        verify_stability(K, f0, f1)
+    path = tmp_path / "edge.txt"
+    path.write_text("0 : 0 1\n1 : 1 1/4\n0 1 : 2 2\n")
+    status, text = run_command(["verify", str(path)])
+    assert status == 2
+    assert re.match("internal consistency failure: " + where + message, text)
+
+
+def test_reidentify_rejects_pair_lists_of_different_functions():
+    # f_a is born at {0}, f_b at {1}; at f_a's values the two pair lists
+    # give (0, inf), (1, 2) against (0, 2), (1, inf)
+    K = validate_complex(EDGE)
+    f_a = FiltrationFunction(K, (0, 1, 2))
+    f_b = FiltrationFunction(K, (1, 0, 2))
+
+    def certificate(f):
+        order = total_order(K, f)
+        return IntervalCertificate(0, 1, order, pivot_pairs(K, order), 0, 0)
+
+    same = _reidentify(K, certificate(f_a), certificate(f_a), f_a.values, "here")
+    assert same == [0, 1]
+    with pytest.raises(InternalProofViolation) as ei:
+        where = "crossing 3 at t = 1/2"
+        _reidentify(K, certificate(f_a), certificate(f_b), f_a.values, where)
+    assert str(ei.value) == (
+        "crossing 3 at t = 1/2: pivot pair ({0}, -) at dim 0 (0, inf) has no "
+        "partner with equal values; matched with ({0}, {0,1}) at dim 0 (0, 2)"
+    )
 
 
 def test_violation_exits_two_through_the_cli(monkeypatch, tmp_path):
