@@ -110,7 +110,7 @@ def _cmd_validate(args) -> tuple[int, str]:
     inst = parse_instance(args.file)
     problems = []
     for k, f in enumerate(inst.functions):
-        for issue in validate_filtration(inst.complex, f).issues:
+        for issue in validate_filtration(inst.complex, f):
             problems.append(f"f{k}: {issue}")
     if problems:
         return 1, "\n".join(problems)
@@ -138,7 +138,7 @@ def _cmd_order(args) -> tuple[int, str]:
 def _cmd_diagram(args) -> tuple[int, str]:
     inst = parse_instance(args.file)
     f = _pick_function(inst, args.function)
-    diag = diagram(inst.complex, f, f"f{args.function}")
+    diag = diagram(inst.complex, f)
     return 0, format_diagram(diag, args.dim)
 
 
@@ -146,13 +146,13 @@ def _cmd_bottleneck(args) -> tuple[int, str]:
     if args.file2 is None:
         inst = parse_instance(args.file)
         f0, f1 = _two_functions(inst)
-        D0 = diagram(inst.complex, f0, "f0")
-        D1 = diagram(inst.complex, f1, "f1")
+        D0 = diagram(inst.complex, f0)
+        D1 = diagram(inst.complex, f1)
     else:
         inst0 = parse_instance(args.file)
         inst1 = parse_instance(args.file2)
-        D0 = diagram(inst0.complex, _pick_function(inst0, args.function), "f0")
-        D1 = diagram(inst1.complex, _pick_function(inst1, args.function), "f1")
+        D0 = diagram(inst0.complex, _pick_function(inst0, args.function))
+        D1 = diagram(inst1.complex, _pick_function(inst1, args.function))
     distance = bottleneck_diagonal if args.diagonal else bottleneck_bijection
     dist, matching = distance(D0, D1)
     lines = [f"distance {format_value(dist)}"]

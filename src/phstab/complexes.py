@@ -146,7 +146,10 @@ class NonFiniteValue:
     raw: object
 
     def __str__(self) -> str:
-        return f"simplex {{{self.simplex}}} has non-finite value {self.raw!r}"
+        return (
+            f"simplex {{{self.simplex}}} has value {self.raw!r}, which is not "
+            "a finite rational"
+        )
 
 
 @dataclass(frozen=True)
@@ -192,73 +195,48 @@ def validate_complex(simplices: Iterable) -> SimplicialComplex:
 
 @dataclass(frozen=True)
 class FiltrationFunction:
-    """One exact rational value per simplex of a fixed complex."""
+    """One exact rational value per simplex of a fixed complex.
+
+    The constructor is the one place values are coerced and counted: a
+    value ``to_fraction`` rejects (non-finite, non-numeric, a bool) or a
+    wrong count raises InvalidFiltration naming every problem.
+    """
 
     complex: SimplicialComplex
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "values", tuple(to_fraction(v) for v in self.values)
-        )
-        if len(self.values) != len(self.complex):
-            raise InvalidFiltration(
-                [SizeMismatch(len(self.complex), len(self.values))]
-            )
+        K, raw = self.complex, tuple(self.values)
+        if len(raw) != len(K):
+            raise InvalidFiltration([SizeMismatch(len(K), len(raw))])
+        try:
+            values = tuple(to_fraction(v) for v in raw)
+        except (TypeError, ValueError):
+            bad = []
+            for s, v in zip(K.simplices, raw):
+                try:
+                    to_fraction(v)
+                except (TypeError, ValueError):
+                    bad.append(NonFiniteValue(s, v))
+            raise InvalidFiltration(bad) from None
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
-    """Outcome of validate_filtration: every violating pair, or none."""
-
-    issues: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def raise_if_invalid(self) -> None:
-        if self.issues:
-            raise InvalidFiltration(self.issues)
-
-
-def validate_filtration(K: SimplicialComplex, f) -> FiltrationReport:
-    """Check monotonicity and finiteness of a filtration on K.
-
-    ``f`` may be a FiltrationFunction on K or a raw sequence of values (in
-    which case coercion failures are reported as NonFiniteValue).  Reports
-    every violating (face, coface) pair rather than stopping at the first.
-    """
-    issues: list = []
-    if isinstance(f, FiltrationFunction):
-        if f.complex is not K and f.complex != K:
-            raise DomainMismatch("filtration is not defined on this complex")
-        values = list(f.values)
-    else:
-        raw = list(f)
-        if len(raw) != len(K):
-            return FiltrationReport((SizeMismatch(len(K), len(raw)),))
-        values = []
-        for s, r in zip(K.simplices, raw):
-            try:
-                values.append(to_fraction(r))
-            except (TypeError, ValueError):
-                issues.append(NonFiniteValue(s, r))
-                values.append(None)
-    for j, s in enumerate(K.simplices):
-        vj = values[j]
-        if vj is None:
-            continue
-        for i in K.facet_positions[j]:
-            vi = values[i]
-            if vi is None:
-                continue
-            if vi > vj:
-                issues.append(NonMonotone(K.simplices[i], s, vi, vj))
-    return FiltrationReport(tuple(issues))
+def validate_filtration(K: SimplicialComplex, f: FiltrationFunction) -> tuple:
+    """Every (face, coface) pair on which ``f`` decreases, as NonMonotone
+    issues; empty when ``f`` is monotone on K."""
+    if f.complex is not K and f.complex != K:
+        raise DomainMismatch("filtration is not defined on this complex")
+    values = f.values
+    return tuple(
+        NonMonotone(K.simplices[i], s, values[i], values[j])
+        for j, s in enumerate(K.simplices)
+        for i in K.facet_positions[j]
+        if values[i] > values[j]
+    )
 
 
 def find_duplicate_value(f: FiltrationFunction):

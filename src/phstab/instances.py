@@ -7,7 +7,8 @@ An instance file lists one simplex per line followed by one or two values:
     1 :                   0.5     0.5
     0 1 :                 1       0.75
 
-Blank lines and ``#`` comments are skipped.  Every data line must carry the
+Lines end at a line feed, a carriage return, or the two together.  Blank
+lines and ``#`` comments are skipped.  Every data line must carry the
 same number of values (one or two).  Values may be written as integers,
 decimals, scientific notation, or ``p/q`` fractions; they are read exactly.
 Writing uses the shortest exact form, so a parse/format round trip is the
@@ -35,12 +36,21 @@ class InstanceFile:
     path: "str | None" = None
 
 
+def _lines(text: str) -> list:
+    """``text`` split at line feeds, carriage returns and their pairs only.
+
+    ``str.splitlines`` also breaks at a form feed, NEL or a Unicode line
+    separator, so one of them inside a comment would start a data line.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def parse_instance_text(text: str, path: "str | None" = None) -> InstanceFile:
     """Parse instance file content, collecting every problem before failing."""
     problems: "list[tuple[int, str]]" = []
     rows = []  # (line_no, vertices, values)
     expected_width = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -117,14 +127,15 @@ def parse_instance_text(text: str, path: "str | None" = None) -> InstanceFile:
 
 
 def parse_instance(path: str) -> InstanceFile:
-    """Read and parse an instance file; bytes that are not UTF-8 are a
-    ParseError naming their line."""
+    """Read and parse an instance file, which may start with a UTF-8 byte
+    order mark; bytes that are not UTF-8 are a ParseError naming their
+    line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
+        line_no = len(_lines(data[: exc.start].decode("utf-8-sig")))
         raise ParseError(
             [(line_no, f"not UTF-8 text (byte 0x{data[exc.start]:02x})")], path
         ) from None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import FiltrationFunction, find_duplicate_value
-from .errors import DomainMismatch, InternalProofViolation, NonUniqueValues, TOutOfRange
+from .errors import DomainMismatch, NonUniqueValues, TOutOfRange
 from .rational import common_numerators, fraction_string, to_fraction
 
 
@@ -102,14 +102,8 @@ def crossing_times(
         for j in range(i + 1, n):
             d0 = a0 - v0[j]
             d1 = a1 - v1[j]
-            if (d0 > 0) == (d1 > 0):
+            if (d0 > 0) == (d1 > 0):  # unique values: neither gap is 0
                 continue
-            if d0 == 0 or d1 == 0:
-                raise InternalProofViolation(
-                    f"crossing of pair ({i}, {j}) at t = "
-                    f"{fraction_string(Fraction(d0, d0 - d1))} "
-                    "despite unique endpoints"
-                )
             by_time.setdefault(Fraction(d0, d0 - d1), []).append((i, j))
     times = tuple(sorted(by_time))
     pairs_at = tuple(tuple(sorted(by_time[t])) for t in times)

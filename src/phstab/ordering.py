@@ -1,9 +1,10 @@
-"""Total orders extending the partial order of a filtration.
+"""The canonical total order of a filtration.
 
 The persistence algorithm consumes one fixed linear order of the simplices.
 A valid order is non-decreasing in the function values and places every
-face before its cofaces; ties in value are broken by dimension and then by
-the lexicographic vertex sequence, which makes the order deterministic.
+face before its cofaces; the canonical one breaks ties in value by
+dimension and then by the lexicographic vertex sequence, which makes it
+deterministic.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from .complexes import (
     SimplicialComplex,
     validate_filtration,
 )
-from .errors import IncompatibleOrder
-from .rational import fraction_string
+from .errors import IncompatibleOrder, InvalidFiltration
 
 
 @dataclass(frozen=True)
@@ -53,37 +53,11 @@ def total_order(K: SimplicialComplex, f: FiltrationFunction) -> TotalOrder:
     Dimension before vertices keeps every prefix face-closed under ties;
     the lexicographic third key makes equal inputs give identical output.
     """
-    validate_filtration(K, f).raise_if_invalid()
+    issues = validate_filtration(K, f)
+    if issues:
+        raise InvalidFiltration(issues)
     perm = sorted(
         range(len(K)),
         key=lambda i: (f.values[i], K.simplices[i].dim, K.simplices[i].vertices),
     )
     return TotalOrder(K, tuple(perm))
-
-
-def check_order_compatible(
-    K: SimplicialComplex, f: FiltrationFunction, order: TotalOrder
-) -> None:
-    """Raise IncompatibleOrder unless ``order`` is valid for (K, f).
-
-    Valid means: values are non-decreasing along the permutation and every
-    prefix is face-closed (all faces strictly precede their cofaces).
-    """
-    if order.complex is not K and order.complex != K:
-        raise IncompatibleOrder("order was built for a different complex")
-    perm = order.permutation
-    for a, b in zip(perm, perm[1:]):
-        if f.values[a] > f.values[b]:
-            raise IncompatibleOrder(
-                f"values decrease along the order: f({K.simplices[a]}) = "
-                f"{fraction_string(f.values[a])} > "
-                f"{fraction_string(f.values[b])} = f({K.simplices[b]})"
-            )
-    pos = order.position_of
-    for j, complex_pos in enumerate(perm):
-        for face_pos in K.facet_positions[complex_pos]:
-            if pos[face_pos] >= j:
-                raise IncompatibleOrder(
-                    f"face {{{K.simplices[face_pos]}}} does not precede "
-                    f"{{{K.simplices[complex_pos]}}}"
-                )

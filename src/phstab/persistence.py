@@ -54,7 +54,6 @@ class Diagram:
 
     order: TotalOrder
     points: tuple[DiagramPoint, ...]
-    function_id: str = "f"
 
     def __len__(self) -> int:
         return len(self.points)
@@ -97,7 +96,6 @@ def diagram_from_pivots(
     order: TotalOrder,
     f: FiltrationFunction,
     pairs: tuple[PivotPair, ...],
-    function_id: str = "f",
 ) -> Diagram:
     """Evaluate a pair list against a function compatible with the order."""
     points = []
@@ -105,15 +103,13 @@ def diagram_from_pivots(
         birth = f.values[pv.birth]
         death = f.values[pv.death] if pv.death is not None else INF
         points.append(DiagramPoint(K.simplices[pv.birth].dim, birth, death, pv))
-    return Diagram(order, tuple(points), function_id)
+    return Diagram(order, tuple(points))
 
 
-def diagram(
-    K: SimplicialComplex, f: FiltrationFunction, function_id: str = "f"
-) -> Diagram:
+def diagram(K: SimplicialComplex, f: FiltrationFunction) -> Diagram:
     """Diagram of f under the canonical order, diagonal points included."""
     order = total_order(K, f)
-    return diagram_from_pivots(K, order, f, pivot_pairs(K, order), function_id)
+    return diagram_from_pivots(K, order, f, pivot_pairs(K, order))
 
 
 def format_diagram(diag: Diagram, dim: "int | None" = None) -> str:

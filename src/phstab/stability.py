@@ -35,9 +35,9 @@ from itertools import combinations
 
 from .bottleneck import Matching, bottleneck_bijection, matching_cost, pair_cost
 from .complexes import FiltrationFunction, SimplicialComplex
-from .errors import IncompatibleOrder, InternalProofViolation, InvalidMatching
+from .errors import InternalProofViolation, InvalidMatching
 from .interpolation import CrossingSchedule, crossing_times, interpolate, sup_norm
-from .ordering import TotalOrder, check_order_compatible, total_order
+from .ordering import TotalOrder, total_order
 from .persistence import Diagram, PivotPair, diagram_from_pivots, pivot_pairs
 from .rational import INF, format_value, fraction_string
 
@@ -96,35 +96,22 @@ def _check_partition(K: SimplicialComplex, pairs: tuple, where: str) -> None:
 
 
 def _reverse_tied_runs(
-    K: SimplicialComplex,
-    perm: list,
-    values: tuple,
-    expected: tuple,
-    k: int,
-    t: Fraction,
+    K: SimplicialComplex, perm: list, runs: list, expected: tuple, k: int, t: Fraction
 ) -> None:
     """Carry ``perm`` across crossing ``k`` at ``t``, in place.
 
-    ``perm`` is non-decreasing in ``values`` (the values at ``t``), so the
-    simplices tied at ``t`` form maximal runs.  The lines of one run meet
-    at one point with distinct slopes (equal slopes would mean a tie at
-    t = 0 too), so their order simply reverses.  Every pair inside a run
-    swaps, and those pairs must be exactly ``expected``, the schedule's
-    pairs at ``t``.
+    ``runs`` holds the [start, end) slices of ``perm`` tied at ``t``, as
+    recorded by the scan of the interval ending there.  The lines of one
+    run meet at one point with distinct slopes (equal slopes would mean a
+    tie at the lower end too, which that scan rejects), so their order
+    simply reverses.  Every pair inside a run swaps, and those pairs must
+    be exactly ``expected``, the schedule's pairs at ``t``.
     """
     swapped = []
-    n = len(perm)
-    start = 0
-    while start < n:
-        value = values[perm[start]]
-        end = start + 1
-        while end < n and values[perm[end]] == value:
-            end += 1
-        if end - start > 1:
-            run = perm[start:end]
-            swapped.extend((min(a, b), max(a, b)) for a, b in combinations(run, 2))
-            perm[start:end] = run[::-1]
-        start = end
+    for start, end in runs:
+        run = perm[start:end]
+        swapped.extend((min(a, b), max(a, b)) for a, b in combinations(run, 2))
+        perm[start:end] = run[::-1]
     swapped.sort()
     if tuple(swapped) != expected:
         unscheduled = sorted(set(swapped) - set(expected))
@@ -200,39 +187,53 @@ def _carried_certificates(
     f_t is evaluated once per breakpoint.  The order starts as ``order0``,
     the canonical order of f0 (the order just after t = 0, since f0 is
     untied), and ``_reverse_tied_runs`` carries it across each crossing.
-    Per interval, in O(n) besides the one reduction: the order is
-    compatible with the upper function (with the lower one by
-    construction, as only tied runs were reversed), hence with every t in
-    between; no adjacent pair is tied at both ends, so the interior is
-    untied; the pivot pairs partition the simplices, so the certificate
-    costs exactly its share of ``gap``.  Each crossing re-identifies the
-    two pair lists and the point map follows.  Any failure is a bug, so
-    every one is an InternalProofViolation naming the interval or
-    crossing, t and the simplex pair involved.
+    Per interval, in O(n) besides the one reduction: one pass over the
+    adjacent pairs checks the order at the upper end and records the runs
+    tied there, and the pivot pairs must partition the simplices, so the
+    certificate costs exactly its share of ``gap``.  Each crossing
+    re-identifies the two pair lists and the point map follows.  Any
+    failure is a bug, so every one is an InternalProofViolation naming the
+    interval or crossing, t and the simplex pair involved.
     """
     bps = schedule.breakpoints()
     perm = list(order0.permutation)
     certificates: list = []
     track: list = []
-    f_lo = f0
+    v_lo = f0.values
     for k, (lo, hi) in enumerate(zip(bps, bps[1:])):
-        f_hi = interpolate(f0, f1, hi)
-        order = TotalOrder(K, tuple(perm))
+        v_hi = interpolate(f0, f1, hi).values
         where = f"interval {k} [{fraction_string(lo)}, {fraction_string(hi)}]"
-        try:
-            check_order_compatible(K, f_hi, order)
-        except IncompatibleOrder as exc:
-            raise InternalProofViolation(
-                f"{where}: carried order fails at t = {fraction_string(hi)}: {exc}"
-            ) from None
-        v_lo, v_hi = f_lo.values, f_hi.values
-        for a, b in zip(perm, perm[1:]):
-            if v_lo[a] == v_lo[b] and v_hi[a] == v_hi[b]:
+        # One pass over the adjacent pairs at hi.  Values must not decrease;
+        # they hold at lo by construction (only tied runs were reversed), so
+        # at every t in between.  A pair tied at hi must not be tied at lo
+        # too, so the interior is untied.  The runs tied at hi are recorded
+        # for the next crossing.  Faces need no check of their own: f0 and
+        # f1 are monotone (total_order) and untied (crossing_times), so each
+        # face is strictly below its cofaces at both ends, hence at every t,
+        # and an order whose values do not decrease puts faces first.
+        runs: list = []  # [start, end) slices of perm tied at hi
+        for i, (a, b) in enumerate(zip(perm, perm[1:])):
+            x, y = v_hi[a], v_hi[b]
+            if x < y:
+                continue
+            if x > y:
+                raise InternalProofViolation(
+                    f"{where}: carried order fails at t = {fraction_string(hi)}: "
+                    f"values decrease along the order: f({K.simplices[a]}) = "
+                    f"{fraction_string(x)} > {fraction_string(y)} = "
+                    f"f({K.simplices[b]})"
+                )
+            if v_lo[a] == v_lo[b]:
                 raise InternalProofViolation(
                     f"{where}: simplices {_simplex_pair(K, a, b)} are tied at "
                     f"both ends, so also at the midpoint "
                     f"t = {fraction_string((lo + hi) / 2)}"
                 )
+            if runs and runs[-1][1] == i + 1:
+                runs[-1][1] = i + 2
+            else:
+                runs.append([i, i + 2])
+        order = TotalOrder(K, tuple(perm))
         pairs = pivot_pairs(K, order)
         _check_partition(K, pairs, where)
         share = (hi - lo) * gap
@@ -245,8 +246,8 @@ def _carried_certificates(
             track = list(range(len(pairs)))
         certificates.append(cert)
         if k < len(schedule):
-            _reverse_tied_runs(K, perm, v_hi, schedule.pairs_at[k], k, hi)
-        f_lo = f_hi
+            _reverse_tied_runs(K, perm, runs, schedule.pairs_at[k], k, hi)
+        v_lo = v_hi
     return certificates, track
 
 
@@ -305,8 +306,8 @@ def verify_stability(
         raise InternalProofViolation(
             "the order carried to t = 1 is not the canonical order of f1"
         )
-    D0 = diagram_from_pivots(K, first.order_used, f0, first.pairs, "f0")
-    D1 = diagram_from_pivots(K, order1, f1, last.pairs, "f1")
+    D0 = diagram_from_pivots(K, first.order_used, f0, first.pairs)
+    D1 = diagram_from_pivots(K, order1, f1, last.pairs)
 
     composed_cost = matching_cost(D0, D1, composed)
     total_link_cost = sum(cert.cost for cert in certificates)

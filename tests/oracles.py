@@ -18,8 +18,9 @@ measured cost of matching them by pivot identity); every certificate that
 (``breakpoint_matching``) and composes the whole chain of full maps
 (``compose_matchings``); the point map ``verify_stability`` carries must
 equal it.  The other helpers build what the library itself never needs:
-random compatible orders, diagrams under a supplied order, sublevel
-complexes, interval midpoints and a permutation-enumerating bottleneck.
+the full order check (values and face closure), random compatible orders,
+diagrams under a supplied order, sublevel complexes, interval midpoints
+and a permutation-enumerating bottleneck.
 """
 
 import math
@@ -39,12 +40,14 @@ from phstab.bottleneck import (
 from phstab.complexes import FiltrationFunction, SimplicialComplex, validate_filtration
 from phstab.errors import (
     DomainMismatch,
+    IncompatibleOrder,
     InternalProofViolation,
+    InvalidFiltration,
     InvalidMatching,
     PhstabError,
 )
 from phstab.interpolation import CrossingSchedule, interpolate, sup_norm
-from phstab.ordering import TotalOrder, check_order_compatible, total_order
+from phstab.ordering import TotalOrder, total_order
 from phstab.persistence import Diagram, PivotPair, diagram_from_pivots, pivot_pairs
 from phstab.rational import INF, common_numerators, fraction_string, to_fraction
 from phstab.stability import _simplex_pair
@@ -72,6 +75,36 @@ class ReferenceCertificate:
     matching: Matching
     cost: "Fraction | int"
     bound: Fraction
+
+
+def check_order_compatible(
+    K: SimplicialComplex, f: FiltrationFunction, order: TotalOrder
+) -> None:
+    """Raise IncompatibleOrder unless ``order`` is valid for (K, f).
+
+    Valid means: values are non-decreasing along the permutation and every
+    prefix is face-closed (all faces strictly precede their cofaces).
+    ``verify_stability`` checks only the values of its carried order, as
+    its untied monotone endpoints put faces first; this checks both.
+    """
+    if order.complex is not K and order.complex != K:
+        raise IncompatibleOrder("order was built for a different complex")
+    perm = order.permutation
+    for a, b in zip(perm, perm[1:]):
+        if f.values[a] > f.values[b]:
+            raise IncompatibleOrder(
+                f"values decrease along the order: f({K.simplices[a]}) = "
+                f"{fraction_string(f.values[a])} > "
+                f"{fraction_string(f.values[b])} = f({K.simplices[b]})"
+            )
+    pos = order.position_of
+    for j, complex_pos in enumerate(perm):
+        for face_pos in K.facet_positions[complex_pos]:
+            if pos[face_pos] >= j:
+                raise IncompatibleOrder(
+                    f"face {{{K.simplices[face_pos]}}} does not precede "
+                    f"{{{K.simplices[complex_pos]}}}"
+                )
 
 
 def is_order_constant(
@@ -158,8 +191,8 @@ def _certify(
     interval in violation messages.
     """
     pairs = pivot_pairs(K, order)
-    left = diagram_from_pivots(K, order, f_lo, pairs, f"f@{fraction_string(t_lo)}")
-    right = diagram_from_pivots(K, order, f_hi, pairs, f"f@{fraction_string(t_hi)}")
+    left = diagram_from_pivots(K, order, f_lo, pairs)
+    right = diagram_from_pivots(K, order, f_hi, pairs)
     cost = 0
     for p, q in zip(left.points, right.points):
         cost = max(cost, pair_cost(p, q))
@@ -278,7 +311,7 @@ def reference_differences(K, f0, f1, report) -> list[str]:
                 out.append(f"interval {k}: {name} differs")
         for t, side in ((cert.t_lo, ref.left), (cert.t_hi, ref.right)):
             f_t, at = interpolate(f0, f1, t), fraction_string(t)
-            D = diagram_from_pivots(K, cert.order_used, f_t, cert.pairs, f"f@{at}")
+            D = diagram_from_pivots(K, cert.order_used, f_t, cert.pairs)
             if D != side:
                 out.append(f"interval {k}: diagram at t = {at} differs")
     if report.composed_matching != reference_composition(refs):
@@ -300,15 +333,16 @@ def diagram_with_order(
     K: SimplicialComplex,
     f: FiltrationFunction,
     order: TotalOrder,
-    function_id: str = "f",
 ) -> Diagram:
     """Diagram of f under a caller-supplied compatible order.
 
     Raises IncompatibleOrder if the order is not valid for f.
     """
-    validate_filtration(K, f).raise_if_invalid()
+    issues = validate_filtration(K, f)
+    if issues:
+        raise InvalidFiltration(issues)
     check_order_compatible(K, f, order)
-    return diagram_from_pivots(K, order, f, pivot_pairs(K, order), function_id)
+    return diagram_from_pivots(K, order, f, pivot_pairs(K, order))
 
 
 def sublevel(K: SimplicialComplex, f: FiltrationFunction, alpha) -> SimplicialComplex:

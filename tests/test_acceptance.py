@@ -222,8 +222,8 @@ def test_7_independent_oracles_agree(capsys):
             GeneratorConfig(seed=7000 + seed, num_vertices=4, max_dimension=2, fill_prob=0.6)
         )
         seed += 1
-        D0 = diagram(inst.complex, inst.functions[0], "f0")
-        D1 = diagram(inst.complex, inst.functions[1], "f1")
+        D0 = diagram(inst.complex, inst.functions[0])
+        D1 = diagram(inst.complex, inst.functions[1])
         counts = list(counts_by_dim(D0).values()) + list(counts_by_dim(D1).values())
         if any(c > 7 for c in counts):
             continue

@@ -38,7 +38,7 @@ def _pair_of_diagrams(seed, vertices=4, max_dimension=2):
     )
     f0 = random_filtration(K, rng)
     f1 = random_filtration(K, rng)
-    return diagram(K, f0, "f0"), diagram(K, f1, "f1")
+    return diagram(K, f0), diagram(K, f1)
 
 
 def test_pair_cost_rules():
@@ -67,8 +67,8 @@ def _points_diagram(points):
 
 def _two_point_diagrams():
     K = validate_complex([(0,), (1,), (2,), (0, 1), (0, 2)])
-    D0 = diagram(K, FiltrationFunction(K, (0, 0, 0, 1, 4)), "f0")
-    D1 = diagram(K, FiltrationFunction(K, (0, 0, 0, 2, 5)), "f1")
+    D0 = diagram(K, FiltrationFunction(K, (0, 0, 0, 1, 4)))
+    D1 = diagram(K, FiltrationFunction(K, (0, 0, 0, 2, 5)))
     return D0, D1
 
 
@@ -139,12 +139,12 @@ def test_infinite_distance_when_essential_counts_differ():
 def test_diagonal_distance_frozen_example():
     # (0,2) vs (0.9,1.1): direct match costs 0.9, all-diagonal costs 1
     K = validate_complex([(0,), (1,), (0, 1)])
-    D0 = diagram(K, FiltrationFunction(K, (0, 0, 2)), "a")
-    D1 = diagram(K, FiltrationFunction(K, (0, "0.9", "1.1")), "b")
+    D0 = diagram(K, FiltrationFunction(K, (0, 0, 2)))
+    D1 = diagram(K, FiltrationFunction(K, (0, "0.9", "1.1")))
     dist, _ = bottleneck_diagonal(D0, D1)
     assert dist == Fraction(9, 10)
     # push the points apart and the diagonal wins
-    D2 = diagram(K, FiltrationFunction(K, (0, 2, 4)), "c")
+    D2 = diagram(K, FiltrationFunction(K, (0, 2, 4)))
     dist, _ = bottleneck_diagonal(D2, D1)
     assert dist == 1
 
@@ -286,8 +286,8 @@ def test_thousand_point_shift_pair_is_fast():
     rng = random.Random(1000)
     K = validate_complex([(v,) for v in range(1000)])
     values = [Fraction(v, 4) for v in rng.sample(range(4000), 1000)]
-    D0 = diagram(K, FiltrationFunction(K, values), "f0")
-    D1 = diagram(K, FiltrationFunction(K, [v + Fraction(1, 2) for v in values]), "f1")
+    D0 = diagram(K, FiltrationFunction(K, values))
+    D1 = diagram(K, FiltrationFunction(K, [v + Fraction(1, 2) for v in values]))
     for variant in (bottleneck_bijection, bottleneck_diagonal):
         start = time.perf_counter()
         dist, matching = variant(D0, D1)

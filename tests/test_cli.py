@@ -1,5 +1,8 @@
+import random
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -344,3 +347,93 @@ def test_values_past_the_int_string_limit_in_a_process(big_files, cli_env):
         assert (done.stdout if status == 0 else done.stderr) == expected
         if status == 1:
             assert len(done.stderr.splitlines()) == 1
+
+
+def _readme_session():
+    """The README's example session as (argv, shown output lines) pairs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    )
+    (block,) = re.findall(r"Example session:\n\n```\n(.*?)```", readme, re.S)
+    session = []
+    for line in block.splitlines():
+        if line.startswith("$ phstab "):
+            session.append((line[len("$ phstab "):].split(), []))
+        else:
+            session[-1][1].append(line)
+    return session
+
+
+def test_readme_example_session(tmp_path, monkeypatch):
+    """Every line the README shows is printed; ``...`` stands for any run
+    of lines."""
+    monkeypatch.chdir(tmp_path)
+    session = _readme_session()
+    assert [argv[0] for argv, _ in session] == ["gen", "verify"]
+    for argv, shown in session:
+        status, text = run_command(argv)
+        assert status == 0, text
+        pattern = "".join(
+            r"(?:.*\n)*" if line == "..." else re.escape(line) + r"\n"
+            for line in shown
+        )
+        assert re.fullmatch(pattern, text + "\n"), (argv, text)
+
+
+# Seven simplices, two crossing functions.  Every token has at most three
+# characters and at most three edits are made, so no exponent gets past a
+# few digits and every value stays cheap to read.
+FUZZ_BASE = (
+    "0 : 0 1\n1 : 1 3\n2 : 2 2\n0 1 : 3 4\n0 2 : 4 5\n1 2 : 5 6\n"
+    "0 1 2 : 6 7.5\n"
+)
+FUZZ_ALPHABET = list("0123456789e/.:-#") + [
+    "\r", "\n", "\x0c", "\x85", "\u2028", "\ufeff", "\x00",
+]
+FUZZ_FILES = 150
+
+
+def _fuzzed(rng, text):
+    """``text`` after one to three single-character edits."""
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("insert", "delete", "replace"))
+        if kind == "insert":
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(FUZZ_ALPHABET) + text[i:]
+        elif text:
+            i = rng.randrange(len(text))
+            keep = rng.choice(FUZZ_ALPHABET) if kind == "replace" else ""
+            text = text[:i] + keep + text[i + 1:]
+    return text
+
+
+def test_malformed_instance_files_never_escape_run_command(tmp_path):
+    """Seeded fuzzing of every file-reading subcommand: a malformed file
+    ends in exit 0 or 1 with a message, never an exception or exit 2."""
+    rng = random.Random(2021)
+    path = tmp_path / "fuzz.txt"
+    f = str(path)
+    commands = [
+        ["validate", f],
+        ["order", f],
+        ["order", f, "--function", "1"],
+        ["diagram", f, "--function", "1", "--dim", "0"],
+        ["crossings", f],
+        ["bottleneck", f],
+        ["bottleneck", f, "--diagonal", "--matching"],
+        ["bottleneck", f, f, "--function", "1"],
+        ["verify", f],
+        ["verify", f, "--machine"],
+    ]
+    path.write_text(FUZZ_BASE)
+    assert all(run_command(argv)[0] == 0 for argv in commands)
+    for _ in range(FUZZ_FILES):
+        text = _fuzzed(rng, FUZZ_BASE)
+        path.write_bytes(text.encode("utf-8"))
+        for argv in commands:
+            try:
+                status, out = run_command(argv)
+            except Exception as exc:  # any escape is the failure
+                pytest.fail(f"{argv[0]} on {text!r} raised {exc!r}")
+            assert status in (0, 1), (argv, text, out)
+            assert out or status == 0, (argv, text)

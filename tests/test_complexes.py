@@ -5,7 +5,10 @@ import pytest
 
 from phstab.complexes import (
     FiltrationFunction,
+    NonFiniteValue,
+    NonMonotone,
     Simplex,
+    SizeMismatch,
     find_duplicate_value,
     validate_complex,
     validate_filtration,
@@ -87,33 +90,43 @@ def test_filtration_function_coerces_exactly():
 
 def test_filtration_function_size_mismatch():
     K = validate_complex([(0,), (1,)])
-    with pytest.raises(InvalidFiltration):
+    with pytest.raises(InvalidFiltration) as ei:
         FiltrationFunction(K, (0,))
+    assert ei.value.issues == (SizeMismatch(2, 1),)
+    assert str(ei.value) == "expected 2 values, got 1"
+
+
+def test_filtration_function_rejects_unreadable_values():
+    """The constructor is the one place values are coerced: every value
+    that is not a finite rational is an InvalidFiltration naming its
+    simplex, never a bare ValueError or TypeError."""
+    K = validate_complex([(0,), (1,)])
+    for bad in (float("inf"), "abc", True, None):
+        with pytest.raises(InvalidFiltration) as ei:
+            FiltrationFunction(K, [0, bad])
+        assert ei.value.issues == (NonFiniteValue(Simplex((1,)), bad),)
+        assert str(ei.value).startswith(f"simplex {{1}} has value {bad!r}")
+    with pytest.raises(InvalidFiltration) as ei:
+        FiltrationFunction(K, [float("nan"), "1/0"])
+    assert [issue.simplex for issue in ei.value.issues] == list(K.simplices)
 
 
 def test_validate_filtration_reports_every_violation():
     K = validate_complex(TRIANGLE)
     # triangle value below two of its edges
-    vals = [0, 0, 0, 5, 5, 1, 2]
-    report = validate_filtration(K, vals)
-    assert not report.ok
-    assert len(report.issues) == 2
-    with pytest.raises(InvalidFiltration):
-        report.raise_if_invalid()
+    f = FiltrationFunction(K, [0, 0, 0, 5, 5, 1, 2])
+    issues = validate_filtration(K, f)
+    assert [(str(i.face), str(i.coface)) for i in issues] == [
+        ("0,2", "0,1,2"),
+        ("0,1", "0,1,2"),
+    ]
+    assert all(isinstance(i, NonMonotone) for i in issues)
 
 
 def test_validate_filtration_accepts_monotone():
     K = validate_complex(TRIANGLE)
     f = FiltrationFunction(K, (0, 0, 0, 1, 1, 1, 2))
-    report = validate_filtration(K, f)
-    assert report.ok
-    report.raise_if_invalid()
-
-
-def test_validate_filtration_raw_sequence_bad_value():
-    K = validate_complex([(0,), (1,)])
-    report = validate_filtration(K, [0, float("inf")])
-    assert any("non-finite" in str(i) for i in report.issues)
+    assert validate_filtration(K, f) == ()
 
 
 def test_validate_filtration_wrong_complex():
@@ -150,7 +163,7 @@ def test_random_monotone_filtrations_validate():
         K = generate_complex(rng, GeneratorConfig(seed=seed, num_vertices=5))
         for unique in (True, False):
             f = random_filtration(K, rng, unique=unique)
-            assert validate_filtration(K, f).ok
+            assert validate_filtration(K, f) == ()
             if unique:
                 assert find_duplicate_value(f) is None
 

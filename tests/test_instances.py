@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from phstab.cli import run_command
 from phstab.errors import ParseError
 from phstab.generate import GeneratorConfig, generate_instance
 from phstab.instances import format_instance, parse_instance, parse_instance_text
@@ -95,3 +96,43 @@ def test_format_renders_non_terminating_values_as_fractions():
     text = format_instance(inst)
     assert "1/3" in text and "0.5" in text
     assert parse_instance_text(text).functions[0].values == inst.functions[0].values
+
+
+@pytest.mark.parametrize(
+    "mark", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_only_line_feeds_and_carriage_returns_end_a_line(tmp_path, mark):
+    # str.splitlines would also break at these, making the comment's tail
+    # a data line and shifting every later line number
+    path = tmp_path / "mark.txt"
+    path.write_bytes(f"0 : 0 1\n# note{mark}more\n1 : 1 x\n".encode())
+    assert run_command(["validate", str(path)]) == (
+        1,
+        f"error: {path}: line 3: unreadable value 'x'",
+    )
+
+
+def test_lines_end_at_lf_cr_and_crlf(tmp_path):
+    path = tmp_path / "mixed.txt"
+    path.write_bytes(b"0 : 0 1\r1 : 1 0\r\n# \x0c\r\n0 1 : 2 2\rbad\n")
+    assert run_command(["validate", str(path)]) == (
+        1,
+        f"error: {path}: line 5: missing ':' between vertices and values",
+    )
+    path.write_bytes(b"0 : 0 1\r\n# \x0c\r1 : \xff 0\r")
+    assert run_command(["validate", str(path)]) == (
+        1,
+        f"error: {path}: line 3: not UTF-8 text (byte 0xff)",
+    )
+
+
+def test_a_utf8_byte_order_mark_is_accepted(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + GOOD.encode())
+    assert run_command(["validate", str(path)]) == (
+        0,
+        "complex: 3 simplices, dimension 1\n"
+        "f0: monotone, all values distinct\n"
+        "f1: monotone, all values distinct",
+    )
+    assert parse_instance(str(path)).complex == parse_instance_text(GOOD).complex

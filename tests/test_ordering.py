@@ -6,9 +6,9 @@ import pytest
 from phstab.complexes import FiltrationFunction, validate_complex
 from phstab.errors import DomainMismatch, IncompatibleOrder
 from phstab.generate import GeneratorConfig, generate_complex, random_filtration
-from phstab.ordering import TotalOrder, check_order_compatible, total_order
+from phstab.ordering import TotalOrder, total_order
 
-from oracles import is_order_constant, random_compatible_order
+from oracles import check_order_compatible, is_order_constant, random_compatible_order
 
 TRIANGLE_BOUNDARY = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
 

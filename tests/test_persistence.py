@@ -22,10 +22,10 @@ TRIANGLE_BOUNDARY = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
 TRIANGLE = TRIANGLE_BOUNDARY + [(0, 1, 2)]
 
 
-def _diag(raw, values, fid="f"):
+def _diag(raw, values):
     K = validate_complex(raw)
     f = FiltrationFunction(K, values)
-    return K, f, diagram(K, f, fid)
+    return K, f, diagram(K, f)
 
 
 def test_edge_diagram():
@@ -118,8 +118,8 @@ def test_points_listed_by_birth_position_align_across_functions():
     g = FiltrationFunction(
         K, [Fraction(i) for i in order.position_of]
     )
-    Df = diagram_with_order(K, f, order, "f")
-    Dg = diagram_with_order(K, g, order, "g")
+    Df = diagram_with_order(K, f, order)
+    Dg = diagram_with_order(K, g, order)
     assert len(Df) == len(Dg)
     for p, q in zip(Df.points, Dg.points):
         assert p.pair == q.pair

@@ -18,13 +18,14 @@ from phstab.generate import (
     random_filtration,
 )
 from phstab.interpolation import CrossingSchedule, crossing_times
-from phstab.ordering import check_order_compatible, total_order
+from phstab.ordering import total_order
 from phstab.persistence import PivotPair, diagram, pivot_pairs
 from phstab.stability import IntervalCertificate, _reidentify, verify_stability
 
 from oracles import (
     OrderNotConstant,
     breakpoint_matching,
+    check_order_compatible,
     compose_matchings,
     diagram_with_order,
     dims,
@@ -110,8 +111,8 @@ def test_verify_stability_single_crossing():
     assert len(report.certificates) == 2
     assert report.composed_cost == Fraction(1, 4)
     assert report.exact_bottleneck == Fraction(1, 4)
-    assert report.left_diagram == diagram(K, f0, "f0")
-    assert report.right_diagram == diagram(K, f1, "f1")
+    assert report.left_diagram == diagram(K, f0)
+    assert report.right_diagram == diagram(K, f1)
 
 
 def test_verify_stability_shift_by_constant():
