@@ -79,8 +79,8 @@ def matching_cost(D0: Diagram, D1: Diagram, m: Matching):
     """Maximum pair cost over a matching; 0 for empty diagrams.
 
     Validates that every point of each diagram is used exactly once and that
-    matched points share a dimension; diagonal entries cost
-    (death - birth) / 2.
+    matched points share a dimension, raising InvalidMatching otherwise;
+    diagonal entries cost (death - birth) / 2.
     """
     used0: set[int] = set()
     used1: set[int] = set()
@@ -101,7 +101,12 @@ def matching_cost(D0: Diagram, D1: Diagram, m: Matching):
         elif j is None:
             cost = diagonal_cost(D0.points[i])
         else:
-            cost = pair_cost(D0.points[i], D1.points[j])
+            p, q = D0.points[i], D1.points[j]
+            if p.dim != q.dim:
+                raise InvalidMatching(
+                    f"pair ({i}, {j}) matches dim {p.dim} with dim {q.dim}"
+                )
+            cost = pair_cost(p, q)
         worst = max(worst, cost)
     if len(used0) != len(D0.points) or len(used1) != len(D1.points):
         raise InvalidMatching("matching does not cover both diagrams")

@@ -18,6 +18,7 @@ order-invariance check failing), which indicate a bug rather than bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .bottleneck import bottleneck_bijection, bottleneck_diagonal
@@ -127,9 +128,8 @@ def _cmd_validate(args) -> tuple[int, str]:
 def _cmd_order(args) -> tuple[int, str]:
     inst = parse_instance(args.file)
     f = _pick_function(inst, args.function)
-    order = total_order(inst.complex, f)
     lines = []
-    for pos, cpos in enumerate(order.permutation):
+    for pos, cpos in enumerate(total_order(inst.complex, f)):
         s = inst.complex.simplices[cpos]
         lines.append(f"{pos} {s} {format_value(f.values[cpos])}")
     return 0, "\n".join(lines)
@@ -139,7 +139,7 @@ def _cmd_diagram(args) -> tuple[int, str]:
     inst = parse_instance(args.file)
     f = _pick_function(inst, args.function)
     diag = diagram(inst.complex, f)
-    return 0, format_diagram(diag, args.dim)
+    return 0, format_diagram(inst.complex, diag, args.dim)
 
 
 def _cmd_bottleneck(args) -> tuple[int, str]:
@@ -196,7 +196,7 @@ def _report_lines(report, machine: bool) -> list[str]:
     for cert in report.certificates:
         lines.append(
             f"interval [{_fmt_t(cert.t_lo)}, {_fmt_t(cert.t_hi)}]: "
-            f"cost {format_value(cert.cost)} <= bound {format_value(cert.bound)}"
+            f"cost {format_value(cert.share)} <= bound {format_value(cert.share)}"
         )
     lines.append(f"composed matching cost: {format_value(report.composed_cost)}")
     lines.append(f"exact bottleneck: {format_value(report.exact_bottleneck)}")
@@ -263,7 +263,10 @@ def _cmd_gen(args) -> tuple[int, str]:
     return 0, text.rstrip("\n")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves no
+    state in it, as every call gets a fresh namespace."""
     parser = _Parser(
         prog="phstab",
         description=(
@@ -355,9 +358,8 @@ def build_parser() -> _Parser:
 
 def run_command(argv) -> tuple[int, str]:
     """Run one CLI invocation; returns (exit status, output text)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = build_parser().parse_args(list(argv))
         return args.handler(args)
     except _Exit as stop:
         return stop.status, stop.message

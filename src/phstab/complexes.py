@@ -153,6 +153,14 @@ class NonFiniteValue:
 
 
 @dataclass(frozen=True)
+class NotASequence:
+    raw: object
+
+    def __str__(self) -> str:
+        return f"values {self.raw!r} are not a sequence"
+
+
+@dataclass(frozen=True)
 class SizeMismatch:
     expected: int
     got: int
@@ -198,15 +206,20 @@ class FiltrationFunction:
     """One exact rational value per simplex of a fixed complex.
 
     The constructor is the one place values are coerced and counted: a
-    value ``to_fraction`` rejects (non-finite, non-numeric, a bool) or a
-    wrong count raises InvalidFiltration naming every problem.
+    value ``to_fraction`` rejects (non-finite, non-numeric, a bool), a
+    wrong count or values that are not a sequence at all raise
+    InvalidFiltration naming every problem.
     """
 
     complex: SimplicialComplex
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        K, raw = self.complex, tuple(self.values)
+        K = self.complex
+        try:
+            raw = tuple(self.values)
+        except TypeError:
+            raise InvalidFiltration([NotASequence(self.values)]) from None
         if len(raw) != len(K):
             raise InvalidFiltration([SizeMismatch(len(K), len(raw))])
         try:

@@ -34,10 +34,6 @@ class InvalidFiltration(PhstabError):
         super().__init__("; ".join(str(i) for i in self.issues))
 
 
-class IncompatibleOrder(PhstabError):
-    """A supplied total order is not compatible with the given filtration."""
-
-
 class DimensionMismatch(PhstabError):
     """Diagram points of different homology dimensions were compared."""
 

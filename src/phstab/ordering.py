@@ -1,53 +1,23 @@
 """The canonical total order of a filtration.
 
-The persistence algorithm consumes one fixed linear order of the simplices.
-A valid order is non-decreasing in the function values and places every
-face before its cofaces; the canonical one breaks ties in value by
-dimension and then by the lexicographic vertex sequence, which makes it
-deterministic.
+The persistence algorithm consumes one fixed linear order of the simplices,
+given as a tuple of simplex positions, earliest first.  A valid order is
+non-decreasing in the function values and places every face before its
+cofaces; the canonical one breaks ties in value by dimension and then by
+the lexicographic vertex sequence, which makes it deterministic.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 from .complexes import (
     FiltrationFunction,
     SimplicialComplex,
     validate_filtration,
 )
-from .errors import IncompatibleOrder, InvalidFiltration
+from .errors import InvalidFiltration
 
 
-@dataclass(frozen=True)
-class TotalOrder:
-    """A permutation of simplex positions, earliest first."""
-
-    complex: SimplicialComplex
-    permutation: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "permutation", tuple(self.permutation))
-        n = len(self.complex)
-        if sorted(self.permutation) != list(range(n)):
-            raise IncompatibleOrder(
-                f"not a permutation of 0..{n - 1}: {self.permutation}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.permutation)
-
-    @cached_property
-    def position_of(self) -> tuple[int, ...]:
-        """Inverse permutation: complex position -> order position."""
-        inv = [0] * len(self.permutation)
-        for order_pos, complex_pos in enumerate(self.permutation):
-            inv[complex_pos] = order_pos
-        return tuple(inv)
-
-
-def total_order(K: SimplicialComplex, f: FiltrationFunction) -> TotalOrder:
+def total_order(K: SimplicialComplex, f: FiltrationFunction) -> tuple[int, ...]:
     """The canonical order: sort by (value, dimension, vertex sequence).
 
     Dimension before vertices keeps every prefix face-closed under ties;
@@ -56,8 +26,9 @@ def total_order(K: SimplicialComplex, f: FiltrationFunction) -> TotalOrder:
     issues = validate_filtration(K, f)
     if issues:
         raise InvalidFiltration(issues)
-    perm = sorted(
-        range(len(K)),
-        key=lambda i: (f.values[i], K.simplices[i].dim, K.simplices[i].vertices),
+    return tuple(
+        sorted(
+            range(len(K)),
+            key=lambda i: (f.values[i], K.simplices[i].dim, K.simplices[i].vertices),
+        )
     )
-    return TotalOrder(K, tuple(perm))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import FiltrationFunction, SimplicialComplex
-from .ordering import TotalOrder, total_order
+from .ordering import total_order
 from .rational import INF, format_value
 
 
@@ -52,7 +52,6 @@ class Diagram:
     point-by-point.
     """
 
-    order: TotalOrder
     points: tuple[DiagramPoint, ...]
 
     def __len__(self) -> int:
@@ -62,17 +61,20 @@ class Diagram:
         return tuple(i for i, p in enumerate(self.points) if p.dim == dim)
 
 
-def pivot_pairs(K: SimplicialComplex, order: TotalOrder) -> tuple[PivotPair, ...]:
+def pivot_pairs(K: SimplicialComplex, order: tuple) -> tuple[PivotPair, ...]:
     """Reduce the boundary matrix of (K, order) and return its pivot pairs.
 
-    Rows and columns are order positions: column j holds the positions of
-    the codimension-1 faces of the j-th simplex in the order.  The list
+    ``order`` lists simplex positions, earliest first.  Rows and columns
+    are order positions: column j holds the order positions of the
+    codimension-1 faces of the simplex ``order[j]``.  The list
     contains one PivotPair per diagram point: paired simplices first,
     essentials with death None, all sorted by the order position of the
     birth simplex.  It depends on K and the order only, not on values.
     """
-    perm, pos = order.permutation, order.position_of
-    cols = [{pos[i] for i in K.facet_positions[c]} for c in perm]
+    pos = [0] * len(order)  # complex position -> order position
+    for j, c in enumerate(order):
+        pos[c] = j
+    cols = [{pos[i] for i in K.facet_positions[c]} for c in order]
     owner: dict[int, int] = {}  # pivot row -> owning column
     for j, col in enumerate(cols):
         while col:
@@ -87,38 +89,35 @@ def pivot_pairs(K: SimplicialComplex, order: TotalOrder) -> tuple[PivotPair, ...
     births += [(i, None) for i, col in enumerate(cols) if not col and i not in owner]
     births.sort(key=lambda t: t[0])
     return tuple(
-        PivotPair(perm[b], perm[d] if d is not None else None) for b, d in births
+        PivotPair(order[b], order[d] if d is not None else None) for b, d in births
     )
 
 
 def diagram_from_pivots(
-    K: SimplicialComplex,
-    order: TotalOrder,
-    f: FiltrationFunction,
-    pairs: tuple[PivotPair, ...],
+    K: SimplicialComplex, f: FiltrationFunction, pairs: tuple[PivotPair, ...]
 ) -> Diagram:
-    """Evaluate a pair list against a function compatible with the order."""
+    """Evaluate a pair list against a function compatible with its order."""
     points = []
     for pv in pairs:
         birth = f.values[pv.birth]
         death = f.values[pv.death] if pv.death is not None else INF
         points.append(DiagramPoint(K.simplices[pv.birth].dim, birth, death, pv))
-    return Diagram(order, tuple(points))
+    return Diagram(tuple(points))
 
 
 def diagram(K: SimplicialComplex, f: FiltrationFunction) -> Diagram:
     """Diagram of f under the canonical order, diagonal points included."""
-    order = total_order(K, f)
-    return diagram_from_pivots(K, order, f, pivot_pairs(K, order))
+    return diagram_from_pivots(K, f, pivot_pairs(K, total_order(K, f)))
 
 
-def format_diagram(diag: Diagram, dim: "int | None" = None) -> str:
+def format_diagram(
+    K: SimplicialComplex, diag: Diagram, dim: "int | None" = None
+) -> str:
     """One point per line: dim birth death birth_simplex death_simplex.
 
     Sorted by (dim, birth, death, birth simplex); '-' marks a missing death
     simplex and 'inf' an infinite death.
     """
-    K = diag.order.complex
     rows = []
     for p in diag.points:
         if dim is not None and p.dim != dim:

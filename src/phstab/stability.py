@@ -37,25 +37,24 @@ from .bottleneck import Matching, bottleneck_bijection, matching_cost, pair_cost
 from .complexes import FiltrationFunction, SimplicialComplex
 from .errors import InternalProofViolation, InvalidMatching
 from .interpolation import CrossingSchedule, crossing_times, interpolate, sup_norm
-from .ordering import TotalOrder, total_order
+from .ordering import total_order
 from .persistence import Diagram, PivotPair, diagram_from_pivots, pivot_pairs
 from .rational import INF, format_value, fraction_string
 
 
 @dataclass(frozen=True)
 class IntervalCertificate:
-    """One interval's worth of the proof: ``order_used`` serves both ends,
-    and its pivot pairs, which partition the simplices, match the two
-    endpoint diagrams by identity at ``cost``, the interval's share of the
-    sup-norm (equal to ``bound``).
+    """One interval's worth of the proof: ``order_used``, a tuple of
+    simplex positions, serves both ends, and its pivot pairs, which
+    partition the simplices, match the two endpoint diagrams by identity
+    at exactly ``share``, the interval's share of the sup-norm.
     """
 
     t_lo: Fraction
     t_hi: Fraction
-    order_used: TotalOrder
+    order_used: tuple[int, ...]
     pairs: tuple[PivotPair, ...]
-    cost: Fraction
-    bound: Fraction
+    share: Fraction
 
 
 @dataclass(frozen=True)
@@ -126,39 +125,31 @@ def _reverse_tied_runs(
 
 
 def _reidentify(
-    K: SimplicialComplex,
-    left: IntervalCertificate,
-    right: IntervalCertificate,
-    values: tuple,
-    where: str,
+    K: SimplicialComplex, left: tuple, right: tuple, values: tuple, where: str
 ) -> list:
     """Zero-cost re-identification of two pair lists at one crossing.
 
     Both orders serve f at the crossing (``values``), so both lists give
-    one diagram.  Each is sorted by (dimension, birth value, death value,
-    birth position in its own order) and matched in that order.  Returns
-    the map from ``left``'s pair indices to ``right``'s; unequal matched
-    values would falsify order-invariance, an InternalProofViolation.
+    one diagram.  Each is sorted stably by (dimension, birth value, death
+    value), which keeps equal points in the list's own order, by birth
+    position, and matched in that order.  Returns the map from ``left``'s
+    pair indices to ``right``'s; unequal matched values would falsify
+    order-invariance, an InternalProofViolation.
     """
     def point(pv):
         death = values[pv.death] if pv.death is not None else INF
         return K.simplices[pv.birth].dim, values[pv.birth], death
 
-    def ranked(cert):
-        pos = cert.order_used.position_of
-        return sorted(
-            range(len(cert.pairs)),
-            key=lambda i: (*point(cert.pairs[i]), pos[cert.pairs[i].birth]),
-        )
+    def ranked(pairs):
+        return sorted(range(len(pairs)), key=lambda i: point(pairs[i]))
 
-    if len(left.pairs) != len(right.pairs):
+    if len(left) != len(right):
         raise InternalProofViolation(
-            f"{where}: {len(left.pairs)} pivot pairs before vs "
-            f"{len(right.pairs)} after"
+            f"{where}: {len(left)} pivot pairs before vs {len(right)} after"
         )
-    step = [0] * len(left.pairs)
+    step = [0] * len(left)
     for i, j in zip(ranked(left), ranked(right)):
-        p, q = left.pairs[i], right.pairs[j]
+        p, q = left[i], right[j]
         if point(p) != point(q):
             (d, b, dth), (e, c, eth) = point(p), point(q)
             raise InternalProofViolation(
@@ -178,7 +169,7 @@ def _carried_certificates(
     f1: FiltrationFunction,
     schedule: CrossingSchedule,
     gap: Fraction,
-    order0: TotalOrder,
+    order0: tuple,
 ) -> tuple[list, list]:
     """Certify every interval of ``schedule``, carrying one simplex order.
 
@@ -190,13 +181,14 @@ def _carried_certificates(
     Per interval, in O(n) besides the one reduction: one pass over the
     adjacent pairs checks the order at the upper end and records the runs
     tied there, and the pivot pairs must partition the simplices, so the
-    certificate costs exactly its share of ``gap``.  Each crossing
+    certificate costs exactly its share of ``gap``; a carried order that
+    lost or repeated a simplex fails that check too.  Each crossing
     re-identifies the two pair lists and the point map follows.  Any
     failure is a bug, so every one is an InternalProofViolation naming the
     interval or crossing, t and the simplex pair involved.
     """
     bps = schedule.breakpoints()
-    perm = list(order0.permutation)
+    perm = list(order0)
     certificates: list = []
     track: list = []
     v_lo = f0.values
@@ -233,14 +225,13 @@ def _carried_certificates(
                 runs[-1][1] = i + 2
             else:
                 runs.append([i, i + 2])
-        order = TotalOrder(K, tuple(perm))
+        order = tuple(perm)
         pairs = pivot_pairs(K, order)
         _check_partition(K, pairs, where)
-        share = (hi - lo) * gap
-        cert = IntervalCertificate(lo, hi, order, pairs, share, share)
+        cert = IntervalCertificate(lo, hi, order, pairs, (hi - lo) * gap)
         if certificates:
             crossing = f"crossing {k - 1} at t = {fraction_string(lo)}"
-            step = _reidentify(K, certificates[-1], cert, v_lo, crossing)
+            step = _reidentify(K, certificates[-1].pairs, pairs, v_lo, crossing)
             track = [step[j] for j in track]
         else:
             track = list(range(len(pairs)))
@@ -251,6 +242,15 @@ def _carried_certificates(
     return certificates, track
 
 
+def _bijection_cost(D0: Diagram, D1: Diagram, m: Matching, what: str):
+    """``matching_cost`` of a matching the library built itself, so one
+    that is not a per-dimension bijection is a bug."""
+    try:
+        return matching_cost(D0, D1, m)
+    except InvalidMatching as exc:
+        raise InternalProofViolation(f"{what} is not a bijection: {exc}") from None
+
+
 def _check_witness(
     K: SimplicialComplex, D0: Diagram, D1: Diagram, witness: Matching, exact
 ) -> None:
@@ -259,12 +259,7 @@ def _check_witness(
     The matcher ranks scaled ints; this O(n) pass with the Fraction pair
     costs confirms its answer.
     """
-    try:
-        cost = matching_cost(D0, D1, witness)
-    except InvalidMatching as exc:
-        raise InternalProofViolation(
-            f"the exact bottleneck witness is not a bijection: {exc}"
-        ) from None
+    cost = _bijection_cost(D0, D1, witness, "the exact bottleneck witness")
     if cost != exact:
         p, q = max(
             ((D0.points[i], D1.points[j]) for i, j in witness.pairs),
@@ -306,11 +301,11 @@ def verify_stability(
         raise InternalProofViolation(
             "the order carried to t = 1 is not the canonical order of f1"
         )
-    D0 = diagram_from_pivots(K, first.order_used, f0, first.pairs)
-    D1 = diagram_from_pivots(K, order1, f1, last.pairs)
+    D0 = diagram_from_pivots(K, f0, first.pairs)
+    D1 = diagram_from_pivots(K, f1, last.pairs)
 
-    composed_cost = matching_cost(D0, D1, composed)
-    total_link_cost = sum(cert.cost for cert in certificates)
+    composed_cost = _bijection_cost(D0, D1, composed, "the composed point map")
+    total_link_cost = sum(cert.share for cert in certificates)
     if composed_cost > total_link_cost:
         raise InternalProofViolation(
             f"composed cost {fraction_string(composed_cost)} exceeds the "

@@ -40,17 +40,20 @@ from phstab.bottleneck import (
 from phstab.complexes import FiltrationFunction, SimplicialComplex, validate_filtration
 from phstab.errors import (
     DomainMismatch,
-    IncompatibleOrder,
     InternalProofViolation,
     InvalidFiltration,
     InvalidMatching,
     PhstabError,
 )
 from phstab.interpolation import CrossingSchedule, interpolate, sup_norm
-from phstab.ordering import TotalOrder, total_order
+from phstab.ordering import total_order
 from phstab.persistence import Diagram, PivotPair, diagram_from_pivots, pivot_pairs
 from phstab.rational import INF, common_numerators, fraction_string, to_fraction
 from phstab.stability import _simplex_pair
+
+
+class IncompatibleOrder(PhstabError):
+    """An order is not a valid total order for the given filtration."""
 
 
 class OrderNotConstant(PhstabError):
@@ -64,11 +67,12 @@ class TooLarge(PhstabError):
 @dataclass(frozen=True)
 class ReferenceCertificate:
     """One interval certified from scratch: both endpoint diagrams, the
-    pivot-identity matching between them and its measured cost."""
+    pivot-identity matching between them, its measured cost and the
+    sup-norm of the endpoint functions it is bounded by."""
 
     t_lo: Fraction
     t_hi: Fraction
-    order_used: TotalOrder
+    order_used: tuple[int, ...]
     pairs: tuple[PivotPair, ...]
     left: Diagram
     right: Diagram
@@ -77,28 +81,37 @@ class ReferenceCertificate:
     bound: Fraction
 
 
+def inverse(order) -> list[int]:
+    """Complex position -> order position."""
+    pos = [0] * len(order)
+    for j, c in enumerate(order):
+        pos[c] = j
+    return pos
+
+
 def check_order_compatible(
-    K: SimplicialComplex, f: FiltrationFunction, order: TotalOrder
+    K: SimplicialComplex, f: FiltrationFunction, order: tuple
 ) -> None:
     """Raise IncompatibleOrder unless ``order`` is valid for (K, f).
 
-    Valid means: values are non-decreasing along the permutation and every
-    prefix is face-closed (all faces strictly precede their cofaces).
-    ``verify_stability`` checks only the values of its carried order, as
-    its untied monotone endpoints put faces first; this checks both.
+    Valid means: a permutation of the simplex positions, along which
+    values are non-decreasing and every prefix is face-closed (all faces
+    strictly precede their cofaces).  ``verify_stability`` checks only the
+    values of its carried order, as its untied monotone endpoints put faces
+    first, and the partition of its pivot pairs, which a lost or repeated
+    simplex breaks; this checks all three.
     """
-    if order.complex is not K and order.complex != K:
-        raise IncompatibleOrder("order was built for a different complex")
-    perm = order.permutation
-    for a, b in zip(perm, perm[1:]):
+    if sorted(order) != list(range(len(K))):
+        raise IncompatibleOrder(f"not a permutation of 0..{len(K) - 1}: {order}")
+    for a, b in zip(order, order[1:]):
         if f.values[a] > f.values[b]:
             raise IncompatibleOrder(
                 f"values decrease along the order: f({K.simplices[a]}) = "
                 f"{fraction_string(f.values[a])} > "
                 f"{fraction_string(f.values[b])} = f({K.simplices[b]})"
             )
-    pos = order.position_of
-    for j, complex_pos in enumerate(perm):
+    pos = inverse(order)
+    for j, complex_pos in enumerate(order):
         for face_pos in K.facet_positions[complex_pos]:
             if pos[face_pos] >= j:
                 raise IncompatibleOrder(
@@ -176,7 +189,7 @@ def _costliest_pair(K: SimplicialComplex, left: Diagram, right: Diagram) -> str:
 
 def _certify(
     K: SimplicialComplex,
-    order: TotalOrder,
+    order: tuple,
     t_lo: Fraction,
     t_hi: Fraction,
     f_lo: FiltrationFunction,
@@ -191,8 +204,8 @@ def _certify(
     interval in violation messages.
     """
     pairs = pivot_pairs(K, order)
-    left = diagram_from_pivots(K, order, f_lo, pairs)
-    right = diagram_from_pivots(K, order, f_hi, pairs)
+    left = diagram_from_pivots(K, f_lo, pairs)
+    right = diagram_from_pivots(K, f_hi, pairs)
     cost = 0
     for p, q in zip(left.points, right.points):
         cost = max(cost, pair_cost(p, q))
@@ -219,13 +232,14 @@ def breakpoint_matching(D_left: Diagram, D_right: Diagram) -> Matching:
     crossing time), so their pivot pairs may differ, but their value
     multisets agree.  Within each dimension both point lists are sorted by
     (birth, death, birth-simplex order position) and matched positionally;
-    any disagreement in the matched values would falsify order-invariance
-    of diagrams, so it is an InternalProofViolation.
+    a diagram lists its points by that position, so it is the point's
+    index.  Any disagreement in the matched values would falsify
+    order-invariance of diagrams, so it is an InternalProofViolation.
     """
     def sort_key(diag):
         def key(i):
             p = diag.points[i]
-            return (p.birth, p.death, diag.order.position_of[p.pair.birth])
+            return (p.birth, p.death, i)
         return key
 
     dims = sorted({p.dim for p in D_left.points} | {p.dim for p in D_right.points})
@@ -296,9 +310,10 @@ def reference_composition(refs) -> Matching:
 def reference_differences(K, f0, f1, report) -> list[str]:
     """How ``report`` departs from the from-scratch reference; empty if not.
 
-    Every certificate's order, pivot pairs, cost and bound must equal
-    ``interval_matching``'s, its pairs evaluated at both ends must give the
-    reference's two diagrams, and the carried point map must equal
+    Every certificate's order and pivot pairs must equal
+    ``interval_matching``'s, its share must equal both the reference's
+    measured cost and its bound, its pairs evaluated at both ends must give
+    the reference's two diagrams, and the carried point map must equal
     ``reference_composition``.
     """
     out = []
@@ -306,12 +321,15 @@ def reference_differences(K, f0, f1, report) -> list[str]:
     for k, cert in enumerate(report.certificates):
         ref = interval_matching(K, f0, f1, cert.t_lo, cert.t_hi)
         refs.append(ref)
-        for name in ("order_used", "pairs", "cost", "bound"):
+        for name in ("order_used", "pairs"):
             if getattr(cert, name) != getattr(ref, name):
                 out.append(f"interval {k}: {name} differs")
+        for name in ("cost", "bound"):
+            if cert.share != getattr(ref, name):
+                out.append(f"interval {k}: share differs from the {name}")
         for t, side in ((cert.t_lo, ref.left), (cert.t_hi, ref.right)):
             f_t, at = interpolate(f0, f1, t), fraction_string(t)
-            D = diagram_from_pivots(K, cert.order_used, f_t, cert.pairs)
+            D = diagram_from_pivots(K, f_t, cert.pairs)
             if D != side:
                 out.append(f"interval {k}: diagram at t = {at} differs")
     if report.composed_matching != reference_composition(refs):
@@ -332,7 +350,7 @@ def interval_midpoints(schedule: CrossingSchedule) -> tuple[Fraction, ...]:
 def diagram_with_order(
     K: SimplicialComplex,
     f: FiltrationFunction,
-    order: TotalOrder,
+    order: tuple,
 ) -> Diagram:
     """Diagram of f under a caller-supplied compatible order.
 
@@ -342,7 +360,7 @@ def diagram_with_order(
     if issues:
         raise InvalidFiltration(issues)
     check_order_compatible(K, f, order)
-    return diagram_from_pivots(K, order, f, pivot_pairs(K, order))
+    return diagram_from_pivots(K, f, pivot_pairs(K, order))
 
 
 def sublevel(K: SimplicialComplex, f: FiltrationFunction, alpha) -> SimplicialComplex:
@@ -353,7 +371,7 @@ def sublevel(K: SimplicialComplex, f: FiltrationFunction, alpha) -> SimplicialCo
 
 def random_compatible_order(
     K: SimplicialComplex, f: FiltrationFunction, rng: random.Random
-) -> TotalOrder:
+) -> tuple[int, ...]:
     """A uniformly shuffled valid order for (K, f).
 
     Within each group of equal values, repeatedly pick a random simplex all
@@ -381,7 +399,7 @@ def random_compatible_order(
             pending.discard(pick)
             placed.add(pick)
             perm.append(pick)
-    return TotalOrder(K, tuple(perm))
+    return tuple(perm)
 
 
 def dims(D: Diagram) -> tuple[int, ...]:

@@ -33,6 +33,7 @@ from oracles import (
     diagram_rank_count,
     diagram_with_order,
     fraction_matrix_bottleneck,
+    inverse,
     persistent_betti,
     random_compatible_order,
     reference_differences,
@@ -95,7 +96,7 @@ def test_2_interval_certificates_stay_within_their_share(corpus, capsys):
         gap = sup_norm(f0, f1)
         for cert in report.certificates:
             intervals += 1
-            if cert.cost > (cert.t_hi - cert.t_lo) * gap:
+            if cert.share > (cert.t_hi - cert.t_lo) * gap:
                 failures += 1
     _announce(
         capsys,
@@ -313,7 +314,7 @@ def test_9_tiny_perturbations_move_diagrams_no_farther(capsys):
             order = total_order(K, f0)
             n = len(K)
             # distinct offsets, increasing along the order, peaking at 1
-            offsets = [Fraction(order.position_of[i] + 1, n) for i in range(n)]
+            offsets = [Fraction(pos + 1, n) for pos in inverse(order)]
             f1 = FiltrationFunction(
                 K, tuple(v + eps * o for v, o in zip(f0.values, offsets))
             )

@@ -62,7 +62,7 @@ def test_diagonal_cost():
 
 def _points_diagram(points):
     """A diagram straight from (dim, birth, death) triples."""
-    return Diagram(None, tuple(_point(*p) for p in points))
+    return Diagram(tuple(_point(*p) for p in points))
 
 
 def _two_point_diagrams():
@@ -87,6 +87,10 @@ def test_matching_cost_validates():
         matching_cost(D0, D1, Matching(tuple((i, 0) for i in range(n))))
     with pytest.raises(InvalidMatching):
         matching_cost(D0, D1, Matching(((0, 0),)))
+    D = _points_diagram([(0, 0, INF), (1, 1, INF)])
+    cross = r"^pair \(0, 1\) matches dim 0 with dim 1$"
+    with pytest.raises(InvalidMatching, match=cross):
+        matching_cost(D, D, Matching(((0, 1), (1, 0))))
 
 
 def test_bottleneck_of_identical_diagrams_is_zero():

@@ -253,6 +253,34 @@ def test_help_exits_zero():
     assert "validate" in text and "verify" in text
 
 
+def _pinned_help():
+    """(argv, text) for each block of cli_help.txt; a block starts with a
+    ``$ phstab ...`` line and runs to the next one."""
+    pinned = (Path(__file__).parent / "cli_help.txt").read_text()
+    blocks = re.split(r"^\$ phstab (.*)\n", pinned, flags=re.M)
+    return [
+        (argv.split(), text.rstrip("\n"))
+        for argv, text in zip(blocks[1::2], blocks[2::2])
+    ]
+
+
+def test_help_output_is_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    pinned = _pinned_help()
+    commands = ("validate", "order", "diagram", "bottleneck", "crossings", "verify", "gen")
+    assert [argv[:-1] for argv, _ in pinned] == [[]] + [[c] for c in commands]
+    for _ in range(2):  # the second round runs on the parser the first built
+        for argv, text in pinned:
+            assert run_command(argv) == (0, text)
+
+
+def test_flags_do_not_carry_over_to_the_next_call(instance):
+    plain = run_command(["bottleneck", instance])
+    flagged = run_command(["bottleneck", instance, "--diagonal", "--matching"])
+    assert flagged[1].startswith("distance 0.25\n")
+    assert run_command(["bottleneck", instance]) == plain == (0, "distance 0.25")
+
+
 def test_repeated_runs_are_identical(instance):
     for argv in (
         ["diagram", instance],

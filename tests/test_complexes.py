@@ -96,6 +96,14 @@ def test_filtration_function_size_mismatch():
     assert str(ei.value) == "expected 2 values, got 1"
 
 
+@pytest.mark.parametrize("values", [None, 5])
+def test_filtration_function_rejects_values_that_are_not_a_sequence(values):
+    K = validate_complex([(0,), (1,)])
+    with pytest.raises(InvalidFiltration) as ei:
+        FiltrationFunction(K, values)
+    assert str(ei.value) == f"values {values!r} are not a sequence"
+
+
 def test_filtration_function_rejects_unreadable_values():
     """The constructor is the one place values are coerced: every value
     that is not a finite rational is an InvalidFiltration naming its

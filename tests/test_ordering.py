@@ -4,11 +4,16 @@ from fractions import Fraction
 import pytest
 
 from phstab.complexes import FiltrationFunction, validate_complex
-from phstab.errors import DomainMismatch, IncompatibleOrder
+from phstab.errors import DomainMismatch
 from phstab.generate import GeneratorConfig, generate_complex, random_filtration
-from phstab.ordering import TotalOrder, total_order
+from phstab.ordering import total_order
 
-from oracles import check_order_compatible, is_order_constant, random_compatible_order
+from oracles import (
+    IncompatibleOrder,
+    check_order_compatible,
+    is_order_constant,
+    random_compatible_order,
+)
 
 TRIANGLE_BOUNDARY = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
 
@@ -17,32 +22,24 @@ def test_canonical_order_breaks_ties_by_dim_then_vertices():
     K = validate_complex(TRIANGLE_BOUNDARY)
     f = FiltrationFunction(K, (0, 0, 0, 1, 1, 1))
     order = total_order(K, f)
-    assert order.permutation == (0, 1, 2, 3, 4, 5)
+    assert order == (0, 1, 2, 3, 4, 5)
     # all values equal: still vertices first, then edges lexicographically
     g = FiltrationFunction(K, (2, 2, 2, 2, 2, 2))
-    assert total_order(K, g).permutation == (0, 1, 2, 3, 4, 5)
+    assert total_order(K, g) == (0, 1, 2, 3, 4, 5)
 
 
 def test_canonical_order_sorts_by_value_first():
     K = validate_complex([(0,), (1,), (0, 1)])
     f = FiltrationFunction(K, (1, 0, 2))
-    assert total_order(K, f).permutation == (1, 0, 2)
+    assert total_order(K, f) == (1, 0, 2)
 
 
-def test_position_of_is_inverse():
-    K = validate_complex(TRIANGLE_BOUNDARY)
-    f = FiltrationFunction(K, (0, 3, 1, 4, 2, 5))
-    order = total_order(K, f)
-    for order_pos, complex_pos in enumerate(order.permutation):
-        assert order.position_of[complex_pos] == order_pos
-
-
-def test_total_order_rejects_non_permutation():
+def test_check_order_compatible_rejects_non_permutation():
     K = validate_complex([(0,), (1,)])
-    with pytest.raises(IncompatibleOrder):
-        TotalOrder(K, (0, 0))
-    with pytest.raises(IncompatibleOrder):
-        TotalOrder(K, (0,))
+    f = FiltrationFunction(K, (0, 1))
+    for order in ((0, 0), (0,)):
+        with pytest.raises(IncompatibleOrder, match="not a permutation"):
+            check_order_compatible(K, f, order)
 
 
 def test_check_order_compatible_accepts_canonical():
@@ -55,7 +52,7 @@ def test_check_order_compatible_rejects_decreasing_values():
     K = validate_complex([(0,), (1,), (0, 1)])
     f = FiltrationFunction(K, (0, 1, 2))
     with pytest.raises(IncompatibleOrder):
-        check_order_compatible(K, f, TotalOrder(K, (1, 0, 2)))
+        check_order_compatible(K, f, (1, 0, 2))
 
 
 def test_check_order_compatible_rejects_face_after_coface():
@@ -63,7 +60,7 @@ def test_check_order_compatible_rejects_face_after_coface():
     f = FiltrationFunction(K, (0, 0, 0))
     # values allow any arrangement, but the edge may not precede vertex 1
     with pytest.raises(IncompatibleOrder):
-        check_order_compatible(K, f, TotalOrder(K, (0, 2, 1)))
+        check_order_compatible(K, f, (0, 2, 1))
 
 
 def test_order_constant_detects_swap():

@@ -11,6 +11,7 @@ from oracles import (
     diagram_rank_count,
     diagram_with_order,
     dims,
+    inverse,
     persistent_betti,
     random_compatible_order,
     value_grid,
@@ -116,7 +117,7 @@ def test_points_listed_by_birth_position_align_across_functions():
     order = total_order(K, f)
     # a second function compatible with the same order: squash values
     g = FiltrationFunction(
-        K, [Fraction(i) for i in order.position_of]
+        K, [Fraction(i) for i in inverse(order)]
     )
     Df = diagram_with_order(K, f, order)
     Dg = diagram_with_order(K, g, order)
@@ -157,14 +158,14 @@ def test_diagram_counts_match_rank_oracle():
 
 
 def test_format_diagram_layout():
-    _, _, D = _diag(EDGE, (0, 1, 2))
-    assert format_diagram(D) == "0 0 inf 0 -\n0 1 2 1 0,1"
-    assert format_diagram(D, dim=1) == ""
+    K, _, D = _diag(EDGE, (0, 1, 2))
+    assert format_diagram(K, D) == "0 0 inf 0 -\n0 1 2 1 0,1"
+    assert format_diagram(K, D, dim=1) == ""
 
 
 def test_format_diagram_sorts_by_dim_then_birth():
-    _, _, D = _diag(TRIANGLE, (0, 0, 0, 1, 1, 1, 2))
-    lines = format_diagram(D).splitlines()
+    K, _, D = _diag(TRIANGLE, (0, 0, 0, 1, 1, 1, 2))
+    lines = format_diagram(K, D).splitlines()
     keys = [tuple(line.split()[:2]) for line in lines]
     assert keys == sorted(keys, key=lambda t: (int(t[0]), Fraction(t[1])))
     assert lines[-1].startswith("1 1 2 ")

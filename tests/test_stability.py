@@ -20,7 +20,7 @@ from phstab.generate import (
 from phstab.interpolation import CrossingSchedule, crossing_times
 from phstab.ordering import total_order
 from phstab.persistence import PivotPair, diagram, pivot_pairs
-from phstab.stability import IntervalCertificate, _reidentify, verify_stability
+from phstab.stability import _reidentify, verify_stability
 
 from oracles import (
     OrderNotConstant,
@@ -164,8 +164,7 @@ def test_verify_stability_random_instances():
         assert report.exact_bottleneck <= report.composed_cost
         assert report.composed_cost <= report.sup_norm_value
         for cert in report.certificates:
-            assert cert.cost <= cert.bound
-            assert cert.bound == (cert.t_hi - cert.t_lo) * report.sup_norm_value
+            assert cert.share == (cert.t_hi - cert.t_lo) * report.sup_norm_value
         # the composed matching is a genuine bijection with the stated cost
         assert (
             matching_cost(
@@ -192,8 +191,8 @@ def test_three_way_tie_reverses_its_run():
     assert report.schedule.times == (Fraction(1, 2),)
     assert report.schedule.pairs_at == (((0, 1), (0, 2), (1, 2)),)
     first, second = report.certificates
-    assert first.order_used.permutation == (0, 1, 2)
-    assert second.order_used.permutation == (2, 1, 0)
+    assert first.order_used == (0, 1, 2)
+    assert second.order_used == (2, 1, 0)
     _same_as_reference(K, f0, f1, report)
     assert report.holds
 
@@ -205,7 +204,7 @@ def test_two_disjoint_pairs_swap_at_one_time():
     report = verify_stability(K, f0, f1)
     assert report.schedule.times == (Fraction(1, 2),)
     assert report.schedule.pairs_at == (((0, 1), (2, 3)),)
-    assert report.certificates[1].order_used.permutation == (1, 0, 3, 2)
+    assert report.certificates[1].order_used == (1, 0, 3, 2)
     _same_as_reference(K, f0, f1, report)
     assert report.holds
 
@@ -317,15 +316,14 @@ def test_reidentify_rejects_pair_lists_of_different_functions():
     f_a = FiltrationFunction(K, (0, 1, 2))
     f_b = FiltrationFunction(K, (1, 0, 2))
 
-    def certificate(f):
-        order = total_order(K, f)
-        return IntervalCertificate(0, 1, order, pivot_pairs(K, order), 0, 0)
+    def pairs(f):
+        return pivot_pairs(K, total_order(K, f))
 
-    same = _reidentify(K, certificate(f_a), certificate(f_a), f_a.values, "here")
+    same = _reidentify(K, pairs(f_a), pairs(f_a), f_a.values, "here")
     assert same == [0, 1]
     with pytest.raises(InternalProofViolation) as ei:
         where = "crossing 3 at t = 1/2"
-        _reidentify(K, certificate(f_a), certificate(f_b), f_a.values, where)
+        _reidentify(K, pairs(f_a), pairs(f_b), f_a.values, where)
     assert str(ei.value) == (
         "crossing 3 at t = 1/2: pivot pair ({0}, -) at dim 0 (0, inf) has no "
         "partner with equal values; matched with ({0}, {0,1}) at dim 0 (0, 2)"
@@ -432,3 +430,91 @@ def test_readme_library_example_uses_the_package_root_exports(capsys):
     for name in phstab.__all__:
         assert getattr(phstab, name) is not None
         assert name in readme
+
+
+# the boundary of a triangle: three dim-0 points, listed first, and the
+# dim-1 point of its cycle, listed last
+HOLLOW_TRIANGLE = "0 : 0 1\n1 : 1 0\n2 : 2 2\n0 1 : 3 3\n0 2 : 4 4\n1 2 : 5 6\n"
+
+
+def _hollow_triangle(tmp_path):
+    path = tmp_path / "hollow.txt"
+    path.write_text(HOLLOW_TRIANGLE)
+    return str(path)
+
+
+def _reversed(D0, D1):
+    """Point i of D0 with point n - 1 - i of D1: the first dim-0 point meets
+    the dim-1 point."""
+    n = len(D0.points)
+    return Matching(tuple((i, n - 1 - i) for i in range(n)))
+
+
+def _verify_violation(path, message):
+    status, text = run_command(["verify", path])
+    assert status == 2
+    assert text == "internal consistency failure: " + message
+
+
+def test_cross_dimension_witness_is_a_violation(monkeypatch, tmp_path):
+    path = _hollow_triangle(tmp_path)
+    monkeypatch.setattr(
+        stability,
+        "bottleneck_bijection",
+        lambda D0, D1: (bottleneck_bijection(D0, D1)[0], _reversed(D0, D1)),
+    )
+    _verify_violation(
+        path,
+        "the exact bottleneck witness is not a bijection: "
+        "pair (0, 3) matches dim 0 with dim 1",
+    )
+
+
+def _doctor_track(monkeypatch, edit):
+    """Make the carried point map pass through ``edit`` first."""
+    real = stability._carried_certificates
+
+    def doctored(*args):
+        certificates, track = real(*args)
+        return certificates, edit(track)
+
+    monkeypatch.setattr(stability, "_carried_certificates", doctored)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda track: track[::-1], "pair (0, 3) matches dim 0 with dim 1"),
+        (lambda track: track[:1] + track[:-1], "right index 0 reused or out of range"),
+    ],
+    ids=["cross-dimension", "not-a-bijection"],
+)
+def test_bad_composed_point_map_is_a_violation(monkeypatch, tmp_path, edit, message):
+    path = _hollow_triangle(tmp_path)
+    _doctor_track(monkeypatch, edit)
+    _verify_violation(path, "the composed point map is not a bijection: " + message)
+
+
+def test_carried_order_with_a_repeated_simplex_is_a_violation(monkeypatch, tmp_path):
+    # vertex 3 passes vertices 0, 1 and 2 at t = 1/4, 1/3 and 3/8; then
+    # vertices 0, 1 and 2 tie at t = 1/2.  The order carried into
+    # [3/8, 1/2] is (0, 1, 2, 3); with 2 replaced by a second 0, the values
+    # still do not decrease there, but the pivot pairs use {0} twice
+    K = _vertices(4)
+    f0 = FiltrationFunction(K, (0, 1, 2, -1))
+    f1 = FiltrationFunction(K, (2, 1, 0, 5))
+    real = stability._reverse_tied_runs
+
+    def doctored(K, perm, runs, expected, k, t):
+        real(K, perm, runs, expected, k, t)
+        if k == 2:
+            assert perm == [0, 1, 2, 3]
+            perm[2] = perm[0]
+
+    monkeypatch.setattr(stability, "_reverse_tied_runs", doctored)
+    message = "interval 3 [3/8, 1/2]: simplex {0} is a coordinate of 2 pivot pairs"
+    with pytest.raises(InternalProofViolation, match="^" + re.escape(message) + "$"):
+        verify_stability(K, f0, f1)
+    path = tmp_path / "four.txt"
+    path.write_text("0 : 0 2\n1 : 1 1\n2 : 2 0\n3 : -1 5\n")
+    _verify_violation(str(path), message)
