@@ -86,14 +86,6 @@ class SimplicialComplex:
         """Largest simplex dimension; -1 for the empty complex."""
         return max((s.dim for s in self.simplices), default=-1)
 
-    def position(self, simplex: Simplex | Iterable[int]) -> int:
-        key = simplex.vertices if isinstance(simplex, Simplex) else tuple(sorted(simplex))
-        return self.index[key]
-
-    def __contains__(self, simplex) -> bool:
-        key = simplex.vertices if isinstance(simplex, Simplex) else tuple(sorted(simplex))
-        return key in self.index
-
 
 # ---------------------------------------------------------------------------
 # Validation issues.  Each issue is a small frozen record; validators collect
@@ -207,8 +199,8 @@ class FiltrationFunction:
 
     The constructor is the one place values are coerced and counted: a
     value ``to_fraction`` rejects (non-finite, non-numeric, a bool), a
-    wrong count or values that are not a sequence at all raise
-    InvalidFiltration naming every problem.
+    wrong count or values that are not a sequence at all (a ``str`` or
+    ``bytes`` included) raise InvalidFiltration naming every problem.
     """
 
     complex: SimplicialComplex
@@ -217,6 +209,8 @@ class FiltrationFunction:
     def __post_init__(self):
         K = self.complex
         try:
+            if isinstance(self.values, (str, bytes)):
+                raise TypeError  # one value per character is not meant
             raw = tuple(self.values)
         except TypeError:
             raise InvalidFiltration([NotASequence(self.values)]) from None

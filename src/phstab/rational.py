@@ -10,16 +10,24 @@ value.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 INF = math.inf
+
+# Fraction expands a decimal exponent in full ("1e100000" parses in about
+# 0.01 s, "1e100000000" takes minutes), so to_fraction rejects a larger one
+# first, read as Fraction reads it: e or E, a sign, digits and underscores.
+MAX_EXPONENT = 100_000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 
 
 def to_fraction(value) -> Fraction:
     """Coerce an int, str, float, or Fraction to an exact Fraction.
 
     Strings are parsed as exact decimal literals (``0.25``, ``7e-3``) or as
-    rationals (``3/7``).  Non-finite floats are rejected.
+    rationals (``3/7``).  Non-finite floats, and literals whose decimal
+    exponent exceeds ``MAX_EXPONENT`` in magnitude, are rejected.
     """
     if isinstance(value, Fraction):
         return value
@@ -32,8 +40,15 @@ def to_fraction(value) -> Fraction:
             raise ValueError(f"non-finite value: {value!r}")
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        exponent = ("e" in text or "E" in text) and _EXPONENT.search(text)
+        # int() refuses an exponent past its digit limit, as Fraction would
+        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+            raise ValueError(
+                f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude"
+            )
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {value!r}") from exc
     raise TypeError(f"cannot convert {type(value).__name__} to Fraction")

@@ -5,13 +5,15 @@ crossing times of the two functions.  Inside one interval the simplex order
 is constant, so one order serves both endpoints and its pivot pairs match
 the two endpoint diagrams by identity.  Every simplex is the birth or death
 of exactly one pair, so that matching costs exactly the interval's share of
-the sup-norm: the certificate checks this partition, not a measured cost,
-and holds no diagram.  At a crossing time both adjacent orders give the
-same value multiset, so a zero-cost re-identification of the two pair
-lists exists.  One point map carried through them is an explicit
-bijection between the end diagrams, the only diagrams built, whose cost
-telescopes to at most the sup-norm, which the exact bottleneck distance
-can only undercut.
+the sup-norm: the certificate checks this partition, not a measured cost.
+At a crossing time both adjacent orders give the same value multiset, so a
+zero-cost re-identification of the two pair lists exists.  One point map
+carried through them is an explicit bijection between the end diagrams,
+the only diagrams built, whose cost telescopes to at most the sup-norm,
+which the exact bottleneck distance can only undercut.  Once the next
+crossing has re-identified an interval's pairs nothing reads its order or
+pairs again, so a certificate keeps only its interval and share, and at
+most three pair lists, O(n) each, are held at any time.
 
 The order is carried from interval to interval rather than rebuilt, as in
 the vineyard picture of Cohen-Steiner, Edelsbrunner and Morozov: at a
@@ -19,8 +21,8 @@ crossing only the simplices tied there change places, and their run in the
 order reverses.  Each breakpoint's values are computed once, and each
 interval is checked in O(n) plus one reduction.  The test suite keeps a
 reference that measures each interval on its two diagrams and composes
-the whole chain of matchings; the carried certificates and point map must
-equal it.
+the whole chain of matchings; the order and pairs each interval reduces,
+as recorded by the tests, and the carried point map must equal it.
 
 Every inequality used along the way is checked with exact rational
 arithmetic; a failure raises InternalProofViolation, because no input can
@@ -38,22 +40,21 @@ from .complexes import FiltrationFunction, SimplicialComplex
 from .errors import InternalProofViolation, InvalidMatching
 from .interpolation import CrossingSchedule, crossing_times, interpolate, sup_norm
 from .ordering import total_order
-from .persistence import Diagram, PivotPair, diagram_from_pivots, pivot_pairs
+from .persistence import Diagram, diagram_from_pivots, pivot_pairs
 from .rational import INF, format_value, fraction_string
 
 
 @dataclass(frozen=True)
 class IntervalCertificate:
-    """One interval's worth of the proof: ``order_used``, a tuple of
-    simplex positions, serves both ends, and its pivot pairs, which
-    partition the simplices, match the two endpoint diagrams by identity
-    at exactly ``share``, the interval's share of the sup-norm.
+    """One interval's worth of the proof: one simplex order served both
+    ends and its pivot pairs partitioned the simplices, so they match the
+    two endpoint diagrams by identity at exactly ``share``, the interval's
+    share of the sup-norm.  Both were checked and then dropped: only the
+    re-identification at the next crossing reads them.
     """
 
     t_lo: Fraction
     t_hi: Fraction
-    order_used: tuple[int, ...]
-    pairs: tuple[PivotPair, ...]
     share: Fraction
 
 
@@ -68,7 +69,6 @@ class StabilityReport:
     bottleneck_matching: Matching
     left_diagram: Diagram
     right_diagram: Diagram
-    holds: bool
 
 
 def _simplex_pair(K: SimplicialComplex, i: int, j: "int | None") -> str:
@@ -170,11 +170,13 @@ def _carried_certificates(
     schedule: CrossingSchedule,
     gap: Fraction,
     order0: tuple,
-) -> tuple[list, list]:
+) -> tuple:
     """Certify every interval of ``schedule``, carrying one simplex order.
 
-    Returns the certificates and the carried point map: point i of the
-    first interval's pair list is point ``track[i]`` of the last one's.
+    Returns the certificates, the carried point map (point i of the first
+    interval's pair list is point ``track[i]`` of the last one's), the
+    first and last pair lists and the last order.  Only the current order
+    and the previous pair list are kept from one interval to the next.
     f_t is evaluated once per breakpoint.  The order starts as ``order0``,
     the canonical order of f0 (the order just after t = 0, since f0 is
     untied), and ``_reverse_tied_runs`` carries it across each crossing.
@@ -190,7 +192,6 @@ def _carried_certificates(
     bps = schedule.breakpoints()
     perm = list(order0)
     certificates: list = []
-    track: list = []
     v_lo = f0.values
     for k, (lo, hi) in enumerate(zip(bps, bps[1:])):
         v_hi = interpolate(f0, f1, hi).values
@@ -228,18 +229,17 @@ def _carried_certificates(
         order = tuple(perm)
         pairs = pivot_pairs(K, order)
         _check_partition(K, pairs, where)
-        cert = IntervalCertificate(lo, hi, order, pairs, (hi - lo) * gap)
-        if certificates:
+        if k:
             crossing = f"crossing {k - 1} at t = {fraction_string(lo)}"
-            step = _reidentify(K, certificates[-1].pairs, pairs, v_lo, crossing)
+            step = _reidentify(K, last, pairs, v_lo, crossing)
             track = [step[j] for j in track]
         else:
-            track = list(range(len(pairs)))
-        certificates.append(cert)
+            first, track = pairs, list(range(len(pairs)))
+        certificates.append(IntervalCertificate(lo, hi, (hi - lo) * gap))
         if k < len(schedule):
             _reverse_tied_runs(K, perm, runs, schedule.pairs_at[k], k, hi)
-        v_lo = v_hi
-    return certificates, track
+        last, v_lo = pairs, v_hi
+    return certificates, track, first, last, order
 
 
 def _bijection_cost(D0: Diagram, D1: Diagram, m: Matching, what: str):
@@ -290,19 +290,20 @@ def verify_stability(
     order1 = total_order(K, f1)
     gap = sup_norm(f0, f1)
     schedule = crossing_times(f0, f1)  # raises NonUniqueValues on any tie
-    certificates, track = _carried_certificates(K, f0, f1, schedule, gap, order0)
+    certificates, track, first, last, order = _carried_certificates(
+        K, f0, f1, schedule, gap, order0
+    )
     composed = Matching(tuple(enumerate(track)))
 
     # The carried order starts as the canonical order of f0 and must end as
     # the canonical order of f1 (both untied), so the first and last pair
     # lists are the canonical pairs of f0 and f1.
-    first, last = certificates[0], certificates[-1]
-    if last.order_used != order1:
+    if order != order1:
         raise InternalProofViolation(
             "the order carried to t = 1 is not the canonical order of f1"
         )
-    D0 = diagram_from_pivots(K, f0, first.pairs)
-    D1 = diagram_from_pivots(K, f1, last.pairs)
+    D0 = diagram_from_pivots(K, f0, first)
+    D1 = diagram_from_pivots(K, f1, last)
 
     composed_cost = _bijection_cost(D0, D1, composed, "the composed point map")
     total_link_cost = sum(cert.share for cert in certificates)
@@ -323,7 +324,6 @@ def verify_stability(
             f"exact bottleneck {fraction_string(exact)} exceeds the composed "
             f"matching cost {fraction_string(composed_cost)}"
         )
-    holds = exact <= gap
     return StabilityReport(
         sup_norm_value=gap,
         schedule=schedule,
@@ -334,5 +334,4 @@ def verify_stability(
         bottleneck_matching=witness,
         left_diagram=D0,
         right_diagram=D1,
-        holds=holds,
     )

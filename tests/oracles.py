@@ -12,8 +12,9 @@ integer scaling and no separate sorted matching of essential points.
 
 ``interval_matching`` certifies one interval from scratch (pairwise order
 check, midpoint order, fresh reduction, both endpoint diagrams and the
-measured cost of matching them by pivot identity); every certificate that
-``verify_stability`` carries across crossings must equal it.
+measured cost of matching them by pivot identity); every interval that
+``verify_stability`` carries across crossings, with the order and pairs
+``verify_recording`` records for it, must equal it.
 ``reference_composition`` re-identifies those diagrams at each crossing
 (``breakpoint_matching``) and composes the whole chain of full maps
 (``compose_matchings``); the point map ``verify_stability`` carries must
@@ -29,6 +30,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from unittest import mock
+
+from phstab import stability
 
 from phstab.bottleneck import (
     Matching,
@@ -307,29 +311,51 @@ def reference_composition(refs) -> Matching:
     return compose_matchings(chain)
 
 
-def reference_differences(K, f0, f1, report) -> list[str]:
-    """How ``report`` departs from the from-scratch reference; empty if not.
+def verify_recording(K, f0, f1):
+    """``verify_stability`` and the (order, pivot pairs) of each interval in
+    turn, recorded as it reduces them: it calls ``pivot_pairs`` exactly
+    once per interval and keeps neither in its report."""
+    reduced = []
+    real = stability.pivot_pairs
 
-    Every certificate's order and pivot pairs must equal
-    ``interval_matching``'s, its share must equal both the reference's
-    measured cost and its bound, its pairs evaluated at both ends must give
-    the reference's two diagrams, and the carried point map must equal
-    ``reference_composition``.
+    def recording(K, order):
+        pairs = real(K, order)
+        reduced.append((order, pairs))
+        return pairs
+
+    with mock.patch.object(stability, "pivot_pairs", recording):
+        report = stability.verify_stability(K, f0, f1)
+    return report, reduced
+
+
+def reference_differences(K, f0, f1, report, reduced) -> list[str]:
+    """How ``report`` and the intervals ``verify_recording`` recorded
+    depart from the from-scratch reference; empty if they do not.
+
+    There must be one reduction per certificate.  Each interval's order
+    and pivot pairs must equal ``interval_matching``'s, its share must
+    equal both the reference's measured cost and its bound, its pairs
+    evaluated at both ends must give the reference's two diagrams, and the
+    carried point map must equal ``reference_composition``.
     """
     out = []
+    if len(reduced) != len(report.certificates):
+        out.append(
+            f"{len(reduced)} reductions for {len(report.certificates)} intervals"
+        )
     refs = []
-    for k, cert in enumerate(report.certificates):
+    for k, (cert, (order, pairs)) in enumerate(zip(report.certificates, reduced)):
         ref = interval_matching(K, f0, f1, cert.t_lo, cert.t_hi)
         refs.append(ref)
-        for name in ("order_used", "pairs"):
-            if getattr(cert, name) != getattr(ref, name):
+        for name, got in (("order_used", order), ("pairs", pairs)):
+            if got != getattr(ref, name):
                 out.append(f"interval {k}: {name} differs")
         for name in ("cost", "bound"):
             if cert.share != getattr(ref, name):
                 out.append(f"interval {k}: share differs from the {name}")
         for t, side in ((cert.t_lo, ref.left), (cert.t_hi, ref.right)):
             f_t, at = interpolate(f0, f1, t), fraction_string(t)
-            D = diagram_from_pivots(K, f_t, cert.pairs)
+            D = diagram_from_pivots(K, f_t, pairs)
             if D != side:
                 out.append(f"interval {k}: diagram at t = {at} differs")
     if report.composed_matching != reference_composition(refs):

@@ -39,6 +39,7 @@ from oracles import (
     reference_differences,
     value_grid,
     value_multiset,
+    verify_recording,
 )
 
 CORPUS_SIZE = 500
@@ -53,7 +54,8 @@ def _announce(capsys, num, label, ok, detail):
 
 @pytest.fixture(scope="module")
 def corpus():
-    """500 verified random instances, at most 40 simplices, dimension <= 3."""
+    """500 verified random instances, at most 40 simplices, dimension <= 3,
+    each with its report and the (order, pivot pairs) of every interval."""
     shapes = [(4, 0.65), (5, 0.5), (5, 0.7), (6, 0.4), (6, 0.6), (7, 0.5)]
     out = []
     seed = 0
@@ -64,20 +66,18 @@ def corpus():
         inst = generate_instance(cfg)
         if len(inst.complex) > SIZE_CAP:
             continue
-        report = verify_stability(inst.complex, *inst.functions)
-        out.append((inst, report))
+        out.append((inst, *verify_recording(inst.complex, *inst.functions)))
     return out
 
 
 def test_1_stability_bound_holds_everywhere(corpus, capsys):
     failures = 0
-    for _, report in corpus:
-        chain_ok = (
+    for _, report, _ in corpus:
+        if not (
             report.exact_bottleneck
             <= report.composed_cost
             <= report.sup_norm_value
-        )
-        if not (report.holds and chain_ok):
+        ):
             failures += 1
     _announce(
         capsys,
@@ -91,7 +91,7 @@ def test_1_stability_bound_holds_everywhere(corpus, capsys):
 def test_2_interval_certificates_stay_within_their_share(corpus, capsys):
     intervals = 0
     failures = 0
-    for inst, report in corpus:
+    for inst, report, _ in corpus:
         f0, f1 = inst.functions
         gap = sup_norm(f0, f1)
         for cert in report.certificates:
@@ -109,7 +109,7 @@ def test_2_interval_certificates_stay_within_their_share(corpus, capsys):
 
 def test_3_schedules_are_small_and_midpoints_untied(corpus, capsys):
     failures = 0
-    for inst, report in corpus:
+    for inst, report, _ in corpus:
         n = len(inst.complex)
         if len(report.schedule.times) > n * (n - 1) // 2:
             failures += 1
@@ -131,10 +131,13 @@ def test_3_schedules_are_small_and_midpoints_untied(corpus, capsys):
 
 def test_carried_certificates_equal_the_from_scratch_reference(corpus):
     """verify_stability carries one order and one point map across
-    crossings; its certificates, the diagrams their pair lists give at both
-    ends and its composed matching must equal the from-scratch reference."""
-    for inst, report in corpus:
-        differences = reference_differences(inst.complex, *inst.functions, report)
+    crossings; each interval's order and pivot pairs, the diagrams those
+    pairs give at both ends, its share and the composed matching must equal
+    the from-scratch reference."""
+    for inst, report, reduced in corpus:
+        differences = reference_differences(
+            inst.complex, *inst.functions, report, reduced
+        )
         assert not differences, f"{format_instance(inst)}{'; '.join(differences)}"
 
 
@@ -167,7 +170,7 @@ def test_4_point_counts_depend_only_on_the_complex(capsys):
 def test_5_diagonal_matching_never_costs_more(corpus, capsys):
     pairs = 0
     failures = 0
-    for _, report in corpus:
+    for _, report, _ in corpus:
         D0, D1 = report.left_diagram, report.right_diagram
         d_diag, _ = bottleneck_diagonal(D0, D1)
         pairs += 1
@@ -272,7 +275,7 @@ def test_7_independent_oracles_agree(capsys):
 def test_8_everything_is_deterministic(corpus, capsys, tmp_path, cli_env):
     stable = True
     # pair lists: recompute from scratch on a corpus slice
-    for inst, _ in corpus[:20]:
+    for inst, _, _ in corpus[:20]:
         order = total_order(inst.complex, inst.functions[0])
         if pivot_pairs(inst.complex, order) != pivot_pairs(inst.complex, order):
             stable = False
@@ -323,7 +326,7 @@ def test_9_tiny_perturbations_move_diagrams_no_farther(capsys):
                 continue
             report = verify_stability(K, f0, f1)
             checked += 1
-            if report.exact_bottleneck > eps or not report.holds:
+            if report.exact_bottleneck > eps:
                 failures += 1
     _announce(
         capsys,

@@ -52,10 +52,10 @@ def test_validate_complex_accepts_and_preserves_order():
     assert [s.vertices for s in K.simplices] == [tuple(t) for t in TRIANGLE]
     assert K.dim == 2
     assert len(K) == 7
-    assert K.position((1, 0)) == 3
-    assert (2, 1) in K
-    assert (3,) not in K
-    assert Simplex((0, 2)) in K
+    assert K.index[(0, 1)] == 3
+    assert (1, 2) in K.index
+    assert (3,) not in K.index
+    assert Simplex((2, 0)).vertices in K.index
 
 
 def test_validate_complex_collects_every_issue():
@@ -76,7 +76,7 @@ def test_validate_complex_rejects_malformed_entries():
 
 def test_facet_positions():
     K = validate_complex(TRIANGLE)
-    tri = K.position((0, 1, 2))
+    tri = K.index[(0, 1, 2)]
     assert sorted(K.facet_positions[tri]) == [3, 4, 5]
     assert K.facet_positions[0] == ()
 
@@ -96,7 +96,8 @@ def test_filtration_function_size_mismatch():
     assert str(ei.value) == "expected 2 values, got 1"
 
 
-@pytest.mark.parametrize("values", [None, 5])
+# text is not read one value per character, even when the length fits
+@pytest.mark.parametrize("values", [None, 5, "01", b"01"])
 def test_filtration_function_rejects_values_that_are_not_a_sequence(values):
     K = validate_complex([(0,), (1,)])
     with pytest.raises(InvalidFiltration) as ei:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,19 @@ def test_only_line_feeds_and_carriage_returns_end_a_line(tmp_path, mark):
         1,
         f"error: {path}: line 3: unreadable value 'x'",
     )
+
+
+@pytest.mark.parametrize("literal", ["1e100000000", "1e9999999999"])
+def test_a_huge_exponent_is_rejected_at_once(tmp_path, literal):
+    # Fraction alone would expand the exponent for minutes
+    path = tmp_path / "huge.txt"
+    path.write_text(f"0 : 0 1\n1 : {literal} 2\n")
+    start = time.perf_counter()
+    assert run_command(["validate", str(path)]) == (
+        1,
+        f"error: {path}: line 2: unreadable value '{literal}'",
+    )
+    assert time.perf_counter() - start < 1
 
 
 def test_lines_end_at_lf_cr_and_crlf(tmp_path):

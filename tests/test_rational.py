@@ -6,6 +6,7 @@ import pytest
 
 from phstab.rational import (
     INF,
+    MAX_EXPONENT,
     approx_string,
     common_denominator,
     common_numerators,
@@ -44,6 +45,24 @@ def test_to_fraction_rejects_junk():
         to_fraction(True)
     with pytest.raises(TypeError):
         to_fraction(None)
+
+
+def test_to_fraction_bounds_the_decimal_exponent():
+    # exponents are read as Fraction reads them: e or E, a sign, underscores
+    assert to_fraction("1e1_0") == 10**10
+    assert to_fraction("2E-3") == Fraction(1, 500)
+    assert to_fraction(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
+    assert to_fraction(f"1e-{MAX_EXPONENT}") == Fraction(1, 10**MAX_EXPONENT)
+    for text in (
+        f"1e{MAX_EXPONENT + 1}",
+        f"1E-{MAX_EXPONENT + 1}",
+        "1e100000000",
+        "1e9999999999",
+        "5e+1_000_000",
+        "1e" + "9" * 5000,  # past int()'s digit limit, as for Fraction
+    ):
+        with pytest.raises(ValueError):
+            to_fraction(text)
 
 
 def test_is_terminating():

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from oracles import (
     interval_matching,
     random_compatible_order,
     reference_differences,
+    verify_recording,
 )
 
 EDGE = [(0,), (1,), (0, 1)]
@@ -105,7 +107,6 @@ def test_verify_stability_single_crossing():
     f0 = FiltrationFunction(K, (0, 1, 2))
     f1 = FiltrationFunction(K, (1, Fraction(1, 4), 2))
     report = verify_stability(K, f0, f1)
-    assert report.holds
     assert report.sup_norm_value == 1
     assert report.schedule.times == (Fraction(4, 7),)
     assert len(report.certificates) == 2
@@ -127,7 +128,6 @@ def test_verify_stability_shift_by_constant():
     assert report.schedule.times == ()
     assert report.composed_cost == c
     assert report.exact_bottleneck <= c
-    assert report.holds
 
 
 def test_verify_stability_identical_functions():
@@ -160,7 +160,6 @@ def test_verify_stability_random_instances():
     for seed in range(20):
         inst = generate_instance(GeneratorConfig(seed=seed, num_vertices=5))
         report = verify_stability(inst.complex, *inst.functions)
-        assert report.holds
         assert report.exact_bottleneck <= report.composed_cost
         assert report.composed_cost <= report.sup_norm_value
         for cert in report.certificates:
@@ -174,12 +173,39 @@ def test_verify_stability_random_instances():
         )
 
 
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_memory_does_not_grow_with_crossings_times_simplices():
+    """Certificates keep no order or pair list, so verify's peak stays within
+    a small multiple of the crossing schedule's own: about 2x here, while
+    keeping both for every interval costs about 14x."""
+    inst = generate_instance(
+        GeneratorConfig(seed=3, num_vertices=10, fill_prob=0.5, max_dimension=2)
+    )
+    K, f0, f1 = inst.complex, *inst.functions
+    schedule = _peak_bytes(lambda: crossing_times(f0, f1))
+    verify = _peak_bytes(lambda: verify_stability(K, f0, f1))
+    assert (len(K), len(crossing_times(f0, f1))) == (38, 205)
+    assert verify < 5 * schedule
+
+
 def _vertices(n):
     return validate_complex([(v,) for v in range(n)])
 
 
-def _same_as_reference(K, f0, f1, report):
-    assert reference_differences(K, f0, f1, report) == []
+def _verified_as_reference(K, f0, f1):
+    """The report, and the orders verify reduced, one per interval, after
+    checking both against the from-scratch reference."""
+    report, reduced = verify_recording(K, f0, f1)
+    assert reference_differences(K, f0, f1, report, reduced) == []
+    return report, [order for order, _ in reduced]
 
 
 def test_three_way_tie_reverses_its_run():
@@ -187,26 +213,20 @@ def test_three_way_tie_reverses_its_run():
     K = _vertices(3)
     f0 = FiltrationFunction(K, (0, 1, 2))
     f1 = FiltrationFunction(K, (2, 1, 0))
-    report = verify_stability(K, f0, f1)
+    report, orders = _verified_as_reference(K, f0, f1)
     assert report.schedule.times == (Fraction(1, 2),)
     assert report.schedule.pairs_at == (((0, 1), (0, 2), (1, 2)),)
-    first, second = report.certificates
-    assert first.order_used == (0, 1, 2)
-    assert second.order_used == (2, 1, 0)
-    _same_as_reference(K, f0, f1, report)
-    assert report.holds
+    assert orders == [(0, 1, 2), (2, 1, 0)]
 
 
 def test_two_disjoint_pairs_swap_at_one_time():
     K = _vertices(4)
     f0 = FiltrationFunction(K, (0, 1, 10, 11))
     f1 = FiltrationFunction(K, (1, 0, 11, 10))
-    report = verify_stability(K, f0, f1)
+    report, orders = _verified_as_reference(K, f0, f1)
     assert report.schedule.times == (Fraction(1, 2),)
     assert report.schedule.pairs_at == (((0, 1), (2, 3)),)
-    assert report.certificates[1].order_used == (1, 0, 3, 2)
-    _same_as_reference(K, f0, f1, report)
-    assert report.holds
+    assert orders[1] == (1, 0, 3, 2)
 
 
 def test_three_way_tie_can_rotate_the_point_map():
@@ -217,12 +237,11 @@ def test_three_way_tie_can_rotate_the_point_map():
     K = validate_complex(simplices)
     f0 = FiltrationFunction(K, (1, 130, 83, 36, 85, 38, 135, 136, 137))
     f1 = FiltrationFunction(K, (129, 130, 131, 132, 133, 134, 135, 136, 137))
-    report = verify_stability(K, f0, f1)
+    report, _ = _verified_as_reference(K, f0, f1)
     assert report.schedule.times[-1] == Fraction(47, 48)
     assert report.composed_matching.pairs == (
         (0, 0), (1, 2), (2, 3), (3, 1), (4, 4)
     )
-    _same_as_reference(K, f0, f1, report)
 
 
 def _doctor_schedule(monkeypatch, schedule):
@@ -269,6 +288,24 @@ def test_interior_tie_is_a_violation_naming_interval_t_and_pair(monkeypatch):
     message = str(ei.value)
     assert "interval 0 [0, 1]" in message and "t = 1/2" in message
     assert "({0}, {1})" in message
+
+
+def test_carried_order_that_misses_the_end_order_is_a_violation(monkeypatch):
+    # f1's canonical order doctored to (1, 0): the carried order ends at (0, 1)
+    K = _vertices(2)
+    f0 = FiltrationFunction(K, (0, 1))
+    f1 = FiltrationFunction(K, (0, 2))
+    real = stability.total_order
+    monkeypatch.setattr(
+        stability,
+        "total_order",
+        lambda K, f: real(K, f)[::-1] if f is f1 else real(K, f),
+    )
+    with pytest.raises(
+        InternalProofViolation,
+        match="^the order carried to t = 1 is not the canonical order of f1$",
+    ):
+        verify_stability(K, f0, f1)
 
 
 def _break_partition(monkeypatch, edit):
@@ -417,7 +454,8 @@ def test_readme_library_example_uses_the_package_root_exports(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
     exec(compile(block, "README.md", "exec"), {})
-    assert capsys.readouterr().out.splitlines()[2] == "True"
+    # sup-norm and exact distance, as the block's comments describe them
+    assert capsys.readouterr().out.splitlines()[:2] == ["1", "1/4"]
     assert set(phstab.__all__) == {
         "FiltrationFunction",
         "InternalProofViolation",
@@ -475,8 +513,8 @@ def _doctor_track(monkeypatch, edit):
     real = stability._carried_certificates
 
     def doctored(*args):
-        certificates, track = real(*args)
-        return certificates, edit(track)
+        certificates, track, *ends = real(*args)
+        return certificates, edit(track), *ends
 
     monkeypatch.setattr(stability, "_carried_certificates", doctored)
 
