@@ -10,17 +10,19 @@ its diagonal projection.
 Both variants split each dimension in two.  An essential point can only
 match an essential point, so the essential points form a problem on a line:
 equal counts are paired in sorted order, unequal counts cost +inf.  The
-finite points go to one exact core.  It takes a square cost matrix, ranks
-its distinct finite costs and binary-searches the smallest rank at which
-the entries within it admit a perfect matching, found by iterative
-augmenting paths.  The bijection variant passes the matrix of pair costs;
-the diagonal variant passes the bijection problem on augmented diagrams
-(Efrat, Itai and Katz 2001; Kerber, Morozov and Nigmetov 2017), where each
-point gains a diagonal partner on the other side.  All costs are ints: the
-births and deaths of both diagrams over one shared denominator, so the
-matcher sorts and compares ints, and the chosen cost becomes a Fraction
-once.  The public ``pair_cost``, ``diagonal_cost`` and ``matching_cost``
-stay in Fractions for the callers that re-check a matching.
+finite points go to one exact core.  It takes a square bipartite graph as
+rows of (column, cost) edges and binary-searches its sorted distinct costs
+for the smallest one whose edges, those costing at most it, admit a
+perfect matching, found by iterative augmenting paths (Efrat, Itai and
+Katz 2001).  The bijection variant passes an edge for every pair of
+points.  The diagonal variant passes the bijection problem on augmented
+diagrams (Kerber, Morozov and Nigmetov 2017), where each point gains a
+diagonal partner on the other side, with only the edges that exist.  All
+costs are ints: the births and deaths of both diagrams over one shared
+denominator, so the matcher sorts and compares ints, and the chosen cost
+becomes a Fraction once.  The public ``pair_cost``, ``diagonal_cost`` and
+``matching_cost`` stay in Fractions for the callers that re-check a
+matching.
 """
 
 from __future__ import annotations
@@ -47,9 +49,6 @@ class Matching:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 def pair_cost(p: DiagramPoint, q: DiagramPoint):
@@ -153,30 +152,27 @@ def _perfect_matching(adjacency: list[list[int]]) -> "list[int] | None":
     return match
 
 
-def _min_max_matching(costs: list[list]):
-    """Exact min over perfect matchings of the max entry, with witness.
+def _min_max_matching(rows: list[list]):
+    """Exact min over perfect matchings of the max edge cost, with witness.
 
-    ``costs`` is a non-empty square matrix of rationals and INF.  Each
-    finite cost is replaced by its rank among the distinct finite costs,
-    and the smallest rank that admits a perfect matching on the entries of
-    at most that rank is found by binary search.  Returns (cost, pairs)
-    with pairs (row, column) sorted by row; cost is INF when no finite
-    perfect matching exists, and the witness is then the identity.
+    ``rows`` is a non-empty square bipartite graph: ``rows[u]`` lists the
+    edges of left vertex u as (column, cost) pairs in column order, costs
+    rationals; a missing edge cannot be used.  The smallest of the sorted
+    distinct costs whose edges, those costing at most it, admit a perfect
+    matching is found by binary search.  Returns (cost, pairs) with pairs
+    (row, column) sorted by row; cost is INF when no perfect matching
+    exists, and the witness is then the identity.
     """
-    candidates = sorted({c for row in costs for c in row if c != INF})
-    rank = {c: k for k, c in enumerate(candidates)}
-    rank[INF] = len(candidates)  # above every rank probed
-    ranks = [[rank[c] for c in row] for row in costs]
+    candidates = sorted({c for row in rows for _, c in row})
 
-    def matching_at(r):
-        return _perfect_matching(
-            [[j for j, k in enumerate(row) if k <= r] for row in ranks]
-        )
+    def matching_at(k):
+        limit = candidates[k]
+        return _perfect_matching([[v for v, c in row if c <= limit] for row in rows])
 
     lo, hi = 0, len(candidates) - 1
     best = matching_at(hi) if candidates else None
     if best is None:
-        return INF, [(i, i) for i in range(len(costs))]
+        return INF, [(i, i) for i in range(len(rows))]
     while lo < hi:
         mid = (lo + hi) // 2
         found = matching_at(mid)
@@ -263,23 +259,26 @@ def _min_max_by_dim(D0: Diagram, D1: Diagram, require_equal: bool, match_finite)
     return (INF if worst == INF else Fraction(worst, q)), Matching(tuple(pairs))
 
 
+def _pair_rows(pts0, pts1):
+    """Row i: (j, cost of matching point i of pts0 with point j of pts1)."""
+    return [
+        [(j, max(abs(b0 - b1), abs(d0 - d1))) for j, (b1, d1) in enumerate(pts1)]
+        for b0, d0 in pts0
+    ]
+
+
 def _pair_cost_matching(pts0, pts1):
-    return _min_max_matching(
-        [[max(abs(b0 - b1), abs(d0 - d1)) for b1, d1 in pts1] for b0, d0 in pts0]
-    )
+    return _min_max_matching(_pair_rows(pts0, pts1))
 
 
 def _augmented_matching(pts0, pts1):
     n0, n1 = len(pts0), len(pts1)
-    costs = [
-        [max(abs(b - b1), abs(d - d1)) for b1, d1 in pts1]
-        + [(d - b) // 2 if k == i else INF for k in range(n0)]
-        for i, (b, d) in enumerate(pts0)
-    ] + [
-        [(d - b) // 2 if k == j else INF for k in range(n1)] + [0] * n0
-        for j, (b, d) in enumerate(pts1)
-    ]
-    cost, local = _min_max_matching(costs)
+    rows = _pair_rows(pts0, pts1)
+    for i, (b, d) in enumerate(pts0):
+        rows[i].append((n1 + i, (d - b) // 2))
+    partners = [(n1 + k, 0) for k in range(n0)]
+    rows += [[(j, (d - b) // 2)] + partners for j, (b, d) in enumerate(pts1)]
+    cost, local = _min_max_matching(rows)
     return cost, [
         (a if a < n0 else None, b if b < n1 else None)
         for a, b in local
@@ -293,7 +292,7 @@ def bottleneck_bijection(D0: Diagram, D1: Diagram):
     Requires equal per-dimension point counts (always true for diagrams of
     the same complex); returns (cost, witness matching) with the witness
     achieving the cost exactly, sorted by left index.  The finite points
-    of each dimension go to the core as their matrix of pair costs.
+    of each dimension go to the core with an edge for every pair.
     """
     return _min_max_by_dim(D0, D1, True, _pair_cost_matching)
 
@@ -306,7 +305,7 @@ def bottleneck_diagonal(D0: Diagram, D1: Diagram):
     by one diagonal partner per point of D1, columns the n1 points of D1
     followed by one partner per point of D0.  Real points pay the pair
     cost, a point reaches its own partner at half its lifetime, partners
-    match each other for free, and every other entry is INF.  Point counts
+    match each other for free, and there are no other edges.  Point counts
     may differ; the diagonal absorbs any finite surplus.  Returns (cost,
     witness matching) like ``bottleneck_bijection``, with (i, None) and
     (None, j) for points sent to the diagonal; entries are sorted by left

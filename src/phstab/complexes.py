@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DomainMismatch, InvalidComplex, InvalidFiltration
 from .rational import fraction_string, to_fraction
@@ -64,9 +64,6 @@ class SimplicialComplex:
 
     def __len__(self) -> int:
         return len(self.simplices)
-
-    def __iter__(self) -> Iterator[Simplex]:
-        return iter(self.simplices)
 
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
@@ -227,9 +224,6 @@ class FiltrationFunction:
                     bad.append(NonFiniteValue(s, v))
             raise InvalidFiltration(bad) from None
         object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def validate_filtration(K: SimplicialComplex, f: FiltrationFunction) -> tuple:

@@ -26,7 +26,7 @@ from .complexes import (
     validate_complex,
 )
 from .errors import InvalidComplex, ParseError
-from .rational import format_value, to_fraction
+from .rational import ExponentTooLarge, format_value, to_fraction
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,9 @@ def parse_instance_text(text: str, path: "str | None" = None) -> InstanceFile:
         for tok in value_tokens:
             try:
                 values.append(to_fraction(tok))
-            except (ValueError, ZeroDivisionError):
-                problems.append((line_no, f"unreadable value {tok!r}"))
+            except (ValueError, ZeroDivisionError) as exc:
+                why = f": {exc}" if isinstance(exc, ExponentTooLarge) else ""
+                problems.append((line_no, f"unreadable value {tok!r}{why}"))
                 bad = True
         if bad:
             continue

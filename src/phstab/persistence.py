@@ -54,9 +54,6 @@ class Diagram:
 
     points: tuple[DiagramPoint, ...]
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def points_in_dim(self, dim: int) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.points) if p.dim == dim)
 
@@ -67,9 +64,9 @@ def pivot_pairs(K: SimplicialComplex, order: tuple) -> tuple[PivotPair, ...]:
     ``order`` lists simplex positions, earliest first.  Rows and columns
     are order positions: column j holds the order positions of the
     codimension-1 faces of the simplex ``order[j]``.  The list
-    contains one PivotPair per diagram point: paired simplices first,
-    essentials with death None, all sorted by the order position of the
-    birth simplex.  It depends on K and the order only, not on values.
+    contains one PivotPair per diagram point, essentials with death None,
+    in the order of the birth simplices, as one scan over the reduced
+    columns finds them.  It depends on K and the order only, not on values.
     """
     pos = [0] * len(order)  # complex position -> order position
     for j, c in enumerate(order):
@@ -84,12 +81,12 @@ def pivot_pairs(K: SimplicialComplex, order: tuple) -> tuple[PivotPair, ...]:
                 owner[low] = j
                 break
             col ^= cols[k]
-    # (birth order position, death order position or None)
-    births = list(owner.items())
-    births += [(i, None) for i, col in enumerate(cols) if not col and i not in owner]
-    births.sort(key=lambda t: t[0])
+    # A column ends up empty exactly when its simplex gives birth, the
+    # pivot rows' own columns included (pairing lemma).
     return tuple(
-        PivotPair(order[b], order[d] if d is not None else None) for b, d in births
+        PivotPair(order[i], order[owner[i]] if i in owner else None)
+        for i, col in enumerate(cols)
+        if not col
     )
 
 

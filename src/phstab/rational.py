@@ -22,6 +22,10 @@ MAX_EXPONENT = 100_000
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 
 
+class ExponentTooLarge(ValueError):
+    """A decimal literal whose exponent exceeds ``MAX_EXPONENT`` in magnitude."""
+
+
 def to_fraction(value) -> Fraction:
     """Coerce an int, str, float, or Fraction to an exact Fraction.
 
@@ -44,9 +48,7 @@ def to_fraction(value) -> Fraction:
         exponent = ("e" in text or "E" in text) and _EXPONENT.search(text)
         # int() refuses an exponent past its digit limit, as Fraction would
         if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
-            raise ValueError(
-                f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude"
-            )
+            raise ExponentTooLarge(f"exponent exceeds {MAX_EXPONENT} in magnitude")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -73,13 +75,23 @@ def common_numerators(*columns, scale: "int | None" = None) -> list[list[int]]:
     return [[x.numerator * (scale // x.denominator) for x in col] for col in columns]
 
 
-def is_terminating(x: Fraction) -> bool:
-    """True iff x has a finite decimal expansion (denominator 2^a * 5^b)."""
+def _decimal_places(x: Fraction) -> "int | None":
+    """Digits after the point in x's finite decimal expansion, or None if
+    it has none (its denominator is not 2^a * 5^b)."""
     d = x.denominator
+    places = 0
     for p in (2, 5):
+        k = 0
         while d % p == 0:
             d //= p
-    return d == 1
+            k += 1
+        places = max(places, k)
+    return places if d == 1 else None
+
+
+def is_terminating(x: Fraction) -> bool:
+    """True iff x has a finite decimal expansion (denominator 2^a * 5^b)."""
+    return _decimal_places(x) is not None
 
 
 # Below 2000 bits (602 digits) str(int) is safe: the interpreter's int -> str
@@ -112,26 +124,22 @@ def fraction_string(x) -> str:
     return f"{int_string(x.numerator)}/{int_string(x.denominator)}"
 
 
+def _decimal(x: Fraction, places: int) -> str:
+    """x, which has ``places`` digits after the point, written out."""
+    sign = "-" if x < 0 else ""
+    scaled = abs(x.numerator) * 10**places // x.denominator
+    if places == 0:
+        return f"{sign}{int_string(scaled)}"
+    whole, frac = divmod(scaled, 10**places)
+    return f"{sign}{int_string(whole)}.{int_string(frac).zfill(places)}"
+
+
 def decimal_string(x: Fraction) -> str:
     """Exact decimal expansion of a terminating rational, no trailing zeros."""
-    if not is_terminating(x):
+    places = _decimal_places(x)
+    if places is None:
         raise ValueError(f"{fraction_string(x)} has no finite decimal expansion")
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    d = x.denominator
-    two = five = 0
-    while d % 2 == 0:
-        d //= 2
-        two += 1
-    while d % 5 == 0:
-        d //= 5
-        five += 1
-    k = max(two, five)
-    scaled = x.numerator * 10**k // x.denominator
-    if k == 0:
-        return f"{sign}{int_string(scaled)}"
-    whole, frac = divmod(scaled, 10**k)
-    return f"{sign}{int_string(whole)}.{int_string(frac).zfill(k)}"
+    return _decimal(x, places)
 
 
 def format_value(x) -> str:
@@ -140,9 +148,8 @@ def format_value(x) -> str:
     if x == INF:
         return "inf"
     x = to_fraction(x)
-    if is_terminating(x):
-        return decimal_string(x)
-    return fraction_string(x)
+    places = _decimal_places(x)
+    return fraction_string(x) if places is None else _decimal(x, places)
 
 
 def approx_string(x, digits: int = 6) -> str:

@@ -7,13 +7,15 @@ the two endpoint diagrams by identity.  Every simplex is the birth or death
 of exactly one pair, so that matching costs exactly the interval's share of
 the sup-norm: the certificate checks this partition, not a measured cost.
 At a crossing time both adjacent orders give the same value multiset, so a
-zero-cost re-identification of the two pair lists exists.  One point map
-carried through them is an explicit bijection between the end diagrams,
-the only diagrams built, whose cost telescopes to at most the sup-norm,
-which the exact bottleneck distance can only undercut.  Once the next
-crossing has re-identified an interval's pairs nothing reads its order or
-pairs again, so a certificate keeps only its interval and share, and at
-most three pair lists, O(n) each, are held at any time.
+zero-cost re-identification of the two pair lists exists: each point takes
+the next unused equal point of the other list.  One point map carried
+through them is an explicit bijection between the end diagrams, the only
+diagrams built.  The interval shares add up to the sup-norm by
+construction, so that bijection costs at most the sup-norm, which the
+exact bottleneck distance can only undercut.  Once the next crossing has
+re-identified an interval's pairs nothing reads its order or pairs again,
+so a certificate keeps only its interval and share, and at most three pair
+lists, O(n) each, are held at any time.
 
 The order is carried from interval to interval rather than rebuilt, as in
 the vineyard picture of Cohen-Steiner, Edelsbrunner and Morozov: at a
@@ -130,36 +132,35 @@ def _reidentify(
     """Zero-cost re-identification of two pair lists at one crossing.
 
     Both orders serve f at the crossing (``values``), so both lists give
-    one diagram.  Each is sorted stably by (dimension, birth value, death
-    value), which keeps equal points in the list's own order, by birth
-    position, and matched in that order.  Returns the map from ``left``'s
-    pair indices to ``right``'s; unequal matched values would falsify
-    order-invariance, an InternalProofViolation.
+    one diagram.  The pairs of ``right`` go into buckets keyed by
+    (dimension, birth value, death value), in list order, and each pair of
+    ``left`` in turn takes the first unused index of its bucket, so equal
+    points are matched in list order, by birth position.  Returns the map
+    from ``left``'s pair indices to ``right``'s; a pair with no equal
+    partner would falsify order-invariance, an InternalProofViolation.
     """
     def point(pv):
         death = values[pv.death] if pv.death is not None else INF
         return K.simplices[pv.birth].dim, values[pv.birth], death
 
-    def ranked(pairs):
-        return sorted(range(len(pairs)), key=lambda i: point(pairs[i]))
-
     if len(left) != len(right):
         raise InternalProofViolation(
             f"{where}: {len(left)} pivot pairs before vs {len(right)} after"
         )
-    step = [0] * len(left)
-    for i, j in zip(ranked(left), ranked(right)):
-        p, q = left[i], right[j]
-        if point(p) != point(q):
-            (d, b, dth), (e, c, eth) = point(p), point(q)
+    unused: dict = {}  # point -> indices of right with it, last first
+    for j in range(len(right) - 1, -1, -1):
+        unused.setdefault(point(right[j]), []).append(j)
+    step = []
+    for p in left:
+        d, b, dth = key = point(p)
+        bucket = unused.get(key)
+        if not bucket:
             raise InternalProofViolation(
                 f"{where}: pivot pair {_simplex_pair(K, p.birth, p.death)} at "
                 f"dim {d} ({format_value(b)}, {format_value(dth)}) has no "
-                f"partner with equal values; matched with "
-                f"{_simplex_pair(K, q.birth, q.death)} at dim {e} "
-                f"({format_value(c)}, {format_value(eth)})"
+                "partner with equal values"
             )
-        step[i] = j
+        step.append(bucket.pop())
     return step
 
 
@@ -256,7 +257,7 @@ def _check_witness(
 ) -> None:
     """Re-check in rationals that ``witness`` is a bijection costing ``exact``.
 
-    The matcher ranks scaled ints; this O(n) pass with the Fraction pair
+    The matcher compares scaled ints; this O(n) pass with the Fraction pair
     costs confirms its answer.
     """
     cost = _bijection_cost(D0, D1, witness, "the exact bottleneck witness")
@@ -282,9 +283,8 @@ def verify_stability(
     Produces per-interval certificates, the end-to-end bijection carried
     through the zero-cost re-identifications at the crossings, and the
     exact bottleneck distance.  Checked in exact rationals: each interval's
-    pivot pairs partition the simplices, the composed cost is at most the
-    sum of the interval shares and that at most the sup-norm, and the exact
-    distance is its witness's cost and at most the composed cost.
+    pivot pairs partition the simplices, exact <= composed <= sup-norm, and
+    the exact distance is its witness's cost.
     """
     order0 = total_order(K, f0)  # each validates its function, f0 first
     order1 = total_order(K, f1)
@@ -306,15 +306,11 @@ def verify_stability(
     D1 = diagram_from_pivots(K, f1, last)
 
     composed_cost = _bijection_cost(D0, D1, composed, "the composed point map")
-    total_link_cost = sum(cert.share for cert in certificates)
-    if composed_cost > total_link_cost:
+    # The shares telescope to (1 - 0) * gap, so composing the intervals'
+    # matchings costs at most the sup-norm.
+    if composed_cost > gap:
         raise InternalProofViolation(
             f"composed cost {fraction_string(composed_cost)} exceeds the "
-            f"telescoped sum {fraction_string(total_link_cost)}"
-        )
-    if total_link_cost > gap:
-        raise InternalProofViolation(
-            f"telescoped sum {fraction_string(total_link_cost)} exceeds the "
             f"sup-norm {fraction_string(gap)}"
         )
     exact, witness = bottleneck_bijection(D0, D1)

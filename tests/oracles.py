@@ -617,7 +617,8 @@ def fraction_matrix_bottleneck(D0, D1, diagonal=False):
     matrix for the bijection variant, or for the diagonal variant the
     augmented matrix, where a point reaches its own diagonal partner at
     ``diagonal_cost``, partners match each other for free and every other
-    entry is infinite.
+    entry is infinite.  The core takes the finite entries of each row as
+    its edges.
     """
     worst = 0
     for _, idx0, idx1 in _split_by_dim(D0, D1, require_equal=not diagonal):
@@ -636,6 +637,7 @@ def fraction_matrix_bottleneck(D0, D1, diagonal=False):
             ]
         else:
             costs = [[pair_cost(p, q) for q in pts1] for p in pts0]
-        cost, _ = _min_max_matching(costs)
+        rows = [[(j, c) for j, c in enumerate(row) if c != math.inf] for row in costs]
+        cost, _ = _min_max_matching(rows)
         worst = max(worst, cost)
     return worst

@@ -2,11 +2,20 @@ import random
 import re
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from phstab.bottleneck import (
+    bottleneck_bijection,
+    bottleneck_diagonal,
+    diagonal_cost,
+    pair_cost,
+)
 from phstab.cli import run_command
+from phstab.instances import parse_instance
+from phstab.persistence import diagram
 
 EDGE_TWO = "0 : 0 1\n1 : 1 0.25\n0 1 : 2 2\n"
 EDGE_ONE = "0 : 0\n1 : 1\n0 1 : 2\n"
@@ -97,6 +106,97 @@ def test_bottleneck_diagonal_matching(tmp_path):
         "0 (0, inf) -> (0, inf)",
         "0 diagonal -> (2, 4)",
     ]
+
+
+# ``gen --seed 4 --vertices 5``: finite points in dimensions 0 and 1, and
+# in each dimension more than one matching reaches the witness's cost
+WITNESS = """\
+0 : 2.765625 2.515625
+1 : 2.03125 3.03125
+2 : 1.296875 4.046875
+3 : 0.8125 1.8125
+4 : 2.078125 1.328125
+0 1 : 2.84375 3.09375
+0 2 : 2.859375 4.109375
+0 3 : 2.875 2.625
+0 4 : 2.890625 2.640625
+1 2 : 2.15625 4.15625
+1 3 : 2.171875 3.171875
+3 4 : 2.4375 2.4375
+0 1 2 : 2.953125 4.203125
+0 1 3 : 2.96875 4.21875
+0 3 4 : 2.984375 2.734375
+"""
+
+WITNESS_BIJECTION = """\
+distance 1.28125
+0 (0.8125, inf) -> (1.328125, inf)
+0 (1.296875, 2.171875) -> (2.515625, 2.625)
+0 (2.03125, 2.15625) -> (3.03125, 3.09375)
+0 (2.078125, 2.4375) -> (1.8125, 2.4375)
+0 (2.765625, 2.84375) -> (4.046875, 4.109375)
+1 (2.859375, 2.953125) -> (3.171875, 4.21875)
+1 (2.875, 2.96875) -> (2.640625, 2.734375)
+1 (2.890625, 2.984375) -> (4.15625, 4.203125)"""
+
+WITNESS_DIAGONAL = """\
+distance 0.5234375
+0 (0.8125, inf) -> (1.328125, inf)
+0 (1.296875, 2.171875) -> diagonal
+0 (2.03125, 2.15625) -> (1.8125, 2.4375)
+0 (2.078125, 2.4375) -> diagonal
+0 (2.765625, 2.84375) -> (2.515625, 2.625)
+1 (2.859375, 2.953125) -> diagonal
+1 (2.875, 2.96875) -> diagonal
+1 (2.890625, 2.984375) -> diagonal
+1 diagonal -> (2.640625, 2.734375)
+0 diagonal -> (3.03125, 3.09375)
+1 diagonal -> (3.171875, 4.21875)
+0 diagonal -> (4.046875, 4.109375)
+1 diagonal -> (4.15625, 4.203125)"""
+
+
+def _tied_swaps(D0, D1, matching):
+    """Per dimension of finite points: how many ways of swapping the
+    partners of two entries keep that dimension's cost."""
+
+    def cost(i, j):
+        if i is None:
+            return diagonal_cost(D1.points[j])
+        if j is None:
+            return diagonal_cost(D0.points[i])
+        return pair_cost(D0.points[i], D1.points[j])
+
+    by_dim = {}
+    for i, j in matching.pairs:
+        p = D1.points[j] if i is None else D0.points[i]
+        if not p.is_essential:
+            by_dim.setdefault(p.dim, []).append((i, j))
+    swaps = {}
+    for d, entries in by_dim.items():
+        worst = max(cost(*e) for e in entries)
+        swaps[d] = sum(
+            (a, e) != (None, None)
+            and (c, b) != (None, None)
+            and max(cost(a, e), cost(c, b)) <= worst
+            for (a, b), (c, e) in combinations(entries, 2)
+        )
+    return swaps
+
+
+def test_bottleneck_witness_that_is_not_forced_is_pinned(tmp_path):
+    assert _ok(["gen", "--seed", "4", "--vertices", "5"]) + "\n" == WITNESS
+    path = tmp_path / "witness.txt"
+    path.write_text(WITNESS)
+    assert _ok(["bottleneck", str(path), "--matching"]) == WITNESS_BIJECTION
+    diag = _ok(["bottleneck", str(path), "--diagonal", "--matching"])
+    assert diag == WITNESS_DIAGONAL
+    inst = parse_instance(str(path))
+    D0, D1 = (diagram(inst.complex, f) for f in inst.functions)
+    for distance in (bottleneck_bijection, bottleneck_diagonal):
+        swaps = _tied_swaps(D0, D1, distance(D0, D1)[1])
+        assert sorted(swaps) == [0, 1]
+        assert all(swaps.values())
 
 
 def test_bottleneck_needs_two_functions(tmp_path):

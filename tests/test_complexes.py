@@ -85,7 +85,7 @@ def test_filtration_function_coerces_exactly():
     K = validate_complex([(0,), (1,), (0, 1)])
     f = FiltrationFunction(K, ("0.1", 1, Fraction(3, 2)))
     assert f.values == (Fraction(1, 10), Fraction(1), Fraction(3, 2))
-    assert len(f) == 3
+    assert len(f.values) == 3
 
 
 def test_filtration_function_size_mismatch():

@@ -121,7 +121,7 @@ def test_points_listed_by_birth_position_align_across_functions():
     )
     Df = diagram_with_order(K, f, order)
     Dg = diagram_with_order(K, g, order)
-    assert len(Df) == len(Dg)
+    assert len(Df.points) == len(Dg.points)
     for p, q in zip(Df.points, Dg.points):
         assert p.pair == q.pair
 
