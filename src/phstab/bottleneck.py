@@ -190,7 +190,9 @@ def _split_by_dim(D0: Diagram, D1: Diagram, require_equal: bool):
         idx0 = list(D0.points_in_dim(d))
         idx1 = list(D1.points_in_dim(d))
         if require_equal and len(idx0) != len(idx1):
-            raise CountMismatch(d, len(idx0), len(idx1))
+            raise CountMismatch(
+                f"dimension {d}: {len(idx0)} points vs {len(idx1)} points"
+            )
         groups.append((d, idx0, idx1))
     return groups
 

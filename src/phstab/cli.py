@@ -29,7 +29,7 @@ from .instances import InstanceFile, format_instance, parse_instance
 from .interpolation import crossing_times
 from .ordering import total_order
 from .persistence import diagram, format_diagram
-from .rational import approx_string, format_value, is_terminating
+from .rational import approx_string, format_value
 from .stability import verify_stability
 
 
@@ -86,9 +86,7 @@ def _add_generator_options(p) -> None:
 
 def _fmt_t(t) -> str:
     exact = format_value(t)
-    if is_terminating(t):
-        return exact
-    return f"{exact} (~{approx_string(t)})"
+    return f"{exact} (~{approx_string(t)})" if "/" in exact else exact
 
 
 def _pick_function(inst: InstanceFile, k: int):
@@ -144,6 +142,8 @@ def _cmd_diagram(args) -> tuple[int, str]:
 
 def _cmd_bottleneck(args) -> tuple[int, str]:
     if args.file2 is None:
+        if args.function is not None:  # one file compares its two columns
+            raise _Exit(1, "error: --function needs two files")
         inst = parse_instance(args.file)
         f0, f1 = _two_functions(inst)
         D0 = diagram(inst.complex, f0)
@@ -151,8 +151,9 @@ def _cmd_bottleneck(args) -> tuple[int, str]:
     else:
         inst0 = parse_instance(args.file)
         inst1 = parse_instance(args.file2)
-        D0 = diagram(inst0.complex, _pick_function(inst0, args.function))
-        D1 = diagram(inst1.complex, _pick_function(inst1, args.function))
+        k = args.function or 0
+        D0 = diagram(inst0.complex, _pick_function(inst0, k))
+        D1 = diagram(inst1.complex, _pick_function(inst1, k))
     distance = bottleneck_diagonal if args.diagonal else bottleneck_bijection
     dist, matching = distance(D0, D1)
     lines = [f"distance {format_value(dist)}"]
@@ -291,7 +292,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("file")
     p.add_argument("file2", nargs="?", default=None)
-    p.add_argument("--function", type=int, default=0, metavar="K")
+    p.add_argument("--function", type=int, default=None, metavar="K")
     p.add_argument(
         "--diagonal",
         action="store_true",

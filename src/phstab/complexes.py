@@ -85,77 +85,18 @@ class SimplicialComplex:
 
 
 # ---------------------------------------------------------------------------
-# Validation issues.  Each issue is a small frozen record; validators collect
-# every violation before raising, so one run reports the whole problem.
+# Validation issues.  Validators collect every violation before raising, so
+# one run reports the whole problem.  An issue is its message and, when one
+# entry is at fault, that entry's position in the sequence validated.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MalformedSimplex:
-    raw: object
-    reason: str
+class Issue:
+    message: str
+    index: "int | None" = None
 
     def __str__(self) -> str:
-        return f"malformed simplex {self.raw!r}: {self.reason}"
-
-
-@dataclass(frozen=True)
-class DuplicateSimplex:
-    simplex: Simplex
-
-    def __str__(self) -> str:
-        return f"duplicate simplex {{{self.simplex}}}"
-
-
-@dataclass(frozen=True)
-class MissingFace:
-    simplex: Simplex
-    face: Simplex
-
-    def __str__(self) -> str:
-        return f"simplex {{{self.simplex}}} is missing face {{{self.face}}}"
-
-
-@dataclass(frozen=True)
-class NonMonotone:
-    face: Simplex
-    coface: Simplex
-    face_value: Fraction
-    coface_value: Fraction
-
-    def __str__(self) -> str:
-        return (
-            f"face {{{self.face}}} has value {fraction_string(self.face_value)}"
-            f" > {fraction_string(self.coface_value)} on coface {{{self.coface}}}"
-        )
-
-
-@dataclass(frozen=True)
-class NonFiniteValue:
-    simplex: Simplex
-    raw: object
-
-    def __str__(self) -> str:
-        return (
-            f"simplex {{{self.simplex}}} has value {self.raw!r}, which is not "
-            "a finite rational"
-        )
-
-
-@dataclass(frozen=True)
-class NotASequence:
-    raw: object
-
-    def __str__(self) -> str:
-        return f"values {self.raw!r} are not a sequence"
-
-
-@dataclass(frozen=True)
-class SizeMismatch:
-    expected: int
-    got: int
-
-    def __str__(self) -> str:
-        return f"expected {self.expected} values, got {self.got}"
+        return self.message
 
 
 def validate_complex(simplices: Iterable) -> SimplicialComplex:
@@ -164,30 +105,30 @@ def validate_complex(simplices: Iterable) -> SimplicialComplex:
     Accepts Simplex instances or raw vertex iterables.  Either returns a
     valid complex preserving the input order, or raises InvalidComplex
     carrying every violation found: malformed entries, duplicates, and
-    missing codimension-1 faces.
+    missing codimension-1 faces, each at the position of its entry.
     """
     issues: list = []
-    canon: list[Simplex] = []
-    for raw in simplices:
-        if isinstance(raw, Simplex):
-            canon.append(raw)
-            continue
+    canon: list = []  # (input position, Simplex)
+    for pos, raw in enumerate(simplices):
         try:
-            canon.append(Simplex(tuple(raw)))
+            s = raw if isinstance(raw, Simplex) else Simplex(tuple(raw))
+            canon.append((pos, s))
         except (TypeError, ValueError) as exc:
-            issues.append(MalformedSimplex(raw, str(exc)))
+            issues.append(Issue(f"malformed simplex {raw!r}: {exc}", pos))
     seen: set[tuple[int, ...]] = set()
-    for s in canon:
+    for pos, s in canon:
         if s.vertices in seen:
-            issues.append(DuplicateSimplex(s))
+            issues.append(Issue(f"duplicate simplex {{{s}}}", pos))
         seen.add(s.vertices)
-    for s in canon:
-        for face in s.facets():
-            if face.vertices not in seen:
-                issues.append(MissingFace(s, face))
+    for pos, s in canon:
+        issues.extend(
+            Issue(f"simplex {{{s}}} is missing face {{{face}}}", pos)
+            for face in s.facets()
+            if face.vertices not in seen
+        )
     if issues:
         raise InvalidComplex(issues)
-    return SimplicialComplex(tuple(canon))
+    return SimplicialComplex(tuple(s for _, s in canon))
 
 
 @dataclass(frozen=True)
@@ -210,30 +151,42 @@ class FiltrationFunction:
                 raise TypeError  # one value per character is not meant
             raw = tuple(self.values)
         except TypeError:
-            raise InvalidFiltration([NotASequence(self.values)]) from None
+            raise InvalidFiltration(
+                [Issue(f"values {self.values!r} are not a sequence")]
+            ) from None
         if len(raw) != len(K):
-            raise InvalidFiltration([SizeMismatch(len(K), len(raw))])
+            raise InvalidFiltration(
+                [Issue(f"expected {len(K)} values, got {len(raw)}")]
+            )
         try:
             values = tuple(to_fraction(v) for v in raw)
         except (TypeError, ValueError):
             bad = []
-            for s, v in zip(K.simplices, raw):
+            for i, v in enumerate(raw):
                 try:
                     to_fraction(v)
                 except (TypeError, ValueError):
-                    bad.append(NonFiniteValue(s, v))
+                    bad.append(Issue(
+                        f"simplex {{{K.simplices[i]}}} has value {v!r}, which "
+                        "is not a finite rational",
+                        i,
+                    ))
             raise InvalidFiltration(bad) from None
         object.__setattr__(self, "values", values)
 
 
 def validate_filtration(K: SimplicialComplex, f: FiltrationFunction) -> tuple:
-    """Every (face, coface) pair on which ``f`` decreases, as NonMonotone
-    issues; empty when ``f`` is monotone on K."""
+    """An Issue for every (face, coface) pair on which ``f`` decreases, at
+    the coface's position; empty when ``f`` is monotone on K."""
     if f.complex is not K and f.complex != K:
         raise DomainMismatch("filtration is not defined on this complex")
     values = f.values
     return tuple(
-        NonMonotone(K.simplices[i], s, values[i], values[j])
+        Issue(
+            f"face {{{K.simplices[i]}}} has value {fraction_string(values[i])}"
+            f" > {fraction_string(values[j])} on coface {{{s}}}",
+            j,
+        )
         for j, s in enumerate(K.simplices)
         for i in K.facet_positions[j]
         if values[i] > values[j]

@@ -1,13 +1,13 @@
 """Exception types shared across the package.
 
 User-facing errors (bad input, bad preconditions) derive from PhstabError.
+An error is its type and its message; only the validators' errors carry
+more, the list of every problem found (``issues`` or ``problems``).
 InternalProofViolation is different in kind: it signals that one of the
 certified inequalities or consistency checks the library maintains
 internally failed, which is an implementation bug, never a property of the
 input.
 """
-
-from .rational import fraction_string
 
 
 class PhstabError(Exception):
@@ -17,8 +17,9 @@ class PhstabError(Exception):
 class InvalidComplex(PhstabError):
     """A simplex list is not a valid simplicial complex.
 
-    Carries ``issues``, the full list of violations found (missing faces,
-    duplicates, malformed entries), not just the first.
+    Carries ``issues``, every violation found (malformed entries,
+    duplicates, missing faces) as ``complexes.Issue`` records, each at the
+    position of its entry; the message joins their messages.
     """
 
     def __init__(self, issues):
@@ -27,7 +28,11 @@ class InvalidComplex(PhstabError):
 
 
 class InvalidFiltration(PhstabError):
-    """A filtration function fails validation (monotonicity, size, finiteness)."""
+    """A filtration function fails validation (values that are not a
+    sequence, a wrong count, a value that is not a finite rational).
+
+    Carries ``issues`` as InvalidComplex does.
+    """
 
     def __init__(self, issues):
         self.issues = tuple(issues)
@@ -46,12 +51,6 @@ class CountMismatch(PhstabError):
     """Per-dimension point counts of two diagrams differ; they cannot come
     from filtrations of a shared complex."""
 
-    def __init__(self, dim, n0, n1):
-        self.dim = dim
-        self.n0 = n0
-        self.n1 = n1
-        super().__init__(f"dimension {dim}: {n0} points vs {n1} points")
-
 
 class DomainMismatch(PhstabError):
     """Two filtration functions do not live on the same complex."""
@@ -64,15 +63,6 @@ class TOutOfRange(PhstabError):
 class NonUniqueValues(PhstabError):
     """A filtration assigns the same value to two simplices where distinct
     values are required."""
-
-    def __init__(self, function_id, pair, value):
-        self.function_id = function_id
-        self.pair = pair
-        self.value = value
-        super().__init__(
-            f"{function_id}: simplices {pair[0]} and {pair[1]} share value "
-            f"{fraction_string(value)}"
-        )
 
 
 class InternalProofViolation(PhstabError):

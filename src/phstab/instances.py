@@ -112,13 +112,9 @@ def parse_instance_text(text: str, path: "str | None" = None) -> InstanceFile:
     try:
         K = validate_complex([simplex for _, simplex, _ in rows])
     except InvalidComplex as exc:
-        line_of = {}
-        for line_no, simplex, _ in rows:
-            line_of.setdefault(simplex, line_no)
-        for issue in exc.issues:
-            anchor = getattr(issue, "simplex", None)
-            problems.append((line_of.get(anchor, 0), str(issue)))
-        raise ParseError(problems, path) from None
+        raise ParseError(
+            [(rows[issue.index][0], issue.message) for issue in exc.issues], path
+        ) from None
 
     functions = tuple(
         FiltrationFunction(K, [values[k] for _, _, values in rows])

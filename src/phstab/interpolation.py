@@ -86,10 +86,10 @@ def crossing_times(
         dup = find_duplicate_value(f)
         if dup is not None:
             i, j = dup
+            K = f.complex
             raise NonUniqueValues(
-                fid,
-                (f.complex.simplices[i], f.complex.simplices[j]),
-                f.values[i],
+                f"{fid}: simplices {K.simplices[i]} and {K.simplices[j]} "
+                f"share value {fraction_string(f.values[i])}"
             )
     # Scan integer numerators over one common denominator: a pair's gaps
     # and crossing time are unchanged by the scale, and only pairs that

@@ -18,6 +18,8 @@ INF = math.inf
 # Fraction expands a decimal exponent in full ("1e100000" parses in about
 # 0.01 s, "1e100000000" takes minutes), so to_fraction rejects a larger one
 # first, read as Fraction reads it: e or E, a sign, digits and underscores.
+# It counts the digits before calling int(), which refuses an exponent past
+# the interpreter's digit limit.
 MAX_EXPONENT = 100_000
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 
@@ -46,9 +48,13 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, str):
         text = value.strip()
         exponent = ("e" in text or "E" in text) and _EXPONENT.search(text)
-        # int() refuses an exponent past its digit limit, as Fraction would
-        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
-            raise ExponentTooLarge(f"exponent exceeds {MAX_EXPONENT} in magnitude")
+        if exponent:
+            digits = exponent[1].lstrip("+-").replace("_", "").lstrip("0")
+            too_long = len(digits) > len(str(MAX_EXPONENT))
+            if too_long or int(digits or 0) > MAX_EXPONENT:
+                raise ExponentTooLarge(
+                    f"exponent exceeds {MAX_EXPONENT} in magnitude"
+                )
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -89,11 +95,6 @@ def _decimal_places(x: Fraction) -> "int | None":
     return places if d == 1 else None
 
 
-def is_terminating(x: Fraction) -> bool:
-    """True iff x has a finite decimal expansion (denominator 2^a * 5^b)."""
-    return _decimal_places(x) is not None
-
-
 # Below 2000 bits (602 digits) str(int) is safe: the interpreter's int -> str
 # limit (3.10.7 and later) cannot be set under 640 digits.
 _STR_SAFE_BITS = 2000
@@ -124,32 +125,22 @@ def fraction_string(x) -> str:
     return f"{int_string(x.numerator)}/{int_string(x.denominator)}"
 
 
-def _decimal(x: Fraction, places: int) -> str:
-    """x, which has ``places`` digits after the point, written out."""
+def format_value(x) -> str:
+    """Deterministic single-token rendering: exact decimal when terminating,
+    ``p/q`` otherwise (so it holds a ``/`` exactly then), ``inf`` for the
+    infinite sentinel."""
+    if x == INF:
+        return "inf"
+    x = to_fraction(x)
+    places = _decimal_places(x)
+    if places is None:
+        return fraction_string(x)
     sign = "-" if x < 0 else ""
     scaled = abs(x.numerator) * 10**places // x.denominator
     if places == 0:
         return f"{sign}{int_string(scaled)}"
     whole, frac = divmod(scaled, 10**places)
     return f"{sign}{int_string(whole)}.{int_string(frac).zfill(places)}"
-
-
-def decimal_string(x: Fraction) -> str:
-    """Exact decimal expansion of a terminating rational, no trailing zeros."""
-    places = _decimal_places(x)
-    if places is None:
-        raise ValueError(f"{fraction_string(x)} has no finite decimal expansion")
-    return _decimal(x, places)
-
-
-def format_value(x) -> str:
-    """Deterministic single-token rendering: exact decimal when terminating,
-    ``p/q`` otherwise, ``inf`` for the infinite sentinel."""
-    if x == INF:
-        return "inf"
-    x = to_fraction(x)
-    places = _decimal_places(x)
-    return fraction_string(x) if places is None else _decimal(x, places)
 
 
 def approx_string(x, digits: int = 6) -> str:

@@ -199,6 +199,20 @@ def test_bottleneck_witness_that_is_not_forced_is_pinned(tmp_path):
         assert all(swaps.values())
 
 
+def test_bottleneck_function_option_needs_two_files(tmp_path, instance):
+    # one file compares its two columns, so K would be ignored
+    for k in ("0", "7"):
+        assert run_command(["bottleneck", instance, "--function", k]) == (
+            1,
+            "error: --function needs two files",
+        )
+    other = tmp_path / "other.txt"
+    other.write_text(EDGE_ONE)
+    assert _ok(["bottleneck", instance, str(other), "--function", "0"]) == (
+        "distance 0"
+    )
+
+
 def test_bottleneck_needs_two_functions(tmp_path):
     p = tmp_path / "one.txt"
     p.write_text(EDGE_ONE)

@@ -3,18 +3,24 @@ from fractions import Fraction
 
 import pytest
 
+from phstab.bottleneck import bottleneck_bijection
 from phstab.complexes import (
     FiltrationFunction,
-    NonFiniteValue,
-    NonMonotone,
+    Issue,
     Simplex,
-    SizeMismatch,
     find_duplicate_value,
     validate_complex,
     validate_filtration,
 )
-from phstab.errors import DomainMismatch, InvalidComplex, InvalidFiltration
+from phstab.errors import (
+    DomainMismatch,
+    InvalidComplex,
+    InvalidFiltration,
+    PhstabError,
+)
 from phstab.generate import GeneratorConfig, generate_complex, random_filtration
+from phstab.interpolation import crossing_times
+from phstab.persistence import diagram
 
 from oracles import sublevel
 
@@ -62,16 +68,102 @@ def test_validate_complex_collects_every_issue():
     # two missing faces and one duplicate, all reported at once
     with pytest.raises(InvalidComplex) as ei:
         validate_complex([(0,), (0, 1), (1, 2), (0,)])
-    msgs = [str(i) for i in ei.value.issues]
-    assert len(msgs) == 4
-    assert any("duplicate" in m for m in msgs)
-    assert sum("missing face" in m for m in msgs) == 3
+    assert ei.value.issues == (
+        Issue("duplicate simplex {0}", 3),
+        Issue("simplex {0,1} is missing face {1}", 1),
+        Issue("simplex {1,2} is missing face {2}", 2),
+        Issue("simplex {1,2} is missing face {1}", 2),
+    )
 
 
 def test_validate_complex_rejects_malformed_entries():
+    # later issues still name input positions, malformed entries counted
     with pytest.raises(InvalidComplex) as ei:
-        validate_complex([(0,), (0, 0), "nope"])
-    assert any("malformed" in str(i) for i in ei.value.issues)
+        validate_complex([(0,), (0, 0), "nope", (0, 1), (0,)])
+    assert ei.value.issues == (
+        Issue("malformed simplex (0, 0): duplicate vertex in (0, 0)", 1),
+        Issue("malformed simplex 'nope': vertex id 'n' is not an integer", 2),
+        Issue("duplicate simplex {0}", 4),
+        Issue("simplex {0,1} is missing face {1}", 3),
+    )
+
+
+EDGE = validate_complex([(0,), (1,), (0, 1)])
+POINT = validate_complex([(0,)])
+
+
+def _on_edge(*values):
+    return FiltrationFunction(EDGE, values)
+
+
+def _message(run):
+    """What ``run`` reports: its error's message, or the issues it returns
+    joined as an error joins them."""
+    try:
+        return "; ".join(str(issue) for issue in run())
+    except PhstabError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        pytest.param(
+            lambda: validate_complex([(0,), (0, 0), "ab"]),
+            "malformed simplex (0, 0): duplicate vertex in (0, 0); "
+            "malformed simplex 'ab': vertex id 'a' is not an integer",
+            id="malformed",
+        ),
+        pytest.param(
+            lambda: validate_complex([(0,), (1,), (0,), (1, 0), (0, 1)]),
+            "duplicate simplex {0}; duplicate simplex {0,1}",
+            id="duplicate",
+        ),
+        pytest.param(
+            lambda: validate_complex([(0,), (0, 1), (2, 1, 0)]),
+            "simplex {0,1} is missing face {1}; "
+            "simplex {0,1,2} is missing face {1,2}; "
+            "simplex {0,1,2} is missing face {0,2}",
+            id="missing-face",
+        ),
+        pytest.param(
+            lambda: validate_filtration(EDGE, _on_edge(0, "7/2", "1.5")),
+            "face {1} has value 7/2 > 3/2 on coface {0,1}",
+            id="non-monotone",
+        ),
+        pytest.param(
+            lambda: _on_edge(float("nan"), 1, "1/0"),
+            "simplex {0} has value nan, which is not a finite rational; "
+            "simplex {0,1} has value '1/0', which is not a finite rational",
+            id="non-finite",
+        ),
+        pytest.param(
+            lambda: FiltrationFunction(EDGE, iter),
+            f"values {iter!r} are not a sequence",
+            id="not-a-sequence",
+        ),
+        pytest.param(
+            lambda: _on_edge(0, 1),
+            "expected 3 values, got 2",
+            id="size-mismatch",
+        ),
+        pytest.param(
+            lambda: bottleneck_bijection(
+                diagram(EDGE, _on_edge(0, 1, 2)),
+                diagram(POINT, FiltrationFunction(POINT, (0,))),
+            ),
+            "dimension 0: 2 points vs 1 points",
+            id="count-mismatch",
+        ),
+        pytest.param(
+            lambda: crossing_times(_on_edge(0, 1, 2), _on_edge(5, 3, "5.0")),
+            "f1: simplices 0 and 0,1 share value 5",
+            id="non-unique-values",
+        ),
+    ],
+)
+def test_every_validation_message_in_full(run, message):
+    assert _message(run) == message
 
 
 def test_facet_positions():
@@ -92,7 +184,7 @@ def test_filtration_function_size_mismatch():
     K = validate_complex([(0,), (1,)])
     with pytest.raises(InvalidFiltration) as ei:
         FiltrationFunction(K, (0,))
-    assert ei.value.issues == (SizeMismatch(2, 1),)
+    assert ei.value.issues == (Issue("expected 2 values, got 1", None),)
     assert str(ei.value) == "expected 2 values, got 1"
 
 
@@ -113,23 +205,21 @@ def test_filtration_function_rejects_unreadable_values():
     for bad in (float("inf"), "abc", True, None):
         with pytest.raises(InvalidFiltration) as ei:
             FiltrationFunction(K, [0, bad])
-        assert ei.value.issues == (NonFiniteValue(Simplex((1,)), bad),)
-        assert str(ei.value).startswith(f"simplex {{1}} has value {bad!r}")
+        message = f"simplex {{1}} has value {bad!r}, which is not a finite rational"
+        assert ei.value.issues == (Issue(message, 1),)
     with pytest.raises(InvalidFiltration) as ei:
         FiltrationFunction(K, [float("nan"), "1/0"])
-    assert [issue.simplex for issue in ei.value.issues] == list(K.simplices)
+    assert [issue.index for issue in ei.value.issues] == [0, 1]
 
 
 def test_validate_filtration_reports_every_violation():
     K = validate_complex(TRIANGLE)
     # triangle value below two of its edges
     f = FiltrationFunction(K, [0, 0, 0, 5, 5, 1, 2])
-    issues = validate_filtration(K, f)
-    assert [(str(i.face), str(i.coface)) for i in issues] == [
-        ("0,2", "0,1,2"),
-        ("0,1", "0,1,2"),
-    ]
-    assert all(isinstance(i, NonMonotone) for i in issues)
+    assert validate_filtration(K, f) == (
+        Issue("face {0,2} has value 5 > 2 on coface {0,1,2}", 6),
+        Issue("face {0,1} has value 5 > 2 on coface {0,1,2}", 6),
+    )
 
 
 def test_validate_filtration_accepts_monotone():
@@ -179,9 +269,9 @@ def test_random_monotone_filtrations_validate():
 
 def test_generated_unique_values_are_short_decimals():
     """Uniqueness offsets are dyadic so files stay exactly representable."""
-    from phstab.rational import is_terminating
+    from phstab.rational import format_value
 
     rng = random.Random(11)
     K = generate_complex(rng, GeneratorConfig(seed=11, num_vertices=6))
     f = random_filtration(K, rng)
-    assert all(is_terminating(v) for v in f.values)
+    assert all("/" not in format_value(v) for v in f.values)

@@ -59,6 +59,19 @@ def test_parse_reports_missing_faces_with_lines():
     assert problems == ((2, "simplex {0,1} is missing face {1}"),)
 
 
+def test_a_duplicate_is_reported_at_its_own_line(tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("0 : 1\n1 : 2\n0 : 3\n0 : 4\n")
+    assert run_command(["validate", str(path)]) == (
+        1,
+        f"error: {path}: line 3: duplicate simplex {{0}}; "
+        "line 4: duplicate simplex {0}",
+    )
+    assert _problems("0 1 : 2\n0 : 0\n1 : 1\n1 0 : 3\n") == (
+        (4, "duplicate simplex {0,1}"),
+    )
+
+
 def test_parse_rejects_duplicates_and_junk_vertices():
     assert any("duplicate" in msg for _, msg in _problems("0 : 1\n0 : 2\n"))
     assert any("not integers" in msg for _, msg in _problems("a b : 1\n"))
@@ -113,7 +126,14 @@ def test_only_line_feeds_and_carriage_returns_end_a_line(tmp_path, mark):
     )
 
 
-@pytest.mark.parametrize("literal", ["1e100000000", "1e9999999999"])
+@pytest.mark.parametrize(
+    "literal",
+    [
+        "1e100000000",
+        "1e9999999999",
+        pytest.param("1e" + "9" * 5000, id="past-the-int-digit-limit"),
+    ],
+)
 def test_a_huge_exponent_is_rejected_at_once(tmp_path, literal):
     # Fraction alone would expand the exponent for minutes
     path = tmp_path / "huge.txt"

@@ -97,11 +97,11 @@ def test_crossings_require_unique_values():
     _, f0, f1 = _two((0, 0), (0, 1))
     with pytest.raises(NonUniqueValues) as ei:
         crossing_times(f0, f1)
-    assert ei.value.function_id == "f0"
+    assert str(ei.value) == "f0: simplices 0 and 1 share value 0"
     _, g0, g1 = _two((0, 1), (2, 2))
     with pytest.raises(NonUniqueValues) as ei:
         crossing_times(g0, g1)
-    assert ei.value.function_id == "f1"
+    assert str(ei.value) == "f1: simplices 0 and 1 share value 2"
 
 
 def test_schedule_size_is_at_most_all_pairs():

@@ -7,14 +7,13 @@ import pytest
 from phstab.rational import (
     INF,
     MAX_EXPONENT,
+    ExponentTooLarge,
     approx_string,
     common_denominator,
     common_numerators,
-    decimal_string,
     format_value,
     fraction_string,
     int_string,
-    is_terminating,
     to_fraction,
 )
 
@@ -53,34 +52,29 @@ def test_to_fraction_bounds_the_decimal_exponent():
     assert to_fraction("2E-3") == Fraction(1, 500)
     assert to_fraction(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
     assert to_fraction(f"1e-{MAX_EXPONENT}") == Fraction(1, 10**MAX_EXPONENT)
+    assert to_fraction("1e0_0_05") == 10**5
     for text in (
         f"1e{MAX_EXPONENT + 1}",
         f"1E-{MAX_EXPONENT + 1}",
         "1e100000000",
         "1e9999999999",
         "5e+1_000_000",
-        "1e" + "9" * 5000,  # past int()'s digit limit, as for Fraction
+        "1e" + "9" * 5000,  # past int()'s digit limit: counted, not read
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ExponentTooLarge):
             to_fraction(text)
+    # a long exponent with a small value is left to Fraction, whose int()
+    # refuses it past the digit limit
+    with pytest.raises(ValueError) as ei:
+        to_fraction("1e" + "0" * 5000 + "5")
+    assert not isinstance(ei.value, ExponentTooLarge)
 
 
-def test_is_terminating():
-    assert is_terminating(Fraction(1, 2))
-    assert is_terminating(Fraction(3, 40))
-    assert is_terminating(Fraction(7))
-    assert not is_terminating(Fraction(1, 3))
-    assert not is_terminating(Fraction(5, 6))
-
-
-def test_decimal_string_exact():
-    assert decimal_string(Fraction(1, 2)) == "0.5"
-    assert decimal_string(Fraction(-1, 8)) == "-0.125"
-    assert decimal_string(Fraction(1, 50)) == "0.02"
-    assert decimal_string(Fraction(5, 4)) == "1.25"
-    assert decimal_string(Fraction(3)) == "3"
-    with pytest.raises(ValueError):
-        decimal_string(Fraction(1, 3))
+def test_format_value_holds_a_slash_exactly_when_not_terminating():
+    for x in (Fraction(1, 2), Fraction(3, 40), Fraction(7), Fraction(-1, 8)):
+        assert "/" not in format_value(x)
+    for x in (Fraction(1, 3), Fraction(5, 6), Fraction(-22, 7)):
+        assert "/" in format_value(x)
 
 
 def test_format_value_table():
@@ -90,6 +84,10 @@ def test_format_value_table():
     assert format_value(Fraction(-7, 6)) == "-7/6"
     assert format_value(0) == "0"
     assert format_value("0.625") == "0.625"
+    assert format_value(Fraction(-1, 8)) == "-0.125"
+    assert format_value(Fraction(1, 50)) == "0.02"
+    assert format_value(Fraction(5, 4)) == "1.25"
+    assert format_value(Fraction(3)) == "3"
 
 
 def test_format_round_trips_through_parser():
