@@ -84,10 +84,16 @@ def test_format_value_table():
     assert format_value(Fraction(-7, 6)) == "-7/6"
     assert format_value(0) == "0"
     assert format_value("0.625") == "0.625"
+
+
+def test_decimal_string_exact():
+    # a terminating value renders as its exact decimal, no trailing zeros
+    assert format_value(Fraction(1, 2)) == "0.5"
     assert format_value(Fraction(-1, 8)) == "-0.125"
     assert format_value(Fraction(1, 50)) == "0.02"
     assert format_value(Fraction(5, 4)) == "1.25"
     assert format_value(Fraction(3)) == "3"
+    assert format_value(Fraction(1, 3)) == "1/3"
 
 
 def test_format_round_trips_through_parser():
