@@ -78,7 +78,8 @@ class ParseError(PhstabError):
     """An instance file could not be parsed.
 
     Carries ``problems``, a list of (line_number, message) pairs covering
-    every problem found.
+    every problem found; the line number is None for a problem of the
+    whole file, which is printed without one.
     """
 
     def __init__(self, problems, path=None):
@@ -86,5 +87,9 @@ class ParseError(PhstabError):
         self.path = path
         where = f"{path}: " if path else ""
         super().__init__(
-            where + "; ".join(f"line {ln}: {msg}" for ln, msg in self.problems)
+            where
+            + "; ".join(
+                msg if ln is None else f"line {ln}: {msg}"
+                for ln, msg in self.problems
+            )
         )

@@ -47,7 +47,7 @@ def _lines(text: str) -> list:
 
 def parse_instance_text(text: str, path: "str | None" = None) -> InstanceFile:
     """Parse instance file content, collecting every problem before failing."""
-    problems: "list[tuple[int, str]]" = []
+    problems: "list[tuple[int | None, str]]" = []
     rows = []  # (line_no, vertices, values)
     expected_width = None
     for line_no, raw in enumerate(_lines(text), start=1):
@@ -105,7 +105,7 @@ def parse_instance_text(text: str, path: "str | None" = None) -> InstanceFile:
         rows.append((line_no, simplex, tuple(values)))
 
     if not rows and not problems:
-        problems.append((0, "no simplices in file"))
+        problems.append((None, "no simplices in file"))
     if problems:
         raise ParseError(problems, path)
 

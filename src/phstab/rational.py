@@ -19,7 +19,8 @@ INF = math.inf
 # 0.01 s, "1e100000000" takes minutes), so to_fraction rejects a larger one
 # first, read as Fraction reads it: e or E, a sign, digits and underscores.
 # It counts the digits before calling int(), which refuses an exponent past
-# the interpreter's digit limit.
+# the interpreter's digit limit, and hands Fraction the exponent without
+# its leading zeros, which alone can carry it past that limit.
 MAX_EXPONENT = 100_000
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 
@@ -49,12 +50,14 @@ def to_fraction(value) -> Fraction:
         text = value.strip()
         exponent = ("e" in text or "E" in text) and _EXPONENT.search(text)
         if exponent:
+            sign = exponent[1][0] if exponent[1][0] in "+-" else ""
             digits = exponent[1].lstrip("+-").replace("_", "").lstrip("0")
             too_long = len(digits) > len(str(MAX_EXPONENT))
             if too_long or int(digits or 0) > MAX_EXPONENT:
                 raise ExponentTooLarge(
                     f"exponent exceeds {MAX_EXPONENT} in magnitude"
                 )
+            text = f"{text[:exponent.start()]}e{sign}{digits or 0}"
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:

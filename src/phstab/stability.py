@@ -8,14 +8,17 @@ of exactly one pair, so that matching costs exactly the interval's share of
 the sup-norm: the certificate checks this partition, not a measured cost.
 At a crossing time both adjacent orders give the same value multiset, so a
 zero-cost re-identification of the two pair lists exists: each point takes
-the next unused equal point of the other list.  One point map carried
-through them is an explicit bijection between the end diagrams, the only
-diagrams built.  The interval shares add up to the sup-norm by
-construction, so that bijection costs at most the sup-norm, which the
-exact bottleneck distance can only undercut.  Once the next crossing has
-re-identified an interval's pairs nothing reads its order or pairs again,
-so a certificate keeps only its interval and share, and at most three pair
-lists, O(n) each, are held at any time.
+the next unused equal point of the other list.  Only a simplex tied at the
+crossing shares its value with another, so that search is local: a pair
+with no tied simplex can only equal the pair with its own birth and death
+simplices, and only pairs with a tied one are matched by value.  One
+point map carried through them is an explicit bijection between the end
+diagrams, the only diagrams built.  The interval shares add up to the
+sup-norm by construction, so that bijection costs at most the sup-norm,
+which the exact bottleneck distance can only undercut.  Once the next
+crossing has re-identified an interval's pairs nothing reads its order or
+pairs again, so a certificate keeps only its interval and share, and at
+most three pair lists, O(n) each, are held at any time.
 
 The order is carried from interval to interval rather than rebuilt, as in
 the vineyard picture of Cohen-Steiner, Edelsbrunner and Morozov: at a
@@ -79,7 +82,14 @@ def _simplex_pair(K: SimplicialComplex, i: int, j: "int | None") -> str:
     return f"({{{K.simplices[i]}}}, {second})"
 
 
-def _check_partition(K: SimplicialComplex, pairs: tuple, where: str) -> None:
+def _interval(k: int, lo: Fraction, hi: Fraction) -> str:
+    """Name interval ``k`` for a message; built only when one is raised."""
+    return f"interval {k} [{fraction_string(lo)}, {fraction_string(hi)}]"
+
+
+def _check_partition(
+    K: SimplicialComplex, pairs: tuple, k: int, lo: Fraction, hi: Fraction
+) -> None:
     """Every simplex must be the birth or death of exactly one pivot pair:
     that is what makes the pivot-identity matching cost exactly the
     interval's share of the sup-norm, so it is checked instead of the cost."""
@@ -91,8 +101,8 @@ def _check_partition(K: SimplicialComplex, pairs: tuple, where: str) -> None:
     for s, count in enumerate(uses):
         if count != 1:
             raise InternalProofViolation(
-                f"{where}: simplex {{{K.simplices[s]}}} is a coordinate of "
-                f"{count} pivot pairs"
+                f"{_interval(k, lo, hi)}: simplex {{{K.simplices[s]}}} is a "
+                f"coordinate of {count} pivot pairs"
             )
 
 
@@ -127,40 +137,75 @@ def _reverse_tied_runs(
 
 
 def _reidentify(
-    K: SimplicialComplex, left: tuple, right: tuple, values: tuple, where: str
+    K: SimplicialComplex,
+    left: tuple,
+    right: tuple,
+    values: tuple,
+    tied: set,
+    k: int,
+    t: Fraction,
 ) -> list:
-    """Zero-cost re-identification of two pair lists at one crossing.
+    """Zero-cost re-identification of two pair lists at crossing ``k``.
 
-    Both orders serve f at the crossing (``values``), so both lists give
-    one diagram.  The pairs of ``right`` go into buckets keyed by
-    (dimension, birth value, death value), in list order, and each pair of
-    ``left`` in turn takes the first unused index of its bucket, so equal
-    points are matched in list order, by birth position.  Returns the map
-    from ``left``'s pair indices to ``right``'s; a pair with no equal
+    Both orders serve f_t at the crossing (``values``), so both lists give
+    one diagram.  Equal points are matched in list order, by birth
+    position: each pair of ``left`` in turn takes the first unused pair of
+    ``right`` with the same (dimension, birth value, death value).
+    ``tied`` holds the simplices tied with another at ``t``.  Only pairs
+    with a tied birth or death simplex go into buckets keyed by their
+    point; every other pair of ``left`` maps to the pair of ``right`` with
+    its birth simplex, which must have its death simplex too.  Returns the
+    map from ``left``'s pair indices to ``right``'s; a pair with no equal
     partner would falsify order-invariance, an InternalProofViolation.
     """
+    # This is exactly the map that puts every pair in a bucket.  A simplex
+    # outside ``tied`` has a value no other simplex has at t.  So the point
+    # of a pair with an untied birth and death can equal only the point of
+    # a pair with the same birth simplex and the same death simplex (or
+    # both deaths infinite), and no other pair of its list draws from that
+    # bucket: the pair found by birth is its one partner, if any.  A point
+    # equal to one with a tied birth has a tied birth too (the same simplex
+    # or one of equal value), and a point equal to one with an untied birth
+    # and a tied death has the same birth and a death of equal value, so a
+    # tied one.  So the buckets of pairs with a tied simplex hold, and are
+    # drawn from by, exactly the pairs they would hold if every pair went
+    # into a bucket, in the same order.
     def point(pv):
         death = values[pv.death] if pv.death is not None else INF
         return K.simplices[pv.birth].dim, values[pv.birth], death
 
     if len(left) != len(right):
         raise InternalProofViolation(
-            f"{where}: {len(left)} pivot pairs before vs {len(right)} after"
+            f"crossing {k} at t = {fraction_string(t)}: {len(left)} pivot "
+            f"pairs before vs {len(right)} after"
         )
     unused: dict = {}  # point -> indices of right with it, last first
+    by_birth: dict = {}  # birth simplex -> index of right, no simplex tied
     for j in range(len(right) - 1, -1, -1):
-        unused.setdefault(point(right[j]), []).append(j)
+        pv = right[j]
+        if pv.birth in tied or pv.death in tied:
+            unused.setdefault(point(pv), []).append(j)
+        else:
+            by_birth[pv.birth] = j
     step = []
     for p in left:
-        d, b, dth = key = point(p)
-        bucket = unused.get(key)
-        if not bucket:
-            raise InternalProofViolation(
-                f"{where}: pivot pair {_simplex_pair(K, p.birth, p.death)} at "
-                f"dim {d} ({format_value(b)}, {format_value(dth)}) has no "
-                "partner with equal values"
-            )
-        step.append(bucket.pop())
+        if p.birth in tied or p.death in tied:
+            bucket = unused.get(point(p))
+            if bucket:
+                step.append(bucket.pop())
+                continue
+        else:
+            j = by_birth.get(p.birth)
+            if j is not None and right[j].death == p.death:
+                step.append(j)
+                continue
+        d, b, dth = point(p)
+        raise InternalProofViolation(
+            f"crossing {k} at t = {fraction_string(t)}: pivot pair "
+            f"{_simplex_pair(K, p.birth, p.death)} at dim {d} "
+            f"({format_value(b)}, {format_value(dth)}) has no partner with "
+            "equal values"
+        )
     return step
 
 
@@ -186,7 +231,8 @@ def _carried_certificates(
     tied there, and the pivot pairs must partition the simplices, so the
     certificate costs exactly its share of ``gap``; a carried order that
     lost or repeated a simplex fails that check too.  Each crossing
-    re-identifies the two pair lists and the point map follows.  Any
+    re-identifies the two pair lists, by value only where a simplex of the
+    pair is in a tied run, and the point map follows.  Any
     failure is a bug, so every one is an InternalProofViolation naming the
     interval or crossing, t and the simplex pair involved.
     """
@@ -196,7 +242,6 @@ def _carried_certificates(
     v_lo = f0.values
     for k, (lo, hi) in enumerate(zip(bps, bps[1:])):
         v_hi = interpolate(f0, f1, hi).values
-        where = f"interval {k} [{fraction_string(lo)}, {fraction_string(hi)}]"
         # One pass over the adjacent pairs at hi.  Values must not decrease;
         # they hold at lo by construction (only tied runs were reversed), so
         # at every t in between.  A pair tied at hi must not be tied at lo
@@ -212,16 +257,16 @@ def _carried_certificates(
                 continue
             if x > y:
                 raise InternalProofViolation(
-                    f"{where}: carried order fails at t = {fraction_string(hi)}: "
-                    f"values decrease along the order: f({K.simplices[a]}) = "
-                    f"{fraction_string(x)} > {fraction_string(y)} = "
-                    f"f({K.simplices[b]})"
+                    f"{_interval(k, lo, hi)}: carried order fails at t = "
+                    f"{fraction_string(hi)}: values decrease along the order: "
+                    f"f({K.simplices[a]}) = {fraction_string(x)} > "
+                    f"{fraction_string(y)} = f({K.simplices[b]})"
                 )
             if v_lo[a] == v_lo[b]:
                 raise InternalProofViolation(
-                    f"{where}: simplices {_simplex_pair(K, a, b)} are tied at "
-                    f"both ends, so also at the midpoint "
-                    f"t = {fraction_string((lo + hi) / 2)}"
+                    f"{_interval(k, lo, hi)}: simplices "
+                    f"{_simplex_pair(K, a, b)} are tied at both ends, so also "
+                    f"at the midpoint t = {fraction_string((lo + hi) / 2)}"
                 )
             if runs and runs[-1][1] == i + 1:
                 runs[-1][1] = i + 2
@@ -229,14 +274,17 @@ def _carried_certificates(
                 runs.append([i, i + 2])
         order = tuple(perm)
         pairs = pivot_pairs(K, order)
-        _check_partition(K, pairs, where)
+        _check_partition(K, pairs, k, lo, hi)
         if k:
-            crossing = f"crossing {k - 1} at t = {fraction_string(lo)}"
-            step = _reidentify(K, last, pairs, v_lo, crossing)
+            step = _reidentify(K, last, pairs, v_lo, tied, k - 1, lo)
             track = [step[j] for j in track]
         else:
             first, track = pairs, list(range(len(pairs)))
         certificates.append(IntervalCertificate(lo, hi, (hi - lo) * gap))
+        # The runs are the simplices tied at hi: this order passed the
+        # partition check, so it is a permutation, and its values at hi do
+        # not decrease, so simplices of equal value there are adjacent.
+        tied = {s for start, end in runs for s in perm[start:end]}
         if k < len(schedule):
             _reverse_tied_runs(K, perm, runs, schedule.pairs_at[k], k, hi)
         last, v_lo = pairs, v_hi

@@ -18,7 +18,9 @@ measured cost of matching them by pivot identity); every interval that
 ``reference_composition`` re-identifies those diagrams at each crossing
 (``breakpoint_matching``) and composes the whole chain of full maps
 (``compose_matchings``); the point map ``verify_stability`` carries must
-equal it.  The other helpers build what the library itself never needs:
+equal it.  ``bucket_reidentify`` re-identifies two pair lists at a crossing
+by value alone; ``reidentify_differences`` checks the library's local rule
+against it at every crossing of a run.  The other helpers build what the library itself never needs:
 the full order check (values and face closure), random compatible orders,
 diagrams under a supplied order, sublevel complexes, interval midpoints
 and a permutation-enumerating bottleneck.
@@ -52,7 +54,13 @@ from phstab.errors import (
 from phstab.interpolation import CrossingSchedule, interpolate, sup_norm
 from phstab.ordering import total_order
 from phstab.persistence import Diagram, PivotPair, diagram_from_pivots, pivot_pairs
-from phstab.rational import INF, common_numerators, fraction_string, to_fraction
+from phstab.rational import (
+    INF,
+    common_numerators,
+    format_value,
+    fraction_string,
+    to_fraction,
+)
 from phstab.stability import _simplex_pair
 
 
@@ -309,6 +317,73 @@ def reference_composition(refs) -> Matching:
     for prev, cur in zip(refs, refs[1:]):
         chain += [breakpoint_matching(prev.right, cur.left), cur.matching]
     return compose_matchings(chain)
+
+
+def _point(K: SimplicialComplex, values: tuple, pv: PivotPair) -> tuple:
+    """(dimension, birth value, death value) of a pivot pair under values."""
+    death = values[pv.death] if pv.death is not None else INF
+    return K.simplices[pv.birth].dim, values[pv.birth], death
+
+
+def bucket_reidentify(
+    K: SimplicialComplex, left: tuple, right: tuple, values: tuple, k: int, t
+) -> list:
+    """Re-identify two pair lists at crossing ``k`` by value alone.
+
+    Every pair of ``right`` goes into a bucket keyed by its point, in list
+    order, and each pair of ``left`` in turn takes the first unused index
+    of its bucket.  ``stability._reidentify`` buckets only the pairs with
+    a simplex tied at ``t`` and finds the others by birth simplex; it must
+    give the same map and raise the same messages.
+    """
+    where = f"crossing {k} at t = {fraction_string(t)}"
+    if len(left) != len(right):
+        raise InternalProofViolation(
+            f"{where}: {len(left)} pivot pairs before vs {len(right)} after"
+        )
+    unused: dict = {}  # point -> indices of right with it, last first
+    for j in range(len(right) - 1, -1, -1):
+        unused.setdefault(_point(K, values, right[j]), []).append(j)
+    step = []
+    for p in left:
+        d, b, dth = key = _point(K, values, p)
+        bucket = unused.get(key)
+        if not bucket:
+            raise InternalProofViolation(
+                f"{where}: pivot pair {_simplex_pair(K, p.birth, p.death)} at "
+                f"dim {d} ({format_value(b)}, {format_value(dth)}) has no "
+                "partner with equal values"
+            )
+        step.append(bucket.pop())
+    return step
+
+
+def reidentify_differences(K, f0, f1) -> tuple:
+    """Run ``verify_stability`` with every ``_reidentify`` call checked
+    against ``bucket_reidentify`` on the same arguments.
+
+    Returns the number of crossings, the number of them where two points
+    of one pair list are equal (so the tie-break by list order decides the
+    map), and a description of each crossing where the two maps differ.
+    """
+    real = stability._reidentify
+    crossings = equal_points = 0
+    out = []
+
+    def checking(K, left, right, values, tied, k, t):
+        nonlocal crossings, equal_points
+        got = real(K, left, right, values, tied, k, t)
+        want = bucket_reidentify(K, left, right, values, k, t)
+        crossings += 1
+        points = Counter(_point(K, values, pv) for pv in right)
+        equal_points += max(points.values(), default=0) > 1
+        if got != want:
+            out.append(f"crossing {k} at t = {fraction_string(t)}: {got} != {want}")
+        return got
+
+    with mock.patch.object(stability, "_reidentify", checking):
+        stability.verify_stability(K, f0, f1)
+    return crossings, equal_points, out
 
 
 def verify_recording(K, f0, f1):

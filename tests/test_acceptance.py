@@ -37,6 +37,7 @@ from oracles import (
     persistent_betti,
     random_compatible_order,
     reference_differences,
+    reidentify_differences,
     value_grid,
     value_multiset,
     verify_recording,
@@ -139,6 +140,28 @@ def test_carried_certificates_equal_the_from_scratch_reference(corpus):
             inst.complex, *inst.functions, report, reduced
         )
         assert not differences, f"{format_instance(inst)}{'; '.join(differences)}"
+
+
+def test_local_reidentification_equals_the_bucket_twin(corpus):
+    """At every crossing of the corpus, re-identifying only the pairs with
+    a tied simplex by value gives the map of bucketing every pair.  The
+    corpus has over 200 crossings where two points of one pair list are
+    equal, so the tie-break by list order decides the map there."""
+    crossings = equal_points = 0
+    for inst, _, _ in corpus:
+        c, e, differences = reidentify_differences(inst.complex, *inst.functions)
+        assert not differences, f"{format_instance(inst)}{'; '.join(differences)}"
+        crossings += c
+        equal_points += e
+    assert crossings > 10_000 and equal_points > 200
+
+
+def test_interpolate_is_the_convex_combination_at_every_breakpoint(corpus):
+    for inst, report, _ in corpus:
+        f0, f1 = inst.functions
+        for t in report.schedule.breakpoints():
+            want = tuple((1 - t) * a + t * b for a, b in zip(f0.values, f1.values))
+            assert interpolate(f0, f1, t).values == want
 
 
 def test_4_point_counts_depend_only_on_the_complex(capsys):

@@ -282,6 +282,16 @@ def test_verify_random_batch():
     assert lines[-1] == "3 trial(s): all hold"
 
 
+def test_verify_random_seed3_is_pinned(cli_env):
+    # CI's smoke runs diff the same command against the same file
+    cmd = [sys.executable, "-m", "phstab.cli", "verify", "--random"]
+    cmd += ["--trials", "5", "--seed", "3"]
+    done = subprocess.run(cmd, capture_output=True, env=cli_env)
+    assert (done.returncode, done.stderr) == (0, b"")
+    pinned = Path(__file__).parent / "verify_random_seed3.txt"
+    assert done.stdout == pinned.read_bytes()
+
+
 def test_verify_needs_input():
     status, text = run_command(["verify"])
     assert status == 1

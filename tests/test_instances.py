@@ -78,7 +78,17 @@ def test_parse_rejects_duplicates_and_junk_vertices():
     assert any("no vertices" in msg for _, msg in _problems(" : 1\n"))
     assert any("no values" in msg for _, msg in _problems("0 :\n"))
     assert any("1 or 2" in msg for _, msg in _problems("0 : 1 2 3\n"))
-    assert any("no simplices" in msg for _, msg in _problems("# empty\n"))
+
+
+@pytest.mark.parametrize("text", ["", "# empty\n", "\n  \n"])
+def test_a_file_without_simplices_names_no_line(tmp_path, text):
+    assert _problems(text) == ((None, "no simplices in file"),)
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    assert run_command(["validate", str(path)]) == (
+        1,
+        f"error: {path}: no simplices in file",
+    )
 
 
 def test_parse_error_mentions_path(tmp_path):

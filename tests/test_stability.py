@@ -348,7 +348,9 @@ def test_pair_list_that_does_not_partition_is_a_violation(
 
 def test_reidentify_rejects_pair_lists_of_different_functions():
     # f_a is born at {0}, f_b at {1}; at f_a's values the two pair lists
-    # give (0, inf), (1, 2) against (0, 2), (1, inf)
+    # give (0, inf), (1, 2) against (0, 2), (1, inf).  Whether the pairs
+    # are found by birth simplex (nothing tied) or by value (everything
+    # tied), the message is the same.
     K = validate_complex(EDGE)
     f_a = FiltrationFunction(K, (0, 1, 2))
     f_b = FiltrationFunction(K, (1, 0, 2))
@@ -356,15 +358,16 @@ def test_reidentify_rejects_pair_lists_of_different_functions():
     def pairs(f):
         return pivot_pairs(K, total_order(K, f))
 
-    same = _reidentify(K, pairs(f_a), pairs(f_a), f_a.values, "here")
-    assert same == [0, 1]
-    with pytest.raises(InternalProofViolation) as ei:
-        where = "crossing 3 at t = 1/2"
-        _reidentify(K, pairs(f_a), pairs(f_b), f_a.values, where)
-    assert str(ei.value) == (
-        "crossing 3 at t = 1/2: pivot pair ({0}, -) at dim 0 (0, inf) has no "
-        "partner with equal values"
-    )
+    t = Fraction(1, 2)
+    for tied in (set(), {0, 1, 2}):
+        same = _reidentify(K, pairs(f_a), pairs(f_a), f_a.values, tied, 3, t)
+        assert same == [0, 1]
+        with pytest.raises(InternalProofViolation) as ei:
+            _reidentify(K, pairs(f_a), pairs(f_b), f_a.values, tied, 3, t)
+        assert str(ei.value) == (
+            "crossing 3 at t = 1/2: pivot pair ({0}, -) at dim 0 (0, inf) has "
+            "no partner with equal values"
+        )
 
 
 def test_violation_exits_two_through_the_cli(monkeypatch, tmp_path):
