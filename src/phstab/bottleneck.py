@@ -12,24 +12,28 @@ match an essential point, so the essential points form a problem on a line:
 equal counts are paired in sorted order, unequal counts cost +inf.  The
 finite points go to one exact core.  It takes a square bipartite graph as
 rows of (column, cost) edges and binary-searches its sorted distinct costs
-for the smallest one whose edges, those costing at most it, admit a
-perfect matching, found by iterative augmenting paths (Efrat, Itai and
-Katz 2001).  The bijection variant passes an edge for every pair of
-points.  The diagonal variant passes the bijection problem on augmented
-diagrams (Kerber, Morozov and Nigmetov 2017), where each point gains a
-diagonal partner on the other side, with only the edges that exist.  All
-costs are ints: the births and deaths of both diagrams over one shared
-denominator, so the matcher sorts and compares ints, and the chosen cost
-becomes a Fraction once.  The public ``pair_cost``, ``diagonal_cost`` and
-``matching_cost`` stay in Fractions for the callers that re-check a
-matching.
+for the smallest one whose edges, those costing at most it, admit a perfect
+matching, found by iterative augmenting paths (Efrat, Itai and Katz 2001).
+Each probe carries the last feasible matching, cut to its limit, and
+augments only the rows that lost their edge; one from-scratch run in column
+order at the chosen cost builds the witness.  The bijection variant passes
+an edge for every pair of points.  The diagonal variant passes the
+bijection problem on augmented diagrams (Kerber, Morozov and Nigmetov
+2017), where each point gains a diagonal partner on the other side, with
+only the edges that exist.  All costs are ints: the births and deaths of
+both diagrams over one shared denominator, so the matcher sorts and
+compares ints, and the chosen cost becomes a Fraction once.  The public
+``pair_cost``, ``diagonal_cost`` and ``matching_cost`` stay in Fractions
+for the callers that re-check a matching.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain, zip_longest
+from operator import itemgetter
 
 from .errors import CountMismatch, DimensionMismatch, InvalidMatching
 from .persistence import Diagram, DiagramPoint
@@ -112,21 +116,21 @@ def matching_cost(D0: Diagram, D1: Diagram, m: Matching):
     return worst
 
 
-def _perfect_matching(adjacency: list[list[int]]) -> "list[int] | None":
-    """Perfect matching of a square bipartite graph, or None if none exists.
+def _augment(adjacency, match: list, owner: list, roots) -> bool:
+    """Grow a bipartite matching in place by augmenting from each root.
 
-    ``adjacency[u]`` lists the right vertices of left vertex u.  Each left
-    vertex in turn looks depth-first, in adjacency order, for an augmenting
-    path to a free right vertex (Kuhn's algorithm).  The search keeps its
-    own stack, so a path may be as long as the graph.  A left vertex that
-    finds no augmenting path stays unmatched under every later matching,
-    so the first failure settles the answer.  Returns match[u] = v.
+    ``adjacency[u]`` lists the right vertices of left vertex u; ``match``
+    (left -> right) and ``owner`` (right -> left) hold the starting
+    matching, None where a vertex is free.  Each root in turn looks
+    depth-first, in adjacency order, for an augmenting path to a free right
+    vertex (Kuhn's algorithm).  The search keeps its own stack, so a path
+    may be as long as the graph.  Returns False at the first root that
+    finds none: whenever a perfect matching exists, every free left vertex
+    has an augmenting path under every matching (its component in the
+    symmetric difference is one), so that failure settles the answer.
     """
-    n = len(adjacency)
-    match = [None] * n  # left vertex -> its right partner
-    owner = [None] * n  # right vertex -> its left partner
-    seen = [-1] * n  # right vertex -> last root whose search reached it
-    for root in range(n):
+    seen = [-1] * len(owner)  # right vertex -> last root whose search reached it
+    for root in roots:
         stack = [(root, iter(adjacency[root]))]
         path = []  # path[k]: right vertex through which stack[k + 1] was entered
         while stack:
@@ -148,8 +152,17 @@ def _perfect_matching(adjacency: list[list[int]]) -> "list[int] | None":
                 break
             stack.append((w, iter(adjacency[w])))
         else:
-            return None
-    return match
+            return False
+    return True
+
+
+def _perfect_matching(adjacency: list[list[int]]) -> "list[int] | None":
+    """Perfect matching of a square bipartite graph, or None if none exists:
+    ``_augment`` from the empty matching, every left vertex a root in
+    turn.  Returns match[u] = v."""
+    n = len(adjacency)
+    match = [None] * n
+    return match if _augment(adjacency, match, [None] * n, range(n)) else None
 
 
 def _min_max_matching(rows: list[list]):
@@ -159,28 +172,59 @@ def _min_max_matching(rows: list[list]):
     edges of left vertex u as (column, cost) pairs in column order, costs
     rationals; a missing edge cannot be used.  The smallest of the sorted
     distinct costs whose edges, those costing at most it, admit a perfect
-    matching is found by binary search.  Returns (cost, pairs) with pairs
-    (row, column) sorted by row; cost is INF when no perfect matching
-    exists, and the witness is then the identity.
+    matching is found by binary search.  It starts between the largest of
+    the row minima, which every perfect matching pays, and the cost of the
+    first matching found.
+
+    Each row's edges are sorted by cost once, so the usable edges at a
+    probe's cost limit are a prefix, found with ``bisect``.  A probe does
+    not match from scratch: it carries the last feasible matching, cut to
+    its limit, and augments from the rows that lost their edge (Kerber,
+    Morozov and Nigmetov 2017 reuse work between thresholds the same way).
+    The witness is one from-scratch ``_perfect_matching`` at the chosen
+    cost with each row's edges in column order, so it does not depend on
+    the path the search took.  Returns (cost, pairs) with pairs (row,
+    column) sorted by row; cost is INF when no perfect matching exists,
+    and the witness is then the identity.
     """
-    candidates = sorted({c for row in rows for _, c in row})
+    n = len(rows)
+    costs, columns = [], []  # per row, its edges sorted by cost
+    for row in rows:
+        edges = sorted(row, key=itemgetter(1))
+        costs.append(list(map(itemgetter(1), edges)))
+        columns.append(list(map(itemgetter(0), edges)))
+    match, owner = [None] * n, [None] * n
+    if not _augment(columns, match, owner, range(n)):
+        return INF, [(i, i) for i in range(n)]
 
-    def matching_at(k):
-        limit = candidates[k]
-        return _perfect_matching([[v for v, c in row if c <= limit] for row in rows])
+    def edge_cost(u, v):
+        row = rows[u]
+        return row[bisect_left(row, v, key=itemgetter(0))][1]
 
-    lo, hi = 0, len(candidates) - 1
-    best = matching_at(hi) if candidates else None
-    if best is None:
-        return INF, [(i, i) for i in range(len(rows))]
+    held = list(map(edge_cost, range(n), match))  # cost of each row's edge
+    candidates = sorted(set(chain.from_iterable(costs)))
+    lo = bisect_left(candidates, max(row[0] for row in costs))
+    hi = bisect_left(candidates, max(held))
     while lo < hi:
         mid = (lo + hi) // 2
-        found = matching_at(mid)
-        if found is None:
-            lo = mid + 1
+        limit = candidates[mid]
+        cut = [u for u in range(n) if held[u] > limit]
+        trial, trial_owner = match[:], owner[:]
+        for u in cut:
+            trial_owner[trial[u]] = None
+            trial[u] = None
+        usable = [col[:bisect_right(c, limit)] for c, col in zip(costs, columns)]
+        if _augment(usable, trial, trial_owner, cut):
+            for u in range(n):
+                if trial[u] != match[u]:
+                    held[u] = edge_cost(u, trial[u])
+            match, owner = trial, trial_owner
+            hi = bisect_left(candidates, max(held))
         else:
-            hi, best = mid, found
-    return candidates[lo], list(enumerate(best))
+            lo = mid + 1
+    limit = candidates[lo]
+    witness = _perfect_matching([[v for v, c in row if c <= limit] for row in rows])
+    return limit, list(enumerate(witness))
 
 
 def _split_by_dim(D0: Diagram, D1: Diagram, require_equal: bool):

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import DomainMismatch, InvalidComplex, InvalidFiltration
-from .rational import fraction_string, to_fraction
+from .rational import common_numerators, fraction_string, to_fraction
 
 
 @dataclass(frozen=True, order=True)
@@ -77,6 +77,13 @@ class SimplicialComplex:
         return tuple(
             tuple(idx[f.vertices] for f in s.facets()) for s in self.simplices
         )
+
+    @cached_property
+    def tie_order(self) -> tuple[int, ...]:
+        """Positions sorted by (dimension, vertex sequence): the canonical
+        order's tie-break, the same for every function on the complex."""
+        keys = [(len(s.vertices), s.vertices) for s in self.simplices]
+        return tuple(sorted(range(len(keys)), key=keys.__getitem__))
 
     @property
     def dim(self) -> int:
@@ -174,13 +181,19 @@ class FiltrationFunction:
             raise InvalidFiltration(bad) from None
         object.__setattr__(self, "values", values)
 
+    @cached_property
+    def numerators(self) -> tuple[int, ...]:
+        """The values as int numerators over their least common denominator:
+        the same order and the same ties, compared as ints."""
+        return tuple(common_numerators(self.values)[0])
+
 
 def validate_filtration(K: SimplicialComplex, f: FiltrationFunction) -> tuple:
     """An Issue for every (face, coface) pair on which ``f`` decreases, at
     the coface's position; empty when ``f`` is monotone on K."""
     if f.complex is not K and f.complex != K:
         raise DomainMismatch("filtration is not defined on this complex")
-    values = f.values
+    nums, values = f.numerators, f.values
     return tuple(
         Issue(
             f"face {{{K.simplices[i]}}} has value {fraction_string(values[i])}"
@@ -189,7 +202,7 @@ def validate_filtration(K: SimplicialComplex, f: FiltrationFunction) -> tuple:
         )
         for j, s in enumerate(K.simplices)
         for i in K.facet_positions[j]
-        if values[i] > values[j]
+        if nums[i] > nums[j]
     )
 
 

@@ -9,6 +9,10 @@ second, structurally different route to the same numbers.
 The Fraction-matrix bottleneck twin runs the library's matcher core on the
 plain per-dimension cost matrices, essential points included, with no
 integer scaling and no separate sorted matching of essential points.
+``scratch_min_max_matching`` is that core's binary search as it was before
+probes carried a matching: every probe filters every row and matches from
+scratch.  ``fraction_key_order`` is the canonical order sorted on
+(Fraction value, dimension, vertices) keys.
 
 ``interval_matching`` certifies one interval from scratch (pairwise order
 check, midpoint order, fresh reduction, both endpoint diagrams and the
@@ -39,6 +43,7 @@ from phstab import stability
 from phstab.bottleneck import (
     Matching,
     _min_max_matching,
+    _perfect_matching,
     _split_by_dim,
     diagonal_cost,
     pair_cost,
@@ -91,6 +96,17 @@ class ReferenceCertificate:
     matching: Matching
     cost: "Fraction | int"
     bound: Fraction
+
+
+def fraction_key_order(K: SimplicialComplex, f: FiltrationFunction) -> tuple:
+    """The canonical order by its definition: simplex positions sorted by
+    (value, dimension, vertex sequence), the values as Fractions."""
+    return tuple(
+        sorted(
+            range(len(K)),
+            key=lambda i: (f.values[i], K.simplices[i].dim, K.simplices[i].vertices),
+        )
+    )
 
 
 def inverse(order) -> list[int]:
@@ -716,3 +732,32 @@ def fraction_matrix_bottleneck(D0, D1, diagonal=False):
         cost, _ = _min_max_matching(rows)
         worst = max(worst, cost)
     return worst
+
+
+def scratch_min_max_matching(rows):
+    """``_min_max_matching`` with every probe matched from scratch.
+
+    Binary search over the sorted distinct costs; each probe keeps the
+    edges costing at most its limit, in column order, and runs
+    ``_perfect_matching`` on them.  Returns (cost, pairs) like the library
+    core: the witness is the matching found at the chosen cost, and an
+    infeasible graph gives (INF, identity).
+    """
+    candidates = sorted({c for row in rows for _, c in row})
+
+    def matching_at(k):
+        limit = candidates[k]
+        return _perfect_matching([[v for v, c in row if c <= limit] for row in rows])
+
+    lo, hi = 0, len(candidates) - 1
+    best = matching_at(hi) if candidates else None
+    if best is None:
+        return INF, [(i, i) for i in range(len(rows))]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        found = matching_at(mid)
+        if found is None:
+            lo = mid + 1
+        else:
+            hi, best = mid, found
+    return candidates[lo], list(enumerate(best))

@@ -32,6 +32,7 @@ from oracles import (
     counts_by_dim,
     diagram_rank_count,
     diagram_with_order,
+    fraction_key_order,
     fraction_matrix_bottleneck,
     inverse,
     persistent_betti,
@@ -140,6 +141,15 @@ def test_carried_certificates_equal_the_from_scratch_reference(corpus):
             inst.complex, *inst.functions, report, reduced
         )
         assert not differences, f"{format_instance(inst)}{'; '.join(differences)}"
+
+
+def test_integer_sort_equals_the_fraction_key_sort_on_the_corpus(corpus):
+    """``total_order`` sorts int numerators over the complex's cached tie
+    order; both functions of every corpus instance get the order of the
+    (Fraction value, dimension, vertices) key sort."""
+    for inst, _, _ in corpus:
+        for f in inst.functions:
+            assert total_order(inst.complex, f) == fraction_key_order(inst.complex, f)
 
 
 def test_local_reidentification_equals_the_bucket_twin(corpus):

@@ -1,11 +1,15 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from phstab import bottleneck
 from phstab.bottleneck import (
     Matching,
+    _min_max_matching,
     _perfect_matching,
     bottleneck_bijection,
     bottleneck_diagonal,
@@ -24,6 +28,7 @@ from oracles import (
     brute_force_bottleneck,
     brute_force_diagonal,
     counts_by_dim,
+    scratch_min_max_matching,
 )
 
 
@@ -223,6 +228,65 @@ def test_perfect_matching_follows_long_augmenting_paths():
     adjacency = [[0]] + [[u - 1, u] for u in range(1, n)]
     assert _perfect_matching(adjacency) == list(range(n))
     assert _perfect_matching([[0], [0]]) is None
+
+
+def _random_rows(rng, n, edge_prob, costs):
+    """n rows of (column, cost) edges in column order, each edge present
+    with probability ``edge_prob`` at a cost drawn from ``costs``."""
+    return [
+        [(v, rng.choice(costs)) for v in range(n) if rng.random() < edge_prob]
+        for _ in range(n)
+    ]
+
+
+ROW_SHAPES = {
+    "dense": (1, range(10_000)),
+    "sparse": (0.35, range(10_000)),
+    "equal costs": (0.8, range(3)),
+    "mostly infeasible": (0.15, [Fraction(k, 3) for k in range(-2, 4)]),
+}
+
+
+def test_carried_search_equals_the_from_scratch_twin_on_random_rows():
+    """The core gives the from-scratch search's (cost, witness) on every
+    row set, feasible or not, small or up to 40 rows."""
+    rng = random.Random(1501)
+    outcomes = Counter()
+    for trial in range(480):
+        shape = list(ROW_SHAPES)[trial % len(ROW_SHAPES)]
+        n = rng.randint(1, 12) if trial % 8 else rng.randint(20, 40)
+        rows = _random_rows(rng, n, *ROW_SHAPES[shape])
+        got = _min_max_matching(rows)
+        assert got == scratch_min_max_matching(rows), (shape, rows)
+        outcomes[shape, got[0] == INF] += 1
+    assert outcomes["mostly infeasible", True] >= 100
+    assert all(outcomes[shape, False] >= 50 for shape in list(ROW_SHAPES)[:3])
+
+
+def test_both_variants_hand_the_core_rows_it_matches_like_its_twin():
+    """Every row set the two variants build, the augmented --diagonal
+    shape included, gets the from-scratch search's (cost, witness)."""
+    calls = []
+    real = bottleneck._min_max_matching
+
+    def recording(rows):
+        result = real(rows)
+        calls.append((rows, result))
+        return result
+
+    rng = random.Random(1502)
+    with mock.patch.object(bottleneck, "_min_max_matching", recording):
+        for seed in range(40):
+            D0, D1 = _pair_of_diagrams(seed, vertices=6)
+            bottleneck_bijection(D0, D1)
+            bottleneck_diagonal(D0, D1)
+            dims = {0: rng.randint(2, 12), 1: rng.randint(1, 6)}
+            T0 = _points_diagram(_tied_points(rng, dims, 0.2))
+            T1 = _points_diagram(_tied_points(rng, dims, 0.2))
+            bottleneck_diagonal(T0, T1)
+    assert len(calls) >= 120
+    for rows, got in calls:
+        assert got == scratch_min_max_matching(rows), rows
 
 
 def _tied_points(rng, dims, essential_share):

@@ -2,6 +2,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -589,3 +590,94 @@ def test_malformed_instance_files_never_escape_run_command(tmp_path):
                 pytest.fail(f"{argv[0]} on {text!r} raised {exc!r}")
             assert status in (0, 1), (argv, text, out)
             assert out or status == 0, (argv, text)
+
+
+# Every option of every subcommand, a few that belong to none, and stray
+# tokens; numbers include ones argparse or the range checks refuse.
+ARG_FLAGS = [
+    "--function", "--dim", "--diagonal", "--matching", "--machine", "--random",
+    "--trials", "--seed", "--vertices", "--max-dim", "--prob", "--value-range",
+    "--ties", "--out", "--mach", "--bogus", "-h", "--help", "--", "-",
+]
+ARG_NUMBERS = [
+    "-1", "0", "1", "2", "3", "8", "2.5", "1e3", "nan", "inf", "x", "", "0x10",
+    "-99", "99999999999999999999",
+]
+ARG_VALUED = {
+    "--function", "--dim", "--trials", "--seed", "--vertices", "--max-dim",
+    "--prob", "--value-range",
+}
+# --vertices and --trials are capped so that no case starts a large run
+ARG_CAPPED = {"--vertices": 8, "--trials": 8}
+ARG_CASES = 40  # per base command line
+
+
+def _mutated_argv(rng, argv, paths):
+    """``argv`` after one to three edits: a number after an option
+    replaced, a file replaced (by a missing, malformed or directory path
+    among others), a flag inserted, a token dropped or an extra positional
+    inserted.  Numbers past a cap in ``ARG_CAPPED`` are lowered to it."""
+    argv = list(argv)
+    for _ in range(rng.randint(1, 3)):
+        numbers = [i for i in range(1, len(argv)) if argv[i - 1] in ARG_VALUED]
+        files = [i for i, token in enumerate(argv) if token in paths]
+        kind = rng.choice(("number", "number", "file", "flag", "drop", "extra"))
+        if kind == "number" and numbers:
+            argv[rng.choice(numbers)] = rng.choice(ARG_NUMBERS)
+        elif kind == "file" and files:
+            argv[rng.choice(files)] = rng.choice(paths)
+        elif kind == "flag":
+            argv.insert(rng.randint(1, len(argv)), rng.choice(ARG_FLAGS))
+        elif kind == "drop" and len(argv) > 1:
+            del argv[rng.randrange(len(argv))]
+        else:
+            extra = rng.choice(paths + ARG_NUMBERS)
+            argv.insert(rng.randint(1, len(argv)), extra)
+    for i, token in enumerate(argv[:-1]):
+        cap = ARG_CAPPED.get(token)
+        try:
+            too_big = cap is not None and int(argv[i + 1]) > cap
+        except ValueError:
+            too_big = False
+        if too_big:
+            argv[i + 1] = str(cap)
+    return argv
+
+
+def test_mutated_command_lines_never_escape_run_command(tmp_path, monkeypatch):
+    """Seeded fuzzing of every subcommand's arguments: flags, numbers,
+    missing files and extra positionals end in exit 0, 1 or 2 with a
+    message for a failure, never an exception.  Runs in ``tmp_path``, so
+    a number taken as an output path writes there."""
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(415)
+    one, two, bad, out = "one.txt", "two.txt", "bad.txt", "out.txt"
+    paths = [one, two, bad, out, "missing.txt", "."]
+    bases = [
+        ["validate", one],
+        ["order", one, "--function", "1"],
+        ["diagram", one, "--function", "0", "--dim", "1"],
+        ["bottleneck", one, "--diagonal", "--matching"],
+        ["bottleneck", one, two, "--function", "0"],
+        ["crossings", one],
+        ["verify", one, "--machine"],
+        ["verify", "--random", "--trials", "2", "--vertices", "4", "--seed", "1",
+         "--prob", "0.5", "--max-dim", "2"],
+        ["gen", "--vertices", "4", "--seed", "2", "--value-range", "3", "--ties",
+         "--out", out],
+    ]
+    statuses = Counter()
+    for base in bases:
+        for _ in range(ARG_CASES):
+            Path(one).write_text(FUZZ_BASE)
+            Path(two).write_text(EDGE_TWO)
+            Path(bad).write_text("0 : 0\n0 1 : 1\n")
+            argv = _mutated_argv(rng, base, paths)
+            try:
+                status, text = run_command(argv)
+            except Exception as exc:  # any escape is the failure
+                pytest.fail(f"{argv} raised {exc!r}")
+            assert status in (0, 1, 2), (argv, status, text)
+            assert text or status == 0, argv
+            statuses[status] += 1
+    assert statuses[0] >= 30 and statuses[1] >= 200

@@ -228,6 +228,16 @@ def test_validate_filtration_accepts_monotone():
     assert validate_filtration(K, f) == ()
 
 
+def test_validate_filtration_sees_the_smallest_decrease_over_mixed_denominators():
+    # over the common denominator 6 the face is one unit above its coface
+    K = validate_complex([(0,), (1,), (0, 1)])
+    f = FiltrationFunction(K, ["1/2", "-1/3", "1/3"])
+    assert validate_filtration(K, f) == (
+        Issue("face {0} has value 1/2 > 1/3 on coface {0,1}", 2),
+    )
+    assert validate_filtration(K, FiltrationFunction(K, ["1/3", "-1/2", "2/6"])) == ()
+
+
 def test_validate_filtration_wrong_complex():
     K1 = validate_complex([(0,)])
     K2 = validate_complex([(1,)])

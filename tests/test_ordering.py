@@ -5,12 +5,18 @@ import pytest
 
 from phstab.complexes import FiltrationFunction, validate_complex
 from phstab.errors import DomainMismatch
-from phstab.generate import GeneratorConfig, generate_complex, random_filtration
+from phstab.generate import (
+    GeneratorConfig,
+    generate_complex,
+    generate_instance,
+    random_filtration,
+)
 from phstab.ordering import total_order
 
 from oracles import (
     IncompatibleOrder,
     check_order_compatible,
+    fraction_key_order,
     is_order_constant,
     random_compatible_order,
 )
@@ -32,6 +38,53 @@ def test_canonical_order_sorts_by_value_first():
     K = validate_complex([(0,), (1,), (0, 1)])
     f = FiltrationFunction(K, (1, 0, 2))
     assert total_order(K, f) == (1, 0, 2)
+
+
+def test_integer_sort_equals_the_fraction_key_sort_on_tied_instances():
+    """Tied values, on generated complexes and on copies that list their
+    simplices in a shuffled face-closed order, where the tie order is not
+    the list order."""
+    rng = random.Random(16)
+    ties = reordered = 0
+    for seed in range(150):
+        inst = generate_instance(
+            GeneratorConfig(seed=seed, num_vertices=4 + seed % 4, unique=False)
+        )
+        K = inst.complex
+        moved = list(range(len(K)))
+        rng.shuffle(moved)
+        L = validate_complex([K.simplices[i] for i in moved])
+        reordered += L.tie_order != tuple(range(len(L)))
+        for f in inst.functions:
+            ties += len(set(f.values)) < len(K)
+            g = FiltrationFunction(L, [f.values[i] for i in moved])
+            assert total_order(K, f) == fraction_key_order(K, f)
+            assert total_order(L, g) == fraction_key_order(L, g)
+    assert ties >= 200 and reordered >= 140
+
+
+def _mixed_monotone(K, rng, starts, steps):
+    """A monotone function: each vertex takes a value from ``starts``, and
+    every other simplex the largest value of its facets plus one of
+    ``steps`` (>= 0), so a step of 0 ties a simplex with a face."""
+    values = [None] * len(K)
+    for j in sorted(range(len(K)), key=lambda j: K.simplices[j].dim):
+        faces = [values[i] for i in K.facet_positions[j]]
+        values[j] = max(faces) + rng.choice(steps) if faces else rng.choice(starts)
+    return FiltrationFunction(K, values)
+
+
+def test_integer_sort_equals_the_fraction_key_sort_on_negative_mixed_values():
+    rng = random.Random(15)
+    starts = [Fraction(-7, 3), Fraction(-1, 6), -2, 0, Fraction(5, 7)]
+    steps = [0, 0, Fraction(2, 5), Fraction(9, 14), Fraction(1, 3)]
+    negative = 0
+    for seed in range(120):
+        K = generate_complex(rng, GeneratorConfig(seed=seed, num_vertices=5))
+        f = _mixed_monotone(K, rng, starts, steps)
+        negative += min(f.values) < 0
+        assert total_order(K, f) == fraction_key_order(K, f)
+    assert negative >= 100
 
 
 def test_check_order_compatible_rejects_non_permutation():
