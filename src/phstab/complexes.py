@@ -40,17 +40,15 @@ class Simplex:
     def dim(self) -> int:
         return len(self.vertices) - 1
 
-    def facets(self) -> tuple["Simplex", ...]:
-        """All codimension-1 faces; empty for a vertex."""
-        if self.dim == 0:
-            return ()
-        verts = self.vertices
-        return tuple(
-            Simplex(verts[:i] + verts[i + 1:]) for i in range(len(verts))
-        )
-
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.vertices)
+
+
+def facets(vertices: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The vertex tuples of all codimension-1 faces; empty for a vertex."""
+    if len(vertices) == 1:
+        return ()
+    return tuple(vertices[:i] + vertices[i + 1:] for i in range(len(vertices)))
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,7 @@ class SimplicialComplex:
         """Positions of the codimension-1 faces of each simplex."""
         idx = self.index
         return tuple(
-            tuple(idx[f.vertices] for f in s.facets()) for s in self.simplices
+            tuple(idx[f] for f in facets(s.vertices)) for s in self.simplices
         )
 
     @cached_property
@@ -129,9 +127,9 @@ def validate_complex(simplices: Iterable) -> SimplicialComplex:
         seen.add(s.vertices)
     for pos, s in canon:
         issues.extend(
-            Issue(f"simplex {{{s}}} is missing face {{{face}}}", pos)
-            for face in s.facets()
-            if face.vertices not in seen
+            Issue(f"simplex {{{s}}} is missing face {{{Simplex(face)}}}", pos)
+            for face in facets(s.vertices)
+            if face not in seen
         )
     if issues:
         raise InvalidComplex(issues)
@@ -211,8 +209,8 @@ def find_duplicate_value(f: FiltrationFunction):
 
     Scans in position order so the report is deterministic.
     """
-    first: dict[Fraction, int] = {}
-    for j, v in enumerate(f.values):
+    first: dict[int, int] = {}
+    for j, v in enumerate(f.numerators):
         if v in first:
             return first[v], j
         first[v] = j

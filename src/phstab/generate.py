@@ -59,23 +59,24 @@ def random_filtration(
     the max of its faces (in dimension order, so the repair is monotone),
     then adds rank * delta with delta small enough that no two sums can
     collide: distinct base values differ by at least 1/4 while all offsets
-    stay below 1/4, and equal base values get distinct offsets.
+    stay below 1/4, and equal base values get distinct offsets.  Ranks
+    follow (dimension, vertices) and delta = 1 / (4 * 2^m) with 2^m > n,
+    so all of it runs on int numerators over 4 * 2^m, and each value
+    becomes a Fraction once, at the end.
     """
     n = len(K)
-    values = [Fraction(rng.randint(0, 4 * value_range), 4) for _ in range(n)]
-    for j in sorted(range(n), key=lambda i: K.simplices[i].dim):
-        for i in K.facet_positions[j]:
+    offsets = unique and n > 0
+    scale = 1 << n.bit_length() if offsets else 1  # 2^m > n, m >= 1
+    values = [rng.randint(0, 4 * value_range) * scale for _ in range(n)]
+    faces = K.facet_positions
+    for j in K.tie_order:  # faces come first: it sorts by dimension
+        for i in faces[j]:
             if values[i] > values[j]:
                 values[j] = values[i]
-    if unique and n:
-        m = 1
-        while 2 ** m <= n:
-            m += 1
-        delta = Fraction(1, 4 * 2 ** m)
-        by_rank = sorted(range(n), key=lambda i: (K.simplices[i].dim, K.simplices[i].vertices))
-        for rank, i in enumerate(by_rank):
-            values[i] += (rank + 1) * delta
-    return FiltrationFunction(K, tuple(values))
+    if offsets:
+        for rank, i in enumerate(K.tie_order, 1):
+            values[i] += rank
+    return FiltrationFunction(K, tuple(Fraction(v, 4 * scale) for v in values))
 
 
 def generate_instance(cfg: GeneratorConfig) -> InstanceFile:

@@ -1,8 +1,10 @@
 """Persistence diagrams via boundary-matrix column reduction over GF(2).
 
 The reduction is the plain left-to-right algorithm: while the lowest row of
-a column collides with the pivot of an earlier column, add that column in
-(symmetric difference of row sets).  Each resulting pivot (low(j), j) pairs
+a column collides with the pivot of an earlier column, add that column in.
+A column is an int used as a bitset over GF(2), bit r for row r, so adding
+a column is one XOR and its lowest row is its highest set bit
+(``bit_length() - 1``).  Each resulting pivot (low(j), j) pairs
 a birth simplex with a death simplex; columns that end up empty and never
 serve as a pivot row are essential and get death +inf.  The pair list is a
 deterministic function of the complex and the order alone; the function
@@ -37,7 +39,8 @@ class DiagramPoint:
 
     @property
     def is_essential(self) -> bool:
-        return self.death == INF
+        # a finite death is a Fraction: test the type, not Fraction == float
+        return isinstance(self.death, float) and self.death == INF
 
     def __str__(self) -> str:
         return f"({format_value(self.birth)}, {format_value(self.death)})"
@@ -62,8 +65,8 @@ def pivot_pairs(K: SimplicialComplex, order: tuple) -> tuple[PivotPair, ...]:
     """Reduce the boundary matrix of (K, order) and return its pivot pairs.
 
     ``order`` lists simplex positions, earliest first.  Rows and columns
-    are order positions: column j holds the order positions of the
-    codimension-1 faces of the simplex ``order[j]``.  The list
+    are order positions: column j is an int whose bit r is set when the
+    simplex ``order[r]`` is a codimension-1 face of ``order[j]``.  The list
     contains one PivotPair per diagram point, essentials with death None,
     in the order of the birth simplices, as one scan over the reduced
     columns finds them.  It depends on K and the order only, not on values.
@@ -71,20 +74,27 @@ def pivot_pairs(K: SimplicialComplex, order: tuple) -> tuple[PivotPair, ...]:
     pos = [0] * len(order)  # complex position -> order position
     for j, c in enumerate(order):
         pos[c] = j
-    cols = [{pos[i] for i in K.facet_positions[c]} for c in order]
-    owner: dict[int, int] = {}  # pivot row -> owning column
+    facet_positions = K.facet_positions
+    cols = []
+    for c in order:
+        col = 0
+        for i in facet_positions[c]:
+            col |= 1 << pos[i]
+        cols.append(col)
+    owner: list = [None] * len(order)  # pivot row -> owning column
     for j, col in enumerate(cols):
         while col:
-            low = max(col)
-            k = owner.get(low)
+            low = col.bit_length() - 1
+            k = owner[low]
             if k is None:
                 owner[low] = j
                 break
             col ^= cols[k]
+        cols[j] = col
     # A column ends up empty exactly when its simplex gives birth, the
     # pivot rows' own columns included (pairing lemma).
     return tuple(
-        PivotPair(order[i], order[owner[i]] if i in owner else None)
+        PivotPair(order[i], None if owner[i] is None else order[owner[i]])
         for i, col in enumerate(cols)
         if not col
     )

@@ -12,7 +12,11 @@ integer scaling and no separate sorted matching of essential points.
 ``scratch_min_max_matching`` is that core's binary search as it was before
 probes carried a matching: every probe filters every row and matches from
 scratch.  ``fraction_key_order`` is the canonical order sorted on
-(Fraction value, dimension, vertices) keys.
+(Fraction value, dimension, vertices) keys.  ``scan_crossing_times`` finds
+the crossing schedule by testing every simplex pair, ``set_pivot_pairs``
+reduces with set columns and ``fraction_random_filtration`` generates in
+Fractions throughout: the twins of the library's inversion schedule,
+bitset reduction and integer generator.
 
 ``interval_matching`` certifies one interval from scratch (pairwise order
 check, midpoint order, fresh reduction, both endpoint diagrams and the
@@ -761,3 +765,67 @@ def scratch_min_max_matching(rows):
         else:
             hi, best = mid, found
     return candidates[lo], list(enumerate(best))
+
+
+def scan_crossing_times(f0: FiltrationFunction, f1: FiltrationFunction) -> CrossingSchedule:
+    """``crossing_times`` by testing every simplex pair, for unique-valued
+    endpoints: a pair crosses when its gaps d0 and d1 differ in sign, at
+    t = d0 / (d0 - d1).  The library visits only the inverted pairs."""
+    v0, v1 = common_numerators(f0.values, f1.values)
+    by_time: dict = {}
+    n = len(v0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d0 = v0[i] - v0[j]
+            d1 = v1[i] - v1[j]
+            if (d0 > 0) != (d1 > 0):
+                by_time.setdefault(Fraction(d0, d0 - d1), []).append((i, j))
+    times = tuple(sorted(by_time))
+    return CrossingSchedule(times, tuple(tuple(sorted(by_time[t])) for t in times))
+
+
+def set_pivot_pairs(K: SimplicialComplex, order: tuple) -> tuple:
+    """``pivot_pairs`` with each column a set of row positions, added by
+    symmetric difference and read by ``max``; the library uses int bitsets."""
+    pos = inverse(order)
+    cols = [{pos[i] for i in K.facet_positions[c]} for c in order]
+    owner: dict = {}  # pivot row -> owning column
+    for j, col in enumerate(cols):
+        while col:
+            low = max(col)
+            k = owner.get(low)
+            if k is None:
+                owner[low] = j
+                break
+            col ^= cols[k]
+    return tuple(
+        PivotPair(order[i], order[owner[i]] if i in owner else None)
+        for i, col in enumerate(cols)
+        if not col
+    )
+
+
+def fraction_random_filtration(
+    K: SimplicialComplex, rng: random.Random, value_range: int = 4, unique: bool = True
+) -> FiltrationFunction:
+    """``random_filtration`` in Fractions throughout: the same draws, the
+    repair in dimension order and offsets (rank + 1) / (4 * 2^m) by
+    (dimension, vertices) rank, with 2^m > n.  The library works on int
+    numerators and builds each Fraction once."""
+    n = len(K)
+    values = [Fraction(rng.randint(0, 4 * value_range), 4) for _ in range(n)]
+    for j in sorted(range(n), key=lambda i: K.simplices[i].dim):
+        for i in K.facet_positions[j]:
+            if values[i] > values[j]:
+                values[j] = values[i]
+    if unique and n:
+        m = 1
+        while 2 ** m <= n:
+            m += 1
+        delta = Fraction(1, 4 * 2 ** m)
+        by_rank = sorted(
+            range(n), key=lambda i: (K.simplices[i].dim, K.simplices[i].vertices)
+        )
+        for rank, i in enumerate(by_rank):
+            values[i] += (rank + 1) * delta
+    return FiltrationFunction(K, tuple(values))

@@ -39,6 +39,8 @@ from oracles import (
     random_compatible_order,
     reference_differences,
     reidentify_differences,
+    scan_crossing_times,
+    set_pivot_pairs,
     value_grid,
     value_multiset,
     verify_recording,
@@ -150,6 +152,31 @@ def test_integer_sort_equals_the_fraction_key_sort_on_the_corpus(corpus):
     for inst, _, _ in corpus:
         for f in inst.functions:
             assert total_order(inst.complex, f) == fraction_key_order(inst.complex, f)
+
+
+def test_inversion_schedule_equals_the_all_pairs_scan_on_the_corpus(corpus):
+    """``crossing_times`` visits only the pairs f0 and f1 order differently;
+    its schedule must be the one found by testing every pair."""
+    for inst, report, _ in corpus:
+        assert report.schedule == scan_crossing_times(*inst.functions), (
+            format_instance(inst)
+        )
+
+
+def test_bitset_reduction_equals_the_set_reduction_on_the_corpus(corpus):
+    """Int bitset columns give the pair tuple of set columns under both
+    canonical orders of every corpus instance and under every carried
+    order verify reduces."""
+    orders = 0
+    for inst, _, reduced in corpus:
+        K = inst.complex
+        canonical = [total_order(K, f) for f in inst.functions]
+        for order in canonical:
+            assert pivot_pairs(K, order) == set_pivot_pairs(K, order)
+        for order, pairs in reduced:
+            assert pairs == set_pivot_pairs(K, order), format_instance(inst)
+        orders += len(canonical) + len(reduced)
+    assert orders > 10_000
 
 
 def test_local_reidentification_equals_the_bucket_twin(corpus):

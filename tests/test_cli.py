@@ -293,6 +293,24 @@ def test_verify_random_seed3_is_pinned(cli_env):
     assert done.stdout == pinned.read_bytes()
 
 
+def test_crossings_of_a_generated_three_way_tie_is_pinned(cli_env, tmp_path):
+    # CI's smoke runs diff the same commands against the same file; at
+    # t = 0.96875 simplices {5}, {0,4} and {2,3} tie pairwise
+    path = tmp_path / "gen50.txt"
+    cli = [sys.executable, "-m", "phstab.cli"]
+    gen = ["gen", "--seed", "50", "--vertices", "6", "--max-dim", "2"]
+    done = subprocess.run(
+        cli + gen + ["--out", str(path)], capture_output=True, env=cli_env
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    done = subprocess.run(
+        cli + ["crossings", str(path)], capture_output=True, env=cli_env
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    pinned = Path(__file__).parent / "crossings_gen_seed50.txt"
+    assert done.stdout == pinned.read_bytes()
+
+
 def test_verify_needs_input():
     status, text = run_command(["verify"])
     assert status == 1

@@ -8,6 +8,7 @@ from phstab.complexes import (
     FiltrationFunction,
     Issue,
     Simplex,
+    facets,
     find_duplicate_value,
     validate_complex,
     validate_filtration,
@@ -22,7 +23,7 @@ from phstab.generate import GeneratorConfig, generate_complex, random_filtration
 from phstab.interpolation import crossing_times
 from phstab.persistence import diagram
 
-from oracles import sublevel
+from oracles import fraction_random_filtration, sublevel
 
 TRIANGLE = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
 
@@ -49,8 +50,8 @@ def test_simplex_rejects_bad_vertices():
 
 def test_facets_of_triangle():
     s = Simplex((0, 1, 2))
-    assert set(f.vertices for f in s.facets()) == {(1, 2), (0, 2), (0, 1)}
-    assert Simplex((5,)).facets() == ()
+    assert set(facets(s.vertices)) == {(1, 2), (0, 2), (0, 1)}
+    assert facets((5,)) == ()
 
 
 def test_validate_complex_accepts_and_preserves_order():
@@ -275,6 +276,34 @@ def test_random_monotone_filtrations_validate():
             assert validate_filtration(K, f) == ()
             if unique:
                 assert find_duplicate_value(f) is None
+
+
+def test_integer_generator_equals_the_fraction_twin():
+    """Same draws in the same order, the same values: working on int
+    numerators changes neither, with or without uniqueness offsets, and
+    on complexes listed in any order."""
+    complexes = [validate_complex([])]
+    for seed in range(30):
+        cfg = GeneratorConfig(
+            seed=seed,
+            num_vertices=1 + seed % 8,
+            max_dimension=seed % 4,
+            fill_prob=(0.3, 0.6, 0.9)[seed % 3],
+        )
+        K = generate_complex(random.Random(seed), cfg)
+        # listed cofaces first too, so list order is not dimension order
+        complexes += [K, validate_complex(K.simplices[::-1])]
+    for k, K in enumerate(complexes):
+        for unique in (True, False):
+            for value_range in (1, 4, 9):
+                rng = random.Random(f"{k}:{unique}:{value_range}")
+                start = rng.getstate()
+                f = random_filtration(K, rng, value_range, unique)
+                after = rng.getstate()
+                rng.setstate(start)
+                twin = fraction_random_filtration(K, rng, value_range, unique)
+                assert f.values == twin.values
+                assert rng.getstate() == after
 
 
 def test_generated_unique_values_are_short_decimals():

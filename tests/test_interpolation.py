@@ -8,7 +8,7 @@ from phstab.errors import DomainMismatch, NonUniqueValues, TOutOfRange
 from phstab.generate import GeneratorConfig, generate_complex, random_filtration
 from phstab.interpolation import crossing_times, interpolate, sup_norm
 
-from oracles import interval_midpoints, is_order_constant
+from oracles import interval_midpoints, is_order_constant, scan_crossing_times
 
 PAIR = [(0,), (1,)]
 
@@ -117,6 +117,31 @@ def test_schedule_size_is_at_most_all_pairs():
         assert len(sched.times) <= total_pairs
         assert all(0 < t < 1 for t in sched.times)
         assert list(sched.times) == sorted(sched.times)
+
+
+def _distinct_values(rng, n):
+    """n distinct values, negative and positive, over mixed denominators."""
+    pool: set = set()
+    while len(pool) < n:
+        pool.add(Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 5, 7, 12))))
+    return rng.sample(sorted(pool), n)
+
+
+def test_inversion_schedule_equals_the_all_pairs_scan_on_negative_mixed_values():
+    """Only the pairs f0 and f1 order differently are visited; the schedule
+    must be the one testing every pair gives, also when every pair crosses
+    at one time (f1 = -f0) and when none does (f1 = f0)."""
+    rng = random.Random(17)
+    for n in (0, 1, 2, 3, 5, 8, 13, 21, 30) * 6:
+        K = validate_complex([(v,) for v in range(n)])
+        values = _distinct_values(rng, n)
+        f0 = FiltrationFunction(K, values)
+        negated = FiltrationFunction(K, [-v for v in values])
+        for f1 in (FiltrationFunction(K, _distinct_values(rng, n)), negated, f0):
+            assert crossing_times(f0, f1) == scan_crossing_times(f0, f1)
+    schedule = crossing_times(f0, negated)
+    assert schedule.times == (Fraction(1, 2),)
+    assert len(schedule.pairs_at[0]) == 30 * 29 // 2
 
 
 def test_order_constant_between_crossings():

@@ -2,7 +2,12 @@ import random
 from fractions import Fraction
 
 from phstab.complexes import FiltrationFunction, validate_complex
-from phstab.generate import GeneratorConfig, generate_complex, random_filtration
+from phstab.generate import (
+    GeneratorConfig,
+    generate_complex,
+    generate_instance,
+    random_filtration,
+)
 from phstab.ordering import total_order
 from phstab.persistence import PivotPair, diagram, format_diagram, pivot_pairs
 from phstab.rational import INF
@@ -14,6 +19,7 @@ from oracles import (
     inverse,
     persistent_betti,
     random_compatible_order,
+    set_pivot_pairs,
     value_grid,
     value_multiset,
 )
@@ -92,6 +98,21 @@ def test_reduce_is_deterministic():
     f = random_filtration(K, rng)
     order = total_order(K, f)
     assert pivot_pairs(K, order) == pivot_pairs(K, order)
+
+
+def test_bitset_reduction_equals_the_set_reduction_on_tied_instances():
+    """Under ties the canonical order is one of several valid orders: the
+    bitset reduction must give the set reduction's pairs under each."""
+    rng = random.Random(8)
+    for seed in range(40):
+        cfg = GeneratorConfig(seed=seed, num_vertices=5 + seed % 3, unique=False)
+        inst = generate_instance(cfg)
+        K = inst.complex
+        for f in inst.functions:
+            orders = [total_order(K, f)]
+            orders += [random_compatible_order(K, f, rng) for _ in range(3)]
+            for order in orders:
+                assert pivot_pairs(K, order) == set_pivot_pairs(K, order)
 
 
 def test_pair_count_matches_complex_size():
