@@ -56,8 +56,8 @@ class DomainMismatch(PhstabError):
     """Two filtration functions do not live on the same complex."""
 
 
-class TOutOfRange(PhstabError):
-    """Interpolation parameter outside [0, 1]."""
+class ComplexTooLarge(PhstabError):
+    """A generated complex would pass ``generate.MAX_SIMPLICES`` simplices."""
 
 
 class NonUniqueValues(PhstabError):

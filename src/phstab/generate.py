@@ -1,7 +1,10 @@
 """Random complexes and filtrations for testing and batch verification.
 
 Complexes come from a random graph: keep every vertex, flip a coin per
-edge, then fill in every clique up to the configured dimension.  Values
+edge, then fill in every clique up to the configured dimension.  A clique
+grows only by the common neighbours above its largest vertex, so the work
+follows the cliques that exist, not every vertex set of their size, and
+building stops as soon as the count passes ``MAX_SIMPLICES``.  Values
 start as random quarter-integer draws, get repaired upward to restore
 monotonicity, and (by default) receive tiny per-simplex offsets that make
 all values distinct without breaking monotonicity.  Offsets are dyadic, so
@@ -10,13 +13,19 @@ generated values always print exactly as short decimals.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import FiltrationFunction, Simplex, SimplicialComplex
+from .errors import ComplexTooLarge
 from .instances import InstanceFile
+
+# The largest complex the generator builds.  A dense graph has far more
+# cliques than vertices (200 vertices, every edge, dimension 3: 66 million
+# simplices), which would exhaust memory long before a result, so the
+# generator stops once the count passes this.
+MAX_SIMPLICES = 100_000
 
 
 @dataclass(frozen=True)
@@ -30,20 +39,46 @@ class GeneratorConfig:
 
 
 def generate_complex(rng: random.Random, cfg: GeneratorConfig) -> SimplicialComplex:
-    """Clique complex of a random graph, truncated at cfg.max_dimension."""
+    """Clique complex of a random graph, truncated at cfg.max_dimension
+    (its edges are kept even below dimension 1).
+
+    Edges are drawn in lexicographic order, one ``rng.random()`` each.  The
+    neighbours above each vertex are an int bitmask, so a clique's common
+    neighbours above its largest vertex are one AND per added vertex, and
+    extending each clique of one size by them, in increasing order, lists
+    the cliques of the next size in lexicographic order.  Raises
+    ComplexTooLarge once the count passes ``MAX_SIMPLICES``.
+    """
     n = cfg.num_vertices
-    edges = {
-        (u, v)
-        for u, v in itertools.combinations(range(n), 2)
-        if rng.random() < cfg.fill_prob
-    }
+
+    def check(count):
+        if count > MAX_SIMPLICES:
+            raise ComplexTooLarge(
+                f"the complex has more than {MAX_SIMPLICES} simplices, the "
+                "generator's limit; use fewer vertices, a lower dimension or "
+                "a lower edge probability"
+            )
+
+    check(n)
+    up = []  # up[u]: bitmask of the neighbours v > u
+    count = n
+    for u in range(n):
+        row = [v for v in range(u + 1, n) if rng.random() < cfg.fill_prob]
+        count += len(row)
+        check(count)
+        up.append(sum(1 << v for v in row))
     simplices = [Simplex((v,)) for v in range(n)]
-    simplices += [Simplex(e) for e in sorted(edges)]
-    for size in range(3, cfg.max_dimension + 2):
-        for combo in itertools.combinations(range(n), size):
-            if all(pair in edges for pair in itertools.combinations(combo, 2)):
-                simplices.append(Simplex(combo))
-    simplices.sort(key=lambda s: (s.dim, s.vertices))
+    level = [((v,), up[v]) for v in range(n)]  # cliques and their common up
+    for _ in range(max(cfg.max_dimension, 1)):
+        grown = []
+        for clique, common in level:
+            while common:
+                v = (common & -common).bit_length() - 1
+                common &= common - 1
+                grown.append((clique + (v,), common & up[v]))
+            check(len(simplices) + len(grown))
+        simplices += [Simplex(clique) for clique, _ in grown]
+        level = grown
     return SimplicialComplex(tuple(simplices))
 
 

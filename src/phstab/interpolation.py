@@ -1,13 +1,16 @@
 """Linear homotopy between two filtrations and its crossing schedule.
 
 f_t assigns each simplex the exact convex combination of its two endpoint
-values.  For unique-valued endpoints, any two simplices' interpolated value
-lines cross at most once, so the parameters where some pair of values
-coincides form a finite set of rationals strictly inside (0, 1): the
-crossing schedule.  Between consecutive crossings the induced simplex order
-is constant.  A pair crosses exactly when f0 and f1 order it differently,
-so the schedule is read off the inversions between the two orders, found
-by an insertion sort, not by testing every pair.
+values.  ``interpolate`` evaluates it on ints: with f0 and f1 over one
+common denominator L, f_t at t = p/q is a list of ints over q * L, and
+the verification compares nothing else.  For unique-valued endpoints, any
+two simplices' interpolated value lines cross at most once, so the
+parameters where some pair of values coincides form a finite set of
+rationals strictly inside (0, 1): the crossing schedule.  Between
+consecutive crossings the induced simplex order is constant.  A pair
+crosses exactly when f0 and f1 order it differently, so the schedule is
+read off the inversions between the two orders, found by an insertion
+sort, not by testing every pair.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import FiltrationFunction, find_duplicate_value
-from .errors import DomainMismatch, NonUniqueValues, TOutOfRange
-from .rational import common_numerators, fraction_string, to_fraction
+from .errors import DomainMismatch, NonUniqueValues
+from .rational import common_denominator, common_numerators, fraction_string
 
 
 @dataclass(frozen=True)
@@ -44,42 +47,30 @@ def _require_shared_complex(f0: FiltrationFunction, f1: FiltrationFunction):
         raise DomainMismatch("functions live on different complexes")
 
 
-def interpolate(
-    f0: FiltrationFunction, f1: FiltrationFunction, t
-) -> FiltrationFunction:
-    """The exact convex combination (1-t) * f0 + t * f1.
+def interpolate(a: list[int], b: list[int], t: Fraction) -> list[int]:
+    """f_t at ``t = p/q`` in [0, 1], as ints over the denominator q * L.
 
-    Monotone whenever both endpoints are, so the result is again a valid
-    filtration on the shared complex.
+    ``a`` and ``b`` are the values of f0 and f1 as int numerators over one
+    common denominator L (``rational.common_numerators``), so
+    (1 - t) * a/L + t * b/L = (a * (q - p) + b * p) / (q * L).  Values at
+    one t share that denominator, so they compare and hash as ints; a
+    value becomes a Fraction only to be printed.
     """
-    _require_shared_complex(f0, f1)
-    t = to_fraction(t)
-    if not 0 <= t <= 1:
-        raise TOutOfRange(f"t = {fraction_string(t)} outside [0, 1]")
-    if t == 0:
-        return f0
-    if t == 1:
-        return f1
-    # At t = p/q, (1-t) * a/c + t * b/d = (a*d*(q-p) + b*c*p) / (c*d*q):
-    # one gcd per value instead of one per Fraction operation.
     p, q = t.numerator, t.denominator
     r = q - p
-    values = tuple(
-        Fraction(
-            a.numerator * b.denominator * r + b.numerator * a.denominator * p,
-            a.denominator * b.denominator * q,
-        )
-        for a, b in zip(f0.values, f1.values)
-    )
-    return FiltrationFunction(f0.complex, values)
+    return [x * r + y * p for x, y in zip(a, b)]
 
 
 def sup_norm(f0: FiltrationFunction, f1: FiltrationFunction) -> Fraction:
-    """Largest per-simplex absolute difference; 0 for identical functions."""
+    """Largest per-simplex absolute difference; 0 for identical functions.
+
+    One int maximum over the numerators of both functions on their common
+    denominator, made a Fraction once.
+    """
     _require_shared_complex(f0, f1)
-    return max(
-        (abs(a - b) for a, b in zip(f0.values, f1.values)), default=Fraction(0)
-    )
+    scale = common_denominator(f0.values, f1.values)
+    a, b = common_numerators(f0.values, f1.values, scale=scale)
+    return Fraction(max((abs(y - x) for x, y in zip(a, b)), default=0), scale)
 
 
 def crossing_times(

@@ -24,10 +24,15 @@ The order is carried from interval to interval rather than rebuilt, as in
 the vineyard picture of Cohen-Steiner, Edelsbrunner and Morozov: at a
 crossing only the simplices tied there change places, and their run in the
 order reverses.  Each breakpoint's values are computed once, and each
-interval is checked in O(n) plus one reduction.  The test suite keeps a
-reference that measures each interval on its two diagrams and composes
-the whole chain of matchings; the order and pairs each interval reduces,
-as recorded by the tests, and the carried point map must equal it.
+interval is checked in O(n) plus one reduction.  The values are ints: f0
+and f1 are put over one common denominator L once per run, and f_t at a
+breakpoint t = p/q is one int per simplex over q * L.  Only values at the
+same t are compared, so the order checks and the re-identification keys
+run on ints, and a Fraction is built only for a violation message.  The
+test suite keeps a reference that measures each interval on its two
+diagrams and composes the whole chain of matchings; the order and pairs
+each interval reduces, as recorded by the tests, and the carried point
+map must equal it.
 
 Every inequality used along the way is checked with exact rational
 arithmetic; a failure raises InternalProofViolation, because no input can
@@ -46,7 +51,13 @@ from .errors import InternalProofViolation, InvalidMatching
 from .interpolation import CrossingSchedule, crossing_times, interpolate, sup_norm
 from .ordering import total_order
 from .persistence import Diagram, diagram_from_pivots, pivot_pairs
-from .rational import INF, format_value, fraction_string
+from .rational import (
+    INF,
+    common_denominator,
+    common_numerators,
+    format_value,
+    fraction_string,
+)
 
 
 @dataclass(frozen=True)
@@ -140,17 +151,21 @@ def _reidentify(
     K: SimplicialComplex,
     left: tuple,
     right: tuple,
-    values: tuple,
+    values: list,
+    scale: int,
     tied: set,
     k: int,
     t: Fraction,
 ) -> list:
     """Zero-cost re-identification of two pair lists at crossing ``k``.
 
-    Both orders serve f_t at the crossing (``values``), so both lists give
-    one diagram.  Equal points are matched in list order, by birth
-    position: each pair of ``left`` in turn takes the first unused pair of
-    ``right`` with the same (dimension, birth value, death value).
+    Both orders serve f_t at the crossing, so both lists give one diagram.
+    ``values`` holds f_t as ints over ``scale`` (``interpolate``): equal
+    ints are equal values, so points are keyed and compared on ints, and
+    ``scale`` only turns them back into values for a message.  Equal
+    points are matched in list order, by birth position: each pair of
+    ``left`` in turn takes the first unused pair of ``right`` with the same
+    (dimension, birth value, death value).
     ``tied`` holds the simplices tied with another at ``t``.  Only pairs
     with a tied birth or death simplex go into buckets keyed by their
     point; every other pair of ``left`` maps to the pair of ``right`` with
@@ -171,7 +186,7 @@ def _reidentify(
     # drawn from by, exactly the pairs they would hold if every pair went
     # into a bucket, in the same order.
     def point(pv):
-        death = values[pv.death] if pv.death is not None else INF
+        death = values[pv.death] if pv.death is not None else None
         return K.simplices[pv.birth].dim, values[pv.birth], death
 
     if len(left) != len(right):
@@ -200,11 +215,12 @@ def _reidentify(
                 step.append(j)
                 continue
         d, b, dth = point(p)
+        dth = INF if dth is None else Fraction(dth, scale)
         raise InternalProofViolation(
             f"crossing {k} at t = {fraction_string(t)}: pivot pair "
             f"{_simplex_pair(K, p.birth, p.death)} at dim {d} "
-            f"({format_value(b)}, {format_value(dth)}) has no partner with "
-            "equal values"
+            f"({format_value(Fraction(b, scale))}, {format_value(dth)}) has "
+            "no partner with equal values"
         )
     return step
 
@@ -226,6 +242,9 @@ def _carried_certificates(
     f_t is evaluated once per breakpoint.  The order starts as ``order0``,
     the canonical order of f0 (the order just after t = 0, since f0 is
     untied), and ``_reverse_tied_runs`` carries it across each crossing.
+    f0 and f1 are put over one common denominator L once; f_t at each
+    breakpoint t = p/q is a list of ints over q * L (``interpolate``), so
+    every comparison below is between ints over one denominator.
     Per interval, in O(n) besides the one reduction: one pass over the
     adjacent pairs checks the order at the upper end and records the runs
     tied there, and the pivot pairs must partition the simplices, so the
@@ -236,12 +255,14 @@ def _carried_certificates(
     failure is a bug, so every one is an InternalProofViolation naming the
     interval or crossing, t and the simplex pair involved.
     """
+    scale = common_denominator(f0.values, f1.values)
+    num0, num1 = common_numerators(f0.values, f1.values, scale=scale)
     bps = schedule.breakpoints()
     perm = list(order0)
     certificates: list = []
-    v_lo = f0.values
+    v_lo, s_lo = num0, scale  # f_0 = f0, over 1 * scale
     for k, (lo, hi) in enumerate(zip(bps, bps[1:])):
-        v_hi = interpolate(f0, f1, hi).values
+        v_hi, s_hi = interpolate(num0, num1, hi), hi.denominator * scale
         # One pass over the adjacent pairs at hi.  Values must not decrease;
         # they hold at lo by construction (only tied runs were reversed), so
         # at every t in between.  A pair tied at hi must not be tied at lo
@@ -256,6 +277,7 @@ def _carried_certificates(
             if x < y:
                 continue
             if x > y:
+                x, y = Fraction(x, s_hi), Fraction(y, s_hi)
                 raise InternalProofViolation(
                     f"{_interval(k, lo, hi)}: carried order fails at t = "
                     f"{fraction_string(hi)}: values decrease along the order: "
@@ -276,7 +298,7 @@ def _carried_certificates(
         pairs = pivot_pairs(K, order)
         _check_partition(K, pairs, k, lo, hi)
         if k:
-            step = _reidentify(K, last, pairs, v_lo, tied, k - 1, lo)
+            step = _reidentify(K, last, pairs, v_lo, s_lo, tied, k - 1, lo)
             track = [step[j] for j in track]
         else:
             first, track = pairs, list(range(len(pairs)))
@@ -287,7 +309,7 @@ def _carried_certificates(
         tied = {s for start, end in runs for s in perm[start:end]}
         if k < len(schedule):
             _reverse_tied_runs(K, perm, runs, schedule.pairs_at[k], k, hi)
-        last, v_lo = pairs, v_hi
+        last, v_lo, s_lo = pairs, v_hi, s_hi
     return certificates, track, first, last, order
 
 

@@ -14,9 +14,11 @@ probes carried a matching: every probe filters every row and matches from
 scratch.  ``fraction_key_order`` is the canonical order sorted on
 (Fraction value, dimension, vertices) keys.  ``scan_crossing_times`` finds
 the crossing schedule by testing every simplex pair, ``set_pivot_pairs``
-reduces with set columns and ``fraction_random_filtration`` generates in
-Fractions throughout: the twins of the library's inversion schedule,
-bitset reduction and integer generator.
+reduces with set columns, ``fraction_random_filtration`` generates in
+Fractions throughout, ``combination_generate_complex`` tests every vertex
+set for a clique and ``fraction_interpolate`` builds f_t as a filtration
+of Fractions: the twins of the library's inversion schedule, bitset
+reduction, integer generator, clique extension and int evaluator.
 
 ``interval_matching`` certifies one interval from scratch (pairwise order
 check, midpoint order, fresh reduction, both endpoint diagrams and the
@@ -52,7 +54,12 @@ from phstab.bottleneck import (
     diagonal_cost,
     pair_cost,
 )
-from phstab.complexes import FiltrationFunction, SimplicialComplex, validate_filtration
+from phstab.complexes import (
+    FiltrationFunction,
+    Simplex,
+    SimplicialComplex,
+    validate_filtration,
+)
 from phstab.errors import (
     DomainMismatch,
     InternalProofViolation,
@@ -60,7 +67,7 @@ from phstab.errors import (
     InvalidMatching,
     PhstabError,
 )
-from phstab.interpolation import CrossingSchedule, interpolate, sup_norm
+from phstab.interpolation import CrossingSchedule, sup_norm
 from phstab.ordering import total_order
 from phstab.persistence import Diagram, PivotPair, diagram_from_pivots, pivot_pairs
 from phstab.rational import (
@@ -83,6 +90,39 @@ class OrderNotConstant(PhstabError):
 
 class TooLarge(PhstabError):
     """Input exceeds the size limit of a brute-force oracle."""
+
+
+class TOutOfRange(PhstabError):
+    """Interpolation parameter outside [0, 1]."""
+
+
+def fraction_interpolate(
+    f0: FiltrationFunction, f1: FiltrationFunction, t
+) -> FiltrationFunction:
+    """The exact convex combination (1-t) * f0 + t * f1 as a filtration of
+    Fractions: f0 itself at t = 0 and f1 at t = 1.  The library's
+    ``interpolate`` gives the same values as ints over one denominator."""
+    if f0.complex is not f1.complex and f0.complex != f1.complex:
+        raise DomainMismatch("functions live on different complexes")
+    t = to_fraction(t)
+    if not 0 <= t <= 1:
+        raise TOutOfRange(f"t = {fraction_string(t)} outside [0, 1]")
+    if t == 0:
+        return f0
+    if t == 1:
+        return f1
+    # At t = p/q, (1-t) * a/c + t * b/d = (a*d*(q-p) + b*c*p) / (c*d*q):
+    # one gcd per value instead of one per Fraction operation.
+    p, q = t.numerator, t.denominator
+    r = q - p
+    values = tuple(
+        Fraction(
+            a.numerator * b.denominator * r + b.numerator * a.denominator * p,
+            a.denominator * b.denominator * q,
+        )
+        for a, b in zip(f0.values, f1.values)
+    )
+    return FiltrationFunction(f0.complex, values)
 
 
 @dataclass(frozen=True)
@@ -204,10 +244,10 @@ def interval_matching(
             f"simplex order changes strictly inside [{t_lo}, {t_hi}]"
         )
     mid = (t_lo + t_hi) / 2
-    f_mid = interpolate(f0, f1, mid)
+    f_mid = fraction_interpolate(f0, f1, mid)
     order = total_order(K, f_mid)
-    f_lo = interpolate(f0, f1, t_lo)
-    f_hi = interpolate(f0, f1, t_hi)
+    f_lo = fraction_interpolate(f0, f1, t_lo)
+    f_hi = fraction_interpolate(f0, f1, t_hi)
     check_order_compatible(K, f_lo, order)
     check_order_compatible(K, f_hi, order)
     return _certify(K, order, t_lo, t_hi, f_lo, f_hi, f"interval [{t_lo}, {t_hi}]")
@@ -380,7 +420,8 @@ def bucket_reidentify(
 
 def reidentify_differences(K, f0, f1) -> tuple:
     """Run ``verify_stability`` with every ``_reidentify`` call checked
-    against ``bucket_reidentify`` on the same arguments.
+    against ``bucket_reidentify`` on the same arguments, its int values
+    over ``scale`` made Fractions.
 
     Returns the number of crossings, the number of them where two points
     of one pair list are equal (so the tie-break by list order decides the
@@ -390,12 +431,13 @@ def reidentify_differences(K, f0, f1) -> tuple:
     crossings = equal_points = 0
     out = []
 
-    def checking(K, left, right, values, tied, k, t):
+    def checking(K, left, right, values, scale, tied, k, t):
         nonlocal crossings, equal_points
-        got = real(K, left, right, values, tied, k, t)
-        want = bucket_reidentify(K, left, right, values, k, t)
+        got = real(K, left, right, values, scale, tied, k, t)
+        exact = [Fraction(v, scale) for v in values]
+        want = bucket_reidentify(K, left, right, exact, k, t)
         crossings += 1
-        points = Counter(_point(K, values, pv) for pv in right)
+        points = Counter(_point(K, exact, pv) for pv in right)
         equal_points += max(points.values(), default=0) > 1
         if got != want:
             out.append(f"crossing {k} at t = {fraction_string(t)}: {got} != {want}")
@@ -449,7 +491,7 @@ def reference_differences(K, f0, f1, report, reduced) -> list[str]:
             if cert.share != getattr(ref, name):
                 out.append(f"interval {k}: share differs from the {name}")
         for t, side in ((cert.t_lo, ref.left), (cert.t_hi, ref.right)):
-            f_t, at = interpolate(f0, f1, t), fraction_string(t)
+            f_t, at = fraction_interpolate(f0, f1, t), fraction_string(t)
             D = diagram_from_pivots(K, f_t, pairs)
             if D != side:
                 out.append(f"interval {k}: diagram at t = {at} differs")
@@ -803,6 +845,24 @@ def set_pivot_pairs(K: SimplicialComplex, order: tuple) -> tuple:
         for i, col in enumerate(cols)
         if not col
     )
+
+
+def combination_generate_complex(rng: random.Random, cfg) -> SimplicialComplex:
+    """``generate_complex`` by testing every vertex set: all edges drawn
+    first, then each set of 3 to cfg.max_dimension + 1 vertices kept when
+    all its pairs are edges, and the whole list sorted by (dimension,
+    vertices).  The library grows each clique by its common neighbours."""
+    n = cfg.num_vertices
+    p = cfg.fill_prob
+    edges = {(u, v) for u, v in combinations(range(n), 2) if rng.random() < p}
+    simplices = [Simplex((v,)) for v in range(n)]
+    simplices += [Simplex(e) for e in sorted(edges)]
+    for size in range(3, cfg.max_dimension + 2):
+        for combo in combinations(range(n), size):
+            if all(pair in edges for pair in combinations(combo, 2)):
+                simplices.append(Simplex(combo))
+    simplices.sort(key=lambda s: (s.dim, s.vertices))
+    return SimplicialComplex(tuple(simplices))
 
 
 def fraction_random_filtration(

@@ -25,6 +25,7 @@ from phstab.instances import format_instance
 from phstab.interpolation import interpolate, sup_norm
 from phstab.ordering import total_order
 from phstab.persistence import diagram, pivot_pairs
+from phstab.rational import common_denominator, common_numerators
 from phstab.stability import verify_stability
 
 from oracles import (
@@ -32,6 +33,7 @@ from oracles import (
     counts_by_dim,
     diagram_rank_count,
     diagram_with_order,
+    fraction_interpolate,
     fraction_key_order,
     fraction_matrix_bottleneck,
     inverse,
@@ -121,7 +123,8 @@ def test_3_schedules_are_small_and_midpoints_untied(corpus, capsys):
         f0, f1 = inst.functions
         bps = report.schedule.breakpoints()
         for lo, hi in zip(bps, bps[1:]):
-            if find_duplicate_value(interpolate(f0, f1, (lo + hi) / 2)) is not None:
+            mid = fraction_interpolate(f0, f1, (lo + hi) / 2)
+            if find_duplicate_value(mid) is not None:
                 failures += 1
                 break
     _announce(
@@ -194,11 +197,15 @@ def test_local_reidentification_equals_the_bucket_twin(corpus):
 
 
 def test_interpolate_is_the_convex_combination_at_every_breakpoint(corpus):
+    # the ints at t = p/q are over q * L, L the common denominator
     for inst, report, _ in corpus:
         f0, f1 = inst.functions
+        L = common_denominator(f0.values, f1.values)
+        a, b = common_numerators(f0.values, f1.values, scale=L)
         for t in report.schedule.breakpoints():
-            want = tuple((1 - t) * a + t * b for a, b in zip(f0.values, f1.values))
-            assert interpolate(f0, f1, t).values == want
+            want = [(1 - t) * x + t * y for x, y in zip(f0.values, f1.values)]
+            got = interpolate(a, b, t)
+            assert [Fraction(v, t.denominator * L) for v in got] == want
 
 
 def test_4_point_counts_depend_only_on_the_complex(capsys):

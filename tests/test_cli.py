@@ -311,6 +311,41 @@ def test_crossings_of_a_generated_three_way_tie_is_pinned(cli_env, tmp_path):
     assert done.stdout == pinned.read_bytes()
 
 
+def test_verify_of_a_dense_generated_instance_is_pinned(cli_env, tmp_path):
+    # CI's smoke runs diff the same commands against the same file: 149
+    # crossings, 17 of them times where several pairs swap at once
+    path = tmp_path / "gen2.txt"
+    cli = [sys.executable, "-m", "phstab.cli"]
+    gen = ["gen", "--seed", "2", "--vertices", "10", "--prob", "0.5"]
+    gen += ["--max-dim", "2", "--out", str(path)]
+    done = subprocess.run(cli + gen, capture_output=True, env=cli_env)
+    assert (done.returncode, done.stderr) == (0, b"")
+    done = subprocess.run(
+        cli + ["verify", str(path)], capture_output=True, env=cli_env
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    pinned = Path(__file__).parent / "verify_gen_seed2.txt"
+    assert done.stdout == pinned.read_bytes()
+
+
+def test_a_complex_past_the_generator_limit_exits_one_at_once(cli_env):
+    # all 200 vertices joined, dimension 3: 66 million simplices if built
+    cmd = [sys.executable, "-m", "phstab.cli", "gen", "--seed", "1"]
+    cmd += ["--vertices", "200", "--max-dim", "3", "--prob", "1"]
+    done = subprocess.run(
+        cmd, capture_output=True, text=True, env=cli_env, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (
+        "error: the complex has more than 100000 simplices, the generator's "
+        "limit; use fewer vertices, a lower dimension or a lower edge "
+        "probability\n"
+    )
+    argv = ["verify", "--random", "--trials", "1", "--vertices", "200"]
+    status, text = run_command(argv + ["--prob", "1"])
+    assert (status, text) == (1, done.stderr.rstrip("\n"))
+
+
 def test_verify_needs_input():
     status, text = run_command(["verify"])
     assert status == 1

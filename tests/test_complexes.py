@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from phstab import generate
 from phstab.bottleneck import bottleneck_bijection
 from phstab.complexes import (
     FiltrationFunction,
@@ -14,6 +15,7 @@ from phstab.complexes import (
     validate_filtration,
 )
 from phstab.errors import (
+    ComplexTooLarge,
     DomainMismatch,
     InvalidComplex,
     InvalidFiltration,
@@ -23,7 +25,11 @@ from phstab.generate import GeneratorConfig, generate_complex, random_filtration
 from phstab.interpolation import crossing_times
 from phstab.persistence import diagram
 
-from oracles import fraction_random_filtration, sublevel
+from oracles import (
+    combination_generate_complex,
+    fraction_random_filtration,
+    sublevel,
+)
 
 TRIANGLE = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
 
@@ -304,6 +310,39 @@ def test_integer_generator_equals_the_fraction_twin():
                 twin = fraction_random_filtration(K, rng, value_range, unique)
                 assert f.values == twin.values
                 assert rng.getstate() == after
+
+
+def test_clique_extension_equals_the_combination_twin():
+    """The same complex, in the same order, and the same RNG state after
+    it, as testing every vertex set; edges are kept at dimension 0 too."""
+    for vertices in range(1, 13):
+        for max_dimension in range(5):
+            for fill_prob in (0, 0.3, 0.6, 0.9, 1):
+                for seed in range(2):
+                    cfg = GeneratorConfig(
+                        seed=seed,
+                        num_vertices=vertices,
+                        max_dimension=max_dimension,
+                        fill_prob=fill_prob,
+                    )
+                    rng = random.Random(f"{seed}:{vertices}")
+                    start = rng.getstate()
+                    K = generate_complex(rng, cfg)
+                    after = rng.getstate()
+                    rng.setstate(start)
+                    assert K == combination_generate_complex(rng, cfg)
+                    assert rng.getstate() == after
+
+
+def test_generator_stops_once_the_count_passes_its_limit(monkeypatch):
+    # 10 vertices, every edge, dimension 2: 10 + 45 + 120 = 175 simplices
+    cfg = GeneratorConfig(seed=0, num_vertices=10, max_dimension=2, fill_prob=1)
+    monkeypatch.setattr(generate, "MAX_SIMPLICES", 175)
+    assert len(generate_complex(random.Random(0), cfg)) == 175
+    for limit in (174, 55, 54, 9):  # in the triangles, edges and vertices
+        monkeypatch.setattr(generate, "MAX_SIMPLICES", limit)
+        with pytest.raises(ComplexTooLarge, match=f"more than {limit} simplices"):
+            generate_complex(random.Random(0), cfg)
 
 
 def test_generated_unique_values_are_short_decimals():

@@ -4,11 +4,18 @@ from fractions import Fraction
 import pytest
 
 from phstab.complexes import FiltrationFunction, validate_complex, validate_filtration
-from phstab.errors import DomainMismatch, NonUniqueValues, TOutOfRange
+from phstab.errors import DomainMismatch, NonUniqueValues
 from phstab.generate import GeneratorConfig, generate_complex, random_filtration
 from phstab.interpolation import crossing_times, interpolate, sup_norm
+from phstab.rational import common_denominator, common_numerators
 
-from oracles import interval_midpoints, is_order_constant, scan_crossing_times
+from oracles import (
+    TOutOfRange,
+    fraction_interpolate,
+    interval_midpoints,
+    is_order_constant,
+    scan_crossing_times,
+)
 
 PAIR = [(0,), (1,)]
 
@@ -20,23 +27,38 @@ def _two(values0, values1, raw=PAIR):
 
 def test_interpolate_endpoints_and_midpoint():
     _, f0, f1 = _two((0, 1), (1, 0))
-    assert interpolate(f0, f1, 0) is f0
-    assert interpolate(f0, f1, 1) is f1
-    mid = interpolate(f0, f1, Fraction(1, 2))
+    assert fraction_interpolate(f0, f1, 0) is f0
+    assert fraction_interpolate(f0, f1, 1) is f1
+    mid = fraction_interpolate(f0, f1, Fraction(1, 2))
     assert mid.values == (Fraction(1, 2), Fraction(1, 2))
-    third = interpolate(f0, f1, Fraction(1, 3))
+    third = fraction_interpolate(f0, f1, Fraction(1, 3))
     assert third.values == (Fraction(1, 3), Fraction(2, 3))
 
 
 def test_interpolate_rejects_bad_t_and_domain():
     _, f0, f1 = _two((0, 1), (1, 0))
     with pytest.raises(TOutOfRange):
-        interpolate(f0, f1, Fraction(3, 2))
+        fraction_interpolate(f0, f1, Fraction(3, 2))
     with pytest.raises(TOutOfRange):
-        interpolate(f0, f1, -1)
+        fraction_interpolate(f0, f1, -1)
     K2 = validate_complex([(0,), (2,)])
     with pytest.raises(DomainMismatch):
-        interpolate(f0, FiltrationFunction(K2, (0, 1)), Fraction(1, 2))
+        fraction_interpolate(f0, FiltrationFunction(K2, (0, 1)), Fraction(1, 2))
+
+
+def test_interpolate_is_ints_over_q_times_the_common_denominator():
+    # f0 over L = 4 is (0, 3), f1 is (4, 2); at t = p/q the ints are
+    # a * (q - p) + b * p over q * L, the endpoints a and b themselves
+    _, f0, f1 = _two((0, Fraction(3, 4)), (1, Fraction(1, 2)))
+    L = common_denominator(f0.values, f1.values)
+    a, b = common_numerators(f0.values, f1.values, scale=L)
+    assert (L, a, b) == (4, [0, 3], [4, 2])
+    assert interpolate(a, b, Fraction(0)) == a
+    assert interpolate(a, b, Fraction(1)) == b
+    assert interpolate(a, b, Fraction(1, 3)) == [4, 8]  # over 12
+    for t in (Fraction(0), Fraction(1, 3), Fraction(5, 7), Fraction(1)):
+        got = [Fraction(v, t.denominator * L) for v in interpolate(a, b, t)]
+        assert tuple(got) == fraction_interpolate(f0, f1, t).values
 
 
 def test_interpolation_stays_monotone():
@@ -47,7 +69,7 @@ def test_interpolation_stays_monotone():
         f1 = random_filtration(K, rng)
         for _ in range(3):
             t = Fraction(rng.randint(0, 16), 16)
-            assert validate_filtration(K, interpolate(f0, f1, t)) == ()
+            assert validate_filtration(K, fraction_interpolate(f0, f1, t)) == ()
 
 
 def test_sup_norm():
@@ -56,14 +78,19 @@ def test_sup_norm():
     assert sup_norm(f0, f0) == 0
     _, g0, g1 = _two(("0.25", 2), ("0.75", 1))
     assert sup_norm(g0, g1) == 1
+    # over the common denominator 42: |21 - 14| = 7 and |0 - 6| = 6
+    _, h0, h1 = _two(("1/3", 0), ("1/2", "1/7"))
+    assert sup_norm(h0, h1) == Fraction(1, 6)
+    K2 = validate_complex([(0,), (2,)])
+    with pytest.raises(DomainMismatch):
+        sup_norm(f0, FiltrationFunction(K2, (0, 1)))
 
 
 def test_sup_norm_scales_linearly_along_the_path():
     _, f0, f1 = _two((0, 3), (2, 0))
     s, t = Fraction(1, 5), Fraction(4, 5)
-    assert sup_norm(interpolate(f0, f1, s), interpolate(f0, f1, t)) == (
-        t - s
-    ) * sup_norm(f0, f1)
+    f_s, f_t = fraction_interpolate(f0, f1, s), fraction_interpolate(f0, f1, t)
+    assert sup_norm(f_s, f_t) == (t - s) * sup_norm(f0, f1)
 
 
 def test_crossing_single_swap():

@@ -278,6 +278,24 @@ def test_missing_crossing_is_a_violation_naming_interval_t_and_pair(monkeypatch)
     assert "f(0) = 1 > 0 = f(1)" in message
 
 
+def test_decreasing_values_print_as_reduced_fractions_at_a_non_dyadic_t(
+    monkeypatch,
+):
+    # the true crossing is at 1/5; the doctored one at 2/3 leaves the order
+    # (0, 1) there, where the ints 8 and 1 are over 3 * 2 = 6
+    K = _vertices(2)
+    f0 = FiltrationFunction(K, (0, Fraction(1, 2)))
+    f1 = FiltrationFunction(K, (2, 0))
+    doctored = CrossingSchedule((Fraction(2, 3),), (((0, 1),),))
+    _doctor_schedule(monkeypatch, doctored)
+    with pytest.raises(InternalProofViolation) as ei:
+        verify_stability(K, f0, f1)
+    assert str(ei.value) == (
+        "interval 0 [0, 2/3]: carried order fails at t = 2/3: values "
+        "decrease along the order: f(0) = 4/3 > 1/6 = f(1)"
+    )
+
+
 def test_interior_tie_is_a_violation_naming_interval_t_and_pair(monkeypatch):
     # identical lines tie everywhere; reachable only past the uniqueness check
     K = _vertices(2)
@@ -358,16 +376,21 @@ def test_reidentify_rejects_pair_lists_of_different_functions():
     def pairs(f):
         return pivot_pairs(K, total_order(K, f))
 
+    # f_a's values as ints over 2, as verify holds them at t = 1/2; the
+    # second list is f_a + 1, whose birth prints as the value 1, not the int
     t = Fraction(1, 2)
-    for tied in (set(), {0, 1, 2}):
-        same = _reidentify(K, pairs(f_a), pairs(f_a), f_a.values, tied, 3, t)
-        assert same == [0, 1]
-        with pytest.raises(InternalProofViolation) as ei:
-            _reidentify(K, pairs(f_a), pairs(f_b), f_a.values, tied, 3, t)
-        assert str(ei.value) == (
-            "crossing 3 at t = 1/2: pivot pair ({0}, -) at dim 0 (0, inf) has "
-            "no partner with equal values"
-        )
+    for values, scale, birth in (([0, 2, 4], 2, "0"), ([6, 12, 18], 6, "1")):
+        for tied in (set(), {0, 1, 2}):
+            same = _reidentify(
+                K, pairs(f_a), pairs(f_a), values, scale, tied, 3, t
+            )
+            assert same == [0, 1]
+            with pytest.raises(InternalProofViolation) as ei:
+                _reidentify(K, pairs(f_a), pairs(f_b), values, scale, tied, 3, t)
+            assert str(ei.value) == (
+                f"crossing 3 at t = 1/2: pivot pair ({{0}}, -) at dim 0 "
+                f"({birth}, inf) has no partner with equal values"
+            )
 
 
 def test_violation_exits_two_through_the_cli(monkeypatch, tmp_path):
