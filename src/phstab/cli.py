@@ -195,9 +195,10 @@ def _report_lines(report, machine: bool) -> list[str]:
         f"crossings: {len(report.schedule)}",
     ]
     for cert in report.certificates:
+        share = format_value(cert.share)
         lines.append(
             f"interval [{_fmt_t(cert.t_lo)}, {_fmt_t(cert.t_hi)}]: "
-            f"cost {format_value(cert.share)} <= bound {format_value(cert.share)}"
+            f"cost {share} <= bound {share}"
         )
     lines.append(f"composed matching cost: {format_value(report.composed_cost)}")
     lines.append(f"exact bottleneck: {format_value(report.exact_bottleneck)}")

@@ -9,6 +9,13 @@ a birth simplex with a death simplex; columns that end up empty and never
 serve as a pivot row are essential and get death +inf.  The pair list is a
 deterministic function of the complex and the order alone; the function
 values enter only when pairs are turned into diagram points.
+
+A ``Vineyard`` keeps the reduction R = D * V, with V the column operations
+done, and carries it across a swap of two adjacent simplices with O(1)
+bitset operations instead of reducing again: the transposition cases of
+Cohen-Steiner, Edelsbrunner and Morozov, "Vines and Vineyards by Updating
+Persistence in Linear Time" (SoCG 2006).  ``pivot_pairs`` is a vineyard's
+first reduction, so there is one reduction routine.
 """
 
 from __future__ import annotations
@@ -61,43 +68,139 @@ class Diagram:
         return tuple(i for i, p in enumerate(self.points) if p.dim == dim)
 
 
+class Vineyard:
+    """The reduction R = D * V of (K, order), kept across transpositions.
+
+    Rows and columns are labelled by their position in the first order, so
+    the first reduction is the bitset loop described above and no swap
+    relabels a bitset; label x is the simplex ``simplex[x]``.  ``perm``
+    lists the labels in the current order and ``pos`` is its inverse.
+    ``R[x]`` is a bitset of row labels, ``V[x]`` one of column labels with
+    R[x] the sum of the boundary columns in V[x].  Once labels leave their
+    first order a column's low is no longer its highest bit, so it is kept:
+    ``low[x]`` is the pivot row of column x (None when R[x] is empty, that
+    is when x gives birth) and ``owner[r]`` the column whose pivot is row r.
+    """
+
+    def __init__(self, K: SimplicialComplex, order: tuple):
+        n = len(order)
+        label = [0] * n  # complex position -> label
+        for j, c in enumerate(order):
+            label[c] = j
+        facet_positions = K.facet_positions
+        R = []
+        for c in order:
+            col = 0
+            for i in facet_positions[c]:
+                col |= 1 << label[i]
+            R.append(col)
+        V = [1 << j for j in range(n)]
+        low: list = [None] * n
+        owner: list = [None] * n
+        for j, col in enumerate(R):
+            v = V[j]
+            while col:
+                r = col.bit_length() - 1
+                k = owner[r]
+                if k is None:
+                    owner[r], low[j] = j, r
+                    break
+                col ^= R[k]
+                v ^= V[k]
+            R[j], V[j] = col, v
+        self.simplex = tuple(order)
+        self.perm = list(range(n))
+        self.pos = list(range(n))
+        self.R, self.V, self.low, self.owner = R, V, low, owner
+
+    def births(self) -> list[int]:
+        """The labels of the birth simplices, in the current order.  A
+        simplex gives birth exactly when its column is empty, the pivot
+        rows' own columns included (pairing lemma)."""
+        low = self.low
+        return [x for x in self.perm if low[x] is None]
+
+    def pairs(self) -> tuple[PivotPair, ...]:
+        """One PivotPair per diagram point, essentials with death None, in
+        the current order of the birth simplices."""
+        simplex, owner = self.simplex, self.owner
+        return tuple(
+            PivotPair(simplex[x], None if owner[x] is None else simplex[owner[x]])
+            for x in self.births()
+        )
+
+    def transpose(self, i: int) -> None:
+        """Swap the simplices at positions i and i + 1 and keep R = D * V
+        reduced, V upper unitriangular in the new order.
+
+        Neither simplex may be a face of the other.  With a = perm[i] and
+        b = perm[i + 1], V must lose its entry at (a, b), since a now comes
+        after b, and a column whose low is b and that holds row a would now
+        have the low a.  Each case fixes both with at most two column
+        additions; a pair that changes ("switches") contains a or b.
+        """
+        perm, pos, R, V, low, owner = (
+            self.perm, self.pos, self.R, self.V, self.low, self.owner
+        )
+        a, b = perm[i], perm[i + 1]
+        la, lb = low[a], low[b]
+        a_in_vb = V[b] >> a & 1
+        if la is None and lb is None:  # both give birth
+            if a_in_vb:
+                V[b] ^= V[a]
+            k, l = owner[a], owner[b]
+            if l is not None and R[l] >> a & 1:
+                if k is None:  # a is essential: b's death passes to a
+                    low[l], owner[a], owner[b] = a, l, None
+                elif pos[k] < pos[l]:
+                    R[l] ^= R[k]
+                    V[l] ^= V[k]
+                else:
+                    R[k] ^= R[l]
+                    V[k] ^= V[l]
+                    low[k], low[l] = b, a
+                    owner[a], owner[b] = l, k
+        elif la is not None and lb is not None:  # both die
+            if a_in_vb:
+                R[b] ^= R[a]
+                V[b] ^= V[a]
+                if pos[la] > pos[lb]:
+                    R[a] ^= R[b]
+                    V[a] ^= V[b]
+                    low[a], low[b] = lb, la
+                    owner[la], owner[lb] = b, a
+        elif lb is None:  # a dies, b gives birth
+            if a_in_vb:
+                R[b] ^= R[a]
+                V[b] ^= V[a]
+                R[a] ^= R[b]
+                V[a] ^= V[b]
+                l = owner[b]
+                low[a], low[b], owner[la], owner[b] = None, la, b, None
+                if l is not None:
+                    low[l], owner[a] = a, l
+        elif a_in_vb:  # a gives birth, b dies
+            V[b] ^= V[a]
+        perm[i], perm[i + 1] = b, a
+        pos[a], pos[b] = i + 1, i
+
+    def reverse(self, start: int, end: int) -> None:
+        """Reverse ``perm[start:end]`` by adjacent transpositions, one per
+        pair of its simplices, none of which may be a face of another."""
+        for last in range(end - 1, start, -1):
+            for i in range(start, last):
+                self.transpose(i)
+
+
 def pivot_pairs(K: SimplicialComplex, order: tuple) -> tuple[PivotPair, ...]:
     """Reduce the boundary matrix of (K, order) and return its pivot pairs.
 
-    ``order`` lists simplex positions, earliest first.  Rows and columns
-    are order positions: column j is an int whose bit r is set when the
-    simplex ``order[r]`` is a codimension-1 face of ``order[j]``.  The list
-    contains one PivotPair per diagram point, essentials with death None,
-    in the order of the birth simplices, as one scan over the reduced
-    columns finds them.  It depends on K and the order only, not on values.
+    ``order`` lists simplex positions, earliest first.  The list contains
+    one PivotPair per diagram point, essentials with death None, in the
+    order of the birth simplices.  It depends on K and the order only, not
+    on values.
     """
-    pos = [0] * len(order)  # complex position -> order position
-    for j, c in enumerate(order):
-        pos[c] = j
-    facet_positions = K.facet_positions
-    cols = []
-    for c in order:
-        col = 0
-        for i in facet_positions[c]:
-            col |= 1 << pos[i]
-        cols.append(col)
-    owner: list = [None] * len(order)  # pivot row -> owning column
-    for j, col in enumerate(cols):
-        while col:
-            low = col.bit_length() - 1
-            k = owner[low]
-            if k is None:
-                owner[low] = j
-                break
-            col ^= cols[k]
-        cols[j] = col
-    # A column ends up empty exactly when its simplex gives birth, the
-    # pivot rows' own columns included (pairing lemma).
-    return tuple(
-        PivotPair(order[i], None if owner[i] is None else order[owner[i]])
-        for i, col in enumerate(cols)
-        if not col
-    )
+    return Vineyard(K, order).pairs()
 
 
 def diagram_from_pivots(

@@ -17,21 +17,29 @@ diagrams, the only diagrams built.  The interval shares add up to the
 sup-norm by construction, so that bijection costs at most the sup-norm,
 which the exact bottleneck distance can only undercut.  Once the next
 crossing has re-identified an interval's pairs nothing reads its order or
-pairs again, so a certificate keeps only its interval and share, and at
-most three pair lists, O(n) each, are held at any time.
+pairs again, so a certificate keeps only its interval, and a run holds the
+first pair list and one reduction, O(n^2) bits, at any time.
 
-The order is carried from interval to interval rather than rebuilt, as in
-the vineyard picture of Cohen-Steiner, Edelsbrunner and Morozov: at a
-crossing only the simplices tied there change places, and their run in the
-order reverses.  Each breakpoint's values are computed once, and each
-interval is checked in O(n) plus one reduction.  The values are ints: f0
-and f1 are put over one common denominator L once per run, and f_t at a
-breakpoint t = p/q is one int per simplex over q * L.  Only values at the
-same t are compared, so the order checks and the re-identification keys
-run on ints, and a Fraction is built only for a violation message.  The
-test suite keeps a reference that measures each interval on its two
-diagrams and composes the whole chain of matchings; the order and pairs
-each interval reduces, as recorded by the tests, and the carried point
+The order and its reduction are carried from interval to interval rather
+than rebuilt, as in the vineyards of Cohen-Steiner, Edelsbrunner and
+Morozov (SoCG 2006): at a crossing only the simplices tied there change
+places, their run in the order reverses, and the reduction follows it
+with O(1) bitset operations per adjacent transposition
+(``persistence.Vineyard``), so a verify reduces once.  Each breakpoint's
+values are computed once and one O(n) pass over the adjacent pairs checks
+the order there; the rest of a crossing costs its transpositions and the
+pairs with a tied simplex.  Only those pairs can change, since every pair
+a transposition changes holds one of its two simplices, so only they are
+re-identified and checked.  That is exact: a pair with no tied simplex
+has a point no other pair of either list shares, so the full
+re-identification maps it to itself.  The values are ints: f0 and f1 are
+put over one common denominator L once per run, and f_t at a breakpoint
+t = p/q is one int per simplex over q * L.  Only values at the same t are
+compared, so the order checks and the re-identification keys run on ints,
+and a Fraction is built only for a violation message.  The test suite
+keeps a reference that measures each interval on its two diagrams and
+composes the whole chain of matchings; the order and pairs of each
+interval, as reported to a sink the tests attach, and the carried point
 map must equal it.
 
 Every inequality used along the way is checked with exact rational
@@ -50,7 +58,7 @@ from .complexes import FiltrationFunction, SimplicialComplex
 from .errors import InternalProofViolation, InvalidMatching
 from .interpolation import CrossingSchedule, crossing_times, interpolate, sup_norm
 from .ordering import total_order
-from .persistence import Diagram, diagram_from_pivots, pivot_pairs
+from .persistence import Diagram, Vineyard, diagram_from_pivots, pivot_pairs
 from .rational import (
     INF,
     common_denominator,
@@ -65,13 +73,18 @@ class IntervalCertificate:
     """One interval's worth of the proof: one simplex order served both
     ends and its pivot pairs partitioned the simplices, so they match the
     two endpoint diagrams by identity at exactly ``share``, the interval's
-    share of the sup-norm.  Both were checked and then dropped: only the
-    re-identification at the next crossing reads them.
+    share (t_hi - t_lo) * gap of the sup-norm ``gap``.  Both were checked
+    and then dropped: only the re-identification at the next crossing
+    reads them.
     """
 
     t_lo: Fraction
     t_hi: Fraction
-    share: Fraction
+    gap: Fraction
+
+    @property
+    def share(self) -> Fraction:
+        return (self.t_hi - self.t_lo) * self.gap
 
 
 @dataclass(frozen=True)
@@ -118,22 +131,23 @@ def _check_partition(
 
 
 def _reverse_tied_runs(
-    K: SimplicialComplex, perm: list, runs: list, expected: tuple, k: int, t: Fraction
+    K: SimplicialComplex, vine: Vineyard, runs: list, expected: tuple, k: int, t: Fraction
 ) -> None:
-    """Carry ``perm`` across crossing ``k`` at ``t``, in place.
+    """Carry the order and reduction of ``vine`` across crossing ``k`` at ``t``.
 
-    ``runs`` holds the [start, end) slices of ``perm`` tied at ``t``, as
-    recorded by the scan of the interval ending there.  The lines of one
+    ``runs`` holds the [start, end) slices of ``vine.perm`` tied at ``t``,
+    as recorded by the scan of the interval ending there.  The lines of one
     run meet at one point with distinct slopes (equal slopes would mean a
     tie at the lower end too, which that scan rejects), so their order
     simply reverses.  Every pair inside a run swaps, and those pairs must
-    be exactly ``expected``, the schedule's pairs at ``t``.
+    be exactly ``expected``, the schedule's pairs at ``t``.  Tied simplices
+    are never face and coface (f_t is strictly monotone), so each run
+    reverses by adjacent transpositions.
     """
     swapped = []
     for start, end in runs:
-        run = perm[start:end]
+        run = [vine.simplex[x] for x in vine.perm[start:end]]
         swapped.extend((min(a, b), max(a, b)) for a, b in combinations(run, 2))
-        perm[start:end] = run[::-1]
     swapped.sort()
     if tuple(swapped) != expected:
         unscheduled = sorted(set(swapped) - set(expected))
@@ -145,80 +159,100 @@ def _reverse_tied_runs(
         raise InternalProofViolation(
             f"crossing {k} at t = {fraction_string(t)}: {what}"
         )
+    for start, end in runs:
+        vine.reverse(start, end)
+
+
+def _pairs_with(vine: Vineyard, labels: list) -> list:
+    """The pivot pairs of ``vine`` with a simplex in ``labels``, as
+    (birth, death) labels, death None for an essential class, in the order
+    of their birth positions."""
+    low, owner = vine.low, vine.owner
+    births = {x if low[x] is None else low[x] for x in labels}
+    return [(b, owner[b]) for b in sorted(births, key=vine.pos.__getitem__)]
+
+
+def _check_cover(
+    K: SimplicialComplex, names: tuple, before: list, after: list, k: int, t: Fraction
+) -> None:
+    """The pairs with a tied simplex must use the same simplices, each
+    exactly once, before and after the transpositions at crossing ``k``.
+    Every other pair is unchanged, so the pairs still partition the
+    simplices, as checked in full for the first interval."""
+    was = [x for pair in before for x in pair if x is not None]
+    now = [x for pair in after for x in pair if x is not None]
+    if len(was) == len(now) == len(set(now)) and set(was) == set(now):
+        return
+    for x in sorted(set(was) | set(now)):
+        if was.count(x) != 1 or now.count(x) != 1:
+            raise InternalProofViolation(
+                f"crossing {k} at t = {fraction_string(t)}: simplex "
+                f"{{{K.simplices[names[x]]}}} is a coordinate of {was.count(x)} "
+                f"pivot pairs with a tied simplex before the swaps and of "
+                f"{now.count(x)} after"
+            )
 
 
 def _reidentify(
     K: SimplicialComplex,
-    left: tuple,
-    right: tuple,
+    names: tuple,
+    left: list,
+    right: list,
     values: list,
     scale: int,
-    tied: set,
     k: int,
     t: Fraction,
 ) -> list:
-    """Zero-cost re-identification of two pair lists at crossing ``k``.
+    """Zero-cost re-identification at crossing ``k`` of the pairs with a
+    simplex tied at ``t``.
 
-    Both orders serve f_t at the crossing, so both lists give one diagram.
-    ``values`` holds f_t as ints over ``scale`` (``interpolate``): equal
-    ints are equal values, so points are keyed and compared on ints, and
-    ``scale`` only turns them back into values for a message.  Equal
-    points are matched in list order, by birth position: each pair of
-    ``left`` in turn takes the first unused pair of ``right`` with the same
-    (dimension, birth value, death value).
-    ``tied`` holds the simplices tied with another at ``t``.  Only pairs
-    with a tied birth or death simplex go into buckets keyed by their
-    point; every other pair of ``left`` maps to the pair of ``right`` with
-    its birth simplex, which must have its death simplex too.  Returns the
-    map from ``left``'s pair indices to ``right``'s; a pair with no equal
-    partner would falsify order-invariance, an InternalProofViolation.
+    ``left`` and ``right`` hold those pairs before and after the swaps as
+    (birth, death) labels, ordered by birth position; ``names`` maps a
+    label to its simplex and ``values`` holds f_t by label as ints over
+    ``scale`` (``interpolate``).  Both orders serve f_t at the crossing,
+    so both lists give one multiset of points.  Equal ints are equal
+    values, so points are keyed and compared on ints, and ``scale`` only
+    turns them back into values for a message.  Each pair of ``left`` in
+    turn takes the first unused pair of ``right`` with the same
+    (dimension, birth value, death value).  Returns the map from
+    ``left``'s indices to ``right``'s; a pair with no equal partner would
+    falsify order-invariance, an InternalProofViolation.
     """
-    # This is exactly the map that puts every pair in a bucket.  A simplex
-    # outside ``tied`` has a value no other simplex has at t.  So the point
-    # of a pair with an untied birth and death can equal only the point of
-    # a pair with the same birth simplex and the same death simplex (or
-    # both deaths infinite), and no other pair of its list draws from that
-    # bucket: the pair found by birth is its one partner, if any.  A point
-    # equal to one with a tied birth has a tied birth too (the same simplex
-    # or one of equal value), and a point equal to one with an untied birth
-    # and a tied death has the same birth and a death of equal value, so a
-    # tied one.  So the buckets of pairs with a tied simplex hold, and are
-    # drawn from by, exactly the pairs they would hold if every pair went
-    # into a bucket, in the same order.
-    def point(pv):
-        death = values[pv.death] if pv.death is not None else None
-        return K.simplices[pv.birth].dim, values[pv.birth], death
+    # This is the map that puts every pair of the two full lists into a
+    # bucket keyed by its point.  A simplex that is not tied has a value no
+    # other simplex has at t.  So the point of a pair with an untied birth
+    # and death can equal only the point of a pair with the same birth and
+    # the same death simplex (or both deaths infinite): itself, unchanged
+    # by the swaps.  A point equal to one with a tied birth has a tied
+    # birth too (the same simplex or one of equal value), and a point equal
+    # to one with an untied birth and a tied death has the same birth and a
+    # death of equal value, so a tied one.  So the buckets of the pairs
+    # with a tied simplex hold exactly these pairs, in the same order.
+    def point(pair):
+        birth, death = pair
+        dth = values[death] if death is not None else None
+        return K.simplices[names[birth]].dim, values[birth], dth
 
     if len(left) != len(right):
         raise InternalProofViolation(
             f"crossing {k} at t = {fraction_string(t)}: {len(left)} pivot "
-            f"pairs before vs {len(right)} after"
+            f"pairs with a tied simplex before vs {len(right)} after"
         )
     unused: dict = {}  # point -> indices of right with it, last first
-    by_birth: dict = {}  # birth simplex -> index of right, no simplex tied
     for j in range(len(right) - 1, -1, -1):
-        pv = right[j]
-        if pv.birth in tied or pv.death in tied:
-            unused.setdefault(point(pv), []).append(j)
-        else:
-            by_birth[pv.birth] = j
+        unused.setdefault(point(right[j]), []).append(j)
     step = []
     for p in left:
-        if p.birth in tied or p.death in tied:
-            bucket = unused.get(point(p))
-            if bucket:
-                step.append(bucket.pop())
-                continue
-        else:
-            j = by_birth.get(p.birth)
-            if j is not None and right[j].death == p.death:
-                step.append(j)
-                continue
+        bucket = unused.get(point(p))
+        if bucket:
+            step.append(bucket.pop())
+            continue
         d, b, dth = point(p)
         dth = INF if dth is None else Fraction(dth, scale)
+        death = None if p[1] is None else names[p[1]]
         raise InternalProofViolation(
             f"crossing {k} at t = {fraction_string(t)}: pivot pair "
-            f"{_simplex_pair(K, p.birth, p.death)} at dim {d} "
+            f"{_simplex_pair(K, names[p[0]], death)} at dim {d} "
             f"({format_value(Fraction(b, scale))}, {format_value(dth)}) has "
             "no partner with equal values"
         )
@@ -232,35 +266,54 @@ def _carried_certificates(
     schedule: CrossingSchedule,
     gap: Fraction,
     order0: tuple,
+    sink: "list | None" = None,
 ) -> tuple:
-    """Certify every interval of ``schedule``, carrying one simplex order.
+    """Certify every interval of ``schedule``, carrying one order and its
+    reduction.
 
     Returns the certificates, the carried point map (point i of the first
     interval's pair list is point ``track[i]`` of the last one's), the
-    first and last pair lists and the last order.  Only the current order
-    and the previous pair list are kept from one interval to the next.
-    f_t is evaluated once per breakpoint.  The order starts as ``order0``,
-    the canonical order of f0 (the order just after t = 0, since f0 is
-    untied), and ``_reverse_tied_runs`` carries it across each crossing.
-    f0 and f1 are put over one common denominator L once; f_t at each
-    breakpoint t = p/q is a list of ints over q * L (``interpolate``), so
-    every comparison below is between ints over one denominator.
-    Per interval, in O(n) besides the one reduction: one pass over the
-    adjacent pairs checks the order at the upper end and records the runs
-    tied there, and the pivot pairs must partition the simplices, so the
-    certificate costs exactly its share of ``gap``; a carried order that
-    lost or repeated a simplex fails that check too.  Each crossing
-    re-identifies the two pair lists, by value only where a simplex of the
-    pair is in a tied run, and the point map follows.  Any
-    failure is a bug, so every one is an InternalProofViolation naming the
-    interval or crossing, t and the simplex pair involved.
+    first and last pair lists and the last order.  The order starts as
+    ``order0``, the canonical order of f0 (the order just after t = 0,
+    since f0 is untied), and is reduced once, into a ``Vineyard`` whose
+    labels are positions in ``order0``.  f0 and f1 are put over one common
+    denominator L once, by label; f_t at each breakpoint t = p/q is a list
+    of ints over q * L (``interpolate``), so every comparison below is
+    between ints over one denominator.
+
+    Per interval, one O(n) pass over the adjacent pairs checks the order at
+    the upper end and records the runs tied there.  The first interval's
+    pivot pairs must partition the simplices, so its certificate costs
+    exactly its share of ``gap``.  At each crossing ``_reverse_tied_runs``
+    checks the runs against the schedule and reverses them by adjacent
+    transpositions, O(1) bitset operations each.  Only the pairs with a
+    tied simplex can change: they must cover the same simplices before and
+    after, so the pairs partition the simplices in every interval, and
+    they alone are re-identified by value, which is exact (see
+    ``_reidentify``).  The point map is keyed by birth simplex and follows
+    them.  So a crossing costs its transpositions and its tied pairs on
+    top of the pass.  Any failure is a bug, so every one is an
+    InternalProofViolation naming the interval or crossing, t and the
+    simplex pair involved.
+
+    ``sink``, a list, receives ("interval", k, lo, hi, order, pairs) for
+    each interval and ("crossing", k, t, left, right, step) for each
+    crossing, with the full pair lists and the full map from ``left``'s
+    indices to ``right``'s; they are built only when it is given.
     """
     scale = common_denominator(f0.values, f1.values)
-    num0, num1 = common_numerators(f0.values, f1.values, scale=scale)
+    num0, num1 = common_numerators(
+        [f0.values[s] for s in order0], [f1.values[s] for s in order0], scale=scale
+    )
+    vine = Vineyard(K, order0)
+    perm, names = vine.perm, vine.simplex
+    first = pairs = vine.pairs()
+    origin: list = [None] * len(perm)  # birth label -> its point in first
+    for i, x in enumerate(vine.births()):
+        origin[x] = i
     bps = schedule.breakpoints()
-    perm = list(order0)
     certificates: list = []
-    v_lo, s_lo = num0, scale  # f_0 = f0, over 1 * scale
+    v_lo = num0  # f_0 = f0, over 1 * scale
     for k, (lo, hi) in enumerate(zip(bps, bps[1:])):
         v_hi, s_hi = interpolate(num0, num1, hi), hi.denominator * scale
         # One pass over the adjacent pairs at hi.  Values must not decrease;
@@ -281,36 +334,49 @@ def _carried_certificates(
                 raise InternalProofViolation(
                     f"{_interval(k, lo, hi)}: carried order fails at t = "
                     f"{fraction_string(hi)}: values decrease along the order: "
-                    f"f({K.simplices[a]}) = {fraction_string(x)} > "
-                    f"{fraction_string(y)} = f({K.simplices[b]})"
+                    f"f({K.simplices[names[a]]}) = {fraction_string(x)} > "
+                    f"{fraction_string(y)} = f({K.simplices[names[b]]})"
                 )
             if v_lo[a] == v_lo[b]:
                 raise InternalProofViolation(
                     f"{_interval(k, lo, hi)}: simplices "
-                    f"{_simplex_pair(K, a, b)} are tied at both ends, so also "
-                    f"at the midpoint t = {fraction_string((lo + hi) / 2)}"
+                    f"{_simplex_pair(K, names[a], names[b])} are tied at both "
+                    f"ends, so also at the midpoint t = "
+                    f"{fraction_string((lo + hi) / 2)}"
                 )
             if runs and runs[-1][1] == i + 1:
                 runs[-1][1] = i + 2
             else:
                 runs.append([i, i + 2])
-        order = tuple(perm)
-        pairs = pivot_pairs(K, order)
-        _check_partition(K, pairs, k, lo, hi)
-        if k:
-            step = _reidentify(K, last, pairs, v_lo, s_lo, tied, k - 1, lo)
-            track = [step[j] for j in track]
-        else:
-            first, track = pairs, list(range(len(pairs)))
-        certificates.append(IntervalCertificate(lo, hi, (hi - lo) * gap))
-        # The runs are the simplices tied at hi: this order passed the
-        # partition check, so it is a permutation, and its values at hi do
-        # not decrease, so simplices of equal value there are adjacent.
-        tied = {s for start, end in runs for s in perm[start:end]}
+        if not k:
+            _check_partition(K, first, k, lo, hi)
+        certificates.append(IntervalCertificate(lo, hi, gap))
+        if sink is not None:
+            sink.append(("interval", k, lo, hi, tuple(names[x] for x in perm), pairs))
         if k < len(schedule):
-            _reverse_tied_runs(K, perm, runs, schedule.pairs_at[k], k, hi)
-        last, v_lo, s_lo = pairs, v_hi, s_hi
-    return certificates, track, first, last, order
+            # The runs are the simplices tied at hi: the order is a
+            # permutation and its values at hi do not decrease, so
+            # simplices of equal value there are adjacent.
+            tied = [x for start, end in runs for x in perm[start:end]]
+            before = _pairs_with(vine, tied)
+            _reverse_tied_runs(K, vine, runs, schedule.pairs_at[k], k, hi)
+            after = _pairs_with(vine, tied)
+            _check_cover(K, names, before, after, k, hi)
+            step = _reidentify(K, names, before, after, v_hi, s_hi, k, hi)
+            moved = [origin[birth] for birth, _ in before]
+            for i, j in zip(moved, step):
+                origin[after[j][0]] = i
+            if sink is not None:
+                left, pairs = pairs, vine.pairs()
+                where = {p.birth: j for j, p in enumerate(pairs)}
+                to = {names[before[i][0]]: names[after[j][0]] for i, j in enumerate(step)}
+                full = [where[to.get(p.birth, p.birth)] for p in left]
+                sink.append(("crossing", k, hi, left, pairs, full))
+        v_lo = v_hi
+    track: list = [None] * len(first)
+    for j, x in enumerate(vine.births()):
+        track[origin[x]] = j
+    return certificates, track, first, vine.pairs(), tuple(names[x] for x in perm)
 
 
 def _bijection_cost(D0: Diagram, D1: Diagram, m: Matching, what: str):
@@ -366,11 +432,17 @@ def verify_stability(
     composed = Matching(tuple(enumerate(track)))
 
     # The carried order starts as the canonical order of f0 and must end as
-    # the canonical order of f1 (both untied), so the first and last pair
-    # lists are the canonical pairs of f0 and f1.
+    # the canonical order of f1 (both untied), and the pairs carried with
+    # it must be that order's pairs reduced from scratch, so the first and
+    # last pair lists are the canonical pairs of f0 and f1.
     if order != order1:
         raise InternalProofViolation(
             "the order carried to t = 1 is not the canonical order of f1"
+        )
+    if last != pivot_pairs(K, order1):
+        raise InternalProofViolation(
+            "the pivot pairs carried to t = 1 are not those of the canonical "
+            "order of f1"
         )
     D0 = diagram_from_pivots(K, f0, first)
     D1 = diagram_from_pivots(K, f1, last)

@@ -29,13 +29,14 @@ measured cost of matching them by pivot identity); every interval that
 (``breakpoint_matching``) and composes the whole chain of full maps
 (``compose_matchings``); the point map ``verify_stability`` carries must
 equal it.  ``bucket_reidentify`` re-identifies two pair lists at a crossing
-by value alone; ``reidentify_differences`` checks the library's local rule
-against it at every crossing of a run.  The other helpers build what the library itself never needs:
+by value alone; ``reidentify_differences`` checks the full map the
+library's local rule gives against it at every crossing of a run.  The other helpers build what the library itself never needs:
 the full order check (values and face closure), random compatible orders,
 diagrams under a supplied order, sublevel complexes, interval midpoints
 and a permutation-enumerating bottleneck.
 """
 
+import functools
 import math
 import random
 from collections import Counter
@@ -393,8 +394,8 @@ def bucket_reidentify(
     Every pair of ``right`` goes into a bucket keyed by its point, in list
     order, and each pair of ``left`` in turn takes the first unused index
     of its bucket.  ``stability._reidentify`` buckets only the pairs with
-    a simplex tied at ``t`` and finds the others by birth simplex; it must
-    give the same map and raise the same messages.
+    a simplex tied at ``t``, and every other pair keeps its place; the
+    full map that gives must be this one.
     """
     where = f"crossing {k} at t = {fraction_string(t)}"
     if len(left) != len(right):
@@ -418,50 +419,46 @@ def bucket_reidentify(
     return step
 
 
+def _sink_events(K, f0, f1) -> tuple:
+    """``verify_stability`` and the events its ``_carried_certificates``
+    reports to a sink: ("interval", k, lo, hi, order, pairs) for each
+    interval and ("crossing", k, t, left, right, step) for each crossing."""
+    events: list = []
+    carried = functools.partial(stability._carried_certificates, sink=events)
+    with mock.patch.object(stability, "_carried_certificates", carried):
+        report = stability.verify_stability(K, f0, f1)
+    return report, events
+
+
 def reidentify_differences(K, f0, f1) -> tuple:
-    """Run ``verify_stability`` with every ``_reidentify`` call checked
-    against ``bucket_reidentify`` on the same arguments, its int values
-    over ``scale`` made Fractions.
+    """Run ``verify_stability`` and check the full map of every crossing,
+    as its sink reports it, against ``bucket_reidentify`` of the same two
+    pair lists at the Fraction values there.
 
     Returns the number of crossings, the number of them where two points
     of one pair list are equal (so the tie-break by list order decides the
     map), and a description of each crossing where the two maps differ.
     """
-    real = stability._reidentify
     crossings = equal_points = 0
     out = []
-
-    def checking(K, left, right, values, scale, tied, k, t):
-        nonlocal crossings, equal_points
-        got = real(K, left, right, values, scale, tied, k, t)
-        exact = [Fraction(v, scale) for v in values]
+    for kind, k, t, left, right, got in _sink_events(K, f0, f1)[1]:
+        if kind != "crossing":
+            continue
+        exact = fraction_interpolate(f0, f1, t).values
         want = bucket_reidentify(K, left, right, exact, k, t)
         crossings += 1
         points = Counter(_point(K, exact, pv) for pv in right)
         equal_points += max(points.values(), default=0) > 1
         if got != want:
             out.append(f"crossing {k} at t = {fraction_string(t)}: {got} != {want}")
-        return got
-
-    with mock.patch.object(stability, "_reidentify", checking):
-        stability.verify_stability(K, f0, f1)
     return crossings, equal_points, out
 
 
 def verify_recording(K, f0, f1):
     """``verify_stability`` and the (order, pivot pairs) of each interval in
-    turn, recorded as it reduces them: it calls ``pivot_pairs`` exactly
-    once per interval and keeps neither in its report."""
-    reduced = []
-    real = stability.pivot_pairs
-
-    def recording(K, order):
-        pairs = real(K, order)
-        reduced.append((order, pairs))
-        return pairs
-
-    with mock.patch.object(stability, "pivot_pairs", recording):
-        report = stability.verify_stability(K, f0, f1)
+    turn, as its sink reports them; its report keeps neither."""
+    report, events = _sink_events(K, f0, f1)
+    reduced = [(order, pairs) for kind, *_, order, pairs in events if kind == "interval"]
     return report, reduced
 
 
@@ -469,7 +466,7 @@ def reference_differences(K, f0, f1, report, reduced) -> list[str]:
     """How ``report`` and the intervals ``verify_recording`` recorded
     depart from the from-scratch reference; empty if they do not.
 
-    There must be one reduction per certificate.  Each interval's order
+    There must be one recorded interval per certificate.  Each interval's order
     and pivot pairs must equal ``interval_matching``'s, its share must
     equal both the reference's measured cost and its bound, its pairs
     evaluated at both ends must give the reference's two diagrams, and the
@@ -478,7 +475,8 @@ def reference_differences(K, f0, f1, report, reduced) -> list[str]:
     out = []
     if len(reduced) != len(report.certificates):
         out.append(
-            f"{len(reduced)} reductions for {len(report.certificates)} intervals"
+            f"{len(reduced)} recorded intervals for {len(report.certificates)} "
+            "certificates"
         )
     refs = []
     for k, (cert, (order, pairs)) in enumerate(zip(report.certificates, reduced)):

@@ -328,6 +328,23 @@ def test_verify_of_a_dense_generated_instance_is_pinned(cli_env, tmp_path):
     assert done.stdout == pinned.read_bytes()
 
 
+def test_verify_machine_of_a_ladder_instance_is_pinned(cli_env, tmp_path):
+    # CI's smoke runs diff the same commands against the same file: 114
+    # simplices and 1611 crossings, so the carried reduction runs at scale
+    path = tmp_path / "gen1.txt"
+    cli = [sys.executable, "-m", "phstab.cli"]
+    gen = ["gen", "--seed", "1", "--vertices", "20", "--prob", "0.3"]
+    gen += ["--max-dim", "2", "--out", str(path)]
+    done = subprocess.run(cli + gen, capture_output=True, env=cli_env)
+    assert (done.returncode, done.stderr) == (0, b"")
+    done = subprocess.run(
+        cli + ["verify", "--machine", str(path)], capture_output=True, env=cli_env
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    pinned = Path(__file__).parent / "verify_machine_gen_seed1.txt"
+    assert done.stdout == pinned.read_bytes()
+
+
 def test_a_complex_past_the_generator_limit_exits_one_at_once(cli_env):
     # all 200 vertices joined, dimension 3: 66 million simplices if built
     cmd = [sys.executable, "-m", "phstab.cli", "gen", "--seed", "1"]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 from phstab.complexes import FiltrationFunction, validate_complex
@@ -9,7 +10,13 @@ from phstab.generate import (
     random_filtration,
 )
 from phstab.ordering import total_order
-from phstab.persistence import PivotPair, diagram, format_diagram, pivot_pairs
+from phstab.persistence import (
+    PivotPair,
+    Vineyard,
+    diagram,
+    format_diagram,
+    pivot_pairs,
+)
 from phstab.rational import INF
 
 from oracles import (
@@ -190,3 +197,98 @@ def test_format_diagram_sorts_by_dim_then_birth():
     keys = [tuple(line.split()[:2]) for line in lines]
     assert keys == sorted(keys, key=lambda t: (int(t[0]), Fraction(t[1])))
     assert lines[-1].startswith("1 1 2 ")
+
+
+def _bits(x: int) -> list[int]:
+    return [r for r in range(x.bit_length()) if x >> r & 1]
+
+
+def _check_vineyard(K, vine) -> None:
+    """The pairs are the from-scratch pairs of the current order, R = D * V
+    with D built from vertex tuples, V is upper unitriangular in the current
+    order, and each low is the pivot row of its column, owned by it alone."""
+    order = tuple(vine.simplex[x] for x in vine.perm)
+    assert vine.pairs() == set_pivot_pairs(K, order)
+    label = inverse(vine.simplex)
+    where = {s.vertices: c for c, s in enumerate(K.simplices)}
+    boundary = []
+    for c in vine.simplex:
+        vs = K.simplices[c].vertices
+        faces = [vs[:i] + vs[i + 1 :] for i in range(len(vs))] if len(vs) > 1 else []
+        boundary.append(sum(1 << label[where[f]] for f in faces))
+    pos = vine.pos
+    assert [vine.perm[p] for p in pos] == list(range(len(pos)))
+    for x, (r, v) in enumerate(zip(vine.R, vine.V)):
+        total = 0
+        for y in _bits(v):
+            total ^= boundary[y]
+            assert pos[y] <= pos[x]
+        assert v >> x & 1 and total == r
+        rows = _bits(r)
+        low = max(rows, key=pos.__getitem__) if rows else None
+        assert vine.low[x] == low
+        if low is not None:
+            assert vine.owner[low] == x
+    owned = [r for r, x in enumerate(vine.owner) if x is not None]
+    assert sorted(owned) == sorted(x for x in vine.low if x is not None)
+
+
+def _branches(vine, i) -> list[str]:
+    """The branches of the transposition table that swapping positions i
+    and i + 1 takes, read off the state before it; "V" marks the column
+    additions made because V[b] holds a."""
+    a, b = vine.perm[i], vine.perm[i + 1]
+    la, lb = vine.low[a], vine.low[b]
+    v = "V" if vine.V[b] >> a & 1 else ""
+    if la is None and lb is None:
+        k, l = vine.owner[a], vine.owner[b]
+        if l is None or not vine.R[l] >> a & 1:
+            return ["1" + v]
+        if k is None:
+            return ["1" + v, "1-essential-switch"]
+        return ["1" + v, "1-no-switch" if vine.pos[k] < vine.pos[l] else "1-switch"]
+    if la is not None and lb is not None:
+        if not v:
+            return ["2"]
+        return ["2V", "2V-switch" if vine.pos[la] > vine.pos[lb] else "2V-no-switch"]
+    if lb is None:
+        if not v:
+            return ["3"]
+        return ["3V-" + ("paired" if vine.owner[b] is not None else "essential")]
+    return ["4" + v]
+
+
+def test_vineyard_transpositions_keep_the_reduction():
+    """Random adjacent transpositions, never of a face with its coface,
+    from random compatible orders of generated complexes with and without
+    ties: after every one the vineyard is a valid reduction whose pairs are
+    the from-scratch pairs, and every branch of the table is taken."""
+    rng = random.Random(19)
+    taken: Counter = Counter()
+    steps = 0
+    for seed in range(24):
+        cfg = GeneratorConfig(
+            seed=seed, num_vertices=4 + seed % 4, fill_prob=0.6, unique=seed % 2 == 0
+        )
+        inst = generate_instance(cfg)
+        K = inst.complex
+        vine = Vineyard(K, random_compatible_order(K, inst.functions[0], rng))
+        _check_vineyard(K, vine)
+        vertex_sets = [set(s.vertices) for s in K.simplices]
+        for _ in range(80):
+            i = rng.randrange(len(K) - 1)
+            a, b = (vine.simplex[x] for x in vine.perm[i : i + 2])
+            if vertex_sets[a] < vertex_sets[b]:
+                continue
+            taken.update(_branches(vine, i))
+            vine.transpose(i)
+            steps += 1
+            _check_vineyard(K, vine)
+    assert steps > 1000
+    branches = {
+        "1", "1V", "1-essential-switch", "1-no-switch", "1-switch",
+        "2", "2V", "2V-switch", "2V-no-switch",
+        "3", "3V-paired", "3V-essential", "4", "4V",
+    }
+    assert set(taken) == branches, taken
+

@@ -20,7 +20,7 @@ from phstab.generate import (
 )
 from phstab.interpolation import CrossingSchedule, crossing_times
 from phstab.ordering import total_order
-from phstab.persistence import PivotPair, diagram, pivot_pairs
+from phstab.persistence import PivotPair, Vineyard, diagram, pivot_pairs
 from phstab.stability import _reidentify, verify_stability
 
 from oracles import (
@@ -327,11 +327,14 @@ def test_carried_order_that_misses_the_end_order_is_a_violation(monkeypatch):
 
 
 def _break_partition(monkeypatch, edit):
-    """Make every pivot pair list pass through ``edit`` first."""
-    real = stability.pivot_pairs
-    monkeypatch.setattr(
-        stability, "pivot_pairs", lambda K, order: edit(real(K, order))
-    )
+    """Make every pair list verify's vineyard lists pass through ``edit``
+    first; the first of them is checked before anything else reads it."""
+
+    class Doctored(Vineyard):
+        def pairs(self):
+            return edit(super().pairs())
+
+    monkeypatch.setattr(stability, "Vineyard", Doctored)
 
 
 @pytest.mark.parametrize(
@@ -366,31 +369,33 @@ def test_pair_list_that_does_not_partition_is_a_violation(
 
 def test_reidentify_rejects_pair_lists_of_different_functions():
     # f_a is born at {0}, f_b at {1}; at f_a's values the two pair lists
-    # give (0, inf), (1, 2) against (0, 2), (1, inf).  Whether the pairs
-    # are found by birth simplex (nothing tied) or by value (everything
-    # tied), the message is the same.
+    # give (0, inf), (1, 2) against (0, 2), (1, inf)
     K = validate_complex(EDGE)
     f_a = FiltrationFunction(K, (0, 1, 2))
     f_b = FiltrationFunction(K, (1, 0, 2))
+    names = (0, 1, 2)  # labels are complex positions here
 
     def pairs(f):
-        return pivot_pairs(K, total_order(K, f))
+        return [(p.birth, p.death) for p in pivot_pairs(K, total_order(K, f))]
 
     # f_a's values as ints over 2, as verify holds them at t = 1/2; the
     # second list is f_a + 1, whose birth prints as the value 1, not the int
     t = Fraction(1, 2)
     for values, scale, birth in (([0, 2, 4], 2, "0"), ([6, 12, 18], 6, "1")):
-        for tied in (set(), {0, 1, 2}):
-            same = _reidentify(
-                K, pairs(f_a), pairs(f_a), values, scale, tied, 3, t
-            )
-            assert same == [0, 1]
-            with pytest.raises(InternalProofViolation) as ei:
-                _reidentify(K, pairs(f_a), pairs(f_b), values, scale, tied, 3, t)
-            assert str(ei.value) == (
-                f"crossing 3 at t = 1/2: pivot pair ({{0}}, -) at dim 0 "
-                f"({birth}, inf) has no partner with equal values"
-            )
+        same = _reidentify(K, names, pairs(f_a), pairs(f_a), values, scale, 3, t)
+        assert same == [0, 1]
+        with pytest.raises(InternalProofViolation) as ei:
+            _reidentify(K, names, pairs(f_a), pairs(f_b), values, scale, 3, t)
+        assert str(ei.value) == (
+            f"crossing 3 at t = 1/2: pivot pair ({{0}}, -) at dim 0 "
+            f"({birth}, inf) has no partner with equal values"
+        )
+        with pytest.raises(InternalProofViolation) as ei:
+            _reidentify(K, names, pairs(f_a), pairs(f_a)[:1], values, scale, 3, t)
+        assert str(ei.value) == (
+            "crossing 3 at t = 1/2: 2 pivot pairs with a tied simplex before "
+            "vs 1 after"
+        )
 
 
 def test_violation_exits_two_through_the_cli(monkeypatch, tmp_path):
@@ -559,26 +564,61 @@ def test_bad_composed_point_map_is_a_violation(monkeypatch, tmp_path, edit, mess
     _verify_violation(path, "the composed point map is not a bijection: " + message)
 
 
-def test_carried_order_with_a_repeated_simplex_is_a_violation(monkeypatch, tmp_path):
-    # vertex 3 passes vertices 0, 1 and 2 at t = 1/4, 1/3 and 3/8; then
-    # vertices 0, 1 and 2 tie at t = 1/2.  The order carried into
-    # [3/8, 1/2] is (0, 1, 2, 3); with 2 replaced by a second 0, the values
-    # still do not decrease there, but the pivot pairs use {0} twice
-    K = _vertices(4)
-    f0 = FiltrationFunction(K, (0, 1, 2, -1))
-    f1 = FiltrationFunction(K, (2, 1, 0, 5))
-    real = stability._reverse_tied_runs
+def _doctor_transpose(monkeypatch, edit):
+    """Make every transposition of a vineyard run ``edit`` on it after the
+    swap, with the position swapped."""
+    real = Vineyard.transpose
 
-    def doctored(K, perm, runs, expected, k, t):
-        real(K, perm, runs, expected, k, t)
-        if k == 2:
-            assert perm == [0, 1, 2, 3]
-            perm[2] = perm[0]
+    def doctored(self, i):
+        real(self, i)
+        edit(self, i)
 
-    monkeypatch.setattr(stability, "_reverse_tied_runs", doctored)
-    message = "interval 3 [3/8, 1/2]: simplex {0} is a coordinate of 2 pivot pairs"
+    monkeypatch.setattr(Vineyard, "transpose", doctored)
+
+
+def test_transposition_that_breaks_the_pairing_is_a_violation(monkeypatch, tmp_path):
+    # the vertices swap at t = 4/7 and the edge's death passes from {1} to
+    # the essential {0}; with {0}'s owner dropped the edge is in no pair
+    K = validate_complex(EDGE)
+    f0 = FiltrationFunction(K, (0, 1, 2))
+    f1 = FiltrationFunction(K, (1, Fraction(1, 4), 2))
+
+    def drop_owner(vine, i):
+        vine.owner[vine.perm[i + 1]] = None
+
+    _doctor_transpose(monkeypatch, drop_owner)
+    message = (
+        "crossing 0 at t = 4/7: simplex {0,1} is a coordinate of 1 pivot pairs "
+        "with a tied simplex before the swaps and of 0 after"
+    )
     with pytest.raises(InternalProofViolation, match="^" + re.escape(message) + "$"):
         verify_stability(K, f0, f1)
-    path = tmp_path / "four.txt"
-    path.write_text("0 : 0 2\n1 : 1 1\n2 : 2 0\n3 : -1 5\n")
+    path = tmp_path / "edge.txt"
+    path.write_text("0 : 0 1\n1 : 1 1/4\n0 1 : 2 2\n")
+    _verify_violation(str(path), message)
+
+
+def test_pairs_that_miss_the_end_pairs_are_a_violation(monkeypatch, tmp_path):
+    # {1} and {3} swap at t = 1/2 and die at {0,1} and {2,3}; trading their
+    # deaths keeps the simplices covered and the points equal there, since
+    # the two births tie, but not the pairs of f1's order
+    K = validate_complex([(0,), (1,), (2,), (3,), (0, 1), (2, 3)])
+    f0 = FiltrationFunction(K, (0, 2, 1, 3, 4, 5))
+    f1 = FiltrationFunction(K, (0, 3, 1, 2, 4, 5))
+
+    def trade_deaths(vine, i):
+        b, a = vine.perm[i : i + 2]
+        k, l = vine.owner[a], vine.owner[b]
+        vine.owner[a], vine.owner[b] = l, k
+        vine.low[k], vine.low[l] = b, a
+
+    _doctor_transpose(monkeypatch, trade_deaths)
+    message = (
+        "the pivot pairs carried to t = 1 are not those of the canonical "
+        "order of f1"
+    )
+    with pytest.raises(InternalProofViolation, match="^" + re.escape(message) + "$"):
+        verify_stability(K, f0, f1)
+    path = tmp_path / "two-edges.txt"
+    path.write_text("0 : 0 0\n1 : 2 3\n2 : 1 1\n3 : 3 2\n0 1 : 4 4\n2 3 : 5 5\n")
     _verify_violation(str(path), message)
