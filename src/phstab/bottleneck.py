@@ -25,6 +25,15 @@ both diagrams over one shared denominator, so the matcher sorts and
 compares ints, and the chosen cost becomes a Fraction once.  The public
 ``pair_cost``, ``diagonal_cost`` and ``matching_cost`` stay in Fractions
 for the callers that re-check a matching.
+
+A caller that already knows a cost the distance cannot exceed passes it
+as ``bound``: ``verify`` passes the cost of its composed matching, and
+``bottleneck`` on one file passes the sup-norm of its two functions.
+Both variants then build only the edges that cost at most the bound, each
+row from a window of births found by bisection.  The optimum and every
+cost the search probes lie within the bound, so cost and witness are
+those of the unbounded run; a distance above the bound is a bug and raises
+InternalProofViolation.  Two files have no such bound and pass every edge.
 """
 
 from __future__ import annotations
@@ -33,11 +42,17 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, zip_longest
+from math import floor
 from operator import itemgetter
 
-from .errors import CountMismatch, DimensionMismatch, InvalidMatching
+from .errors import (
+    CountMismatch,
+    DimensionMismatch,
+    InternalProofViolation,
+    InvalidMatching,
+)
 from .persistence import Diagram, DiagramPoint
-from .rational import INF, common_denominator, common_numerators
+from .rational import INF, common_denominator, common_numerators, fraction_string
 
 
 @dataclass(frozen=True)
@@ -186,6 +201,11 @@ def _min_max_matching(rows: list[list]):
     the path the search took.  Returns (cost, pairs) with pairs (row,
     column) sorted by row; cost is INF when no perfect matching exists,
     and the witness is then the identity.
+
+    The rows may leave out every edge above a bound the optimum cannot
+    exceed: the binary search then probes fewer costs, but the witness run
+    at the chosen cost sees the same rows in column order, so the result
+    is unchanged.
     """
     n = len(rows)
     costs, columns = [], []  # per row, its edges sorted by cost
@@ -259,7 +279,7 @@ def _scaled_points(D0: Diagram, D1: Diagram):
     return q, list(zip(b0, d0)), list(zip(b1, d1))
 
 
-def _min_max_by_dim(D0: Diagram, D1: Diagram, require_equal: bool, match_finite):
+def _min_max_by_dim(D0: Diagram, D1: Diagram, require_equal: bool, match_finite, bound):
     """Exact (cost, witness) of either variant, one dimension at a time.
 
     An essential point can only match an essential point: every other
@@ -268,62 +288,96 @@ def _min_max_by_dim(D0: Diagram, D1: Diagram, require_equal: bool, match_finite)
     costs INF and its witness pairs the points by position, the surplus
     to the diagonal.  Otherwise the essentials of each side are sorted by
     (birth, index) and paired in order, which on a line minimises the
-    largest gap (exchange argument), and ``match_finite(pts0, pts1)``
-    matches the finite points' scaled (birth, death) pairs, returning
-    (int cost, local index pairs) with None for the diagonal.  The cost
-    goes back to a Fraction once, at the end.
+    largest gap (exchange argument), and ``match_finite(pts0, pts1,
+    limit)`` matches the finite points' scaled (birth, death) pairs,
+    returning (int cost, local index pairs) with None for the diagonal.
+    ``limit`` is ``bound`` on the same scale, or None for no bound; the
+    core then gets only the edges that cost at most it, so a dimension
+    that costs more is an InternalProofViolation naming the bound.  The
+    cost goes back to a Fraction once, at the end.
     """
     q, pts0, pts1 = _scaled_points(D0, D1)
+    limit = None if bound is None else floor(bound * q)
     worst = 0
     pairs = []
     for d, idx0, idx1 in _split_by_dim(D0, D1, require_equal):
         ess0 = [i for i in idx0 if D0.points[i].is_essential]
         ess1 = [j for j in idx1 if D1.points[j].is_essential]
         if len(ess0) != len(ess1):
-            worst = INF
+            cost = INF
             pairs.extend(zip_longest(idx0, idx1))
-            continue
-        ess0.sort(key=lambda i: (pts0[i][0], i))
-        ess1.sort(key=lambda j: (pts1[j][0], j))
-        pairs.extend(zip(ess0, ess1))
-        cost = max(
-            (abs(pts0[i][0] - pts1[j][0]) for i, j in zip(ess0, ess1)), default=0
-        )
-        fin0 = [i for i in idx0 if not D0.points[i].is_essential]
-        fin1 = [j for j in idx1 if not D1.points[j].is_essential]
-        if fin0 or fin1:
-            finite_cost, local = match_finite(
-                [pts0[i] for i in fin0], [pts1[j] for j in fin1]
+        else:
+            ess0.sort(key=lambda i: (pts0[i][0], i))
+            ess1.sort(key=lambda j: (pts1[j][0], j))
+            pairs.extend(zip(ess0, ess1))
+            cost = max(
+                (abs(pts0[i][0] - pts1[j][0]) for i, j in zip(ess0, ess1)),
+                default=0,
             )
-            cost = max(cost, finite_cost)
-            pairs.extend(
-                (None if a is None else fin0[a], None if b is None else fin1[b])
-                for a, b in local
+            fin0 = [i for i in idx0 if not D0.points[i].is_essential]
+            fin1 = [j for j in idx1 if not D1.points[j].is_essential]
+            if fin0 or fin1:
+                finite_cost, local = match_finite(
+                    [pts0[i] for i in fin0], [pts1[j] for j in fin1], limit
+                )
+                cost = max(cost, finite_cost)
+                pairs.extend(
+                    (None if a is None else fin0[a], None if b is None else fin1[b])
+                    for a, b in local
+                )
+        if limit is not None and cost > limit:
+            raise InternalProofViolation(
+                f"no matching of the dimension-{d} points costs at most "
+                f"the bound {fraction_string(bound)}"
             )
         worst = max(worst, cost)
     pairs.sort(key=lambda p: (p[0] is None, p[1] if p[0] is None else p[0]))
     return (INF if worst == INF else Fraction(worst, q)), Matching(tuple(pairs))
 
 
-def _pair_rows(pts0, pts1):
-    """Row i: (j, cost of matching point i of pts0 with point j of pts1)."""
-    return [
-        [(j, max(abs(b0 - b1), abs(d0 - d1))) for j, (b1, d1) in enumerate(pts1)]
-        for b0, d0 in pts0
-    ]
+def _pair_rows(pts0, pts1, bound):
+    """Row i: (j, cost of matching point i of pts0 with point j of pts1), in
+    column order.
+
+    With an int ``bound``, only the edges that cost at most it: pts1 is
+    sorted by birth once, each row bisects the window of births within the
+    bound and keeps the points whose death is within it too.
+    """
+    if bound is None:
+        return [
+            [(j, max(abs(b0 - b1), abs(d0 - d1))) for j, (b1, d1) in enumerate(pts1)]
+            for b0, d0 in pts0
+        ]
+    by_birth = sorted(range(len(pts1)), key=lambda j: pts1[j][0])
+    births = [pts1[j][0] for j in by_birth]
+    rows = []
+    for b0, d0 in pts0:
+        row = []
+        lo = bisect_left(births, b0 - bound)
+        for j in sorted(by_birth[lo : bisect_right(births, b0 + bound, lo)]):
+            b1, d1 = pts1[j]
+            if abs(d0 - d1) <= bound:
+                row.append((j, max(abs(b0 - b1), abs(d0 - d1))))
+        rows.append(row)
+    return rows
 
 
-def _pair_cost_matching(pts0, pts1):
-    return _min_max_matching(_pair_rows(pts0, pts1))
+def _pair_cost_matching(pts0, pts1, bound):
+    return _min_max_matching(_pair_rows(pts0, pts1, bound))
 
 
-def _augmented_matching(pts0, pts1):
+def _augmented_matching(pts0, pts1, bound):
     n0, n1 = len(pts0), len(pts1)
-    rows = _pair_rows(pts0, pts1)
+    rows = _pair_rows(pts0, pts1, bound)
+
+    def to_diagonal(column, b, d):  # the edge to a point's own partner
+        half = (d - b) // 2
+        return [] if bound is not None and half > bound else [(column, half)]
+
     for i, (b, d) in enumerate(pts0):
-        rows[i].append((n1 + i, (d - b) // 2))
+        rows[i] += to_diagonal(n1 + i, b, d)
     partners = [(n1 + k, 0) for k in range(n0)]
-    rows += [[(j, (d - b) // 2)] + partners for j, (b, d) in enumerate(pts1)]
+    rows += [to_diagonal(j, b, d) + partners for j, (b, d) in enumerate(pts1)]
     cost, local = _min_max_matching(rows)
     return cost, [
         (a if a < n0 else None, b if b < n1 else None)
@@ -332,18 +386,21 @@ def _augmented_matching(pts0, pts1):
     ]
 
 
-def bottleneck_bijection(D0: Diagram, D1: Diagram):
+def bottleneck_bijection(D0: Diagram, D1: Diagram, bound=None):
     """Exact bottleneck distance over dimension-respecting bijections.
 
     Requires equal per-dimension point counts (always true for diagrams of
     the same complex); returns (cost, witness matching) with the witness
     achieving the cost exactly, sorted by left index.  The finite points
-    of each dimension go to the core with an edge for every pair.
+    of each dimension go to the core with an edge for every pair, or, given
+    a ``bound`` the distance cannot exceed (a rational), only for the pairs
+    that cost at most it; the result is the same, and a distance above the
+    bound raises InternalProofViolation.
     """
-    return _min_max_by_dim(D0, D1, True, _pair_cost_matching)
+    return _min_max_by_dim(D0, D1, True, _pair_cost_matching, bound)
 
 
-def bottleneck_diagonal(D0: Diagram, D1: Diagram):
+def bottleneck_diagonal(D0: Diagram, D1: Diagram, bound=None):
     """Exact bottleneck distance when points may match the diagonal.
 
     The finite points of each dimension go to the core as the bijection
@@ -355,6 +412,7 @@ def bottleneck_diagonal(D0: Diagram, D1: Diagram):
     may differ; the diagonal absorbs any finite surplus.  Returns (cost,
     witness matching) like ``bottleneck_bijection``, with (i, None) and
     (None, j) for points sent to the diagonal; entries are sorted by left
-    index, those with none last, by right index.
+    index, those with none last, by right index.  A ``bound`` drops the
+    edges above it, as in ``bottleneck_bijection``.
     """
-    return _min_max_by_dim(D0, D1, False, _augmented_matching)
+    return _min_max_by_dim(D0, D1, False, _augmented_matching, bound)

@@ -26,7 +26,7 @@ from .complexes import find_duplicate_value, validate_filtration
 from .errors import InternalProofViolation, PhstabError
 from .generate import GeneratorConfig, generate_instance
 from .instances import InstanceFile, format_instance, parse_instance
-from .interpolation import crossing_times
+from .interpolation import crossing_times, sup_norm
 from .ordering import total_order
 from .persistence import diagram, format_diagram
 from .rational import approx_string, format_value
@@ -148,14 +148,16 @@ def _cmd_bottleneck(args) -> tuple[int, str]:
         f0, f1 = _two_functions(inst)
         D0 = diagram(inst.complex, f0)
         D1 = diagram(inst.complex, f1)
+        bound = sup_norm(f0, f1)  # by the stability theorem, for both variants
     else:
         inst0 = parse_instance(args.file)
         inst1 = parse_instance(args.file2)
         k = args.function or 0
         D0 = diagram(inst0.complex, _pick_function(inst0, k))
         D1 = diagram(inst1.complex, _pick_function(inst1, k))
+        bound = None  # two complexes: no bound is known
     distance = bottleneck_diagonal if args.diagonal else bottleneck_bijection
-    dist, matching = distance(D0, D1)
+    dist, matching = distance(D0, D1, bound=bound)
     lines = [f"distance {format_value(dist)}"]
     if args.matching:
         for i, j in matching.pairs:

@@ -455,7 +455,9 @@ def verify_stability(
             f"composed cost {fraction_string(composed_cost)} exceeds the "
             f"sup-norm {fraction_string(gap)}"
         )
-    exact, witness = bottleneck_bijection(D0, D1)
+    # The composed map is a bijection of that cost, so the matcher needs
+    # no edge above it, and refuses a distance above it.
+    exact, witness = bottleneck_bijection(D0, D1, bound=composed_cost)
     _check_witness(K, D0, D1, witness, exact)
     if exact > composed_cost:
         raise InternalProofViolation(

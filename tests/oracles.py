@@ -32,8 +32,9 @@ equal it.  ``bucket_reidentify`` re-identifies two pair lists at a crossing
 by value alone; ``reidentify_differences`` checks the full map the
 library's local rule gives against it at every crossing of a run.  The other helpers build what the library itself never needs:
 the full order check (values and face closure), random compatible orders,
-diagrams under a supplied order, sublevel complexes, interval midpoints
-and a permutation-enumerating bottleneck.
+diagrams under a supplied order, sublevel complexes, interval midpoints,
+a permutation-enumerating bottleneck and perturbed instances, whose two
+functions differ by little.
 """
 
 import functools
@@ -68,6 +69,8 @@ from phstab.errors import (
     InvalidMatching,
     PhstabError,
 )
+from phstab.generate import generate_instance
+from phstab.instances import InstanceFile
 from phstab.interpolation import CrossingSchedule, sup_norm
 from phstab.ordering import total_order
 from phstab.persistence import Diagram, PivotPair, diagram_from_pivots, pivot_pairs
@@ -160,6 +163,23 @@ def inverse(order) -> list[int]:
     for j, c in enumerate(order):
         pos[c] = j
     return pos
+
+
+def perturbed_instance(cfg, eps: Fraction) -> InstanceFile:
+    """``generate_instance(cfg)`` with f1 replaced by f0 + eps * (g +
+    offsets), g its second function: the offsets rise from 1/n to 1 along
+    f0's canonical order, so f0 + eps * offsets keeps that order, and
+    eps * g makes a few crossings.  For a small eps no value moves far, so
+    a bound of the sup-norm leaves each diagram point few partners."""
+    inst = generate_instance(cfg)
+    K = inst.complex
+    f0, g = inst.functions
+    n = len(K)
+    offsets = [Fraction(pos + 1, n) for pos in inverse(total_order(K, f0))]
+    f1 = FiltrationFunction(
+        K, tuple(a + eps * (b + o) for a, b, o in zip(f0.values, g.values, offsets))
+    )
+    return InstanceFile(K, (f0, f1))
 
 
 def check_order_compatible(

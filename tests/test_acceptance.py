@@ -9,9 +9,11 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from phstab import bottleneck
 from phstab.bottleneck import bottleneck_bijection, bottleneck_diagonal
 from phstab.cli import run_command
 from phstab.complexes import FiltrationFunction, find_duplicate_value
@@ -38,6 +40,7 @@ from oracles import (
     fraction_matrix_bottleneck,
     inverse,
     persistent_betti,
+    perturbed_instance,
     random_compatible_order,
     reference_differences,
     reidentify_differences,
@@ -253,6 +256,60 @@ def test_5_diagonal_matching_never_costs_more(corpus, capsys):
         failures == 0,
         f"{pairs} diagram pairs, {failures} violations, exact comparison",
     )
+
+
+def _bounded_twin_differences(D0, D1, gap):
+    """Both variants with bound = sup-norm and bound = exact distance
+    against the unbounded run, the reference: their (cost, Matching)
+    differences as text."""
+    out = []
+    for variant in (bottleneck_bijection, bottleneck_diagonal):
+        reference = variant(D0, D1)
+        for bound in (gap, reference[0]):
+            got = variant(D0, D1, bound=bound)
+            if got != reference:
+                out.append(f"{variant.__name__} bound {bound}: {got} != {reference}")
+    return out
+
+
+def _edge_count(run):
+    """Total edges the matcher core gets while ``run()`` runs."""
+    count = 0
+    real = bottleneck._min_max_matching
+
+    def counting(rows):
+        nonlocal count
+        count += sum(map(len, rows))
+        return real(rows)
+
+    with mock.patch.object(bottleneck, "_min_max_matching", counting):
+        run()
+    return count
+
+
+def test_bounded_matcher_equals_the_unbounded_run(corpus):
+    """A bound of the sup-norm or of the exact distance changes neither
+    cost nor witness, on the corpus and on perturbed instances, where the
+    bound leaves each point few partners."""
+    for inst, report, _ in corpus:
+        D0, D1 = report.left_diagram, report.right_diagram
+        differences = _bounded_twin_differences(D0, D1, report.sup_norm_value)
+        assert not differences, f"{format_instance(inst)}{'; '.join(differences)}"
+    unbounded = bounded = 0  # edges the bijection variant hands the core
+    for seed in range(24):
+        cfg = GeneratorConfig(
+            seed=seed, num_vertices=7 + seed % 3, fill_prob=0.5, max_dimension=2
+        )
+        inst = perturbed_instance(cfg, Fraction(1, 16 << seed % 4))
+        K, (f0, f1) = inst.complex, inst.functions
+        D0, D1 = diagram(K, f0), diagram(K, f1)
+        gap = sup_norm(f0, f1)
+        differences = _bounded_twin_differences(D0, D1, gap)
+        assert not differences, f"{format_instance(inst)}{'; '.join(differences)}"
+        unbounded += _edge_count(lambda: bottleneck_bijection(D0, D1))
+        bounded += _edge_count(lambda: bottleneck_bijection(D0, D1, bound=gap))
+    # the window prunes: most pairs of points are farther apart than gap
+    assert bounded * 3 < unbounded, (bounded, unbounded)
 
 
 def test_6_tie_break_choice_never_changes_the_diagram(capsys):

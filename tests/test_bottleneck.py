@@ -18,10 +18,15 @@ from phstab.bottleneck import (
     pair_cost,
 )
 from phstab.complexes import FiltrationFunction, validate_complex
-from phstab.errors import CountMismatch, DimensionMismatch, InvalidMatching
+from phstab.errors import (
+    CountMismatch,
+    DimensionMismatch,
+    InternalProofViolation,
+    InvalidMatching,
+)
 from phstab.generate import GeneratorConfig, generate_complex, random_filtration
 from phstab.persistence import Diagram, DiagramPoint, PivotPair, diagram
-from phstab.rational import INF
+from phstab.rational import INF, fraction_string
 
 from oracles import (
     TooLarge,
@@ -197,6 +202,30 @@ def _random_diagram(rng, vertices):
     return diagram(K, random_filtration(K, rng))
 
 
+def _candidate_below(D0, D1, cost, diagonal):
+    """The largest edge cost of either variant's problem below ``cost``."""
+    costs = [pair_cost(p, q) for p in D0.points for q in D1.points if p.dim == q.dim]
+    if diagonal:
+        costs += map(diagonal_cost, D0.points + D1.points)
+    return max(c for c in costs if c < cost)
+
+
+def test_a_bound_below_the_distance_is_a_violation():
+    checked = 0
+    for seed in range(20):
+        D0, D1 = _pair_of_diagrams(seed, vertices=5)
+        for variant in (bottleneck_bijection, bottleneck_diagonal):
+            exact, _ = variant(D0, D1)
+            if exact == 0:
+                continue
+            bound = _candidate_below(D0, D1, exact, variant is bottleneck_diagonal)
+            message = f"costs at most the bound {fraction_string(bound)}$"
+            with pytest.raises(InternalProofViolation, match=message):
+                variant(D0, D1, bound=bound)
+            checked += 1
+    assert checked >= 30
+
+
 def test_diagonal_matches_brute_force_on_unequal_counts():
     unequal = finite = 0
     for seed in range(60):
@@ -300,6 +329,23 @@ def _tied_points(rng, dims, essential_share):
             else:
                 out.append((dim, birth, birth + Fraction(rng.randint(0, 4), 2)))
     return out
+
+
+def test_a_bound_keeps_the_witness_of_points_out_of_birth_order():
+    """Each row's edges within a bound reach the core in column order, so
+    the witness stays the unbounded run's also where the points are not
+    listed by birth and many births tie."""
+    rng = random.Random(56)
+    for _ in range(150):
+        dims = {0: rng.randint(1, 8), 1: rng.randint(0, 5)}
+        points0, points1 = (_tied_points(rng, dims, 0) for _ in range(2))
+        rng.shuffle(points0)
+        rng.shuffle(points1)
+        D0, D1 = _points_diagram(points0), _points_diagram(points1)
+        for variant in (bottleneck_bijection, bottleneck_diagonal):
+            reference = variant(D0, D1)
+            for bound in (reference[0], reference[0] + Fraction(1, 2)):
+                assert variant(D0, D1, bound=bound) == reference, (points0, points1)
 
 
 def test_essential_and_mixed_diagrams_with_tied_births_match_brute_force():

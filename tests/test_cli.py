@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -15,8 +16,11 @@ from phstab.bottleneck import (
     pair_cost,
 )
 from phstab.cli import run_command
-from phstab.instances import parse_instance
+from phstab.generate import GeneratorConfig
+from phstab.instances import format_instance, parse_instance
 from phstab.persistence import diagram
+
+from oracles import perturbed_instance
 
 EDGE_TWO = "0 : 0 1\n1 : 1 0.25\n0 1 : 2 2\n"
 EDGE_ONE = "0 : 0\n1 : 1\n0 1 : 2\n"
@@ -343,6 +347,26 @@ def test_verify_machine_of_a_ladder_instance_is_pinned(cli_env, tmp_path):
     assert (done.returncode, done.stderr) == (0, b"")
     pinned = Path(__file__).parent / "verify_machine_gen_seed1.txt"
     assert done.stdout == pinned.read_bytes()
+
+
+def test_bottleneck_of_a_perturbed_instance_is_pinned(cli_env):
+    # CI's smoke runs diff the same commands against the same files.  f1 is
+    # f0 + (1/64)(g + offsets), so the sup-norm bound leaves each point few
+    # partners (41 of 260 pair edges); both outputs were pinned before the
+    # matcher took a bound; --diagonal sends twelve points to the diagonal
+    here = Path(__file__).parent
+    path = here / "perturbed_seed8.txt"
+    cfg = GeneratorConfig(seed=8, num_vertices=9, fill_prob=0.5, max_dimension=2)
+    inst = perturbed_instance(cfg, Fraction(1, 64))
+    assert path.read_text() == format_instance(inst)
+    cmd = [sys.executable, "-m", "phstab.cli", "bottleneck", str(path), "--matching"]
+    for extra, pinned in (
+        ([], "bottleneck_matching_perturbed_seed8.txt"),
+        (["--diagonal"], "bottleneck_diagonal_matching_perturbed_seed8.txt"),
+    ):
+        done = subprocess.run(cmd + extra, capture_output=True, env=cli_env)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == (here / pinned).read_bytes()
 
 
 def test_a_complex_past_the_generator_limit_exits_one_at_once(cli_env):

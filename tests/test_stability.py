@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import phstab
-from phstab import stability
+from phstab import cli, stability
 from phstab.bottleneck import Matching, bottleneck_bijection, matching_cost
 from phstab.cli import run_command
 from phstab.complexes import FiltrationFunction, validate_complex
@@ -441,9 +441,9 @@ def test_ties_exit_one_through_verify(tmp_path, text, message):
     assert run_command(["verify", str(path), "--machine"]) == (1, message)
 
 
-def _wrong_witness(D0, D1):
+def _wrong_witness(D0, D1, bound=None):
     """The exact distance with the matching reversed inside each dimension."""
-    exact, witness = bottleneck_bijection(D0, D1)
+    exact, witness = bottleneck_bijection(D0, D1, bound)
     reversed_pairs = []
     for d in dims(D0):
         idx0, idx1 = D0.points_in_dim(d), D1.points_in_dim(d)
@@ -473,10 +473,52 @@ def test_wrong_bottleneck_witness_is_a_violation(monkeypatch, tmp_path):
     monkeypatch.setattr(
         stability,
         "bottleneck_bijection",
-        lambda D0, D1: (1, Matching(((0, 0), (1, 1)))),
+        lambda D0, D1, bound=None: (1, Matching(((0, 0), (1, 1)))),
     )
     with pytest.raises(InternalProofViolation, match="witness is not a bijection"):
         verify_stability(K, f0, f1)
+
+
+# f1 = f0 + (1/64)(g + offsets): both distances are one candidate cost
+# above the bounds below, and dimension 1 is the first to exceed them
+PERTURBED = str(Path(__file__).parent / "perturbed_seed8.txt")
+BELOW_BIJECTION, BELOW_DIAGONAL = Fraction(66233, 835584), Fraction(63787, 835584)
+
+
+def _bound_message(bound):
+    return (
+        "internal consistency failure: no matching of the dimension-1 "
+        f"points costs at most the bound {bound.numerator}/{bound.denominator}"
+    )
+
+
+def test_a_composed_cost_below_the_exact_distance_exits_two(monkeypatch):
+    # the matcher is bounded by the composed cost, so a composed map that
+    # seemed cheaper than the optimum stops it
+    assert run_command(["verify", PERTURBED, "--machine"])[1].endswith(
+        "exact_bottleneck=66295/835584\nholds=true"
+    )
+    real = stability._bijection_cost
+
+    def cheaper(D0, D1, m, what):
+        cost = real(D0, D1, m, what)
+        return BELOW_BIJECTION if what == "the composed point map" else cost
+
+    monkeypatch.setattr(stability, "_bijection_cost", cheaper)
+    for machine in ([], ["--machine"]):
+        assert run_command(["verify", PERTURBED] + machine) == (
+            2,
+            _bound_message(BELOW_BIJECTION),
+        )
+
+
+def test_a_sup_norm_below_the_distance_exits_two(monkeypatch):
+    # one file: both variants are bounded by the sup-norm of its columns
+    for variant, bound in (([], BELOW_BIJECTION), (["--diagonal"], BELOW_DIAGONAL)):
+        monkeypatch.setattr(cli, "sup_norm", lambda f0, f1: bound)
+        for matching in ([], ["--matching"]):
+            argv = ["bottleneck", PERTURBED] + variant + matching
+            assert run_command(argv) == (2, _bound_message(bound))
 
 
 def test_readme_library_example_uses_the_package_root_exports(capsys):
@@ -530,7 +572,10 @@ def test_cross_dimension_witness_is_a_violation(monkeypatch, tmp_path):
     monkeypatch.setattr(
         stability,
         "bottleneck_bijection",
-        lambda D0, D1: (bottleneck_bijection(D0, D1)[0], _reversed(D0, D1)),
+        lambda D0, D1, bound=None: (
+            bottleneck_bijection(D0, D1, bound)[0],
+            _reversed(D0, D1),
+        ),
     )
     _verify_violation(
         path,
