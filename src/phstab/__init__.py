@@ -2,8 +2,9 @@
 simplicial complexes: exact diagrams, exact bottleneck distances, and a
 constructive certificate that diagrams move no farther than the functions.
 
-Everything is computed in exact rational arithmetic (fractions.Fraction);
-math.inf is the single sentinel for infinite deaths.  The package root
+Everything is computed exactly: values are ints over one scale per
+instance, and fractions.Fraction is their public form; math.inf is the
+single sentinel for infinite deaths.  The package root
 exports what the README's example uses, PhstabError (the base of every
 error raised) and InternalProofViolation (the one that means a bug);
 everything else is reached through its module (``from phstab import cli``).

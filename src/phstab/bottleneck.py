@@ -21,10 +21,12 @@ an edge for every pair of points.  The diagonal variant passes the
 bijection problem on augmented diagrams (Kerber, Morozov and Nigmetov
 2017), where each point gains a diagonal partner on the other side, with
 only the edges that exist.  All costs are ints: the births and deaths of
-both diagrams over one shared denominator, so the matcher sorts and
-compares ints, and the chosen cost becomes a Fraction once.  The public
-``pair_cost``, ``diagonal_cost`` and ``matching_cost`` stay in Fractions
-for the callers that re-check a matching.
+both diagrams over one shared scale, so the matcher sorts and compares
+ints, and the chosen cost becomes a Fraction once.  ``scaled_matching_cost``
+re-checks a matching on the same ints with code of its own, as ``verify``
+does for its composed map and the matcher's witness; the public
+``pair_cost``, ``diagonal_cost`` and ``matching_cost`` compute the same
+costs in Fractions, point by point.
 
 A caller that already knows a cost the distance cannot exceed passes it
 as ``bound``: ``verify`` passes the cost of its composed matching, and
@@ -42,7 +44,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, zip_longest
-from math import floor
+from math import floor, lcm
 from operator import itemgetter
 
 from .errors import (
@@ -52,7 +54,7 @@ from .errors import (
     InvalidMatching,
 )
 from .persistence import Diagram, DiagramPoint
-from .rational import INF, common_denominator, common_numerators, fraction_string
+from .rational import INF, fraction_string
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,36 @@ def diagonal_cost(p: DiagramPoint):
     return (p.death - p.birth) / 2
 
 
+def _checked_entries(D0: Diagram, D1: Diagram, m: Matching):
+    """The entries (i, j) of ``m``, each checked before it is yielded.
+
+    Every point of each diagram must be used exactly once, and matched
+    points must share a dimension; the first problem raises
+    InvalidMatching, the cover check once the last entry is through.
+    """
+    dims0, dims1 = D0.dims, D1.dims
+    used0: set[int] = set()
+    used1: set[int] = set()
+    for i, j in m.pairs:
+        if i is not None:
+            if not (0 <= i < len(dims0)) or i in used0:
+                raise InvalidMatching(f"left index {i} reused or out of range")
+            used0.add(i)
+        if j is not None:
+            if not (0 <= j < len(dims1)) or j in used1:
+                raise InvalidMatching(f"right index {j} reused or out of range")
+            used1.add(j)
+        if i is None and j is None:
+            raise InvalidMatching("empty matching entry")
+        if i is not None and j is not None and dims0[i] != dims1[j]:
+            raise InvalidMatching(
+                f"pair ({i}, {j}) matches dim {dims0[i]} with dim {dims1[j]}"
+            )
+        yield i, j
+    if len(used0) != len(dims0) or len(used1) != len(dims1):
+        raise InvalidMatching("matching does not cover both diagrams")
+
+
 def matching_cost(D0: Diagram, D1: Diagram, m: Matching):
     """Maximum pair cost over a matching; 0 for empty diagrams.
 
@@ -100,35 +132,43 @@ def matching_cost(D0: Diagram, D1: Diagram, m: Matching):
     matched points share a dimension, raising InvalidMatching otherwise;
     diagonal entries cost (death - birth) / 2.
     """
-    used0: set[int] = set()
-    used1: set[int] = set()
     worst = 0
-    for i, j in m.pairs:
-        if i is not None:
-            if not (0 <= i < len(D0.points)) or i in used0:
-                raise InvalidMatching(f"left index {i} reused or out of range")
-            used0.add(i)
-        if j is not None:
-            if not (0 <= j < len(D1.points)) or j in used1:
-                raise InvalidMatching(f"right index {j} reused or out of range")
-            used1.add(j)
-        if i is None and j is None:
-            raise InvalidMatching("empty matching entry")
+    for i, j in _checked_entries(D0, D1, m):
         if i is None:
             cost = diagonal_cost(D1.points[j])
         elif j is None:
             cost = diagonal_cost(D0.points[i])
         else:
-            p, q = D0.points[i], D1.points[j]
-            if p.dim != q.dim:
-                raise InvalidMatching(
-                    f"pair ({i}, {j}) matches dim {p.dim} with dim {q.dim}"
-                )
-            cost = pair_cost(p, q)
+            cost = pair_cost(D0.points[i], D1.points[j])
         worst = max(worst, cost)
-    if len(used0) != len(D0.points) or len(used1) != len(D1.points):
-        raise InvalidMatching("matching does not cover both diagrams")
     return worst
+
+
+def scaled_matching_cost(D0: Diagram, D1: Diagram, m: Matching):
+    """``matching_cost`` on the diagrams' ints: the same checks and
+    messages and the same value, with one Fraction, the result.
+
+    Each cost is taken on the scaled (birth, death) pairs of
+    ``_scaled_points``, where an essential point's death slot holds its
+    birth, so two essential points cost their birth gap and an essential
+    point with a finite one, or with the diagonal, costs INF.
+    """
+    q, pts0, pts1 = _scaled_points(D0, D1)
+    deaths0, deaths1 = D0.deaths, D1.deaths  # None marks an essential point
+    worst = 0
+    for i, j in _checked_entries(D0, D1, m):
+        if i is None or j is None:
+            essential = deaths1[j] is None if i is None else deaths0[i] is None
+            b, d = pts1[j] if i is None else pts0[i]
+            cost = INF if essential else (d - b) // 2
+        elif (deaths0[i] is None) != (deaths1[j] is None):
+            cost = INF
+        else:
+            (b0, d0), (b1, d1) = pts0[i], pts1[j]
+            cost = max(abs(b0 - b1), abs(d0 - d1))
+        if cost > worst:
+            worst = cost
+    return INF if worst == INF else Fraction(worst, q)
 
 
 def _augment(adjacency, match: list, owner: list, roots) -> bool:
@@ -248,7 +288,7 @@ def _min_max_matching(rows: list[list]):
 
 
 def _split_by_dim(D0: Diagram, D1: Diagram, require_equal: bool):
-    dims = sorted({p.dim for p in D0.points} | {p.dim for p in D1.points})
+    dims = sorted(set(D0.dims) | set(D1.dims))
     groups = []
     for d in dims:
         idx0 = list(D0.points_in_dim(d))
@@ -265,18 +305,24 @@ def _scaled_points(D0: Diagram, D1: Diagram):
     """Every point of both diagrams as an int (birth, death) pair.
 
     Returns (q, pts0, pts1) with pts[i] = (birth * q, death * q), where q
-    is twice the lcm of all denominators.  Scaling by q > 0 keeps every
-    sign and ratio of differences, and the factor 2 makes every numerator
-    even, so a diagonal cost (death - birth) / 2 is an int too.  An
-    essential point's death slot holds its birth; it is never read.
+    is twice a scale both diagrams are over: their own when they share it,
+    as the two diagrams of one file do, else the lcm of the two.  Scaling
+    by q > 0 keeps every sign and ratio of differences, and the factor 2
+    makes every numerator even, so a diagonal cost (death - birth) / 2 is
+    an int too.  An essential point's death slot holds its birth.  With a
+    shared scale the lists are the diagrams' own ``doubled`` pairs, built
+    once per diagram and shared by every matching of it.
     """
-    columns = []
-    for D in (D0, D1):
-        columns.append([p.birth for p in D.points])
-        columns.append([p.birth if p.is_essential else p.death for p in D.points])
-    q = 2 * common_denominator(*columns)
-    b0, d0, b1, d1 = common_numerators(*columns, scale=q)
-    return q, list(zip(b0, d0)), list(zip(b1, d1))
+    s0, s1 = D0.scale, D1.scale
+    if s0 == s1:
+        return 2 * s0, D0.doubled, D1.doubled
+    scale = lcm(s0, s1)
+    m0, m1 = scale // s0, scale // s1
+    return (
+        2 * scale,
+        [(b * m0, d * m0) for b, d in D0.doubled],
+        [(b * m1, d * m1) for b, d in D1.doubled],
+    )
 
 
 def _min_max_by_dim(D0: Diagram, D1: Diagram, require_equal: bool, match_finite, bound):
@@ -291,6 +337,8 @@ def _min_max_by_dim(D0: Diagram, D1: Diagram, require_equal: bool, match_finite,
     largest gap (exchange argument), and ``match_finite(pts0, pts1,
     limit)`` matches the finite points' scaled (birth, death) pairs,
     returning (int cost, local index pairs) with None for the diagonal.
+    Only the diagrams' ints are read: a point is essential when it has no
+    death, and every point is its ``_scaled_points`` pair.
     ``limit`` is ``bound`` on the same scale, or None for no bound; the
     core then gets only the edges that cost at most it, so a dimension
     that costs more is an InternalProofViolation naming the bound.  The
@@ -301,8 +349,8 @@ def _min_max_by_dim(D0: Diagram, D1: Diagram, require_equal: bool, match_finite,
     worst = 0
     pairs = []
     for d, idx0, idx1 in _split_by_dim(D0, D1, require_equal):
-        ess0 = [i for i in idx0 if D0.points[i].is_essential]
-        ess1 = [j for j in idx1 if D1.points[j].is_essential]
+        ess0 = [i for i in idx0 if D0.deaths[i] is None]
+        ess1 = [j for j in idx1 if D1.deaths[j] is None]
         if len(ess0) != len(ess1):
             cost = INF
             pairs.extend(zip_longest(idx0, idx1))
@@ -314,8 +362,8 @@ def _min_max_by_dim(D0: Diagram, D1: Diagram, require_equal: bool, match_finite,
                 (abs(pts0[i][0] - pts1[j][0]) for i, j in zip(ess0, ess1)),
                 default=0,
             )
-            fin0 = [i for i in idx0 if not D0.points[i].is_essential]
-            fin1 = [j for j in idx1 if not D1.points[j].is_essential]
+            fin0 = [i for i in idx0 if D0.deaths[i] is not None]
+            fin1 = [j for j in idx1 if D1.deaths[j] is not None]
             if fin0 or fin1:
                 finite_cost, local = match_finite(
                     [pts0[i] for i in fin0], [pts1[j] for j in fin1], limit

@@ -11,10 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable
 
 from .errors import DomainMismatch, InvalidComplex, InvalidFiltration
-from .rational import common_numerators, fraction_string, to_fraction
+from .rational import (
+    common_denominator,
+    common_numerators,
+    fraction_string,
+    to_fraction,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -136,35 +142,38 @@ def validate_complex(simplices: Iterable) -> SimplicialComplex:
     return SimplicialComplex(tuple(s for _, s in canon))
 
 
-@dataclass(frozen=True)
 class FiltrationFunction:
     """One exact rational value per simplex of a fixed complex.
 
-    The constructor is the one place values are coerced and counted: a
-    value ``to_fraction`` rejects (non-finite, non-numeric, a bool), a
-    wrong count or values that are not a sequence at all (a ``str`` or
-    ``bytes`` included) raise InvalidFiltration naming every problem.
+    Value i is ``numerators[i] / scale``, ints over one positive scale, and
+    ``values`` is the same as a tuple of Fractions.  A function is built
+    from either form and derives the other when it is first read.
+    ``over_scale`` takes the ints as they are: the parser passes both
+    columns of a file over the lcm of every denominator in it.  The
+    constructor takes values and is the one place they are coerced and
+    counted: a value ``to_fraction`` rejects (non-finite, non-numeric, a
+    bool), a wrong count or values that are not a sequence at all (a
+    ``str`` or ``bytes`` included) raise InvalidFiltration naming every
+    problem; its scale is then the least common denominator.  Two
+    functions are equal when their complexes and values are.
     """
 
-    complex: SimplicialComplex
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        K = self.complex
+    def __init__(self, complex: SimplicialComplex, values):
+        K = complex
         try:
-            if isinstance(self.values, (str, bytes)):
+            if isinstance(values, (str, bytes)):
                 raise TypeError  # one value per character is not meant
-            raw = tuple(self.values)
+            raw = tuple(values)
         except TypeError:
             raise InvalidFiltration(
-                [Issue(f"values {self.values!r} are not a sequence")]
+                [Issue(f"values {values!r} are not a sequence")]
             ) from None
         if len(raw) != len(K):
             raise InvalidFiltration(
                 [Issue(f"expected {len(K)} values, got {len(raw)}")]
             )
         try:
-            values = tuple(to_fraction(v) for v in raw)
+            coerced = tuple(to_fraction(v) for v in raw)
         except (TypeError, ValueError):
             bad = []
             for i, v in enumerate(raw):
@@ -177,13 +186,58 @@ class FiltrationFunction:
                         i,
                     ))
             raise InvalidFiltration(bad) from None
-        object.__setattr__(self, "values", values)
+        self.complex = K
+        self.values = coerced
+
+    @classmethod
+    def over_scale(
+        cls, complex: SimplicialComplex, numerators: tuple, scale: int
+    ) -> "FiltrationFunction":
+        """The function with values ``numerators[i] / scale``, ``scale`` > 0
+        and one int per simplex; nothing is checked or copied."""
+        f = cls.__new__(cls)
+        f.complex, f.numerators, f.scale = complex, numerators, scale
+        return f
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        scale = self.scale
+        return tuple(Fraction(x, scale) for x in self.numerators)
+
+    @cached_property
+    def scale(self) -> int:
+        return common_denominator(self.values)
 
     @cached_property
     def numerators(self) -> tuple[int, ...]:
-        """The values as int numerators over their least common denominator:
-        the same order and the same ties, compared as ints."""
-        return tuple(common_numerators(self.values)[0])
+        """The values as ints over ``scale``: the same order and the same
+        ties, compared as ints."""
+        return tuple(common_numerators(self.values, scale=self.scale)[0])
+
+    def __eq__(self, other):
+        if not isinstance(other, FiltrationFunction):
+            return NotImplemented
+        return self.complex == other.complex and self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.complex, self.values))
+
+    def __repr__(self) -> str:
+        return f"FiltrationFunction(complex={self.complex!r}, values={self.values!r})"
+
+
+def common_scale(f0: FiltrationFunction, f1: FiltrationFunction) -> tuple:
+    """(a, b, scale): the numerators of ``f0`` and ``f1`` over one shared
+    scale.  Functions that share their scale, as the columns of one file
+    do, keep their own numerators; otherwise both go over the lcm.
+    Scaling by a positive constant keeps every sign of a difference and
+    every ratio of differences, so two functions compare as ints."""
+    s0, s1 = f0.scale, f1.scale
+    if s0 == s1:
+        return f0.numerators, f1.numerators, s0
+    scale = lcm(s0, s1)
+    m0, m1 = scale // s0, scale // s1
+    return [x * m0 for x in f0.numerators], [y * m1 for y in f1.numerators], scale
 
 
 def validate_filtration(K: SimplicialComplex, f: FiltrationFunction) -> tuple:
@@ -191,11 +245,11 @@ def validate_filtration(K: SimplicialComplex, f: FiltrationFunction) -> tuple:
     the coface's position; empty when ``f`` is monotone on K."""
     if f.complex is not K and f.complex != K:
         raise DomainMismatch("filtration is not defined on this complex")
-    nums, values = f.numerators, f.values
+    nums = f.numerators  # the Fraction values are read only for a message
     return tuple(
         Issue(
-            f"face {{{K.simplices[i]}}} has value {fraction_string(values[i])}"
-            f" > {fraction_string(values[j])} on coface {{{s}}}",
+            f"face {{{K.simplices[i]}}} has value {fraction_string(f.values[i])}"
+            f" > {fraction_string(f.values[j])} on coface {{{s}}}",
             j,
         )
         for j, s in enumerate(K.simplices)

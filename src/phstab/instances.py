@@ -10,14 +10,17 @@ An instance file lists one simplex per line followed by one or two values:
 Lines end at a line feed, a carriage return, or the two together.  Blank
 lines and ``#`` comments are skipped.  Every data line must carry the
 same number of values (one or two).  Values may be written as integers,
-decimals, scientific notation, or ``p/q`` fractions; they are read exactly.
-Writing uses the shortest exact form, so a parse/format round trip is the
-identity.
+decimals, scientific notation, or ``p/q`` fractions; they are read exactly,
+each as an int numerator and denominator (``rational.read_value``), and
+every value of a file is held as an int over one scale, the lcm of its
+denominators.  Writing uses the shortest exact form, so a parse/format
+round trip is the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .complexes import (
     FiltrationFunction,
@@ -26,7 +29,7 @@ from .complexes import (
     validate_complex,
 )
 from .errors import InvalidComplex, ParseError
-from .rational import ExponentTooLarge, format_value, to_fraction
+from .rational import ExponentTooLarge, format_value, read_value
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ def _lines(text: str) -> list:
 def parse_instance_text(text: str, path: "str | None" = None) -> InstanceFile:
     """Parse instance file content, collecting every problem before failing."""
     problems: "list[tuple[int | None, str]]" = []
-    rows = []  # (line_no, vertices, values)
+    rows = []  # (line_no, simplex, values as (numerator, denominator))
     expected_width = None
     for line_no, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -79,7 +82,7 @@ def parse_instance_text(text: str, path: "str | None" = None) -> InstanceFile:
         bad = False
         for tok in value_tokens:
             try:
-                values.append(to_fraction(tok))
+                values.append(read_value(tok))
             except (ValueError, ZeroDivisionError) as exc:
                 why = f": {exc}" if isinstance(exc, ExponentTooLarge) else ""
                 problems.append((line_no, f"unreadable value {tok!r}{why}"))
@@ -116,9 +119,13 @@ def parse_instance_text(text: str, path: "str | None" = None) -> InstanceFile:
             [(rows[issue.index][0], issue.message) for issue in exc.issues], path
         ) from None
 
+    # One scale for the whole file, so its columns compare as they are.
+    scale = lcm(*(d for _, _, values in rows for _, d in values))
     functions = tuple(
-        FiltrationFunction(K, [values[k] for _, _, values in rows])
-        for k in range(len(rows[0][2]))
+        FiltrationFunction.over_scale(
+            K, tuple(n * (scale // d) for n, d in column), scale
+        )
+        for column in zip(*(values for _, _, values in rows))
     )
     return InstanceFile(K, functions, path)
 

@@ -2,15 +2,15 @@
 
 f_t assigns each simplex the exact convex combination of its two endpoint
 values.  ``interpolate`` evaluates it on ints: with f0 and f1 over one
-common denominator L, f_t at t = p/q is a list of ints over q * L, and
-the verification compares nothing else.  For unique-valued endpoints, any
-two simplices' interpolated value lines cross at most once, so the
-parameters where some pair of values coincides form a finite set of
-rationals strictly inside (0, 1): the crossing schedule.  Between
-consecutive crossings the induced simplex order is constant.  A pair
-crosses exactly when f0 and f1 order it differently, so the schedule is
-read off the inversions between the two orders, found by an insertion
-sort, not by testing every pair.
+scale L (``complexes.common_scale``), f_t at t = p/q is a list of ints
+over q * L, and the verification compares nothing else.  For
+unique-valued endpoints, any two simplices' interpolated value lines
+cross at most once, so the parameters where some pair of values
+coincides form a finite set of rationals strictly inside (0, 1): the
+crossing schedule.  Between consecutive crossings the induced simplex
+order is constant.  A pair crosses exactly when f0 and f1 order it
+differently, so the schedule is read off the inversions between the two
+orders, found by an insertion sort, not by testing every pair.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import FiltrationFunction, find_duplicate_value
+from .complexes import FiltrationFunction, common_scale, find_duplicate_value
 from .errors import DomainMismatch, NonUniqueValues
-from .rational import common_denominator, common_numerators, fraction_string
+from .rational import fraction_string
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def interpolate(a: list[int], b: list[int], t: Fraction) -> list[int]:
     """f_t at ``t = p/q`` in [0, 1], as ints over the denominator q * L.
 
     ``a`` and ``b`` are the values of f0 and f1 as int numerators over one
-    common denominator L (``rational.common_numerators``), so
+    scale L (``complexes.common_scale``), so
     (1 - t) * a/L + t * b/L = (a * (q - p) + b * p) / (q * L).  Values at
     one t share that denominator, so they compare and hash as ints; a
     value becomes a Fraction only to be printed.
@@ -64,12 +64,11 @@ def interpolate(a: list[int], b: list[int], t: Fraction) -> list[int]:
 def sup_norm(f0: FiltrationFunction, f1: FiltrationFunction) -> Fraction:
     """Largest per-simplex absolute difference; 0 for identical functions.
 
-    One int maximum over the numerators of both functions on their common
-    denominator, made a Fraction once.
+    One int maximum over the numerators of both functions on their shared
+    scale, made a Fraction once.
     """
     _require_shared_complex(f0, f1)
-    scale = common_denominator(f0.values, f1.values)
-    a, b = common_numerators(f0.values, f1.values, scale=scale)
+    a, b, scale = common_scale(f0, f1)
     return Fraction(max((abs(y - x) for x, y in zip(a, b)), default=0), scale)
 
 
@@ -94,11 +93,11 @@ def crossing_times(
                 f"{fid}: simplices {K.simplices[i]} and {K.simplices[j]} "
                 f"share value {fraction_string(f.values[i])}"
             )
-    # Integer numerators over one common denominator: a pair's gaps and
+    # Integer numerators over one shared scale: a pair's gaps and
     # crossing time are unchanged by the scale.  An insertion sort of f0's
     # order by f1's values swaps each inverted pair exactly once: O(n log n
     # + C) for C crossing pairs, where testing every pair is O(n^2).
-    v0, v1 = common_numerators(f0.values, f1.values)
+    v0, v1, _ = common_scale(f0, f1)
     by_time: dict[Fraction, list[tuple[int, int]]] = {}
     run: list[int] = []  # f0's order, sorted by f1 so far
     for a in sorted(range(len(v0)), key=v0.__getitem__):

@@ -5,8 +5,8 @@ given as a tuple of simplex positions, earliest first.  A valid order is
 non-decreasing in the function values and places every face before its
 cofaces; the canonical one breaks ties in value by dimension and then by
 the lexicographic vertex sequence, which makes it deterministic.  It is
-computed as one stable sort on ints: the function's values over one
-common denominator (``FiltrationFunction.numerators``), run over the
+computed as one stable sort on ints: the function's values over its
+scale (``FiltrationFunction.numerators``), run over the
 complex's (dimension, vertices) order (``SimplicialComplex.tie_order``).
 """
 

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .complexes import FiltrationFunction, SimplicialComplex
 from .ordering import total_order
-from .rational import INF, format_value
+from .rational import INF, common_denominator, format_value
 
 
 @dataclass(frozen=True)
@@ -53,19 +54,75 @@ class DiagramPoint:
         return f"({format_value(self.birth)}, {format_value(self.death)})"
 
 
-@dataclass(frozen=True)
 class Diagram:
     """Multiset of diagram points, listed by birth-simplex order position.
 
     That listing depends only on the order, not on the function values, so
     diagrams of two functions computed under one shared order line up
-    point-by-point.
+    point-by-point.  A diagram is held as ints over one positive
+    ``scale``: point i has dimension ``dims[i]``, birth ``births[i] /
+    scale`` and death ``deaths[i] / scale`` (None for an essential class)
+    and comes from pivot pair ``pairs[i]``.  ``points``, the DiagramPoints
+    with Fraction values, are built when first read; two diagrams are
+    equal when their points are, whatever their scales.
     """
 
-    points: tuple[DiagramPoint, ...]
+    def __init__(self, points):
+        points = tuple(points)
+        finite = [p.death for p in points if not p.is_essential]
+        scale = common_denominator([p.birth for p in points], finite)
+
+        def over(x):
+            return x.numerator * (scale // x.denominator)
+
+        self.dims = tuple(p.dim for p in points)
+        self.births = tuple(over(p.birth) for p in points)
+        self.deaths = tuple(None if p.is_essential else over(p.death) for p in points)
+        self.scale = scale
+        self.pairs = tuple(p.pair for p in points)
+        self.points = points
+
+    @classmethod
+    def over_scale(
+        cls, dims: tuple, births: tuple, deaths: tuple, scale: int, pairs: tuple
+    ) -> "Diagram":
+        """The diagram of those ints over ``scale``; nothing is checked."""
+        D = cls.__new__(cls)
+        D.dims, D.births, D.deaths, D.scale, D.pairs = dims, births, deaths, scale, pairs
+        return D
+
+    @cached_property
+    def points(self) -> tuple[DiagramPoint, ...]:
+        scale = self.scale
+        return tuple(
+            DiagramPoint(
+                dim, Fraction(b, scale), INF if d is None else Fraction(d, scale), pv
+            )
+            for dim, b, d, pv in zip(self.dims, self.births, self.deaths, self.pairs)
+        )
+
+    @cached_property
+    def doubled(self) -> list[tuple[int, int]]:
+        """Each point as an int (birth, death) pair over ``2 * scale``, where
+        half a lifetime is an int too; an essential point's death slot
+        holds its birth.  Built once for all the matchings of a diagram."""
+        return [
+            (2 * b, 2 * (b if d is None else d)) for b, d in zip(self.births, self.deaths)
+        ]
 
     def points_in_dim(self, dim: int) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.points) if p.dim == dim)
+        return tuple(i for i, d in enumerate(self.dims) if d == dim)
+
+    def __eq__(self, other):
+        if not isinstance(other, Diagram):
+            return NotImplemented
+        return self.points == other.points
+
+    def __hash__(self) -> int:
+        return hash(self.points)
+
+    def __repr__(self) -> str:
+        return f"Diagram(points={self.points!r})"
 
 
 class Vineyard:
@@ -206,13 +263,16 @@ def pivot_pairs(K: SimplicialComplex, order: tuple) -> tuple[PivotPair, ...]:
 def diagram_from_pivots(
     K: SimplicialComplex, f: FiltrationFunction, pairs: tuple[PivotPair, ...]
 ) -> Diagram:
-    """Evaluate a pair list against a function compatible with its order."""
-    points = []
-    for pv in pairs:
-        birth = f.values[pv.birth]
-        death = f.values[pv.death] if pv.death is not None else INF
-        points.append(DiagramPoint(K.simplices[pv.birth].dim, birth, death, pv))
-    return Diagram(tuple(points))
+    """Evaluate a pair list against a function compatible with its order:
+    the births and deaths are ``f``'s ints, over its scale."""
+    nums, simplices = f.numerators, K.simplices
+    return Diagram.over_scale(
+        tuple(simplices[pv.birth].dim for pv in pairs),
+        tuple(nums[pv.birth] for pv in pairs),
+        tuple(None if pv.death is None else nums[pv.death] for pv in pairs),
+        f.scale,
+        tuple(pairs),
+    )
 
 
 def diagram(K: SimplicialComplex, f: FiltrationFunction) -> Diagram:

@@ -1,10 +1,15 @@
-"""Exact rational values: coercion, parsing, and deterministic formatting.
+"""Exact rational values: reading, coercion, scaling and deterministic
+formatting.
 
-All function values, interpolation parameters, and costs in this package are
-exact ``fractions.Fraction`` instances; ``math.inf`` is the single sentinel
-for an infinite death time or an infeasible matching cost.  Floats are
-accepted on input only when finite and are converted to their exact binary
-value.
+Values are held as ints over one positive denominator, the scale: an
+instance file's values are all over the lcm of its denominators, read
+token by token with ``read_value``, so comparing, subtracting and
+maximising values is int arithmetic.  ``fractions.Fraction`` is the
+public form, built for output, for messages and for callers that ask for
+values; every interpolation parameter and every cost a function returns
+is one.  ``math.inf`` is the single sentinel for an infinite death time or
+an infeasible matching cost.  Floats are accepted on input only when
+finite and are converted to their exact binary value.
 """
 
 from __future__ import annotations
@@ -63,6 +68,33 @@ def to_fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {value!r}") from exc
     raise TypeError(f"cannot convert {type(value).__name__} to Fraction")
+
+
+def read_value(token) -> tuple[int, int]:
+    """One value of an instance file as ints (numerator, denominator), the
+    denominator positive, not necessarily in lowest terms.
+
+    A plain ASCII literal, that is an integer, ``p/q`` with q > 0 or a
+    decimal such as ``-0.25``, ``5.`` or ``.5``, is read with ``int()``.
+    Any other token (an exponent, underscores, non-ASCII digits, a zero
+    denominator, more digits than ``int()`` reads, anything not a ``str``)
+    goes to ``to_fraction``, with its exceptions and messages.  The ASCII
+    test comes first: ``'²'.isdigit()`` holds, but ``int('²')`` raises.
+    """
+    if type(token) is str and token.isascii():
+        sign = -1 if token.startswith("-") else 1
+        body = token[1:] if token.startswith(("+", "-")) else token
+        whole, _, decimals = body.partition(".")
+        numerator, _, denominator = body.partition("/")
+        try:
+            if (whole + decimals).isdigit():
+                return sign * int(whole + decimals), 10 ** len(decimals)
+            if numerator.isdigit() and denominator.isdigit() and int(denominator):
+                return sign * int(numerator), int(denominator)
+        except ValueError:  # past the interpreter's int digit limit
+            pass
+    x = to_fraction(token)
+    return x.numerator, x.denominator
 
 
 def common_denominator(*columns) -> int:

@@ -33,10 +33,13 @@ a transposition changes holds one of its two simplices, so only they are
 re-identified and checked.  That is exact: a pair with no tied simplex
 has a point no other pair of either list shares, so the full
 re-identification maps it to itself.  The values are ints: f0 and f1 are
-put over one common denominator L once per run, and f_t at a breakpoint
-t = p/q is one int per simplex over q * L.  Only values at the same t are
+read over one scale L, the one their file shares, and f_t at a
+breakpoint t = p/q is one int per simplex over q * L.  Only values at the same t are
 compared, so the order checks and the re-identification keys run on ints,
-and a Fraction is built only for a violation message.  The test suite
+and a Fraction is built only for a violation message.  The end diagrams
+hold the same ints, and the costs of the composed map and of the exact
+distance's witness are re-checked on them (``scaled_matching_cost``), not
+with the matcher's own code.  The test suite
 keeps a reference that measures each interval on its two diagrams and
 composes the whole chain of matchings; the order and pairs of each
 interval, as reported to a sink the tests attach, and the carried point
@@ -53,19 +56,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .bottleneck import Matching, bottleneck_bijection, matching_cost, pair_cost
-from .complexes import FiltrationFunction, SimplicialComplex
+from .bottleneck import (
+    Matching,
+    bottleneck_bijection,
+    pair_cost,
+    scaled_matching_cost,
+)
+from .complexes import FiltrationFunction, SimplicialComplex, common_scale
 from .errors import InternalProofViolation, InvalidMatching
 from .interpolation import CrossingSchedule, crossing_times, interpolate, sup_norm
 from .ordering import total_order
 from .persistence import Diagram, Vineyard, diagram_from_pivots, pivot_pairs
-from .rational import (
-    INF,
-    common_denominator,
-    common_numerators,
-    format_value,
-    fraction_string,
-)
+from .rational import INF, format_value, fraction_string
 
 
 @dataclass(frozen=True)
@@ -276,10 +278,10 @@ def _carried_certificates(
     first and last pair lists and the last order.  The order starts as
     ``order0``, the canonical order of f0 (the order just after t = 0,
     since f0 is untied), and is reduced once, into a ``Vineyard`` whose
-    labels are positions in ``order0``.  f0 and f1 are put over one common
-    denominator L once, by label; f_t at each breakpoint t = p/q is a list
-    of ints over q * L (``interpolate``), so every comparison below is
-    between ints over one denominator.
+    labels are positions in ``order0``.  f0 and f1 are read over one shared
+    scale L (``common_scale``), by label; f_t at each breakpoint t = p/q is
+    a list of ints over q * L (``interpolate``), so every comparison below
+    is between ints over one denominator.
 
     Per interval, one O(n) pass over the adjacent pairs checks the order at
     the upper end and records the runs tied there.  The first interval's
@@ -301,10 +303,8 @@ def _carried_certificates(
     crossing, with the full pair lists and the full map from ``left``'s
     indices to ``right``'s; they are built only when it is given.
     """
-    scale = common_denominator(f0.values, f1.values)
-    num0, num1 = common_numerators(
-        [f0.values[s] for s in order0], [f1.values[s] for s in order0], scale=scale
-    )
+    a, b, scale = common_scale(f0, f1)
+    num0, num1 = [a[s] for s in order0], [b[s] for s in order0]
     vine = Vineyard(K, order0)
     perm, names = vine.perm, vine.simplex
     first = pairs = vine.pairs()
@@ -380,10 +380,11 @@ def _carried_certificates(
 
 
 def _bijection_cost(D0: Diagram, D1: Diagram, m: Matching, what: str):
-    """``matching_cost`` of a matching the library built itself, so one
-    that is not a per-dimension bijection is a bug."""
+    """The cost of a matching the library built itself, on the diagrams'
+    ints (``scaled_matching_cost``), so one that is not a per-dimension
+    bijection is a bug."""
     try:
-        return matching_cost(D0, D1, m)
+        return scaled_matching_cost(D0, D1, m)
     except InvalidMatching as exc:
         raise InternalProofViolation(f"{what} is not a bijection: {exc}") from None
 
@@ -391,10 +392,11 @@ def _bijection_cost(D0: Diagram, D1: Diagram, m: Matching, what: str):
 def _check_witness(
     K: SimplicialComplex, D0: Diagram, D1: Diagram, witness: Matching, exact
 ) -> None:
-    """Re-check in rationals that ``witness`` is a bijection costing ``exact``.
+    """Re-check that ``witness`` is a bijection costing ``exact``.
 
-    The matcher compares scaled ints; this O(n) pass with the Fraction pair
-    costs confirms its answer.
+    The matcher searches on scaled ints; this O(n) pass over the same ints,
+    with code of its own, confirms its answer.  The points, in Fractions,
+    are built only to name the costliest pair in a violation message.
     """
     cost = _bijection_cost(D0, D1, witness, "the exact bottleneck witness")
     if cost != exact:

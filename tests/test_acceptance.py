@@ -14,7 +14,12 @@ from unittest import mock
 import pytest
 
 from phstab import bottleneck
-from phstab.bottleneck import bottleneck_bijection, bottleneck_diagonal
+from phstab.bottleneck import (
+    bottleneck_bijection,
+    bottleneck_diagonal,
+    matching_cost,
+    scaled_matching_cost,
+)
 from phstab.cli import run_command
 from phstab.complexes import FiltrationFunction, find_duplicate_value
 from phstab.generate import (
@@ -26,7 +31,7 @@ from phstab.generate import (
 from phstab.instances import format_instance
 from phstab.interpolation import interpolate, sup_norm
 from phstab.ordering import total_order
-from phstab.persistence import diagram, pivot_pairs
+from phstab.persistence import Diagram, diagram, pivot_pairs
 from phstab.rational import common_denominator, common_numerators
 from phstab.stability import verify_stability
 
@@ -149,6 +154,51 @@ def test_carried_certificates_equal_the_from_scratch_reference(corpus):
             inst.complex, *inst.functions, report, reduced
         )
         assert not differences, f"{format_instance(inst)}{'; '.join(differences)}"
+
+
+# generated at dimension <= 2, larger than the corpus complexes and with
+# hundreds of crossings: (n, crossings) = (78, 672), (60, 468) and
+# (66, 655).  Each fails if any one transposition case of the vineyard
+# drops its column operations.
+@pytest.mark.parametrize(
+    "seed, vertices, prob, n, crossings",
+    [(1, 12, 0.5, 78, 672), (2, 14, 0.4, 60, 468), (3, 16, 0.35, 66, 655)],
+)
+def test_carried_certificates_equal_the_reference_at_mid_size(
+    seed, vertices, prob, n, crossings
+):
+    cfg = GeneratorConfig(
+        seed=seed, num_vertices=vertices, fill_prob=prob, max_dimension=2
+    )
+    inst = generate_instance(cfg)
+    report, reduced = verify_recording(inst.complex, *inst.functions)
+    assert (len(inst.complex), len(report.schedule)) == (n, crossings)
+    assert reference_differences(inst.complex, *inst.functions, report, reduced) == []
+
+
+def test_int_recheck_equals_the_fraction_twin_on_the_corpus(corpus):
+    """verify re-checks the composed map and the exact distance's witness
+    on the diagrams' ints; on every corpus instance that cost, and the
+    cost of the diagonal variant's witness, is ``matching_cost``'s, also
+    with the right diagram held over three times its scale."""
+    for inst, report, _ in corpus:
+        D0, D1 = report.left_diagram, report.right_diagram
+        stretched = Diagram.over_scale(
+            D1.dims,
+            tuple(3 * b for b in D1.births),
+            tuple(None if d is None else 3 * d for d in D1.deaths),
+            3 * D1.scale,
+            D1.pairs,
+        )
+        witnesses = (
+            report.composed_matching,
+            report.bottleneck_matching,
+            bottleneck_diagonal(D0, D1)[1],
+        )
+        for m in witnesses:
+            want = matching_cost(D0, D1, m)
+            assert scaled_matching_cost(D0, D1, m) == want
+            assert scaled_matching_cost(D0, stretched, m) == want
 
 
 def test_integer_sort_equals_the_fraction_key_sort_on_the_corpus(corpus):

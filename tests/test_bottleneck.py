@@ -16,6 +16,7 @@ from phstab.bottleneck import (
     diagonal_cost,
     matching_cost,
     pair_cost,
+    scaled_matching_cost,
 )
 from phstab.complexes import FiltrationFunction, validate_complex
 from phstab.errors import (
@@ -101,6 +102,49 @@ def test_matching_cost_validates():
     cross = r"^pair \(0, 1\) matches dim 0 with dim 1$"
     with pytest.raises(InvalidMatching, match=cross):
         matching_cost(D, D, Matching(((0, 1), (1, 0))))
+
+
+def _cost_or_message(cost, D0, D1, m):
+    try:
+        return cost(D0, D1, m)
+    except InvalidMatching as exc:
+        return f"InvalidMatching: {exc}"
+
+
+def test_scaled_matching_cost_is_matching_cost_on_ints():
+    """The int re-check gives ``matching_cost``'s value, or raises
+    InvalidMatching with its message: on the invalid matchings above, on
+    diagonal entries, on essential points and on diagrams over different
+    scales."""
+    D0, D1 = _two_point_diagrams()
+    D = _points_diagram([(0, 0, INF), (1, 1, INF)])
+    thirds = _points_diagram(
+        [(0, 0, INF), (0, Fraction(1, 3), Fraction(7, 3)), (0, 0, 2)]
+    )
+    n = len(D0.points)
+    cases = [
+        (D0, D1, Matching(tuple((i, 0) for i in range(n)))),
+        (D0, D1, Matching(((0, 0),))),
+        (D0, D1, Matching(((0, 0), (1, 1), (n, 2)))),
+        (D0, D1, Matching(((0, 0), (1, 1), (-1, 2)))),
+        (D0, D1, Matching(((0, 0), (1, 1), (2, n)))),
+        (D0, D1, Matching(((None, None), (0, 0)))),
+        (D, D, Matching(((0, 1), (1, 0)))),
+        (D0, D1, Matching(((0, 0), (1, 1), (2, 2)))),
+        (D0, D1, Matching(((0, 0), (1, None), (None, 1), (2, 2)))),
+        (D0, D1, Matching(((0, None), (None, 0), (1, 1), (2, 2)))),
+        (D0, D1, Matching(((0, 1), (1, 0), (2, 2)))),
+        (D0, thirds, Matching(((0, 0), (1, 1), (2, 2)))),
+        (thirds, D1, Matching(((0, 0), (1, None), (2, 2), (None, 1)))),
+    ]
+    assert thirds.scale != D1.scale
+    for D_left, D_right, m in cases:
+        want = _cost_or_message(matching_cost, D_left, D_right, m)
+        assert _cost_or_message(scaled_matching_cost, D_left, D_right, m) == want, m
+    assert _cost_or_message(matching_cost, *cases[0]) == (
+        "InvalidMatching: right index 0 reused or out of range"
+    )
+    assert scaled_matching_cost(*cases[-4]) == INF  # an essential to the diagonal
 
 
 def test_bottleneck_of_identical_diagrams_is_zero():

@@ -14,6 +14,7 @@ from phstab.rational import (
     format_value,
     fraction_string,
     int_string,
+    read_value,
     to_fraction,
 )
 
@@ -147,3 +148,65 @@ def test_fraction_string_is_str_without_the_limit():
     assert format_value(big) == fraction_string(big)
     assert format_value(Fraction(10**5000, 4)) == "25" + "0" * 4998
     assert format_value(Fraction(1, 2**5000)).startswith("0." + "0" * 1500)
+
+
+def _read(read, token):
+    """What ``read`` gives for ``token``: its value as a Fraction, or the
+    type and message of what it raises."""
+    try:
+        value = read(token)
+    except Exception as exc:  # the comparison is of any exception
+        return type(exc), str(exc)
+    if isinstance(value, tuple):  # read_value: (numerator, denominator)
+        numerator, denominator = value
+        assert type(numerator) is int and type(denominator) is int
+        assert denominator > 0
+        return Fraction(numerator, denominator)
+    return value
+
+
+READER_CASES = (
+    "٣ ² １ 1_0 1_0/3 5. .5 . +.5 -0 0/5 1/0 3/-4 1e3 1E-2 1.5e2 00012 1/03 "
+    "0x10 inf nan - + -5 +7/3 -.25 1.2.3 1/2/3 +-5 /4 4/ 1/00 -0.0 007.700"
+).split() + [
+    "",
+    f"1e{MAX_EXPONENT}",
+    f"1e{MAX_EXPONENT + 1}",
+    "1e" + "9" * 5000,
+    "1" * 5000,  # past int()'s digit limit
+    "1" * 3000 + "." + "2" * 3000,  # each part within it, not both
+    "7" * 4400 + "/3",
+    "2" * 2000 + "/" + "3" * 2500,
+    True,
+    3,
+    Fraction(-2, 6),
+]
+
+
+def _fuzz_tokens(rng, count):
+    """Tokens near the plain forms (a sign, digits, a point or a slash)
+    and tokens of any characters an instance file might hold."""
+    alphabet = "0123456789" * 3 + "+-./eE_x ٣１²"
+    for _ in range(count):
+        if rng.random() < 0.5:
+            sign = rng.choice(["", "", "+", "-"])
+            head = "".join(rng.choices("0123456789", k=rng.randrange(4)))
+            tail = "".join(rng.choices("0123456789", k=rng.randrange(4)))
+            yield sign + head + rng.choice([".", "/", "", "e"]) + tail
+        else:
+            yield "".join(rng.choices(alphabet, k=rng.randrange(1, 9)))
+
+
+def test_read_value_equals_to_fraction():
+    """The fast reader is ``to_fraction`` as ints: the same value up to
+    reduction, or the same exception with the same message."""
+    rng = random.Random(22)
+    tokens = list(READER_CASES) + list(_fuzz_tokens(rng, 20_000))
+    valid = 0
+    for token in tokens:
+        want = _read(to_fraction, token)
+        assert _read(read_value, token) == want, repr(token)
+        valid += isinstance(want, Fraction)
+    assert valid > 5_000
+    assert read_value("0.25") == (25, 100)  # not reduced: one lcm does that
+    assert read_value("-3/6") == (-3, 6)
