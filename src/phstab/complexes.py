@@ -126,20 +126,30 @@ def validate_complex(simplices: Iterable) -> SimplicialComplex:
             canon.append((pos, s))
         except (TypeError, ValueError) as exc:
             issues.append(Issue(f"malformed simplex {raw!r}: {exc}", pos))
-    seen: set[tuple[int, ...]] = set()
-    for pos, s in canon:
-        if s.vertices in seen:
+    index: dict[tuple[int, ...], int] = {}
+    for j, (pos, s) in enumerate(canon):
+        if s.vertices in index:
             issues.append(Issue(f"duplicate simplex {{{s}}}", pos))
-        seen.add(s.vertices)
+        index[s.vertices] = j
+    facet_positions = []
     for pos, s in canon:
-        issues.extend(
-            Issue(f"simplex {{{s}}} is missing face {{{Simplex(face)}}}", pos)
-            for face in facets(s.vertices)
-            if face not in seen
-        )
+        faces = facets(s.vertices)
+        found = tuple(map(index.get, faces))
+        facet_positions.append(found)
+        if None in found:
+            issues.extend(
+                Issue(f"simplex {{{s}}} is missing face {{{Simplex(face)}}}", pos)
+                for face, at in zip(faces, found)
+                if at is None
+            )
     if issues:
         raise InvalidComplex(issues)
-    return SimplicialComplex(tuple(s for _, s in canon))
+    K = SimplicialComplex(tuple(s for _, s in canon))
+    # The faces were looked up once, here: hand them to the cached
+    # properties rather than have them computed again.
+    object.__setattr__(K, "index", index)
+    object.__setattr__(K, "facet_positions", tuple(facet_positions))
+    return K
 
 
 class FiltrationFunction:

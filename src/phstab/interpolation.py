@@ -3,14 +3,18 @@
 f_t assigns each simplex the exact convex combination of its two endpoint
 values.  ``interpolate`` evaluates it on ints: with f0 and f1 over one
 scale L (``complexes.common_scale``), f_t at t = p/q is a list of ints
-over q * L, and the verification compares nothing else.  For
+over q * L, so values at one t compare as ints.  For
 unique-valued endpoints, any two simplices' interpolated value lines
 cross at most once, so the parameters where some pair of values
 coincides form a finite set of rationals strictly inside (0, 1): the
 crossing schedule.  Between consecutive crossings the induced simplex
 order is constant.  A pair crosses exactly when f0 and f1 order it
 differently, so the schedule is read off the inversions between the two
-orders, found by an insertion sort, not by testing every pair.
+orders, found by an insertion sort, not by testing every pair.  Each
+crossing time d0 / D has an exact int key floor(t * span^2)
+(``time_key_scale``), so the pairs are grouped and sorted on ints and
+one Fraction is built per distinct time, not per pair; verify keys its
+certificates the same way.
 """
 
 from __future__ import annotations
@@ -61,6 +65,25 @@ def interpolate(a: list[int], b: list[int], t: Fraction) -> list[int]:
     return [x * r + y * p for x, y in zip(a, b)]
 
 
+def time_key_scale(a: list[int], b: list[int]) -> int:
+    """The scale S of the exact int key floor(t * S) of a crossing time t.
+
+    ``a`` and ``b`` are f0 and f1 as ints over one scale.  Two simplices
+    with endpoint gaps d0 > 0 and d1 < 0 cross at t = d0 / D, D = d0 - d1,
+    and 0 < D <= span, the range of ``a`` plus the range of ``b``.  Two distinct such times d0/D and e/E differ by
+    |d0 E - e D| / (D E) >= 1/span^2, so with S = span^2 their keys
+    floor(t * S) are at least one apart: distinct crossing times get
+    distinct keys, in the order of the times, and equal times (2/4 and
+    3/6) one key.  The floor never decreases as t grows, so for any t a
+    key below (above) another's is a time below (above) it; only equal
+    keys need the times themselves compared.  0 with no simplices.
+    """
+    if not a:
+        return 0
+    span = max(a) - min(a) + max(b) - min(b)
+    return span * span
+
+
 def sup_norm(f0: FiltrationFunction, f1: FiltrationFunction) -> Fraction:
     """Largest per-simplex absolute difference; 0 for identical functions.
 
@@ -82,6 +105,9 @@ def crossing_times(
     opposite sign, the unique crossing is t = d0 / (d0 - d1).  Pairs whose
     gaps share a sign (including parallel lines) never cross: the crossing
     pairs are exactly the inversions between the orders of f0 and f1.
+    The pairs are grouped and sorted by the exact int keys of their times
+    (``time_key_scale``), so the schedule builds one Fraction per distinct
+    time.
     """
     _require_shared_complex(f0, f1)
     for fid, f in (("f0", f0), ("f1", f1)):
@@ -98,7 +124,8 @@ def crossing_times(
     # order by f1's values swaps each inverted pair exactly once: O(n log n
     # + C) for C crossing pairs, where testing every pair is O(n^2).
     v0, v1, _ = common_scale(f0, f1)
-    by_time: dict[Fraction, list[tuple[int, int]]] = {}
+    scale = time_key_scale(v0, v1)
+    by_key: dict[int, list] = {}  # time key -> the pairs crossing then
     run: list[int] = []  # f0's order, sorted by f1 so far
     for a in sorted(range(len(v0)), key=v0.__getitem__):
         x, y = v0[a], v1[a]
@@ -109,9 +136,18 @@ def crossing_times(
             run[k] = b
             k -= 1
             d0 = x - v0[b]  # d0 / (d0 - d1) is the same from either end
-            t = Fraction(d0, d0 - y + v1[b])
-            by_time.setdefault(t, []).append((a, b) if a < b else (b, a))
+            key = d0 * scale // (d0 - y + v1[b])
+            group = by_key.get(key)
+            if group is None:
+                by_key[key] = group = []
+            group.append((a, b) if a < b else (b, a))
         run[k] = a
-    times = tuple(sorted(by_time))
-    pairs_at = tuple(tuple(sorted(by_time[t])) for t in times)
-    return CrossingSchedule(times, pairs_at)
+    times, pairs_at = [], []
+    for key in sorted(by_key):
+        pairs = by_key.pop(key)
+        i, j = pairs[0]  # the time, from any one of its pairs
+        d0 = v0[i] - v0[j]
+        times.append(Fraction(d0, d0 - v1[i] + v1[j]))
+        pairs.sort()
+        pairs_at.append(tuple(pairs))
+    return CrossingSchedule(tuple(times), tuple(pairs_at))

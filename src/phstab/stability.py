@@ -25,18 +25,25 @@ than rebuilt, as in the vineyards of Cohen-Steiner, Edelsbrunner and
 Morozov (SoCG 2006): at a crossing only the simplices tied there change
 places, their run in the order reverses, and the reduction follows it
 with O(1) bitset operations per adjacent transposition
-(``persistence.Vineyard``), so a verify reduces once.  Each breakpoint's
-values are computed once and one O(n) pass over the adjacent pairs checks
-the order there; the rest of a crossing costs its transpositions and the
-pairs with a tied simplex.  Only those pairs can change, since every pair
-a transposition changes holds one of its two simplices, so only they are
-re-identified and checked.  That is exact: a pair with no tied simplex
-has a point no other pair of either list shares, so the full
-re-identification maps it to itself.  The values are ints: f0 and f1 are
-read over one scale L, the one their file shares, and f_t at a
-breakpoint t = p/q is one int per simplex over q * L.  Only values at the same t are
-compared, so the order checks and the re-identification keys run on ints,
-and a Fraction is built only for a violation message.  The end diagrams
+(``persistence.Vineyard``), so a verify reduces once.  The order is
+checked by kinetic certificates (Basch, Guibas and Hershberger, "Data
+Structures for Mobile Data", J. Algorithms 1999): each adjacent pair
+whose lines meet later holds one, keyed by the exact int key of that
+time (``interpolation.time_key_scale``) in a heap, so an order that
+stays sorted costs nothing between crossings.  At a crossing the
+certificates due there give the tied runs, a certificate due earlier is
+a missed crossing, and only the two outer pairs of each reversed run
+need new ones.  So a crossing costs its transpositions, its certificates
+and the pairs with a tied simplex.  Only those pairs can change, since
+every pair a transposition changes holds one of its two simplices, so
+only they are re-identified and checked.  That is exact: a pair with no
+tied simplex has a point no other pair of either list shares, so the
+full re-identification maps it to itself.  The values are ints: f0 and
+f1 are read over one scale L, the one their file shares, and f_t at a
+crossing t = p/q is one int per simplex over q * L, computed only for
+the simplices of the re-identified pairs.  Only values at the same t are
+compared, so the re-identification keys run on ints, and a Fraction is
+built only for a violation message.  The end diagrams
 hold the same ints, and the costs of the composed map and of the exact
 distance's witness are re-checked on them (``scaled_matching_cost``), not
 with the matcher's own code.  The test suite
@@ -54,6 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 
 from .bottleneck import (
@@ -64,13 +72,19 @@ from .bottleneck import (
 )
 from .complexes import FiltrationFunction, SimplicialComplex, common_scale
 from .errors import InternalProofViolation, InvalidMatching
-from .interpolation import CrossingSchedule, crossing_times, interpolate, sup_norm
+from .interpolation import (
+    CrossingSchedule,
+    crossing_times,
+    interpolate,
+    sup_norm,
+    time_key_scale,
+)
 from .ordering import total_order
 from .persistence import Diagram, Vineyard, diagram_from_pivots, pivot_pairs
 from .rational import INF, format_value, fraction_string
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalCertificate:
     """One interval's worth of the proof: one simplex order served both
     ends and its pivot pairs partitioned the simplices, so they match the
@@ -138,18 +152,19 @@ def _reverse_tied_runs(
     """Carry the order and reduction of ``vine`` across crossing ``k`` at ``t``.
 
     ``runs`` holds the [start, end) slices of ``vine.perm`` tied at ``t``,
-    as recorded by the scan of the interval ending there.  The lines of one
-    run meet at one point with distinct slopes (equal slopes would mean a
-    tie at the lower end too, which that scan rejects), so their order
-    simply reverses.  Every pair inside a run swaps, and those pairs must
-    be exactly ``expected``, the schedule's pairs at ``t``.  Tied simplices
-    are never face and coface (f_t is strictly monotone), so each run
-    reverses by adjacent transpositions.
+    as the certificates at ``t`` give them.  The lines of one run meet at
+    one point with distinct slopes (equal slopes would make identical
+    lines, which the sweep rejects), so their order simply reverses.
+    Every pair inside a run swaps, and those pairs must be exactly
+    ``expected``, the schedule's pairs at ``t``.  Tied simplices are never
+    face and coface (f_t is strictly monotone), so each run reverses by
+    adjacent transpositions.
     """
+    simplex, perm = vine.simplex, vine.perm
     swapped = []
     for start, end in runs:
-        run = [vine.simplex[x] for x in vine.perm[start:end]]
-        swapped.extend((min(a, b), max(a, b)) for a, b in combinations(run, 2))
+        run = [simplex[x] for x in perm[start:end]]
+        swapped.extend((a, b) if a < b else (b, a) for a, b in combinations(run, 2))
     swapped.sort()
     if tuple(swapped) != expected:
         unscheduled = sorted(set(swapped) - set(expected))
@@ -174,15 +189,19 @@ def _pairs_with(vine: Vineyard, labels: list) -> list:
     return [(b, owner[b]) for b in sorted(births, key=vine.pos.__getitem__)]
 
 
+def _simplices_of(pairs: list) -> list:
+    """The labels of the births and finite deaths of ``pairs``."""
+    return [x for pair in pairs for x in pair if x is not None]
+
+
 def _check_cover(
-    K: SimplicialComplex, names: tuple, before: list, after: list, k: int, t: Fraction
+    K: SimplicialComplex, names: tuple, was: list, now: list, k: int, t: Fraction
 ) -> None:
     """The pairs with a tied simplex must use the same simplices, each
-    exactly once, before and after the transpositions at crossing ``k``.
-    Every other pair is unchanged, so the pairs still partition the
-    simplices, as checked in full for the first interval."""
-    was = [x for pair in before for x in pair if x is not None]
-    now = [x for pair in after for x in pair if x is not None]
+    exactly once, before and after the transpositions at crossing ``k``:
+    ``was`` and ``now`` list their simplices (``_simplices_of``).  Every
+    other pair is unchanged, so the pairs still partition the simplices,
+    as checked in full for the first interval."""
     if len(was) == len(now) == len(set(now)) and set(was) == set(now):
         return
     for x in sorted(set(was) | set(now)):
@@ -200,7 +219,7 @@ def _reidentify(
     names: tuple,
     left: list,
     right: list,
-    values: list,
+    values: "dict | list",
     scale: int,
     k: int,
     t: Fraction,
@@ -210,8 +229,8 @@ def _reidentify(
 
     ``left`` and ``right`` hold those pairs before and after the swaps as
     (birth, death) labels, ordered by birth position; ``names`` maps a
-    label to its simplex and ``values`` holds f_t by label as ints over
-    ``scale`` (``interpolate``).  Both orders serve f_t at the crossing,
+    label to its simplex and ``values`` maps each label of those pairs to
+    f_t as an int over ``scale`` (``interpolate``).  Both orders serve f_t at the crossing,
     so both lists give one multiset of points.  Equal ints are equal
     values, so points are keyed and compared on ints, and ``scale`` only
     turns them back into values for a message.  Each pair of ``left`` in
@@ -230,10 +249,14 @@ def _reidentify(
     # to one with an untied birth and a tied death has the same birth and a
     # death of equal value, so a tied one.  So the buckets of the pairs
     # with a tied simplex hold exactly these pairs, in the same order.
-    def point(pair):
-        birth, death = pair
-        dth = values[death] if death is not None else None
-        return K.simplices[names[birth]].dim, values[birth], dth
+    simplices = K.simplices
+
+    def points(pairs):
+        # len(vertices) is the dimension plus one: only equality is asked
+        return [
+            (len(simplices[names[b]].vertices), values[b], None if d is None else values[d])
+            for b, d in pairs
+        ]
 
     if len(left) != len(right):
         raise InternalProofViolation(
@@ -241,20 +264,22 @@ def _reidentify(
             f"pairs with a tied simplex before vs {len(right)} after"
         )
     unused: dict = {}  # point -> indices of right with it, last first
+    ends = points(right)
     for j in range(len(right) - 1, -1, -1):
-        unused.setdefault(point(right[j]), []).append(j)
+        unused.setdefault(ends[j], []).append(j)
     step = []
-    for p in left:
-        bucket = unused.get(point(p))
+    for p, point in zip(left, points(left)):
+        bucket = unused.get(point)
         if bucket:
             step.append(bucket.pop())
             continue
-        d, b, dth = point(p)
+        _, b, dth = point
         dth = INF if dth is None else Fraction(dth, scale)
         death = None if p[1] is None else names[p[1]]
         raise InternalProofViolation(
             f"crossing {k} at t = {fraction_string(t)}: pivot pair "
-            f"{_simplex_pair(K, names[p[0]], death)} at dim {d} "
+            f"{_simplex_pair(K, names[p[0]], death)} at dim "
+            f"{simplices[names[p[0]]].dim} "
             f"({format_value(Fraction(b, scale))}, {format_value(dth)}) has "
             "no partner with equal values"
         )
@@ -279,22 +304,28 @@ def _carried_certificates(
     ``order0``, the canonical order of f0 (the order just after t = 0,
     since f0 is untied), and is reduced once, into a ``Vineyard`` whose
     labels are positions in ``order0``.  f0 and f1 are read over one shared
-    scale L (``common_scale``), by label; f_t at each breakpoint t = p/q is
-    a list of ints over q * L (``interpolate``), so every comparison below
-    is between ints over one denominator.
+    scale L (``common_scale``), by label, so simplex x has the value line
+    ((1 - t) * a[x] + t * b[x]) / L and every comparison below is between
+    ints.
 
-    Per interval, one O(n) pass over the adjacent pairs checks the order at
-    the upper end and records the runs tied there.  The first interval's
-    pivot pairs must partition the simplices, so its certificate costs
-    exactly its share of ``gap``.  At each crossing ``_reverse_tied_runs``
-    checks the runs against the schedule and reverses them by adjacent
-    transpositions, O(1) bitset operations each.  Only the pairs with a
-    tied simplex can change: they must cover the same simplices before and
-    after, so the pairs partition the simplices in every interval, and
-    they alone are re-identified by value, which is exact (see
-    ``_reidentify``).  The point map is keyed by birth simplex and follows
-    them.  So a crossing costs its transpositions and its tied pairs on
-    top of the pass.  Any failure is a bug, so every one is an
+    The order is checked by kinetic certificates (Basch, Guibas and
+    Hershberger, J. Algorithms 1999), not by a pass over it per interval.
+    An adjacent pair (x, y) of the order whose lines meet later, because
+    y ends below x (b[y] < b[x]), holds a certificate keyed by the int key
+    of that time (``time_key_scale``) in a heap.  At each breakpoint hi a
+    certificate before hi is a missed crossing, and those at hi are the
+    adjacent pairs tied there, whose runs the next crossing reverses.  The
+    first interval's pivot pairs must partition the simplices, so its
+    certificate costs exactly its share of ``gap``.  At each crossing
+    ``_reverse_tied_runs`` checks the runs against the schedule and
+    reverses them by adjacent transpositions, O(1) bitset operations
+    each.  Only the pairs with a tied simplex can change: they must cover
+    the same simplices before and after, so the pairs partition the
+    simplices in every interval, and they alone are re-identified by
+    value, which is exact (see ``_reidentify``).  The point map is keyed
+    by birth simplex and follows them.  So a crossing costs its
+    transpositions, its tied pairs and O(log n) per certificate it pops
+    or pushes.  Any failure is a bug, so every one is an
     InternalProofViolation naming the interval or crossing, t and the
     simplex pair involved.
 
@@ -305,46 +336,90 @@ def _carried_certificates(
     """
     a, b, scale = common_scale(f0, f1)
     num0, num1 = [a[s] for s in order0], [b[s] for s in order0]
+    key_scale = time_key_scale(num0, num1)
     vine = Vineyard(K, order0)
-    perm, names = vine.perm, vine.simplex
+    perm, pos, names = vine.perm, vine.pos, vine.simplex
     first = pairs = vine.pairs()
     origin: list = [None] * len(perm)  # birth label -> its point in first
     for i, x in enumerate(vine.births()):
         origin[x] = i
+    # Why certificates suffice.  If every adjacent pair of the order is in
+    # order at t, the whole order is sorted at t, by transitivity.  An
+    # adjacent pair (x, y) in order at the lower end lo stays in order up
+    # to 1 unless its value gap falls below 0 at t = 1, that is unless
+    # b[y] < b[x], and then it falls below 0 just after t* = d0 / D,
+    # d0 = a[y] - a[x] >= 0, D = d0 + b[x] - b[y] <= span: its
+    # certificate.  Every adjacent pair with b[y] < b[x] has one, so the
+    # order stays sorted up to the first certificate, and a certificate
+    # before hi is a pair whose values decrease at hi.  A pair tied at hi
+    # holds a certificate at hi, unless its lines are identical (tied at
+    # both ends, so everywhere); those are flagged when they become
+    # adjacent, which is at t = 0 or as the outer pair of a reversed run,
+    # and are a violation at the next breakpoint.  Faces need no check of
+    # their own: f0 and f1 are monotone (total_order) and untied
+    # (crossing_times), so each face is strictly below its cofaces at both
+    # ends, hence at every t, and an order whose values do not decrease
+    # puts faces first.
+    heap: list = []  # (time key, x, y): x just before y, meeting at the key
+    flagged: list = []  # adjacent pairs with identical lines
+
+    def certify(adjacent):
+        for x, y in adjacent:
+            drop = num1[x] - num1[y]
+            if drop > 0:
+                d0 = num0[y] - num0[x]
+                heappush(heap, (d0 * key_scale // (d0 + drop), x, y))
+            elif not drop and num0[x] == num0[y]:
+                flagged.append((x, y))
+
+    certify(zip(perm, perm[1:]))
     bps = schedule.breakpoints()
     certificates: list = []
-    v_lo = num0  # f_0 = f0, over 1 * scale
     for k, (lo, hi) in enumerate(zip(bps, bps[1:])):
-        v_hi, s_hi = interpolate(num0, num1, hi), hi.denominator * scale
-        # One pass over the adjacent pairs at hi.  Values must not decrease;
-        # they hold at lo by construction (only tied runs were reversed), so
-        # at every t in between.  A pair tied at hi must not be tied at lo
-        # too, so the interior is untied.  The runs tied at hi are recorded
-        # for the next crossing.  Faces need no check of their own: f0 and
-        # f1 are monotone (total_order) and untied (crossing_times), so each
-        # face is strictly below its cofaces at both ends, hence at every t,
-        # and an order whose values do not decrease puts faces first.
+        p, q = hi.numerator, hi.denominator
+        key_hi = p * key_scale // q
+        if flagged:
+            x, y = flagged[0]
+            raise InternalProofViolation(
+                f"{_interval(k, lo, hi)}: simplices "
+                f"{_simplex_pair(K, names[x], names[y])} are tied at both "
+                f"ends, so also at the midpoint t = "
+                f"{fraction_string((lo + hi) / 2)}"
+            )
+        # The sign of (the first certificate's time - hi), positive if
+        # there is none.  Certificates with the key of hi share one time,
+        # since the keys of crossing times are exact, but hi may be any t:
+        # only when the keys are equal are the times cross-multiplied.
+        first_vs_hi = 1
+        if heap and heap[0][0] <= key_hi:
+            key, x, y = heap[0]
+            d0 = num0[y] - num0[x]
+            first_vs_hi = -1 if key < key_hi else q * d0 - p * (d0 + num1[x] - num1[y])
+        if first_vs_hi < 0:
+            vx, vy = (Fraction(v, q * scale) for v in interpolate(
+                [num0[x], num0[y]], [num1[x], num1[y]], hi
+            ))
+            raise InternalProofViolation(
+                f"{_interval(k, lo, hi)}: carried order fails at t = "
+                f"{fraction_string(hi)}: values decrease along the order: "
+                f"f({K.simplices[names[x]]}) = {fraction_string(vx)} > "
+                f"{fraction_string(vy)} = f({K.simplices[names[y]]})"
+            )
+        # The certificates at hi are the adjacent pairs tied there.  One can
+        # outlive its pair's adjacency, when a reversed run puts z between
+        # x and y, but cannot reach its time t* that way: the order is
+        # sorted at t*, so z would tie with both there, yet z met one of
+        # them to get between them, and distinct lines meet once.  So x
+        # and y are adjacent again by t*, and a popped certificate needs
+        # no staleness check.  Adjacent again, they were certified again,
+        # so the merge below may take a position twice, without harm.
+        tied = []
+        while not first_vs_hi and heap and heap[0][0] == key_hi:
+            tied.append(pos[heappop(heap)[1]])
+        tied.sort()
         runs: list = []  # [start, end) slices of perm tied at hi
-        for i, (a, b) in enumerate(zip(perm, perm[1:])):
-            x, y = v_hi[a], v_hi[b]
-            if x < y:
-                continue
-            if x > y:
-                x, y = Fraction(x, s_hi), Fraction(y, s_hi)
-                raise InternalProofViolation(
-                    f"{_interval(k, lo, hi)}: carried order fails at t = "
-                    f"{fraction_string(hi)}: values decrease along the order: "
-                    f"f({K.simplices[names[a]]}) = {fraction_string(x)} > "
-                    f"{fraction_string(y)} = f({K.simplices[names[b]]})"
-                )
-            if v_lo[a] == v_lo[b]:
-                raise InternalProofViolation(
-                    f"{_interval(k, lo, hi)}: simplices "
-                    f"{_simplex_pair(K, names[a], names[b])} are tied at both "
-                    f"ends, so also at the midpoint t = "
-                    f"{fraction_string((lo + hi) / 2)}"
-                )
-            if runs and runs[-1][1] == i + 1:
+        for i in tied:
+            if runs and runs[-1][1] > i:
                 runs[-1][1] = i + 2
             else:
                 runs.append([i, i + 2])
@@ -354,25 +429,35 @@ def _carried_certificates(
         if sink is not None:
             sink.append(("interval", k, lo, hi, tuple(names[x] for x in perm), pairs))
         if k < len(schedule):
-            # The runs are the simplices tied at hi: the order is a
-            # permutation and its values at hi do not decrease, so
-            # simplices of equal value there are adjacent.
+            # The runs are the simplices tied at hi: the order is sorted
+            # there, so simplices of equal value are adjacent.
             tied = [x for start, end in runs for x in perm[start:end]]
             before = _pairs_with(vine, tied)
             _reverse_tied_runs(K, vine, runs, schedule.pairs_at[k], k, hi)
             after = _pairs_with(vine, tied)
-            _check_cover(K, names, before, after, k, hi)
-            step = _reidentify(K, names, before, after, v_hi, s_hi, k, hi)
+            labels = _simplices_of(before)
+            _check_cover(K, names, labels, _simplices_of(after), k, hi)
+            values = dict(zip(labels, interpolate(
+                [num0[x] for x in labels], [num1[x] for x in labels], hi
+            )))
+            step = _reidentify(K, names, before, after, values, q * scale, k, hi)
             moved = [origin[birth] for birth, _ in before]
             for i, j in zip(moved, step):
                 origin[after[j][0]] = i
+            # A reversed run's lines met at hi with b decreasing along it,
+            # each adjacent pair having held a certificate there, so now b
+            # increases along it and its inner pairs never meet again.
+            # Only the two outer pairs are new.
+            certify(
+                [(perm[start - 1], perm[start]) for start, _ in runs if start]
+                + [(perm[end - 1], perm[end]) for _, end in runs if end < len(perm)]
+            )
             if sink is not None:
                 left, pairs = pairs, vine.pairs()
                 where = {p.birth: j for j, p in enumerate(pairs)}
                 to = {names[before[i][0]]: names[after[j][0]] for i, j in enumerate(step)}
                 full = [where[to.get(p.birth, p.birth)] for p in left]
                 sink.append(("crossing", k, hi, left, pairs, full))
-        v_lo = v_hi
     track: list = [None] * len(first)
     for j, x in enumerate(vine.births()):
         track[origin[x]] = j

@@ -30,7 +30,10 @@ measured cost of matching them by pivot identity); every interval that
 (``compose_matchings``); the point map ``verify_stability`` carries must
 equal it.  ``bucket_reidentify`` re-identifies two pair lists at a crossing
 by value alone; ``reidentify_differences`` checks the full map the
-library's local rule gives against it at every crossing of a run.  The other helpers build what the library itself never needs:
+library's local rule gives against it at every crossing of a run.
+``doctored_schedule_differences`` hands ``verify_stability`` four
+doctored copies of a crossing schedule and checks the violation each
+must raise.  The other helpers build what the library itself never needs:
 the full order check (values and face closure), random compatible orders,
 diagrams under a supplied order, sublevel complexes, interval midpoints,
 a permutation-enumerating bottleneck and perturbed instances, whose two
@@ -40,6 +43,7 @@ functions differ by little.
 import functools
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -515,6 +519,92 @@ def reference_differences(K, f0, f1, report, reduced) -> list[str]:
                 out.append(f"interval {k}: diagram at t = {at} differs")
     if report.composed_matching != reference_composition(refs):
         out.append("composed matching differs")
+    return out
+
+
+_MISSED = re.compile(
+    r"interval (\d+) \[[^\]]*\]: carried order fails at t = (\S+): values "
+    r"decrease along the order: f\(([\d,]+)\) = (\S+) > (\S+) = f\(([\d,]+)\)"
+)
+
+
+def _violation(K, f0, f1, schedule) -> "str | None":
+    """The message of the InternalProofViolation ``verify_stability`` raises
+    when its crossing schedule is ``schedule``, or None if it raises none."""
+    with mock.patch.object(stability, "crossing_times", lambda g0, g1: schedule):
+        try:
+            stability.verify_stability(K, f0, f1)
+        except InternalProofViolation as exc:
+            return str(exc)
+    return None
+
+
+def doctored_schedule_differences(K, f0, f1, rng) -> list[str]:
+    """How ``verify_stability`` departs from what four doctored copies of
+    the true schedule must make it raise; empty if it does not.
+
+    At a crossing time ``rng`` picks, the copies (1) drop the time, which
+    the certificates must report as a missed crossing: the first interval
+    that spans it, at its upper end, names a pair scheduled there whose
+    values, as printed, decrease there; (2) move it halfway to the time
+    before it (or to 0), where nothing ties; (3) drop one pair of a time
+    with several, if any, a pair that ties but is not scheduled; (4) add
+    a pair that does not tie there.
+    """
+    true = stability.crossing_times(f0, f1)
+    times, pairs_at = list(true.times), list(true.pairs_at)
+    i = rng.randrange(len(times))
+    t = times[i]
+
+    def raised(times, pairs_at):
+        schedule = CrossingSchedule(tuple(times), tuple(pairs_at))
+        return _violation(K, f0, f1, schedule)
+
+    out = []
+    # (1) the missed pair and its values are read back from the message
+    got = raised(times[:i] + times[i + 1:], pairs_at[:i] + pairs_at[i + 1:])
+    hi = times[i + 1] if i + 1 < len(times) else Fraction(1)
+    m = _MISSED.fullmatch(got or "")
+    pair = m and tuple(K.index[tuple(map(int, v.split(",")))] for v in (m[3], m[6]))
+    f_hi = fraction_interpolate(f0, f1, hi).values
+    if not (
+        m
+        and (int(m[1]), m[2]) == (i, fraction_string(hi))
+        and tuple(sorted(pair)) in pairs_at[i]
+        and (m[4], m[5]) == tuple(fraction_string(f_hi[x]) for x in pair)
+        and f_hi[pair[0]] > f_hi[pair[1]]
+    ):
+        out.append(f"dropped t = {fraction_string(t)}: {got!r}")
+    # (2)
+    moved = ((times[i - 1] if i else 0) + t) / 2
+    expected = [(
+        raised(times[:i] + [moved] + times[i + 1:], pairs_at),
+        f"crossing {i} at t = {fraction_string(moved)}: scheduled simplices "
+        f"{_simplex_pair(K, *pairs_at[i][0])} do not tie",
+    )]
+    # (3)
+    several = [j for j, ps in enumerate(pairs_at) if len(ps) > 1]
+    if several:
+        j = rng.choice(several)
+        r = rng.randrange(len(pairs_at[j]))
+        fewer = pairs_at[j][:r] + pairs_at[j][r + 1:]
+        expected.append((
+            raised(times, pairs_at[:j] + [fewer] + pairs_at[j + 1:]),
+            f"crossing {j} at t = {fraction_string(times[j])}: simplices "
+            f"{_simplex_pair(K, *pairs_at[j][r])} tie but are not scheduled",
+        ))
+    # (4) only the scheduled pairs tie at t
+    while True:
+        extra = tuple(sorted(rng.sample(range(len(K)), 2)))
+        if extra not in pairs_at[i]:
+            break
+    more = tuple(sorted(pairs_at[i] + (extra,)))
+    expected.append((
+        raised(times, pairs_at[:i] + [more] + pairs_at[i + 1:]),
+        f"crossing {i} at t = {fraction_string(t)}: scheduled simplices "
+        f"{_simplex_pair(K, *extra)} do not tie",
+    ))
+    out.extend(f"{got!r} != {want!r}" for got, want in expected if got != want)
     return out
 
 

@@ -40,6 +40,7 @@ from oracles import (
     counts_by_dim,
     diagram_rank_count,
     diagram_with_order,
+    doctored_schedule_differences,
     fraction_interpolate,
     fraction_key_order,
     fraction_matrix_bottleneck,
@@ -160,20 +161,42 @@ def test_carried_certificates_equal_the_from_scratch_reference(corpus):
 # hundreds of crossings: (n, crossings) = (78, 672), (60, 468) and
 # (66, 655).  Each fails if any one transposition case of the vineyard
 # drops its column operations.
-@pytest.mark.parametrize(
-    "seed, vertices, prob, n, crossings",
-    [(1, 12, 0.5, 78, 672), (2, 14, 0.4, 60, 468), (3, 16, 0.35, 66, 655)],
-)
-def test_carried_certificates_equal_the_reference_at_mid_size(
-    seed, vertices, prob, n, crossings
-):
+MID_SIZE = [(1, 12, 0.5, 78, 672), (2, 14, 0.4, 60, 468), (3, 16, 0.35, 66, 655)]
+
+
+def _mid_size_instance(seed, vertices, prob):
     cfg = GeneratorConfig(
         seed=seed, num_vertices=vertices, fill_prob=prob, max_dimension=2
     )
-    inst = generate_instance(cfg)
+    return generate_instance(cfg)
+
+
+@pytest.mark.parametrize("seed, vertices, prob, n, crossings", MID_SIZE)
+def test_carried_certificates_equal_the_reference_at_mid_size(
+    seed, vertices, prob, n, crossings
+):
+    inst = _mid_size_instance(seed, vertices, prob)
     report, reduced = verify_recording(inst.complex, *inst.functions)
     assert (len(inst.complex), len(report.schedule)) == (n, crossings)
     assert reference_differences(inst.complex, *inst.functions, report, reduced) == []
+
+
+def test_a_doctored_schedule_is_a_violation_naming_crossing_t_and_pair(corpus):
+    """verify checks the order by certificates of adjacent pairs, so a
+    crossing it misses would be a certificate it never pops.  Four doctored
+    copies of each schedule with at least two crossing times, on the corpus
+    and at mid size, must each raise the violation they cause, naming the
+    interval or crossing, t and a simplex pair (see
+    ``doctored_schedule_differences``)."""
+    instances = [inst for inst, report, _ in corpus if len(report.schedule) > 1]
+    instances += [_mid_size_instance(*case[:3]) for case in MID_SIZE]
+    assert len(instances) == 498
+    for number, inst in enumerate(instances):
+        rng = random.Random(number)
+        differences = doctored_schedule_differences(
+            inst.complex, *inst.functions, rng
+        )
+        assert not differences, f"{format_instance(inst)}{'; '.join(differences)}"
 
 
 def test_int_recheck_equals_the_fraction_twin_on_the_corpus(corpus):

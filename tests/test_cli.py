@@ -332,12 +332,11 @@ def test_verify_of_a_dense_generated_instance_is_pinned(cli_env, tmp_path):
     assert done.stdout == pinned.read_bytes()
 
 
-def test_verify_machine_of_a_ladder_instance_is_pinned(cli_env, tmp_path):
-    # CI's smoke runs diff the same commands against the same file: 114
-    # simplices and 1611 crossings, so the carried reduction runs at scale
-    path = tmp_path / "gen1.txt"
+def _machine_verify_of_a_ladder_rung(cli_env, path, vertices):
+    """``verify --machine`` output of ``gen --seed 1 --vertices V --prob
+    0.3 --max-dim 2``, written to ``path``."""
     cli = [sys.executable, "-m", "phstab.cli"]
-    gen = ["gen", "--seed", "1", "--vertices", "20", "--prob", "0.3"]
+    gen = ["gen", "--seed", "1", "--vertices", str(vertices), "--prob", "0.3"]
     gen += ["--max-dim", "2", "--out", str(path)]
     done = subprocess.run(cli + gen, capture_output=True, env=cli_env)
     assert (done.returncode, done.stderr) == (0, b"")
@@ -345,8 +344,23 @@ def test_verify_machine_of_a_ladder_instance_is_pinned(cli_env, tmp_path):
         cli + ["verify", "--machine", str(path)], capture_output=True, env=cli_env
     )
     assert (done.returncode, done.stderr) == (0, b"")
+    return done.stdout
+
+
+def test_verify_machine_of_a_ladder_instance_is_pinned(cli_env, tmp_path):
+    # CI's smoke runs diff the same commands against the same file: 114
+    # simplices and 1611 crossings, so the carried reduction runs at scale
+    got = _machine_verify_of_a_ladder_rung(cli_env, tmp_path / "gen1.txt", 20)
     pinned = Path(__file__).parent / "verify_machine_gen_seed1.txt"
-    assert done.stdout == pinned.read_bytes()
+    assert got == pinned.read_bytes()
+
+
+def test_verify_machine_of_a_larger_ladder_instance_is_pinned(cli_env, tmp_path):
+    # the same at 339 simplices and 8788 crossings, pinned before the
+    # order was checked by certificates; CI's smoke runs diff it too
+    got = _machine_verify_of_a_ladder_rung(cli_env, tmp_path / "gen32.txt", 32)
+    pinned = Path(__file__).parent / "verify_machine_gen_seed1_v32.txt"
+    assert got == pinned.read_bytes()
 
 
 def test_bottleneck_of_a_perturbed_instance_is_pinned(cli_env):

@@ -9,6 +9,7 @@ from phstab.complexes import (
     FiltrationFunction,
     Issue,
     Simplex,
+    SimplicialComplex,
     facets,
     find_duplicate_value,
     validate_complex,
@@ -178,6 +179,20 @@ def test_facet_positions():
     tri = K.index[(0, 1, 2)]
     assert sorted(K.facet_positions[tri]) == [3, 4, 5]
     assert K.facet_positions[0] == ()
+
+
+def test_validated_faces_equal_the_lazily_computed_ones():
+    """validate_complex hands over the face positions its closure check
+    looked up; a complex built directly computes them when first read."""
+    rng = random.Random(5)
+    for seed in range(30):
+        cfg = GeneratorConfig(seed=seed, num_vertices=6, fill_prob=0.6)
+        built = generate_complex(rng, cfg)
+        K = validate_complex(built.simplices[::-1])
+        direct = SimplicialComplex(K.simplices)
+        assert "facet_positions" not in vars(direct)
+        assert K.index == direct.index
+        assert K.facet_positions == direct.facet_positions
 
 
 def test_filtration_function_coerces_exactly():

@@ -1,12 +1,25 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from phstab.complexes import FiltrationFunction, validate_complex, validate_filtration
+from phstab.complexes import (
+    FiltrationFunction,
+    common_scale,
+    find_duplicate_value,
+    validate_complex,
+    validate_filtration,
+)
 from phstab.errors import DomainMismatch, NonUniqueValues
 from phstab.generate import GeneratorConfig, generate_complex, random_filtration
-from phstab.interpolation import crossing_times, interpolate, sup_norm
+from phstab.interpolation import (
+    CrossingSchedule,
+    crossing_times,
+    interpolate,
+    sup_norm,
+    time_key_scale,
+)
 from phstab.rational import common_denominator, common_numerators
 
 from oracles import (
@@ -14,10 +27,16 @@ from oracles import (
     fraction_interpolate,
     interval_midpoints,
     is_order_constant,
+    reference_differences,
     scan_crossing_times,
+    verify_recording,
 )
 
 PAIR = [(0,), (1,)]
+
+
+def _vertices(n):
+    return validate_complex([(v,) for v in range(n)])
 
 
 def _two(values0, values1, raw=PAIR):
@@ -169,6 +188,90 @@ def test_inversion_schedule_equals_the_all_pairs_scan_on_negative_mixed_values()
     schedule = crossing_times(f0, negated)
     assert schedule.times == (Fraction(1, 2),)
     assert len(schedule.pairs_at[0]) == 30 * 29 // 2
+
+
+def _verified_as_reference(K, f0, f1):
+    report, reduced = verify_recording(K, f0, f1)
+    assert reference_differences(K, f0, f1, report, reduced) == []
+    return report
+
+
+def _keys(f0, f1, times):
+    scale = time_key_scale(*common_scale(f0, f1)[:2])
+    return [t.numerator * scale // t.denominator for t in times]
+
+
+def test_the_closest_crossing_times_get_adjacent_keys():
+    """A crossing time d0/D has 0 < D <= span, the two ranges summed, so
+    distinct times differ by at least 1/span^2; exactly that would need
+    D = span for both, which puts them 1/span apart.  Here span = 17 and
+    the times 9/17 and 8/15 are 1/255 apart, 17/15 of 1/span^2: their keys
+    floor(t * span^2) are adjacent, and over span alone they would tie."""
+    K = _vertices(3)
+    f0 = FiltrationFunction(K, (0, 9, 1))
+    f1 = FiltrationFunction(K, (8, 0, 7))
+    schedule = crossing_times(f0, f1)
+    assert schedule == scan_crossing_times(f0, f1)
+    assert schedule.times == (Fraction(1, 2), Fraction(9, 17), Fraction(8, 15))
+    assert schedule.pairs_at == (((0, 2),), ((0, 1),), ((1, 2),))
+    assert _keys(f0, f1, schedule.times)[1:] == [153, 154]
+    assert [t * 17 // 1 for t in schedule.times[1:]] == [9, 9]
+    _verified_as_reference(K, f0, f1)
+
+
+def test_equal_times_from_unreduced_gaps_are_one_time():
+    # gaps 2 and -2 cross at 2/4, gaps 3 and -3 at 3/6
+    K = _vertices(4)
+    f0 = FiltrationFunction(K, (2, 0, 13, 10))
+    f1 = FiltrationFunction(K, (0, 2, 10, 13))
+    schedule = crossing_times(f0, f1)
+    assert schedule == scan_crossing_times(f0, f1)
+    assert schedule == CrossingSchedule((Fraction(1, 2),), (((0, 1), (2, 3)),))
+    report = _verified_as_reference(K, f0, f1)
+    assert report.schedule == schedule
+
+
+def _huge_instance(rng, n):
+    """n >= 4 vertices and the edges of a path through them, with values
+    that are ints near 10^30 over one denominator up to 10^12.  On the
+    vertices f0 ranges over [0, H] and f1 over [0, G].  Vertices 0 and 1
+    span both ranges, so they cross at t = H / span, span = H + G, and
+    vertices 2 and 3 cross at A / D with A * span - H * D = 1, that is
+    1 / (span * D) < 10^-20 later, too close for a key over the span
+    alone to tell apart.  The edges lie above their vertices."""
+    big = 10 ** 30
+    while True:
+        H, G = rng.randrange(big, 2 * big), rng.randrange(big, 2 * big)
+        span = H + G
+        if gcd(H, span) != 1:
+            continue
+        D = span - pow(H, -1, span)
+        A = (1 + H * D) // span
+        if not (0 < A < H - 1 and D - A < G - 2):
+            continue
+        a = [H, 0, A + 1, 1] + [rng.randrange(2, H) for _ in range(n - 4)]
+        b = [0, G, 1, 1 + D - A] + [rng.randrange(2, G) for _ in range(n - 4)]
+        for v in range(n - 1):
+            a.append(max(a[v], a[v + 1]) + rng.randrange(1, big))
+            b.append(max(b[v], b[v + 1]) + rng.randrange(1, big))
+        q = rng.randrange(1, 10 ** 12)
+        K = validate_complex([(v,) for v in range(n)] + [(v, v + 1) for v in range(n - 1)])
+        f0 = FiltrationFunction(K, [Fraction(x, q) for x in a])
+        f1 = FiltrationFunction(K, [Fraction(y, q) for y in b])
+        if find_duplicate_value(f0) is None and find_duplicate_value(f1) is None:
+            return K, f0, f1
+
+
+def test_time_keys_are_exact_for_huge_values_over_large_denominators():
+    for seed, n in enumerate((4, 5, 6, 8, 9, 12) * 2):
+        K, f0, f1 = _huge_instance(random.Random(seed), n)
+        schedule = crossing_times(f0, f1)
+        assert schedule == scan_crossing_times(f0, f1)
+        times = schedule.times
+        assert min(t - s for s, t in zip(times, times[1:])) < Fraction(1, 10 ** 20)
+        keys = _keys(f0, f1, times)
+        assert keys == sorted(set(keys))
+        _verified_as_reference(K, f0, f1)
 
 
 def test_order_constant_between_crossings():
