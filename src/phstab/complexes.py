@@ -75,12 +75,12 @@ class SimplicialComplex:
         return {s.vertices: i for i, s in enumerate(self.simplices)}
 
     @cached_property
-    def facet_positions(self) -> tuple[tuple[int, ...], ...]:
-        """Positions of the codimension-1 faces of each simplex."""
-        idx = self.index
-        return tuple(
-            tuple(idx[f] for f in facets(s.vertices)) for s in self.simplices
-        )
+    def facet_positions(self) -> tuple[tuple, ...]:
+        """Positions of the codimension-1 faces of each simplex, in the
+        order of ``facets``; None for a face the list lacks, which only a
+        complex that ``validate_complex`` has not accepted can have."""
+        get = self.index.get
+        return tuple(tuple(map(get, facets(s.vertices))) for s in self.simplices)
 
     @cached_property
     def tie_order(self) -> tuple[int, ...]:
@@ -126,29 +126,23 @@ def validate_complex(simplices: Iterable) -> SimplicialComplex:
             canon.append((pos, s))
         except (TypeError, ValueError) as exc:
             issues.append(Issue(f"malformed simplex {raw!r}: {exc}", pos))
-    index: dict[tuple[int, ...], int] = {}
-    for j, (pos, s) in enumerate(canon):
-        if s.vertices in index:
-            issues.append(Issue(f"duplicate simplex {{{s}}}", pos))
-        index[s.vertices] = j
-    facet_positions = []
+    seen: set[tuple[int, ...]] = set()
     for pos, s in canon:
-        faces = facets(s.vertices)
-        found = tuple(map(index.get, faces))
-        facet_positions.append(found)
+        if s.vertices in seen:
+            issues.append(Issue(f"duplicate simplex {{{s}}}", pos))
+        seen.add(s.vertices)
+    # The closure check reads the complex's own face positions, so a parse
+    # looks each face up once.
+    K = SimplicialComplex(tuple(s for _, s in canon))
+    for (pos, s), found in zip(canon, K.facet_positions):
         if None in found:
             issues.extend(
                 Issue(f"simplex {{{s}}} is missing face {{{Simplex(face)}}}", pos)
-                for face, at in zip(faces, found)
+                for face, at in zip(facets(s.vertices), found)
                 if at is None
             )
     if issues:
         raise InvalidComplex(issues)
-    K = SimplicialComplex(tuple(s for _, s in canon))
-    # The faces were looked up once, here: hand them to the cached
-    # properties rather than have them computed again.
-    object.__setattr__(K, "index", index)
-    object.__setattr__(K, "facet_positions", tuple(facet_positions))
     return K
 
 

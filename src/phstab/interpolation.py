@@ -12,7 +12,7 @@ order is constant.  A pair crosses exactly when f0 and f1 order it
 differently, so the schedule is read off the inversions between the two
 orders, found by an insertion sort, not by testing every pair.  Each
 crossing time d0 / D has an exact int key floor(t * span^2)
-(``time_key_scale``), so the pairs are grouped and sorted on ints and
+(``time_key``), so the pairs are grouped and sorted on ints and
 one Fraction is built per distinct time, not per pair; verify keys its
 certificates the same way.
 """
@@ -84,6 +84,12 @@ def time_key_scale(a: list[int], b: list[int]) -> int:
     return span * span
 
 
+def time_key(num: int, den: int, scale: int) -> int:
+    """The int key floor(t * scale) of t = num / den, den > 0, on the
+    scale of ``time_key_scale``."""
+    return num * scale // den
+
+
 def sup_norm(f0: FiltrationFunction, f1: FiltrationFunction) -> Fraction:
     """Largest per-simplex absolute difference; 0 for identical functions.
 
@@ -106,7 +112,7 @@ def crossing_times(
     gaps share a sign (including parallel lines) never cross: the crossing
     pairs are exactly the inversions between the orders of f0 and f1.
     The pairs are grouped and sorted by the exact int keys of their times
-    (``time_key_scale``), so the schedule builds one Fraction per distinct
+    (``time_key``), so the schedule builds one Fraction per distinct
     time.
     """
     _require_shared_complex(f0, f1)
@@ -136,7 +142,7 @@ def crossing_times(
             run[k] = b
             k -= 1
             d0 = x - v0[b]  # d0 / (d0 - d1) is the same from either end
-            key = d0 * scale // (d0 - y + v1[b])
+            key = time_key(d0, d0 - y + v1[b], scale)
             group = by_key.get(key)
             if group is None:
                 by_key[key] = group = []

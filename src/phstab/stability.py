@@ -29,7 +29,7 @@ with O(1) bitset operations per adjacent transposition
 checked by kinetic certificates (Basch, Guibas and Hershberger, "Data
 Structures for Mobile Data", J. Algorithms 1999): each adjacent pair
 whose lines meet later holds one, keyed by the exact int key of that
-time (``interpolation.time_key_scale``) in a heap, so an order that
+time (``interpolation.time_key``) in a heap, so an order that
 stays sorted costs nothing between crossings.  At a crossing the
 certificates due there give the tied runs, a certificate due earlier is
 a missed crossing, and only the two outer pairs of each reversed run
@@ -77,6 +77,7 @@ from .interpolation import (
     crossing_times,
     interpolate,
     sup_norm,
+    time_key,
     time_key_scale,
 )
 from .ordering import total_order
@@ -312,7 +313,7 @@ def _carried_certificates(
     Hershberger, J. Algorithms 1999), not by a pass over it per interval.
     An adjacent pair (x, y) of the order whose lines meet later, because
     y ends below x (b[y] < b[x]), holds a certificate keyed by the int key
-    of that time (``time_key_scale``) in a heap.  At each breakpoint hi a
+    of that time (``time_key``) in a heap.  At each breakpoint hi a
     certificate before hi is a missed crossing, and those at hi are the
     adjacent pairs tied there, whose runs the next crossing reverses.  The
     first interval's pivot pairs must partition the simplices, so its
@@ -368,7 +369,7 @@ def _carried_certificates(
             drop = num1[x] - num1[y]
             if drop > 0:
                 d0 = num0[y] - num0[x]
-                heappush(heap, (d0 * key_scale // (d0 + drop), x, y))
+                heappush(heap, (time_key(d0, d0 + drop, key_scale), x, y))
             elif not drop and num0[x] == num0[y]:
                 flagged.append((x, y))
 
@@ -377,7 +378,7 @@ def _carried_certificates(
     certificates: list = []
     for k, (lo, hi) in enumerate(zip(bps, bps[1:])):
         p, q = hi.numerator, hi.denominator
-        key_hi = p * key_scale // q
+        key_hi = time_key(p, q, key_scale)
         if flagged:
             x, y = flagged[0]
             raise InternalProofViolation(

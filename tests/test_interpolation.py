@@ -18,6 +18,7 @@ from phstab.interpolation import (
     crossing_times,
     interpolate,
     sup_norm,
+    time_key,
     time_key_scale,
 )
 from phstab.rational import common_denominator, common_numerators
@@ -198,7 +199,7 @@ def _verified_as_reference(K, f0, f1):
 
 def _keys(f0, f1, times):
     scale = time_key_scale(*common_scale(f0, f1)[:2])
-    return [t.numerator * scale // t.denominator for t in times]
+    return [time_key(t.numerator, t.denominator, scale) for t in times]
 
 
 def test_the_closest_crossing_times_get_adjacent_keys():
