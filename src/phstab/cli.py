@@ -187,7 +187,7 @@ def _report_lines(report, machine: bool) -> list[str]:
         return [
             f"sup_norm={format_value(report.sup_norm_value)}",
             f"crossings={len(report.schedule)}",
-            f"intervals={len(report.certificates)}",
+            f"intervals={len(report.schedule) + 1}",
             f"composed_cost={format_value(report.composed_cost)}",
             f"exact_bottleneck={format_value(report.exact_bottleneck)}",
             "holds=true",

@@ -17,8 +17,10 @@ diagrams, the only diagrams built.  The interval shares add up to the
 sup-norm by construction, so that bijection costs at most the sup-norm,
 which the exact bottleneck distance can only undercut.  Once the next
 crossing has re-identified an interval's pairs nothing reads its order or
-pairs again, so a certificate keeps only its interval, and a run holds the
-first pair list and one reduction, O(n^2) bits, at any time.
+pairs again, so a run holds the first pair list and one reduction, O(n^2)
+bits, at any time, and nothing per interval: an interval's certificate is
+its breakpoints and its share of the sup-norm, which the report derives
+from the schedule when it is read.
 
 The order and its reduction are carried from interval to interval rather
 than rebuilt, as in the vineyards of Cohen-Steiner, Edelsbrunner and
@@ -30,15 +32,23 @@ checked by kinetic certificates (Basch, Guibas and Hershberger, "Data
 Structures for Mobile Data", J. Algorithms 1999): each adjacent pair
 whose lines meet later holds one, keyed by the exact int key of that
 time (``interpolation.time_key``) in a heap, so an order that
-stays sorted costs nothing between crossings.  At a crossing the
-certificates due there give the tied runs, a certificate due earlier is
-a missed crossing, and only the two outer pairs of each reversed run
-need new ones.  So a crossing costs its transpositions, its certificates
-and the pairs with a tied simplex.  Only those pairs can change, since
-every pair a transposition changes holds one of its two simplices, so
-only they are re-identified and checked.  That is exact: a pair with no
-tied simplex has a point no other pair of either list shares, so the
-full re-identification maps it to itself.  The values are ints: f0 and
+stays sorted costs nothing between crossings.  A pair is not pushed
+again while its certificate is pending, and the mark needs no clearing:
+a popped pair has swapped, and two lines meet once, so it never becomes
+adjacent in its old order again.  At a crossing the certificates due
+there give the tied runs, a certificate due earlier is a missed
+crossing, and only the two outer pairs of each reversed run need new
+ones.  Each crossing is then one
+step: compare the runs' pairs with the schedule, take the pivot pairs
+with a tied simplex, reverse the runs, take those pairs again, check
+that they cover the same simplices, re-identify them on the values of
+their simplices at the crossing, and move the point map.  So a crossing
+costs its transpositions, its certificates and the pairs with a tied
+simplex.  Only those pairs can change, since every pair a transposition
+changes holds one of its two simplices, so only they are re-identified
+and checked.  That is exact: a pair with no tied simplex has a point no
+other pair of either list shares, so the full re-identification maps it
+to itself.  The values are ints: f0 and
 f1 are read over one scale L, the one their file shares, and f_t at a
 crossing t = p/q is one int per simplex over q * L, computed only for
 the simplices of the re-identified pairs.  Only values at the same t are
@@ -61,6 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import combinations
 
@@ -90,9 +101,7 @@ class IntervalCertificate:
     """One interval's worth of the proof: one simplex order served both
     ends and its pivot pairs partitioned the simplices, so they match the
     two endpoint diagrams by identity at exactly ``share``, the interval's
-    share (t_hi - t_lo) * gap of the sup-norm ``gap``.  Both were checked
-    and then dropped: only the re-identification at the next crossing
-    reads them.
+    share (t_hi - t_lo) * gap of the sup-norm ``gap``.
     """
 
     t_lo: Fraction
@@ -108,13 +117,20 @@ class IntervalCertificate:
 class StabilityReport:
     sup_norm_value: Fraction
     schedule: CrossingSchedule
-    certificates: tuple[IntervalCertificate, ...]
     composed_matching: Matching
     composed_cost: "Fraction | int"
     exact_bottleneck: "Fraction | int"
     bottleneck_matching: Matching
     left_diagram: Diagram
     right_diagram: Diagram
+
+    @cached_property
+    def certificates(self) -> tuple[IntervalCertificate, ...]:
+        """One certificate per interval of the schedule, built when first
+        read.  Each follows from its breakpoints and the sup-norm alone, so
+        verify holds none of them."""
+        bps, gap = self.schedule.breakpoints(), self.sup_norm_value
+        return tuple(IntervalCertificate(lo, hi, gap) for lo, hi in zip(bps, bps[1:]))
 
 
 def _simplex_pair(K: SimplicialComplex, i: int, j: "int | None") -> str:
@@ -147,77 +163,10 @@ def _check_partition(
             )
 
 
-def _reverse_tied_runs(
-    K: SimplicialComplex, vine: Vineyard, runs: list, expected: tuple, k: int, t: Fraction
-) -> None:
-    """Carry the order and reduction of ``vine`` across crossing ``k`` at ``t``.
-
-    ``runs`` holds the [start, end) slices of ``vine.perm`` tied at ``t``,
-    as the certificates at ``t`` give them.  The lines of one run meet at
-    one point with distinct slopes (equal slopes would make identical
-    lines, which the sweep rejects), so their order simply reverses.
-    Every pair inside a run swaps, and those pairs must be exactly
-    ``expected``, the schedule's pairs at ``t``.  Tied simplices are never
-    face and coface (f_t is strictly monotone), so each run reverses by
-    adjacent transpositions.
-    """
-    simplex, perm = vine.simplex, vine.perm
-    swapped = []
-    for start, end in runs:
-        run = [simplex[x] for x in perm[start:end]]
-        swapped.extend((a, b) if a < b else (b, a) for a, b in combinations(run, 2))
-    swapped.sort()
-    if tuple(swapped) != expected:
-        unscheduled = sorted(set(swapped) - set(expected))
-        untied = sorted(set(expected) - set(swapped))
-        if unscheduled:
-            what = f"simplices {_simplex_pair(K, *unscheduled[0])} tie but are not scheduled"
-        else:
-            what = f"scheduled simplices {_simplex_pair(K, *untied[0])} do not tie"
-        raise InternalProofViolation(
-            f"crossing {k} at t = {fraction_string(t)}: {what}"
-        )
-    for start, end in runs:
-        vine.reverse(start, end)
-
-
-def _pairs_with(vine: Vineyard, labels: list) -> list:
-    """The pivot pairs of ``vine`` with a simplex in ``labels``, as
-    (birth, death) labels, death None for an essential class, in the order
-    of their birth positions."""
-    low, owner = vine.low, vine.owner
-    births = {x if low[x] is None else low[x] for x in labels}
-    return [(b, owner[b]) for b in sorted(births, key=vine.pos.__getitem__)]
-
-
-def _simplices_of(pairs: list) -> list:
-    """The labels of the births and finite deaths of ``pairs``."""
-    return [x for pair in pairs for x in pair if x is not None]
-
-
-def _check_cover(
-    K: SimplicialComplex, names: tuple, was: list, now: list, k: int, t: Fraction
-) -> None:
-    """The pairs with a tied simplex must use the same simplices, each
-    exactly once, before and after the transpositions at crossing ``k``:
-    ``was`` and ``now`` list their simplices (``_simplices_of``).  Every
-    other pair is unchanged, so the pairs still partition the simplices,
-    as checked in full for the first interval."""
-    if len(was) == len(now) == len(set(now)) and set(was) == set(now):
-        return
-    for x in sorted(set(was) | set(now)):
-        if was.count(x) != 1 or now.count(x) != 1:
-            raise InternalProofViolation(
-                f"crossing {k} at t = {fraction_string(t)}: simplex "
-                f"{{{K.simplices[names[x]]}}} is a coordinate of {was.count(x)} "
-                f"pivot pairs with a tied simplex before the swaps and of "
-                f"{now.count(x)} after"
-            )
-
-
 def _reidentify(
     K: SimplicialComplex,
     names: tuple,
+    dims: list,
     left: list,
     right: list,
     values: "dict | list",
@@ -230,15 +179,16 @@ def _reidentify(
 
     ``left`` and ``right`` hold those pairs before and after the swaps as
     (birth, death) labels, ordered by birth position; ``names`` maps a
-    label to its simplex and ``values`` maps each label of those pairs to
-    f_t as an int over ``scale`` (``interpolate``).  Both orders serve f_t at the crossing,
-    so both lists give one multiset of points.  Equal ints are equal
-    values, so points are keyed and compared on ints, and ``scale`` only
-    turns them back into values for a message.  Each pair of ``left`` in
-    turn takes the first unused pair of ``right`` with the same
-    (dimension, birth value, death value).  Returns the map from
-    ``left``'s indices to ``right``'s; a pair with no equal partner would
-    falsify order-invariance, an InternalProofViolation.
+    label to its simplex, ``dims`` to its dimension, and ``values`` maps
+    each label of those pairs to f_t as an int over ``scale``
+    (``interpolate``).  Both orders serve f_t at the crossing, so both
+    lists give one multiset of points.  Equal ints are equal values, so
+    points are keyed and compared on ints, and ``scale`` only turns them
+    back into values for a message.  Each pair of ``left`` in turn takes
+    the first unused pair of ``right`` with the same (dimension, birth
+    value, death value).  Returns the map from ``left``'s indices to
+    ``right``'s; a pair with no equal partner would falsify
+    order-invariance, an InternalProofViolation.
     """
     # This is the map that puts every pair of the two full lists into a
     # bucket keyed by its point.  A simplex that is not tied has a value no
@@ -250,39 +200,33 @@ def _reidentify(
     # to one with an untied birth and a tied death has the same birth and a
     # death of equal value, so a tied one.  So the buckets of the pairs
     # with a tied simplex hold exactly these pairs, in the same order.
-    simplices = K.simplices
-
-    def points(pairs):
-        # len(vertices) is the dimension plus one: only equality is asked
-        return [
-            (len(simplices[names[b]].vertices), values[b], None if d is None else values[d])
-            for b, d in pairs
-        ]
-
     if len(left) != len(right):
         raise InternalProofViolation(
             f"crossing {k} at t = {fraction_string(t)}: {len(left)} pivot "
             f"pairs with a tied simplex before vs {len(right)} after"
         )
+    # A pair's point is (dimension, birth value, death value or None).
     unused: dict = {}  # point -> indices of right with it, last first
-    ends = points(right)
     for j in range(len(right) - 1, -1, -1):
-        unused.setdefault(ends[j], []).append(j)
-    step = []
-    for p, point in zip(left, points(left)):
+        b, d = right[j]
+        point = dims[b], values[b], None if d is None else values[d]
         bucket = unused.get(point)
+        if bucket is None:
+            unused[point] = [j]
+        else:
+            bucket.append(j)
+    step = []
+    for b, d in left:
+        bucket = unused.get((dims[b], values[b], None if d is None else values[d]))
         if bucket:
             step.append(bucket.pop())
             continue
-        _, b, dth = point
-        dth = INF if dth is None else Fraction(dth, scale)
-        death = None if p[1] is None else names[p[1]]
+        dth = INF if d is None else Fraction(values[d], scale)
         raise InternalProofViolation(
             f"crossing {k} at t = {fraction_string(t)}: pivot pair "
-            f"{_simplex_pair(K, names[p[0]], death)} at dim "
-            f"{simplices[names[p[0]]].dim} "
-            f"({format_value(Fraction(b, scale))}, {format_value(dth)}) has "
-            "no partner with equal values"
+            f"{_simplex_pair(K, names[b], None if d is None else names[d])} at "
+            f"dim {dims[b]} ({format_value(Fraction(values[b], scale))}, "
+            f"{format_value(dth)}) has no partner with equal values"
         )
     return step
 
@@ -292,20 +236,19 @@ def _carried_certificates(
     f0: FiltrationFunction,
     f1: FiltrationFunction,
     schedule: CrossingSchedule,
-    gap: Fraction,
     order0: tuple,
     sink: "list | None" = None,
 ) -> tuple:
     """Certify every interval of ``schedule``, carrying one order and its
     reduction.
 
-    Returns the certificates, the carried point map (point i of the first
-    interval's pair list is point ``track[i]`` of the last one's), the
-    first and last pair lists and the last order.  The order starts as
-    ``order0``, the canonical order of f0 (the order just after t = 0,
-    since f0 is untied), and is reduced once, into a ``Vineyard`` whose
-    labels are positions in ``order0``.  f0 and f1 are read over one shared
-    scale L (``common_scale``), by label, so simplex x has the value line
+    Returns the carried point map (point i of the first interval's pair
+    list is point ``track[i]`` of the last one's), the first and last pair
+    lists and the last order.  The order starts as ``order0``, the
+    canonical order of f0 (the order just after t = 0, since f0 is
+    untied), and is reduced once, into a ``Vineyard`` whose labels are
+    positions in ``order0``.  f0 and f1 are read over one shared scale L
+    (``common_scale``), by label, so simplex x has the value line
     ((1 - t) * a[x] + t * b[x]) / L and every comparison below is between
     ints.
 
@@ -313,18 +256,23 @@ def _carried_certificates(
     Hershberger, J. Algorithms 1999), not by a pass over it per interval.
     An adjacent pair (x, y) of the order whose lines meet later, because
     y ends below x (b[y] < b[x]), holds a certificate keyed by the int key
-    of that time (``time_key``) in a heap.  At each breakpoint hi a
-    certificate before hi is a missed crossing, and those at hi are the
-    adjacent pairs tied there, whose runs the next crossing reverses.  The
-    first interval's pivot pairs must partition the simplices, so its
-    certificate costs exactly its share of ``gap``.  At each crossing
-    ``_reverse_tied_runs`` checks the runs against the schedule and
-    reverses them by adjacent transpositions, O(1) bitset operations
-    each.  Only the pairs with a tied simplex can change: they must cover
-    the same simplices before and after, so the pairs partition the
-    simplices in every interval, and they alone are re-identified by
-    value, which is exact (see ``_reidentify``).  The point map is keyed
-    by birth simplex and follows them.  So a crossing costs its
+    of that time (``time_key``) in a heap, not pushed again while it is
+    pending.  At each breakpoint hi a certificate before hi is a missed
+    crossing, and those at hi are the adjacent pairs tied there, whose
+    runs the crossing at hi reverses.  The first interval's pivot pairs
+    must partition the simplices, so each interval's matching costs
+    exactly its share of the sup-norm (``StabilityReport.certificates``
+    derives the shares from the schedule).
+
+    Each crossing is one step.  It compares the pairs of the tied runs
+    with the schedule's pairs there, takes the pivot pairs with a tied
+    simplex, reverses the runs by adjacent transpositions, O(1) bitset
+    operations each, and takes those pairs again.  Only they can change:
+    they must cover the same simplices before and after, so the pairs
+    partition the simplices in every interval, and they alone are
+    re-identified by value, which is exact (see ``_reidentify``).  The
+    point map is keyed by birth label and follows them, and the two outer
+    pairs of each run are certified.  So a crossing costs its
     transpositions, its tied pairs and O(log n) per certificate it pops
     or pushes.  Any failure is a bug, so every one is an
     InternalProofViolation naming the interval or crossing, t and the
@@ -339,9 +287,11 @@ def _carried_certificates(
     num0, num1 = [a[s] for s in order0], [b[s] for s in order0]
     key_scale = time_key_scale(num0, num1)
     vine = Vineyard(K, order0)
-    perm, pos, names = vine.perm, vine.pos, vine.simplex
+    perm, pos, names, low, owner = vine.perm, vine.pos, vine.simplex, vine.low, vine.owner
+    n = len(perm)
+    dims = [K.simplices[s].dim for s in names]  # label -> dimension
     first = pairs = vine.pairs()
-    origin: list = [None] * len(perm)  # birth label -> its point in first
+    origin: list = [None] * n  # birth label -> its point in first
     for i, x in enumerate(vine.births()):
         origin[x] = i
     # Why certificates suffice.  If every adjacent pair of the order is in
@@ -363,19 +313,30 @@ def _carried_certificates(
     # puts faces first.
     heap: list = []  # (time key, x, y): x just before y, meeting at the key
     flagged: list = []  # adjacent pairs with identical lines
+    # live[x] = y: a certificate of (x, y) was pushed, and is pending unless
+    # it was popped.  A popped pair swapped at its time, and two lines
+    # meet once, so it is never adjacent in its old order again: the mark
+    # needs no clearing.  A pending certificate is not pushed again.  A
+    # label holds one mark, so a pair that is adjacent again after x was
+    # certified with another label is pushed a second time; that entry is a
+    # copy of the same time, and the run merge below takes its position
+    # twice, without harm.
+    live: list = [None] * n
 
-    def certify(adjacent):
-        for x, y in adjacent:
-            drop = num1[x] - num1[y]
-            if drop > 0:
-                d0 = num0[y] - num0[x]
-                heappush(heap, (time_key(d0, d0 + drop, key_scale), x, y))
-            elif not drop and num0[x] == num0[y]:
-                flagged.append((x, y))
+    def certify(x, y):
+        if live[x] == y:
+            return
+        drop = num1[x] - num1[y]
+        if drop > 0:
+            d0 = num0[y] - num0[x]
+            heappush(heap, (time_key(d0, d0 + drop, key_scale), x, y))
+            live[x] = y
+        elif not drop and num0[x] == num0[y]:
+            flagged.append((x, y))
 
-    certify(zip(perm, perm[1:]))
+    for x, y in zip(perm, perm[1:]):
+        certify(x, y)
     bps = schedule.breakpoints()
-    certificates: list = []
     for k, (lo, hi) in enumerate(zip(bps, bps[1:])):
         p, q = hi.numerator, hi.denominator
         key_hi = time_key(p, q, key_scale)
@@ -412,57 +373,99 @@ def _carried_certificates(
         # sorted at t*, so z would tie with both there, yet z met one of
         # them to get between them, and distinct lines meet once.  So x
         # and y are adjacent again by t*, and a popped certificate needs
-        # no staleness check.  Adjacent again, they were certified again,
-        # so the merge below may take a position twice, without harm.
-        tied = []
+        # no staleness check.
+        due = []
         while not first_vs_hi and heap and heap[0][0] == key_hi:
-            tied.append(pos[heappop(heap)[1]])
-        tied.sort()
+            due.append(pos[heappop(heap)[1]])
+        due.sort()
         runs: list = []  # [start, end) slices of perm tied at hi
-        for i in tied:
+        for i in due:
             if runs and runs[-1][1] > i:
                 runs[-1][1] = i + 2
             else:
                 runs.append([i, i + 2])
         if not k:
             _check_partition(K, first, k, lo, hi)
-        certificates.append(IntervalCertificate(lo, hi, gap))
         if sink is not None:
             sink.append(("interval", k, lo, hi, tuple(names[x] for x in perm), pairs))
-        if k < len(schedule):
-            # The runs are the simplices tied at hi: the order is sorted
-            # there, so simplices of equal value are adjacent.
-            tied = [x for start, end in runs for x in perm[start:end]]
-            before = _pairs_with(vine, tied)
-            _reverse_tied_runs(K, vine, runs, schedule.pairs_at[k], k, hi)
-            after = _pairs_with(vine, tied)
-            labels = _simplices_of(before)
-            _check_cover(K, names, labels, _simplices_of(after), k, hi)
-            values = dict(zip(labels, interpolate(
-                [num0[x] for x in labels], [num1[x] for x in labels], hi
-            )))
-            step = _reidentify(K, names, before, after, values, q * scale, k, hi)
-            moved = [origin[birth] for birth, _ in before]
-            for i, j in zip(moved, step):
-                origin[after[j][0]] = i
-            # A reversed run's lines met at hi with b decreasing along it,
-            # each adjacent pair having held a certificate there, so now b
-            # increases along it and its inner pairs never meet again.
-            # Only the two outer pairs are new.
-            certify(
-                [(perm[start - 1], perm[start]) for start, _ in runs if start]
-                + [(perm[end - 1], perm[end]) for _, end in runs if end < len(perm)]
+        if k == len(schedule):
+            break
+        # The crossing at hi.  The runs are the simplices tied there: the
+        # order is sorted at hi, so simplices of equal value are adjacent.
+        # The lines of one run meet at one point with distinct slopes
+        # (identical lines were flagged above), so its order reverses and
+        # every pair in it swaps; those pairs must be the schedule's at hi.
+        tied: list = []
+        swapped: list = []
+        for start, end in runs:
+            run = perm[start:end]
+            tied += run
+            swapped += combinations(sorted([names[x] for x in run]), 2)
+        if len(runs) > 1:
+            swapped.sort()
+        expected = schedule.pairs_at[k]
+        if tuple(swapped) != expected:
+            unscheduled = sorted(set(swapped) - set(expected))
+            if unscheduled:
+                what = (
+                    f"simplices {_simplex_pair(K, *unscheduled[0])} tie but are "
+                    "not scheduled"
+                )
+            else:
+                untied = sorted(set(expected) - set(swapped))
+                what = f"scheduled simplices {_simplex_pair(K, *untied[0])} do not tie"
+            raise InternalProofViolation(
+                f"crossing {k} at t = {fraction_string(hi)}: {what}"
             )
-            if sink is not None:
-                left, pairs = pairs, vine.pairs()
-                where = {p.birth: j for j, p in enumerate(pairs)}
-                to = {names[before[i][0]]: names[after[j][0]] for i, j in enumerate(step)}
-                full = [where[to.get(p.birth, p.birth)] for p in left]
-                sink.append(("crossing", k, hi, left, pairs, full))
+        # The pivot pairs with a tied simplex, as (birth, death) labels in
+        # the order of their births, before and after the runs reverse.
+        # Tied simplices are never face and coface (f_t is strictly
+        # monotone), so each run reverses by adjacent transpositions.
+        births = {x if low[x] is None else low[x] for x in tied}
+        left = [(x, owner[x]) for x in sorted(births, key=pos.__getitem__)]
+        for start, end in runs:
+            vine.reverse(start, end)
+        births = {x if low[x] is None else low[x] for x in tied}
+        right = [(x, owner[x]) for x in sorted(births, key=pos.__getitem__)]
+        # Those pairs must use the same simplices, each exactly once, before
+        # and after.  Every other pair is unchanged, so the pairs still
+        # partition the simplices, as checked in full for the first interval.
+        was = [x for pair in left for x in pair if x is not None]
+        now = [x for pair in right for x in pair if x is not None]
+        if not (len(was) == len(now) == len(set(now)) and set(was) == set(now)):
+            for x in sorted(set(was) | set(now)):
+                if was.count(x) != 1 or now.count(x) != 1:
+                    raise InternalProofViolation(
+                        f"crossing {k} at t = {fraction_string(hi)}: simplex "
+                        f"{{{K.simplices[names[x]]}}} is a coordinate of "
+                        f"{was.count(x)} pivot pairs with a tied simplex "
+                        f"before the swaps and of {now.count(x)} after"
+                    )
+        values = dict(zip(
+            was, interpolate([num0[x] for x in was], [num1[x] for x in was], hi)
+        ))
+        step = _reidentify(K, names, dims, left, right, values, q * scale, k, hi)
+        for i, j in zip([origin[x] for x, _ in left], step):
+            origin[right[j][0]] = i
+        # A reversed run's lines met at hi with b decreasing along it, each
+        # adjacent pair having held a certificate there, so now b increases
+        # along it and its inner pairs never meet again.  Only the two
+        # outer pairs are new.
+        for start, end in runs:
+            if start:
+                certify(perm[start - 1], perm[start])
+            if end < n:
+                certify(perm[end - 1], perm[end])
+        if sink is not None:
+            before, pairs = pairs, vine.pairs()
+            where = {pv.birth: j for j, pv in enumerate(pairs)}
+            to = {names[left[i][0]]: names[right[j][0]] for i, j in enumerate(step)}
+            full = [where[to.get(pv.birth, pv.birth)] for pv in before]
+            sink.append(("crossing", k, hi, before, pairs, full))
     track: list = [None] * len(first)
     for j, x in enumerate(vine.births()):
         track[origin[x]] = j
-    return certificates, track, first, vine.pairs(), tuple(names[x] for x in perm)
+    return track, first, vine.pairs(), tuple(names[x] for x in perm)
 
 
 def _bijection_cost(D0: Diagram, D1: Diagram, m: Matching, what: str):
@@ -514,9 +517,7 @@ def verify_stability(
     order1 = total_order(K, f1)
     gap = sup_norm(f0, f1)
     schedule = crossing_times(f0, f1)  # raises NonUniqueValues on any tie
-    certificates, track, first, last, order = _carried_certificates(
-        K, f0, f1, schedule, gap, order0
-    )
+    track, first, last, order = _carried_certificates(K, f0, f1, schedule, order0)
     composed = Matching(tuple(enumerate(track)))
 
     # The carried order starts as the canonical order of f0 and must end as
@@ -555,7 +556,6 @@ def verify_stability(
     return StabilityReport(
         sup_norm_value=gap,
         schedule=schedule,
-        certificates=tuple(certificates),
         composed_matching=composed,
         composed_cost=composed_cost,
         exact_bottleneck=exact,

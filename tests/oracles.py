@@ -31,7 +31,7 @@ measured cost of matching them by pivot identity); every interval that
 equal it.  ``bucket_reidentify`` re-identifies two pair lists at a crossing
 by value alone; ``reidentify_differences`` checks the full map the
 library's local rule gives against it at every crossing of a run.
-``doctored_schedule_differences`` hands ``verify_stability`` four
+``doctored_schedule_differences`` hands ``verify_stability`` five
 doctored copies of a crossing schedule and checks the violation each
 must raise.  The other helpers build what the library itself never needs:
 the full order check (values and face closure), random compatible orders,
@@ -540,7 +540,7 @@ def _violation(K, f0, f1, schedule) -> "str | None":
 
 
 def doctored_schedule_differences(K, f0, f1, rng) -> list[str]:
-    """How ``verify_stability`` departs from what four doctored copies of
+    """How ``verify_stability`` departs from what five doctored copies of
     the true schedule must make it raise; empty if it does not.
 
     At a crossing time ``rng`` picks, the copies (1) drop the time, which
@@ -549,7 +549,9 @@ def doctored_schedule_differences(K, f0, f1, rng) -> list[str]:
     values, as printed, decrease there; (2) move it halfway to the time
     before it (or to 0), where nothing ties; (3) drop one pair of a time
     with several, if any, a pair that ties but is not scheduled; (4) add
-    a pair that does not tie there.
+    a pair that does not tie there; (5) replace one of its pairs by a pair
+    that does not tie there, so that only the pairs, not their number,
+    tell the copy from the true schedule.
     """
     true = stability.crossing_times(f0, f1)
     times, pairs_at = list(true.times), list(true.pairs_at)
@@ -603,6 +605,14 @@ def doctored_schedule_differences(K, f0, f1, rng) -> list[str]:
         raised(times, pairs_at[:i] + [more] + pairs_at[i + 1:]),
         f"crossing {i} at t = {fraction_string(t)}: scheduled simplices "
         f"{_simplex_pair(K, *extra)} do not tie",
+    ))
+    # (5) the replaced pair ties but is not scheduled
+    r = rng.randrange(len(pairs_at[i]))
+    same = tuple(sorted(pairs_at[i][:r] + pairs_at[i][r + 1:] + (extra,)))
+    expected.append((
+        raised(times, pairs_at[:i] + [same] + pairs_at[i + 1:]),
+        f"crossing {i} at t = {fraction_string(t)}: simplices "
+        f"{_simplex_pair(K, *pairs_at[i][r])} tie but are not scheduled",
     ))
     out.extend(f"{got!r} != {want!r}" for got, want in expected if got != want)
     return out

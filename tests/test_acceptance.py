@@ -183,7 +183,7 @@ def test_carried_certificates_equal_the_reference_at_mid_size(
 
 def test_a_doctored_schedule_is_a_violation_naming_crossing_t_and_pair(corpus):
     """verify checks the order by certificates of adjacent pairs, so a
-    crossing it misses would be a certificate it never pops.  Four doctored
+    crossing it misses would be a certificate it never pops.  Five doctored
     copies of each schedule with at least two crossing times, on the corpus
     and at mid size, must each raise the violation they cause, naming the
     interval or crossing, t and a simplex pair (see

@@ -374,6 +374,7 @@ def test_reidentify_rejects_pair_lists_of_different_functions():
     f_a = FiltrationFunction(K, (0, 1, 2))
     f_b = FiltrationFunction(K, (1, 0, 2))
     names = (0, 1, 2)  # labels are complex positions here
+    label_dims = [0, 0, 1]
 
     def pairs(f):
         return [(p.birth, p.death) for p in pivot_pairs(K, total_order(K, f))]
@@ -382,16 +383,16 @@ def test_reidentify_rejects_pair_lists_of_different_functions():
     # second list is f_a + 1, whose birth prints as the value 1, not the int
     t = Fraction(1, 2)
     for values, scale, birth in (([0, 2, 4], 2, "0"), ([6, 12, 18], 6, "1")):
-        same = _reidentify(K, names, pairs(f_a), pairs(f_a), values, scale, 3, t)
+        same = _reidentify(K, names, label_dims, pairs(f_a), pairs(f_a), values, scale, 3, t)
         assert same == [0, 1]
         with pytest.raises(InternalProofViolation) as ei:
-            _reidentify(K, names, pairs(f_a), pairs(f_b), values, scale, 3, t)
+            _reidentify(K, names, label_dims, pairs(f_a), pairs(f_b), values, scale, 3, t)
         assert str(ei.value) == (
             f"crossing 3 at t = 1/2: pivot pair ({{0}}, -) at dim 0 "
             f"({birth}, inf) has no partner with equal values"
         )
         with pytest.raises(InternalProofViolation) as ei:
-            _reidentify(K, names, pairs(f_a), pairs(f_a)[:1], values, scale, 3, t)
+            _reidentify(K, names, label_dims, pairs(f_a), pairs(f_a)[:1], values, scale, 3, t)
         assert str(ei.value) == (
             "crossing 3 at t = 1/2: 2 pivot pairs with a tied simplex before "
             "vs 1 after"
@@ -589,8 +590,8 @@ def _doctor_track(monkeypatch, edit):
     real = stability._carried_certificates
 
     def doctored(*args):
-        certificates, track, *ends = real(*args)
-        return certificates, edit(track), *ends
+        track, *ends = real(*args)
+        return edit(track), *ends
 
     monkeypatch.setattr(stability, "_carried_certificates", doctored)
 
