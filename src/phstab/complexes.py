@@ -15,12 +15,7 @@ from math import lcm
 from typing import Iterable
 
 from .errors import DomainMismatch, InvalidComplex, InvalidFiltration
-from .rational import (
-    common_denominator,
-    common_numerators,
-    fraction_string,
-    to_fraction,
-)
+from .rational import fraction_string, to_fraction
 
 
 @dataclass(frozen=True, order=True)
@@ -149,11 +144,10 @@ def validate_complex(simplices: Iterable) -> SimplicialComplex:
 class FiltrationFunction:
     """One exact rational value per simplex of a fixed complex.
 
-    Value i is ``numerators[i] / scale``, ints over one positive scale, and
-    ``values`` is the same as a tuple of Fractions.  A function is built
-    from either form and derives the other when it is first read.
-    ``over_scale`` takes the ints as they are: the parser passes both
-    columns of a file over the lcm of every denominator in it.  The
+    Value i is ``numerators[i] / scale``, ints over one positive scale;
+    ``values``, the same as a tuple of Fractions, is built when first
+    read.  ``over_scale`` takes the ints as they are: the parser passes
+    both columns of a file over the lcm of every denominator in it.  The
     constructor takes values and is the one place they are coerced and
     counted: a value ``to_fraction`` rejects (non-finite, non-numeric, a
     bool), a wrong count or values that are not a sequence at all (a
@@ -176,22 +170,21 @@ class FiltrationFunction:
             raise InvalidFiltration(
                 [Issue(f"expected {len(K)} values, got {len(raw)}")]
             )
-        try:
-            coerced = tuple(to_fraction(v) for v in raw)
-        except (TypeError, ValueError):
-            bad = []
-            for i, v in enumerate(raw):
-                try:
-                    to_fraction(v)
-                except (TypeError, ValueError):
-                    bad.append(Issue(
-                        f"simplex {{{K.simplices[i]}}} has value {v!r}, which "
-                        "is not a finite rational",
-                        i,
-                    ))
-            raise InvalidFiltration(bad) from None
+        coerced, bad = [], []
+        for i, v in enumerate(raw):
+            try:
+                coerced.append(to_fraction(v))
+            except (TypeError, ValueError):
+                bad.append(Issue(
+                    f"simplex {{{K.simplices[i]}}} has value {v!r}, which "
+                    "is not a finite rational",
+                    i,
+                ))
+        if bad:
+            raise InvalidFiltration(bad)
         self.complex = K
-        self.values = coerced
+        self.scale = scale = lcm(*(x.denominator for x in coerced))
+        self.numerators = tuple(x.numerator * (scale // x.denominator) for x in coerced)
 
     @classmethod
     def over_scale(
@@ -207,16 +200,6 @@ class FiltrationFunction:
     def values(self) -> tuple[Fraction, ...]:
         scale = self.scale
         return tuple(Fraction(x, scale) for x in self.numerators)
-
-    @cached_property
-    def scale(self) -> int:
-        return common_denominator(self.values)
-
-    @cached_property
-    def numerators(self) -> tuple[int, ...]:
-        """The values as ints over ``scale``: the same order and the same
-        ties, compared as ints."""
-        return tuple(common_numerators(self.values, scale=self.scale)[0])
 
     def __eq__(self, other):
         if not isinstance(other, FiltrationFunction):

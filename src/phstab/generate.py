@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import FiltrationFunction, Simplex, SimplicialComplex
 from .errors import ComplexTooLarge
@@ -96,8 +95,8 @@ def random_filtration(
     collide: distinct base values differ by at least 1/4 while all offsets
     stay below 1/4, and equal base values get distinct offsets.  Ranks
     follow (dimension, vertices) and delta = 1 / (4 * 2^m) with 2^m > n,
-    so all of it runs on int numerators over 4 * 2^m, and each value
-    becomes a Fraction once, at the end.
+    so all of it runs on int numerators over 4 * 2^m, and the function
+    holds them over that scale as they are.
     """
     n = len(K)
     offsets = unique and n > 0
@@ -111,7 +110,7 @@ def random_filtration(
     if offsets:
         for rank, i in enumerate(K.tie_order, 1):
             values[i] += rank
-    return FiltrationFunction(K, tuple(Fraction(v, 4 * scale) for v in values))
+    return FiltrationFunction.over_scale(K, tuple(values), 4 * scale)
 
 
 def generate_instance(cfg: GeneratorConfig) -> InstanceFile:

@@ -36,7 +36,6 @@ from .rational import ExponentTooLarge, format_value, read_value
 class InstanceFile:
     complex: SimplicialComplex
     functions: "tuple[FiltrationFunction, ...]"
-    path: "str | None" = None
 
 
 def _lines(text: str) -> list:
@@ -127,7 +126,7 @@ def parse_instance_text(text: str, path: "str | None" = None) -> InstanceFile:
         )
         for column in zip(*(values for _, _, values in rows))
     )
-    return InstanceFile(K, functions, path)
+    return InstanceFile(K, functions)
 
 
 def parse_instance(path: str) -> InstanceFile:

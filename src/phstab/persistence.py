@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .complexes import FiltrationFunction, SimplicialComplex
 from .ordering import total_order
-from .rational import INF, common_denominator, format_value
+from .rational import INF, format_value
 
 
 @dataclass(frozen=True)
@@ -59,37 +59,20 @@ class Diagram:
 
     That listing depends only on the order, not on the function values, so
     diagrams of two functions computed under one shared order line up
-    point-by-point.  A diagram is held as ints over one positive
-    ``scale``: point i has dimension ``dims[i]``, birth ``births[i] /
-    scale`` and death ``deaths[i] / scale`` (None for an essential class)
-    and comes from pivot pair ``pairs[i]``.  ``points``, the DiagramPoints
-    with Fraction values, are built when first read; two diagrams are
-    equal when their points are, whatever their scales.
+    point-by-point.  A diagram is built from and held as ints over one
+    positive ``scale``: point i has dimension ``dims[i]``, birth
+    ``births[i] / scale`` and death ``deaths[i] / scale`` (None for an
+    essential class) and comes from pivot pair ``pairs[i]``; nothing is
+    checked.  ``points``, the DiagramPoints with Fraction values, are
+    built when first read; two diagrams are equal when their points are,
+    whatever their scales.
     """
 
-    def __init__(self, points):
-        points = tuple(points)
-        finite = [p.death for p in points if not p.is_essential]
-        scale = common_denominator([p.birth for p in points], finite)
-
-        def over(x):
-            return x.numerator * (scale // x.denominator)
-
-        self.dims = tuple(p.dim for p in points)
-        self.births = tuple(over(p.birth) for p in points)
-        self.deaths = tuple(None if p.is_essential else over(p.death) for p in points)
-        self.scale = scale
-        self.pairs = tuple(p.pair for p in points)
-        self.points = points
-
-    @classmethod
-    def over_scale(
-        cls, dims: tuple, births: tuple, deaths: tuple, scale: int, pairs: tuple
-    ) -> "Diagram":
-        """The diagram of those ints over ``scale``; nothing is checked."""
-        D = cls.__new__(cls)
-        D.dims, D.births, D.deaths, D.scale, D.pairs = dims, births, deaths, scale, pairs
-        return D
+    def __init__(
+        self, dims: tuple, births: tuple, deaths: tuple, scale: int, pairs: tuple
+    ):
+        self.dims, self.births, self.deaths = dims, births, deaths
+        self.scale, self.pairs = scale, pairs
 
     @cached_property
     def points(self) -> tuple[DiagramPoint, ...]:
@@ -122,7 +105,7 @@ class Diagram:
         return hash(self.points)
 
     def __repr__(self) -> str:
-        return f"Diagram(points={self.points!r})"
+        return f"<Diagram points={self.points!r}>"
 
 
 class Vineyard:
@@ -266,7 +249,7 @@ def diagram_from_pivots(
     """Evaluate a pair list against a function compatible with its order:
     the births and deaths are ``f``'s ints, over its scale."""
     nums, simplices = f.numerators, K.simplices
-    return Diagram.over_scale(
+    return Diagram(
         tuple(simplices[pv.birth].dim for pv in pairs),
         tuple(nums[pv.birth] for pv in pairs),
         tuple(None if pv.death is None else nums[pv.death] for pv in pairs),

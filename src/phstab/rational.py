@@ -1,15 +1,16 @@
-"""Exact rational values: reading, coercion, scaling and deterministic
-formatting.
+"""Exact rational values: reading, coercion and deterministic formatting.
 
-Values are held as ints over one positive denominator, the scale: an
-instance file's values are all over the lcm of its denominators, read
-token by token with ``read_value``, so comparing, subtracting and
-maximising values is int arithmetic.  ``fractions.Fraction`` is the
-public form, built for output, for messages and for callers that ask for
-values; every interpolation parameter and every cost a function returns
-is one.  ``math.inf`` is the single sentinel for an infinite death time or
-an infeasible matching cost.  Floats are accepted on input only when
-finite and are converted to their exact binary value.
+Values are stored only as ints over one positive denominator, the scale:
+an instance file's values are all over the lcm of its denominators, read
+token by token with ``read_value``, and a function built from values
+(``to_fraction``) puts them over the lcm of theirs, so comparing,
+subtracting and maximising values is int arithmetic.
+A ``fractions.Fraction`` is a view built when a value is read: for
+output, for messages and for callers that ask for values; every
+interpolation parameter and every cost a function returns is one.
+``math.inf`` is the single sentinel for an infinite death time or an
+infeasible matching cost.  Floats are accepted on input only when finite
+and are converted to their exact binary value.
 """
 
 from __future__ import annotations
@@ -95,25 +96,6 @@ def read_value(token) -> tuple[int, int]:
             pass
     x = to_fraction(token)
     return x.numerator, x.denominator
-
-
-def common_denominator(*columns) -> int:
-    """Least common multiple of the denominators of every value in
-    ``columns``; 1 when there are none."""
-    return math.lcm(*(x.denominator for col in columns for x in col))
-
-
-def common_numerators(*columns, scale: "int | None" = None) -> list[list[int]]:
-    """Each column of Fractions as integer numerators over one shared
-    positive denominator: ``scale`` if given (a multiple of every
-    denominator), else the least one.
-
-    Scaling by a positive constant keeps every sign of a difference and
-    every ratio of differences, so exact comparisons can run on ints.
-    """
-    if scale is None:
-        scale = common_denominator(*columns)
-    return [[x.numerator * (scale // x.denominator) for x in col] for col in columns]
 
 
 def _decimal_places(x: Fraction) -> "int | None":

@@ -7,56 +7,24 @@ the two endpoint diagrams by identity.  Every simplex is the birth or death
 of exactly one pair, so that matching costs exactly the interval's share of
 the sup-norm: the certificate checks this partition, not a measured cost.
 At a crossing time both adjacent orders give the same value multiset, so a
-zero-cost re-identification of the two pair lists exists: each point takes
-the next unused equal point of the other list.  Only a simplex tied at the
-crossing shares its value with another, so that search is local: a pair
-with no tied simplex can only equal the pair with its own birth and death
-simplices, and only pairs with a tied one are matched by value.  One
-point map carried through them is an explicit bijection between the end
-diagrams, the only diagrams built.  The interval shares add up to the
-sup-norm by construction, so that bijection costs at most the sup-norm,
-which the exact bottleneck distance can only undercut.  Once the next
-crossing has re-identified an interval's pairs nothing reads its order or
-pairs again, so a run holds the first pair list and one reduction, O(n^2)
-bits, at any time, and nothing per interval: an interval's certificate is
-its breakpoints and its share of the sup-norm, which the report derives
-from the schedule when it is read.
+zero-cost re-identification of the two pair lists exists, and only the
+pairs with a simplex tied there need it (``_reidentify``).  One point map
+carried through them is an explicit bijection between the end diagrams,
+the only diagrams built.  The interval shares add up to the sup-norm by
+construction, so that bijection costs at most the sup-norm, which the
+exact bottleneck distance can only undercut.
 
 The order and its reduction are carried from interval to interval rather
-than rebuilt, as in the vineyards of Cohen-Steiner, Edelsbrunner and
-Morozov (SoCG 2006): at a crossing only the simplices tied there change
-places, their run in the order reverses, and the reduction follows it
-with O(1) bitset operations per adjacent transposition
-(``persistence.Vineyard``), so a verify reduces once.  The order is
-checked by kinetic certificates (Basch, Guibas and Hershberger, "Data
-Structures for Mobile Data", J. Algorithms 1999): each adjacent pair
-whose lines meet later holds one, keyed by the exact int key of that
-time (``interpolation.time_key``) in a heap, so an order that
-stays sorted costs nothing between crossings.  A pair is not pushed
-again while its certificate is pending, and the mark needs no clearing:
-a popped pair has swapped, and two lines meet once, so it never becomes
-adjacent in its old order again.  At a crossing the certificates due
-there give the tied runs, a certificate due earlier is a missed
-crossing, and only the two outer pairs of each reversed run need new
-ones.  Each crossing is then one
-step: compare the runs' pairs with the schedule, take the pivot pairs
-with a tied simplex, reverse the runs, take those pairs again, check
-that they cover the same simplices, re-identify them on the values of
-their simplices at the crossing, and move the point map.  So a crossing
-costs its transpositions, its certificates and the pairs with a tied
-simplex.  Only those pairs can change, since every pair a transposition
-changes holds one of its two simplices, so only they are re-identified
-and checked.  That is exact: a pair with no tied simplex has a point no
-other pair of either list shares, so the full re-identification maps it
-to itself.  The values are ints: f0 and
-f1 are read over one scale L, the one their file shares, and f_t at a
-crossing t = p/q is one int per simplex over q * L, computed only for
-the simplices of the re-identified pairs.  Only values at the same t are
-compared, so the re-identification keys run on ints, and a Fraction is
-built only for a violation message.  The end diagrams
-hold the same ints, and the costs of the composed map and of the exact
-distance's witness are re-checked on them (``scaled_matching_cost``), not
-with the matcher's own code.  The test suite
+than rebuilt (``persistence.Vineyard``), so a verify reduces once, and the
+order is checked by kinetic certificates, so a crossing costs its swaps,
+not n (``_carried_certificates``).  A run holds the first pair list and
+one reduction, O(n^2) bits, and nothing per interval: an interval's
+certificate is its breakpoints and its share of the sup-norm, which the
+report derives from the schedule when it is read.  Values are compared as
+ints over one scale, and a Fraction is built only for a violation
+message.  The end diagrams hold the same ints, and the costs of the
+composed map and of the exact distance's witness are re-checked on them
+(``_bijection_cost``), not with the matcher's own code.  The test suite
 keeps a reference that measures each interval on its two diagrams and
 composes the whole chain of matchings; the order and pairs of each
 interval, as reported to a sink the tests attach, and the carried point
@@ -253,7 +221,8 @@ def _carried_certificates(
     ints.
 
     The order is checked by kinetic certificates (Basch, Guibas and
-    Hershberger, J. Algorithms 1999), not by a pass over it per interval.
+    Hershberger, "Data Structures for Mobile Data", J. Algorithms 1999),
+    not by a pass over it per interval.
     An adjacent pair (x, y) of the order whose lines meet later, because
     y ends below x (b[y] < b[x]), holds a certificate keyed by the int key
     of that time (``time_key``) in a heap, not pushed again while it is

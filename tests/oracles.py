@@ -80,7 +80,6 @@ from phstab.ordering import total_order
 from phstab.persistence import Diagram, PivotPair, diagram_from_pivots, pivot_pairs
 from phstab.rational import (
     INF,
-    common_numerators,
     format_value,
     fraction_string,
     to_fraction,
@@ -102,6 +101,14 @@ class TooLarge(PhstabError):
 
 class TOutOfRange(PhstabError):
     """Interpolation parameter outside [0, 1]."""
+
+
+def fraction_numerators(*columns) -> list:
+    """Each column of Fractions as int numerators over the lcm of all their
+    denominators: a scale built from the values alone, where the library
+    reads each function's own ints (``complexes.common_scale``)."""
+    scale = math.lcm(*(x.denominator for column in columns for x in column))
+    return [[x.numerator * (scale // x.denominator) for x in col] for col in columns]
 
 
 def fraction_interpolate(
@@ -233,7 +240,7 @@ def is_order_constant(
     if not a < b:
         raise ValueError(f"need alpha < beta, got {a} >= {b}")
     # f_t scaled by a positive constant: (q - p) * x + p * y for t = p / q
-    x, y = common_numerators(f0.values, f1.values)
+    x, y = fraction_numerators(f0.values, f1.values)
     va = [(a.denominator - a.numerator) * u + a.numerator * v for u, v in zip(x, y)]
     vb = [(b.denominator - b.numerator) * u + b.numerator * v for u, v in zip(x, y)]
     n = len(va)
@@ -931,7 +938,7 @@ def scan_crossing_times(f0: FiltrationFunction, f1: FiltrationFunction) -> Cross
     """``crossing_times`` by testing every simplex pair, for unique-valued
     endpoints: a pair crosses when its gaps d0 and d1 differ in sign, at
     t = d0 / (d0 - d1).  The library visits only the inverted pairs."""
-    v0, v1 = common_numerators(f0.values, f1.values)
+    v0, v1 = fraction_numerators(f0.values, f1.values)
     by_time: dict = {}
     n = len(v0)
     for i in range(n):

@@ -21,7 +21,8 @@ from phstab.bottleneck import (
     scaled_matching_cost,
 )
 from phstab.cli import run_command
-from phstab.complexes import FiltrationFunction, find_duplicate_value
+from phstab.complexes import FiltrationFunction, common_scale, find_duplicate_value
+from phstab.errors import InternalProofViolation
 from phstab.generate import (
     GeneratorConfig,
     generate_complex,
@@ -32,7 +33,6 @@ from phstab.instances import format_instance
 from phstab.interpolation import interpolate, sup_norm
 from phstab.ordering import total_order
 from phstab.persistence import Diagram, diagram, pivot_pairs
-from phstab.rational import common_denominator, common_numerators
 from phstab.stability import verify_stability
 
 from oracles import (
@@ -44,6 +44,7 @@ from oracles import (
     fraction_interpolate,
     fraction_key_order,
     fraction_matrix_bottleneck,
+    interval_matching,
     inverse,
     persistent_betti,
     perturbed_instance,
@@ -103,22 +104,39 @@ def test_1_stability_bound_holds_everywhere(corpus, capsys):
     )
 
 
+# criterion 2 re-certifies every interval from scratch, about 20 ms per
+# instance, so it runs on a seeded sample that keeps it near 2 s
+CRITERION_2_SAMPLE = 100
+
+
 def test_2_interval_certificates_stay_within_their_share(corpus, capsys):
+    """Every interval of a seeded sample of the corpus, certified from
+    scratch (``interval_matching``: a fresh order, reduction and both
+    endpoint diagrams): its pivot-identity matching, measured on those
+    diagrams, costs at most the interval's share (hi - lo) * sup-norm.  A
+    from-scratch certification that raises counts as a failure too."""
     intervals = 0
     failures = 0
-    for inst, report, _ in corpus:
-        f0, f1 = inst.functions
+    for inst, report, _ in random.Random(2).sample(corpus, CRITERION_2_SAMPLE):
+        K, (f0, f1) = inst.complex, inst.functions
         gap = sup_norm(f0, f1)
-        for cert in report.certificates:
+        bps = report.schedule.breakpoints()
+        for lo, hi in zip(bps, bps[1:]):
             intervals += 1
-            if cert.share > (cert.t_hi - cert.t_lo) * gap:
+            try:
+                cost = interval_matching(K, f0, f1, lo, hi).cost
+            except InternalProofViolation:
+                failures += 1
+                continue
+            if cost > (hi - lo) * gap:
                 failures += 1
     _announce(
         capsys,
         2,
         "per-interval matchings within interval share",
         failures == 0,
-        f"{intervals} intervals across {len(corpus)} instances, {failures} over budget",
+        f"{intervals} intervals across {CRITERION_2_SAMPLE} instances, "
+        f"{failures} over budget or not certified",
     )
 
 
@@ -206,7 +224,7 @@ def test_int_recheck_equals_the_fraction_twin_on_the_corpus(corpus):
     with the right diagram held over three times its scale."""
     for inst, report, _ in corpus:
         D0, D1 = report.left_diagram, report.right_diagram
-        stretched = Diagram.over_scale(
+        stretched = Diagram(
             D1.dims,
             tuple(3 * b for b in D1.births),
             tuple(None if d is None else 3 * d for d in D1.deaths),
@@ -273,11 +291,10 @@ def test_local_reidentification_equals_the_bucket_twin(corpus):
 
 
 def test_interpolate_is_the_convex_combination_at_every_breakpoint(corpus):
-    # the ints at t = p/q are over q * L, L the common denominator
+    # the ints at t = p/q are over q * L, L the functions' shared scale
     for inst, report, _ in corpus:
         f0, f1 = inst.functions
-        L = common_denominator(f0.values, f1.values)
-        a, b = common_numerators(f0.values, f1.values, scale=L)
+        a, b, L = common_scale(f0, f1)
         for t in report.schedule.breakpoints():
             want = [(1 - t) * x + t * y for x, y in zip(f0.values, f1.values)]
             got = interpolate(a, b, t)

@@ -2,6 +2,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -72,8 +73,20 @@ def test_diagonal_cost():
 
 
 def _points_diagram(points):
-    """A diagram straight from (dim, birth, death) triples."""
-    return Diagram(tuple(_point(*p) for p in points))
+    """A diagram from (dim, birth, death) triples, its ints over the lcm of
+    their denominators."""
+    scale = lcm(*(Fraction(x).denominator for p in points for x in p[1:] if x != INF))
+
+    def over(x):
+        return None if x == INF else int(Fraction(x) * scale)
+
+    return Diagram(
+        tuple(dim for dim, _, _ in points),
+        tuple(over(birth) for _, birth, _ in points),
+        tuple(over(death) for _, _, death in points),
+        scale,
+        (PivotPair(0, None),) * len(points),
+    )
 
 
 def _two_point_diagrams():

@@ -332,6 +332,18 @@ def test_verify_of_a_dense_generated_instance_is_pinned(cli_env, tmp_path):
     assert done.stdout == pinned.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flags, pin", [([], "gen_seed1_v9.txt"), (["--ties"], "gen_ties_seed1_v9.txt")]
+)
+def test_gen_output_is_pinned(cli_env, flags, pin):
+    # CI's smoke runs diff the same commands against the same files
+    cmd = [sys.executable, "-m", "phstab.cli", "gen", "--seed", "1"]
+    cmd += ["--vertices", "9", "--prob", "0.5", "--max-dim", "2", *flags]
+    done = subprocess.run(cmd, capture_output=True, env=cli_env)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (Path(__file__).parent / pin).read_bytes()
+
+
 def _machine_verify_of_a_ladder_rung(cli_env, path, vertices):
     """``verify --machine`` output of ``gen --seed 1 --vertices V --prob
     0.3 --max-dim 2``, written to ``path``."""

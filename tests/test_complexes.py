@@ -23,6 +23,7 @@ from phstab.errors import (
     PhstabError,
 )
 from phstab.generate import GeneratorConfig, generate_complex, random_filtration
+from phstab.instances import parse_instance_text
 from phstab.interpolation import crossing_times
 from phstab.persistence import diagram
 
@@ -195,10 +196,19 @@ def test_facet_positions():
 
 
 def test_filtration_function_coerces_exactly():
+    """The constructor puts the values over the lcm of their denominators
+    once, as ints; that function equals the one the parser builds from the
+    same values, and ``values`` reads back the Fractions given."""
     K = validate_complex([(0,), (1,), (0, 1)])
     f = FiltrationFunction(K, ("0.1", 1, Fraction(3, 2)))
     assert f.values == (Fraction(1, 10), Fraction(1), Fraction(3, 2))
-    assert len(f.values) == 3
+    assert (f.scale, f.numerators) == (10, (1, 10, 15))
+    K = validate_complex([(0,), (1,), (2,), (0, 1)])
+    f = FiltrationFunction(K, ("1/3", "0.25", 2, Fraction(5, 6)))
+    assert (f.scale, f.numerators) == (12, (4, 3, 24, 10))
+    text = "0 : 1/3\n1 : 0.25\n2 : 2\n0 1 : 5/6\n"
+    assert f == parse_instance_text(text).functions[0]
+    assert f.values == (Fraction(1, 3), Fraction(1, 4), Fraction(2), Fraction(5, 6))
 
 
 def test_filtration_function_size_mismatch():
@@ -228,9 +238,21 @@ def test_filtration_function_rejects_unreadable_values():
             FiltrationFunction(K, [0, bad])
         message = f"simplex {{1}} has value {bad!r}, which is not a finite rational"
         assert ei.value.issues == (Issue(message, 1),)
+    # several bad values: one error naming each, in position order
+    K = validate_complex([(v,) for v in range(7)])
     with pytest.raises(InvalidFiltration) as ei:
-        FiltrationFunction(K, [float("nan"), "1/0"])
-    assert [issue.index for issue in ei.value.issues] == [0, 1]
+        FiltrationFunction(K, ("x", 1, float("nan"), True, "1e100001", None, "1/0"))
+    assert ei.value.issues == (
+        Issue("simplex {0} has value 'x', which is not a finite rational", 0),
+        Issue("simplex {2} has value nan, which is not a finite rational", 2),
+        Issue("simplex {3} has value True, which is not a finite rational", 3),
+        Issue(
+            "simplex {4} has value '1e100001', which is not a finite rational", 4
+        ),
+        Issue("simplex {5} has value None, which is not a finite rational", 5),
+        Issue("simplex {6} has value '1/0', which is not a finite rational", 6),
+    )
+    assert str(ei.value) == "; ".join(issue.message for issue in ei.value.issues)
 
 
 def test_validate_filtration_reports_every_violation():

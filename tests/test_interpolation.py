@@ -21,8 +21,6 @@ from phstab.interpolation import (
     time_key,
     time_key_scale,
 )
-from phstab.rational import common_denominator, common_numerators
-
 from oracles import (
     TOutOfRange,
     fraction_interpolate,
@@ -70,8 +68,7 @@ def test_interpolate_is_ints_over_q_times_the_common_denominator():
     # f0 over L = 4 is (0, 3), f1 is (4, 2); at t = p/q the ints are
     # a * (q - p) + b * p over q * L, the endpoints a and b themselves
     _, f0, f1 = _two((0, Fraction(3, 4)), (1, Fraction(1, 2)))
-    L = common_denominator(f0.values, f1.values)
-    a, b = common_numerators(f0.values, f1.values, scale=L)
+    a, b, L = common_scale(f0, f1)
     assert (L, a, b) == (4, [0, 3], [4, 2])
     assert interpolate(a, b, Fraction(0)) == a
     assert interpolate(a, b, Fraction(1)) == b

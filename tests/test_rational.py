@@ -9,8 +9,6 @@ from phstab.rational import (
     MAX_EXPONENT,
     ExponentTooLarge,
     approx_string,
-    common_denominator,
-    common_numerators,
     format_value,
     fraction_string,
     int_string,
@@ -107,17 +105,6 @@ def test_approx_string():
     assert approx_string(INF) == "inf"
     assert approx_string(Fraction(1, 3)) == "0.333333"
     assert approx_string(Fraction(1, 2)) == "0.5"
-
-
-def test_common_numerators_over_a_chosen_scale():
-    column = [Fraction(1, 3), Fraction(-2, 7), 5]
-    assert common_denominator(column) == 21
-    assert common_denominator() == 1
-    assert common_numerators(column) == [[7, -6, 105]]
-    assert common_numerators(column, [Fraction(1, 2)], scale=84) == [
-        [28, -24, 420],
-        [42],
-    ]
 
 
 def test_int_string_matches_str_and_passes_the_limit():
