@@ -22,15 +22,16 @@ reduction, integer generator, clique extension and int evaluator.
 
 ``interval_matching`` certifies one interval from scratch (pairwise order
 check, midpoint order, fresh reduction, both endpoint diagrams and the
-measured cost of matching them by pivot identity); every interval that
-``verify_stability`` carries across crossings, with the order and pairs
-``verify_recording`` records for it, must equal it.
+measured cost of matching them by pivot identity), and
+``interval_references`` does so for every interval of a schedule; every
+interval that ``verify_stability`` carries across crossings, with the
+order and pairs ``verify_recording`` records for it, must equal it.
 ``reference_composition`` re-identifies those diagrams at each crossing
 (``breakpoint_matching``) and composes the whole chain of full maps
 (``compose_matchings``); the point map ``verify_stability`` carries must
 equal it.  ``bucket_reidentify`` re-identifies two pair lists at a crossing
 by value alone; ``reidentify_differences`` checks the full map the
-library's local rule gives against it at every crossing of a run.
+library's local rule gives against it at every crossing of a recorded run.
 ``doctored_schedule_differences`` hands ``verify_stability`` five
 doctored copies of a crossing schedule and checks the violation each
 must raise.  The other helpers build what the library itself never needs:
@@ -264,7 +265,10 @@ def interval_matching(
 
     Checks that no simplex pair swaps strictly inside the interval, takes
     the order induced at the midpoint (valid for every t in the interval)
-    and certifies both endpoints under it.  ``verify_stability`` carries
+    and reduces it once.  Both endpoint functions are compatible with that
+    order, so one pair list serves both endpoint diagrams, and matching
+    them by pivot identity is a bijection whose cost is the largest
+    coordinate move of any pivot simplex.  ``verify_stability`` carries
     its order across crossings instead; this is the reference it must
     agree with.
     """
@@ -275,58 +279,35 @@ def interval_matching(
         raise OrderNotConstant(
             f"simplex order changes strictly inside [{t_lo}, {t_hi}]"
         )
-    mid = (t_lo + t_hi) / 2
-    f_mid = fraction_interpolate(f0, f1, mid)
-    order = total_order(K, f_mid)
+    order = total_order(K, fraction_interpolate(f0, f1, (t_lo + t_hi) / 2))
     f_lo = fraction_interpolate(f0, f1, t_lo)
     f_hi = fraction_interpolate(f0, f1, t_hi)
     check_order_compatible(K, f_lo, order)
     check_order_compatible(K, f_hi, order)
-    return _certify(K, order, t_lo, t_hi, f_lo, f_hi, f"interval [{t_lo}, {t_hi}]")
-
-
-def _costliest_pair(K: SimplicialComplex, left: Diagram, right: Diagram) -> str:
-    """The pivot pair whose point moves farthest; only for messages."""
-    p, q = max(zip(left.points, right.points), key=lambda pq: pair_cost(*pq))
-    return _simplex_pair(K, p.pair.birth, p.pair.death)
-
-
-def _certify(
-    K: SimplicialComplex,
-    order: tuple,
-    t_lo: Fraction,
-    t_hi: Fraction,
-    f_lo: FiltrationFunction,
-    f_hi: FiltrationFunction,
-    where: str,
-) -> ReferenceCertificate:
-    """Certificate for one interval whose endpoints share ``order``.
-
-    One reduction serves both endpoint functions, so the pair lists
-    coincide; matching by pivot identity is then a bijection whose cost is
-    the largest coordinate move of any pivot simplex.  ``where`` names the
-    interval in violation messages.
-    """
     pairs = pivot_pairs(K, order)
     left = diagram_from_pivots(K, f_lo, pairs)
     right = diagram_from_pivots(K, f_hi, pairs)
-    cost = 0
-    for p, q in zip(left.points, right.points):
-        cost = max(cost, pair_cost(p, q))
+    cost = max(map(pair_cost, left.points, right.points), default=0)
     bound = sup_norm(f_lo, f_hi)
     if cost != bound:
         # Every simplex is a birth or death coordinate of exactly one point
         # (essentials included), so the largest coordinate move IS the
         # sup-norm; any discrepancy in either direction is a bug.
         raise InternalProofViolation(
-            f"{where}: matching cost {fraction_string(cost)} != sup-norm "
-            f"{fraction_string(bound)}; costliest "
+            f"interval [{t_lo}, {t_hi}]: matching cost {fraction_string(cost)} "
+            f"!= sup-norm {fraction_string(bound)}; costliest "
             f"pivot pair {_costliest_pair(K, left, right)}"
         )
-    matching = Matching(tuple((i, i) for i in range(len(left.points))))
+    matching = Matching(tuple((i, i) for i in range(len(pairs))))
     return ReferenceCertificate(
         t_lo, t_hi, order, pairs, left, right, matching, cost, bound
     )
+
+
+def _costliest_pair(K: SimplicialComplex, left: Diagram, right: Diagram) -> str:
+    """The pivot pair whose point moves farthest; only for messages."""
+    p, q = max(zip(left.points, right.points), key=lambda pq: pair_cost(*pq))
+    return _simplex_pair(K, p.pair.birth, p.pair.death)
 
 
 def breakpoint_matching(D_left: Diagram, D_right: Diagram) -> Matching:
@@ -450,10 +431,11 @@ def bucket_reidentify(
     return step
 
 
-def _sink_events(K, f0, f1) -> tuple:
+def verify_recording(K, f0, f1) -> tuple:
     """``verify_stability`` and the events its ``_carried_certificates``
     reports to a sink: ("interval", k, lo, hi, order, pairs) for each
-    interval and ("crossing", k, t, left, right, step) for each crossing."""
+    interval and ("crossing", k, t, left, right, step) for each crossing.
+    Its report keeps none of them."""
     events: list = []
     carried = functools.partial(stability._carried_certificates, sink=events)
     with mock.patch.object(stability, "_carried_certificates", carried):
@@ -461,10 +443,16 @@ def _sink_events(K, f0, f1) -> tuple:
     return report, events
 
 
-def reidentify_differences(K, f0, f1) -> tuple:
-    """Run ``verify_stability`` and check the full map of every crossing,
-    as its sink reports it, against ``bucket_reidentify`` of the same two
-    pair lists at the Fraction values there.
+def recorded_intervals(events) -> list:
+    """The (order, pivot pairs) of each interval in turn, from the events
+    of ``verify_recording``."""
+    return [(order, pairs) for kind, *_, order, pairs in events if kind == "interval"]
+
+
+def reidentify_differences(K, f0, f1, events) -> tuple:
+    """Check the full map of every crossing, as the events of
+    ``verify_recording`` report it, against ``bucket_reidentify`` of the
+    same two pair lists at the Fraction values there.
 
     Returns the number of crossings, the number of them where two points
     of one pair list are equal (so the tie-break by list order decides the
@@ -472,7 +460,7 @@ def reidentify_differences(K, f0, f1) -> tuple:
     """
     crossings = equal_points = 0
     out = []
-    for kind, k, t, left, right, got in _sink_events(K, f0, f1)[1]:
+    for kind, k, t, left, right, got in events:
         if kind != "crossing":
             continue
         exact = fraction_interpolate(f0, f1, t).values
@@ -485,46 +473,50 @@ def reidentify_differences(K, f0, f1) -> tuple:
     return crossings, equal_points, out
 
 
-def verify_recording(K, f0, f1):
-    """``verify_stability`` and the (order, pivot pairs) of each interval in
-    turn, as its sink reports them; its report keeps neither."""
-    report, events = _sink_events(K, f0, f1)
-    reduced = [(order, pairs) for kind, *_, order, pairs in events if kind == "interval"]
-    return report, reduced
+def interval_references(K, f0, f1, schedule) -> list:
+    """``interval_matching`` of each interval of ``schedule`` in turn, or
+    the PhstabError that it raised there."""
+    bps = schedule.breakpoints()
+    out = []
+    for lo, hi in zip(bps, bps[1:]):
+        try:
+            out.append(interval_matching(K, f0, f1, lo, hi))
+        except PhstabError as exc:
+            out.append(exc)
+    return out
 
 
-def reference_differences(K, f0, f1, report, reduced) -> list[str]:
-    """How ``report`` and the intervals ``verify_recording`` recorded
-    depart from the from-scratch reference; empty if they do not.
+def reference_differences(report, events, refs) -> list[str]:
+    """How ``report`` and the intervals in the events of
+    ``verify_recording`` depart from ``interval_references``; empty if
+    they do not.
 
-    There must be one recorded interval per certificate.  Each interval's order
-    and pivot pairs must equal ``interval_matching``'s, its share must
-    equal both the reference's measured cost and its bound, its pairs
-    evaluated at both ends must give the reference's two diagrams, and the
-    carried point map must equal ``reference_composition``.
+    There must be one recorded interval and one reference per certificate.
+    Each reference must be certified, each interval's order and pivot pairs
+    must equal its reference's, its share must equal both the reference's
+    measured cost and its bound, and the carried point map must equal
+    ``reference_composition``.
     """
     out = []
-    if len(reduced) != len(report.certificates):
+    reduced = recorded_intervals(events)
+    certs = report.certificates
+    if not len(reduced) == len(refs) == len(certs):
         out.append(
-            f"{len(reduced)} recorded intervals for {len(report.certificates)} "
-            "certificates"
+            f"{len(reduced)} recorded intervals and {len(refs)} references "
+            f"for {len(certs)} certificates"
         )
-    refs = []
-    for k, (cert, (order, pairs)) in enumerate(zip(report.certificates, reduced)):
-        ref = interval_matching(K, f0, f1, cert.t_lo, cert.t_hi)
-        refs.append(ref)
+    for k, (cert, (order, pairs), ref) in enumerate(zip(certs, reduced, refs)):
+        if isinstance(ref, PhstabError):
+            out.append(f"interval {k}: not certified: {ref}")
+            continue
         for name, got in (("order_used", order), ("pairs", pairs)):
             if got != getattr(ref, name):
                 out.append(f"interval {k}: {name} differs")
         for name in ("cost", "bound"):
             if cert.share != getattr(ref, name):
                 out.append(f"interval {k}: share differs from the {name}")
-        for t, side in ((cert.t_lo, ref.left), (cert.t_hi, ref.right)):
-            f_t, at = fraction_interpolate(f0, f1, t), fraction_string(t)
-            D = diagram_from_pivots(K, f_t, pairs)
-            if D != side:
-                out.append(f"interval {k}: diagram at t = {at} differs")
-    if report.composed_matching != reference_composition(refs):
+    certified = all(isinstance(ref, ReferenceCertificate) for ref in refs)
+    if certified and report.composed_matching != reference_composition(refs):
         out.append("composed matching differs")
     return out
 

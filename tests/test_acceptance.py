@@ -1,8 +1,10 @@
 """Acceptance suite: one test per shipping criterion, all at zero tolerance.
 
 Each test prints a single PASS/FAIL line (bypassing capture) so a plain
-``pytest -v`` run shows the per-criterion verdicts inline.  Criteria 1-3
-share one generated corpus, built once per module.
+``pytest -v`` run shows the per-criterion verdicts inline.  The corpus
+checks share two module fixtures: one generated corpus, each instance
+verified once with its events recorded, and each interval of it certified
+once from scratch.
 """
 
 import random
@@ -22,7 +24,7 @@ from phstab.bottleneck import (
 )
 from phstab.cli import run_command
 from phstab.complexes import FiltrationFunction, common_scale, find_duplicate_value
-from phstab.errors import InternalProofViolation
+from phstab.errors import PhstabError
 from phstab.generate import (
     GeneratorConfig,
     generate_complex,
@@ -44,11 +46,12 @@ from oracles import (
     fraction_interpolate,
     fraction_key_order,
     fraction_matrix_bottleneck,
-    interval_matching,
+    interval_references,
     inverse,
     persistent_betti,
     perturbed_instance,
     random_compatible_order,
+    recorded_intervals,
     reference_differences,
     reidentify_differences,
     scan_crossing_times,
@@ -71,7 +74,7 @@ def _announce(capsys, num, label, ok, detail):
 @pytest.fixture(scope="module")
 def corpus():
     """500 verified random instances, at most 40 simplices, dimension <= 3,
-    each with its report and the (order, pivot pairs) of every interval."""
+    each with its report and the events ``verify_recording`` recorded."""
     shapes = [(4, 0.65), (5, 0.5), (5, 0.7), (6, 0.4), (6, 0.6), (7, 0.5)]
     out = []
     seed = 0
@@ -104,38 +107,37 @@ def test_1_stability_bound_holds_everywhere(corpus, capsys):
     )
 
 
-# criterion 2 re-certifies every interval from scratch, about 20 ms per
-# instance, so it runs on a seeded sample that keeps it near 2 s
-CRITERION_2_SAMPLE = 100
+@pytest.fixture(scope="module")
+def references(corpus):
+    """For each corpus instance, each interval certified from scratch, or
+    the error that raised (``interval_references``)."""
+    return [
+        interval_references(inst.complex, *inst.functions, report.schedule)
+        for inst, report, _ in corpus
+    ]
 
 
-def test_2_interval_certificates_stay_within_their_share(corpus, capsys):
-    """Every interval of a seeded sample of the corpus, certified from
-    scratch (``interval_matching``: a fresh order, reduction and both
-    endpoint diagrams): its pivot-identity matching, measured on those
-    diagrams, costs at most the interval's share (hi - lo) * sup-norm.  A
-    from-scratch certification that raises counts as a failure too."""
+def test_2_interval_certificates_stay_within_their_share(corpus, references, capsys):
+    """Every interval of the corpus, certified from scratch
+    (``interval_matching``: a fresh order, reduction and both endpoint
+    diagrams): its pivot-identity matching, measured on those diagrams,
+    costs at most the interval's share (hi - lo) * sup-norm.  A
+    from-scratch certification that raised counts as a failure too."""
     intervals = 0
     failures = 0
-    for inst, report, _ in random.Random(2).sample(corpus, CRITERION_2_SAMPLE):
-        K, (f0, f1) = inst.complex, inst.functions
-        gap = sup_norm(f0, f1)
+    for (inst, report, _), refs in zip(corpus, references):
+        gap = sup_norm(*inst.functions)
         bps = report.schedule.breakpoints()
-        for lo, hi in zip(bps, bps[1:]):
+        for lo, hi, ref in zip(bps, bps[1:], refs):
             intervals += 1
-            try:
-                cost = interval_matching(K, f0, f1, lo, hi).cost
-            except InternalProofViolation:
-                failures += 1
-                continue
-            if cost > (hi - lo) * gap:
+            if isinstance(ref, PhstabError) or ref.cost > (hi - lo) * gap:
                 failures += 1
     _announce(
         capsys,
         2,
         "per-interval matchings within interval share",
         failures == 0,
-        f"{intervals} intervals across {CRITERION_2_SAMPLE} instances, "
+        f"{intervals} intervals across {len(corpus)} instances, "
         f"{failures} over budget or not certified",
     )
 
@@ -163,15 +165,12 @@ def test_3_schedules_are_small_and_midpoints_untied(corpus, capsys):
     )
 
 
-def test_carried_certificates_equal_the_from_scratch_reference(corpus):
+def test_carried_certificates_equal_the_from_scratch_reference(corpus, references):
     """verify_stability carries one order and one point map across
-    crossings; each interval's order and pivot pairs, the diagrams those
-    pairs give at both ends, its share and the composed matching must equal
-    the from-scratch reference."""
-    for inst, report, reduced in corpus:
-        differences = reference_differences(
-            inst.complex, *inst.functions, report, reduced
-        )
+    crossings; each interval's order and pivot pairs, its share and the
+    composed matching must equal the from-scratch reference."""
+    for (inst, report, events), refs in zip(corpus, references):
+        differences = reference_differences(report, events, refs)
         assert not differences, f"{format_instance(inst)}{'; '.join(differences)}"
 
 
@@ -194,9 +193,10 @@ def test_carried_certificates_equal_the_reference_at_mid_size(
     seed, vertices, prob, n, crossings
 ):
     inst = _mid_size_instance(seed, vertices, prob)
-    report, reduced = verify_recording(inst.complex, *inst.functions)
+    report, events = verify_recording(inst.complex, *inst.functions)
     assert (len(inst.complex), len(report.schedule)) == (n, crossings)
-    assert reference_differences(inst.complex, *inst.functions, report, reduced) == []
+    refs = interval_references(inst.complex, *inst.functions, report.schedule)
+    assert reference_differences(report, events, refs) == []
 
 
 def test_a_doctored_schedule_is_a_violation_naming_crossing_t_and_pair(corpus):
@@ -265,9 +265,10 @@ def test_bitset_reduction_equals_the_set_reduction_on_the_corpus(corpus):
     canonical orders of every corpus instance and under every carried
     order verify reduces."""
     orders = 0
-    for inst, _, reduced in corpus:
+    for inst, _, events in corpus:
         K = inst.complex
         canonical = [total_order(K, f) for f in inst.functions]
+        reduced = recorded_intervals(events)
         for order in canonical:
             assert pivot_pairs(K, order) == set_pivot_pairs(K, order)
         for order, pairs in reduced:
@@ -282,8 +283,8 @@ def test_local_reidentification_equals_the_bucket_twin(corpus):
     corpus has over 200 crossings where two points of one pair list are
     equal, so the tie-break by list order decides the map there."""
     crossings = equal_points = 0
-    for inst, _, _ in corpus:
-        c, e, differences = reidentify_differences(inst.complex, *inst.functions)
+    for inst, _, events in corpus:
+        c, e, differences = reidentify_differences(inst.complex, *inst.functions, events)
         assert not differences, f"{format_instance(inst)}{'; '.join(differences)}"
         crossings += c
         equal_points += e

@@ -279,6 +279,23 @@ def test_verify_output_is_pinned_in_full(tmp_path):
     )
 
 
+def test_verify_machine_of_two_swapping_vertices_is_pinned(tmp_path):
+    # Both essential points are (0.5, inf) at the one crossing, t = 0.5.
+    # Re-identification gives each point, in order of birth, the first
+    # unused equal point after the swap, so the point born at {0} goes on
+    # as the one born at {1} and the composed map costs 0; keeping each
+    # point on its birth simplex would cost 1.
+    path = tmp_path / "two.txt"
+    path.write_text("0 : 0 1\n1 : 1 0\n")
+    assert run_command(["verify", str(path), "--machine"]) == (0, """\
+sup_norm=1
+crossings=1
+intervals=2
+composed_cost=0
+exact_bottleneck=0
+holds=true""")
+
+
 def test_verify_random_batch():
     text = _ok(["verify", "--random", "--trials", "3", "--seed", "5"])
     lines = text.splitlines()

@@ -25,6 +25,7 @@ from oracles import (
     TOutOfRange,
     fraction_interpolate,
     interval_midpoints,
+    interval_references,
     is_order_constant,
     reference_differences,
     scan_crossing_times,
@@ -189,8 +190,9 @@ def test_inversion_schedule_equals_the_all_pairs_scan_on_negative_mixed_values()
 
 
 def _verified_as_reference(K, f0, f1):
-    report, reduced = verify_recording(K, f0, f1)
-    assert reference_differences(K, f0, f1, report, reduced) == []
+    report, events = verify_recording(K, f0, f1)
+    refs = interval_references(K, f0, f1, report.schedule)
+    assert reference_differences(report, events, refs) == []
     return report
 
 

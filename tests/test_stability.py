@@ -31,7 +31,9 @@ from oracles import (
     diagram_with_order,
     dims,
     interval_matching,
+    interval_references,
     random_compatible_order,
+    recorded_intervals,
     reference_differences,
     verify_recording,
 )
@@ -203,9 +205,10 @@ def _vertices(n):
 def _verified_as_reference(K, f0, f1):
     """The report, and the orders verify reduced, one per interval, after
     checking both against the from-scratch reference."""
-    report, reduced = verify_recording(K, f0, f1)
-    assert reference_differences(K, f0, f1, report, reduced) == []
-    return report, [order for order, _ in reduced]
+    report, events = verify_recording(K, f0, f1)
+    refs = interval_references(K, f0, f1, report.schedule)
+    assert reference_differences(report, events, refs) == []
+    return report, [order for order, _ in recorded_intervals(events)]
 
 
 def test_three_way_tie_reverses_its_run():
