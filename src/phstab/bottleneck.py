@@ -22,11 +22,10 @@ bijection problem on augmented diagrams (Kerber, Morozov and Nigmetov
 2017), where each point gains a diagonal partner on the other side, with
 only the edges that exist.  All costs are ints: the births and deaths of
 both diagrams over one shared scale, so the matcher sorts and compares
-ints, and the chosen cost becomes a Fraction once.  ``scaled_matching_cost``
-re-checks a matching on the same ints with code of its own, as ``verify``
-does for its composed map and the matcher's witness; the public
-``pair_cost``, ``diagonal_cost`` and ``matching_cost`` compute the same
-costs in Fractions, point by point.
+ints, and the chosen cost becomes a Fraction once.  ``matching_cost``
+costs any matching on the same ints with code of its own, as ``verify``
+does to re-check its composed map and the matcher's witness; the tests
+hold it to a twin in Fractions, point by point.
 
 A caller that already knows a cost the distance cannot exceed passes it
 as ``bound``: ``verify`` passes the cost of its composed matching, and
@@ -47,13 +46,8 @@ from itertools import chain, zip_longest
 from math import floor, lcm
 from operator import itemgetter
 
-from .errors import (
-    CountMismatch,
-    DimensionMismatch,
-    InternalProofViolation,
-    InvalidMatching,
-)
-from .persistence import Diagram, DiagramPoint
+from .errors import CountMismatch, InternalProofViolation, InvalidMatching
+from .persistence import Diagram
 from .rational import INF, fraction_string
 
 
@@ -72,39 +66,25 @@ class Matching:
         object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
 
 
-def pair_cost(p: DiagramPoint, q: DiagramPoint):
-    """L-infinity cost of matching two points of equal dimension.
+def matching_cost(D0: Diagram, D1: Diagram, m: Matching):
+    """Maximum pair cost over a matching; 0 for empty diagrams.
 
-    Two essential points compare by birth alone; an essential point can
-    never match a finite one (cost +inf).
+    Validates that every point of each diagram is used exactly once and
+    that matched points share a dimension: the first problem raises
+    InvalidMatching, the cover check once the last entry is through.  A
+    matched pair costs the larger of its birth and death gaps, and a point
+    sent to the diagonal half its lifetime.  Costs are taken on the scaled
+    (birth, death) pairs of ``_scaled_points``, where an essential point's
+    death slot holds its birth, so two essential points cost their birth
+    gap and an essential point with a finite one, or with the diagonal,
+    costs INF; the result is one Fraction.
     """
-    if p.dim != q.dim:
-        raise DimensionMismatch(f"dim {p.dim} vs dim {q.dim}")
-    if p.is_essential != q.is_essential:
-        return INF
-    birth_gap = abs(p.birth - q.birth)
-    if p.is_essential:
-        return birth_gap
-    return max(birth_gap, abs(p.death - q.death))
-
-
-def diagonal_cost(p: DiagramPoint):
-    """Cost of sending a point to its diagonal projection; +inf if essential."""
-    if p.is_essential:
-        return INF
-    return (p.death - p.birth) / 2
-
-
-def _checked_entries(D0: Diagram, D1: Diagram, m: Matching):
-    """The entries (i, j) of ``m``, each checked before it is yielded.
-
-    Every point of each diagram must be used exactly once, and matched
-    points must share a dimension; the first problem raises
-    InvalidMatching, the cover check once the last entry is through.
-    """
+    q, pts0, pts1 = _scaled_points(D0, D1)
     dims0, dims1 = D0.dims, D1.dims
+    deaths0, deaths1 = D0.deaths, D1.deaths  # None marks an essential point
     used0: set[int] = set()
     used1: set[int] = set()
+    worst = 0
     for i, j in m.pairs:
         if i is not None:
             if not (0 <= i < len(dims0)) or i in used0:
@@ -114,53 +94,16 @@ def _checked_entries(D0: Diagram, D1: Diagram, m: Matching):
             if not (0 <= j < len(dims1)) or j in used1:
                 raise InvalidMatching(f"right index {j} reused or out of range")
             used1.add(j)
-        if i is None and j is None:
-            raise InvalidMatching("empty matching entry")
-        if i is not None and j is not None and dims0[i] != dims1[j]:
-            raise InvalidMatching(
-                f"pair ({i}, {j}) matches dim {dims0[i]} with dim {dims1[j]}"
-            )
-        yield i, j
-    if len(used0) != len(dims0) or len(used1) != len(dims1):
-        raise InvalidMatching("matching does not cover both diagrams")
-
-
-def matching_cost(D0: Diagram, D1: Diagram, m: Matching):
-    """Maximum pair cost over a matching; 0 for empty diagrams.
-
-    Validates that every point of each diagram is used exactly once and that
-    matched points share a dimension, raising InvalidMatching otherwise;
-    diagonal entries cost (death - birth) / 2.
-    """
-    worst = 0
-    for i, j in _checked_entries(D0, D1, m):
-        if i is None:
-            cost = diagonal_cost(D1.points[j])
-        elif j is None:
-            cost = diagonal_cost(D0.points[i])
-        else:
-            cost = pair_cost(D0.points[i], D1.points[j])
-        worst = max(worst, cost)
-    return worst
-
-
-def scaled_matching_cost(D0: Diagram, D1: Diagram, m: Matching):
-    """``matching_cost`` on the diagrams' ints: the same checks and
-    messages and the same value, with one Fraction, the result.
-
-    Each cost is taken on the scaled (birth, death) pairs of
-    ``_scaled_points``, where an essential point's death slot holds its
-    birth, so two essential points cost their birth gap and an essential
-    point with a finite one, or with the diagonal, costs INF.
-    """
-    q, pts0, pts1 = _scaled_points(D0, D1)
-    deaths0, deaths1 = D0.deaths, D1.deaths  # None marks an essential point
-    worst = 0
-    for i, j in _checked_entries(D0, D1, m):
         if i is None or j is None:
+            if i is None and j is None:
+                raise InvalidMatching("empty matching entry")
             essential = deaths1[j] is None if i is None else deaths0[i] is None
             b, d = pts1[j] if i is None else pts0[i]
             cost = INF if essential else (d - b) // 2
+        elif dims0[i] != dims1[j]:
+            raise InvalidMatching(
+                f"pair ({i}, {j}) matches dim {dims0[i]} with dim {dims1[j]}"
+            )
         elif (deaths0[i] is None) != (deaths1[j] is None):
             cost = INF
         else:
@@ -168,6 +111,8 @@ def scaled_matching_cost(D0: Diagram, D1: Diagram, m: Matching):
             cost = max(abs(b0 - b1), abs(d0 - d1))
         if cost > worst:
             worst = cost
+    if len(used0) != len(dims0) or len(used1) != len(dims1):
+        raise InvalidMatching("matching does not cover both diagrams")
     return INF if worst == INF else Fraction(worst, q)
 
 

@@ -14,12 +14,12 @@ class PhstabError(Exception):
     """Base class for all errors raised by phstab."""
 
 
-class InvalidComplex(PhstabError):
-    """A simplex list is not a valid simplicial complex.
+class ValidationError(PhstabError):
+    """A validator's error.
 
-    Carries ``issues``, every violation found (malformed entries,
-    duplicates, missing faces) as ``complexes.Issue`` records, each at the
-    position of its entry; the message joins their messages.
+    Carries ``issues``, every violation found as ``complexes.Issue``
+    records, each at the position of its entry; the message joins their
+    messages.
     """
 
     def __init__(self, issues):
@@ -27,20 +27,14 @@ class InvalidComplex(PhstabError):
         super().__init__("; ".join(str(i) for i in self.issues))
 
 
-class InvalidFiltration(PhstabError):
+class InvalidComplex(ValidationError):
+    """A simplex list is not a valid simplicial complex (malformed entries,
+    duplicates, missing faces)."""
+
+
+class InvalidFiltration(ValidationError):
     """A filtration function fails validation (values that are not a
-    sequence, a wrong count, a value that is not a finite rational).
-
-    Carries ``issues`` as InvalidComplex does.
-    """
-
-    def __init__(self, issues):
-        self.issues = tuple(issues)
-        super().__init__("; ".join(str(i) for i in self.issues))
-
-
-class DimensionMismatch(PhstabError):
-    """Diagram points of different homology dimensions were compared."""
+    sequence, a wrong count, a value that is not a finite rational)."""
 
 
 class InvalidMatching(PhstabError):

@@ -45,11 +45,6 @@ class DiagramPoint:
     death: "Fraction | float"  # math.inf for essential classes
     pair: PivotPair
 
-    @property
-    def is_essential(self) -> bool:
-        # a finite death is a Fraction: test the type, not Fraction == float
-        return isinstance(self.death, float) and self.death == INF
-
     def __str__(self) -> str:
         return f"({format_value(self.birth)}, {format_value(self.death)})"
 

@@ -160,8 +160,9 @@ def format_value(x) -> str:
     return f"{sign}{int_string(whole)}.{int_string(frac).zfill(places)}"
 
 
-def approx_string(x, digits: int = 6) -> str:
-    """Rounded decimal companion for logs; never used in comparisons."""
+def approx_string(x) -> str:
+    """Rounded decimal companion, six significant digits, for logs; never
+    used in comparisons."""
     if x == INF:
         return "inf"
-    return f"{float(x):.{digits}g}"
+    return f"{float(x):.6g}"

@@ -43,12 +43,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from itertools import combinations
 
-from .bottleneck import (
-    Matching,
-    bottleneck_bijection,
-    pair_cost,
-    scaled_matching_cost,
-)
+from .bottleneck import Matching, _scaled_points, bottleneck_bijection, matching_cost
 from .complexes import FiltrationFunction, SimplicialComplex, common_scale
 from .errors import InternalProofViolation, InvalidMatching
 from .interpolation import (
@@ -439,10 +434,10 @@ def _carried_certificates(
 
 def _bijection_cost(D0: Diagram, D1: Diagram, m: Matching, what: str):
     """The cost of a matching the library built itself, on the diagrams'
-    ints (``scaled_matching_cost``), so one that is not a per-dimension
-    bijection is a bug."""
+    ints (``matching_cost``), so one that is not a per-dimension bijection
+    is a bug."""
     try:
-        return scaled_matching_cost(D0, D1, m)
+        return matching_cost(D0, D1, m)
     except InvalidMatching as exc:
         raise InternalProofViolation(f"{what} is not a bijection: {exc}") from None
 
@@ -458,10 +453,17 @@ def _check_witness(
     """
     cost = _bijection_cost(D0, D1, witness, "the exact bottleneck witness")
     if cost != exact:
-        p, q = max(
-            ((D0.points[i], D1.points[j]) for i, j in witness.pairs),
-            key=lambda pq: pair_cost(*pq),
-        )
+        _, pts0, pts1 = _scaled_points(D0, D1)
+
+        def int_cost(ij):  # matching_cost's rule for a matched pair
+            i, j = ij
+            if (D0.deaths[i] is None) != (D1.deaths[j] is None):
+                return INF
+            (b0, d0), (b1, d1) = pts0[i], pts1[j]
+            return max(abs(b0 - b1), abs(d0 - d1))
+
+        i, j = max(witness.pairs, key=int_cost)
+        p, q = D0.points[i], D1.points[j]
         raise InternalProofViolation(
             f"exact bottleneck {fraction_string(exact)} != its witness's cost "
             f"{fraction_string(cost)}; costliest "

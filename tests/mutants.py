@@ -46,6 +46,86 @@ CATALOGUE = [
     ),
 ]
 
+# The three mid-size reference cases, which carry one vineyard across
+# hundreds of crossings.
+MID_SIZE = [
+    "tests/test_acceptance.py::test_carried_certificates_equal_the_reference_at_mid_size"
+    + case
+    for case in ("[1-12-0.5-78-672]", "[2-14-0.4-60-468]", "[3-16-0.35-66-655]")
+]
+
+# Vineyard.transpose, one mutant per branch: each drops that branch's column
+# operations or its pivot hand-over.
+CATALOGUE += [
+    ("src/phstab/persistence.py", old, new, MID_SIZE)
+    for old, new in [
+        # both give birth: V loses its entry at (a, b)
+        (
+            "            if a_in_vb:\n                V[b] ^= V[a]\n            k, l",
+            "            k, l",
+        ),
+        # both give birth, a essential: b's death passes to a
+        (
+            "low[l], owner[a], owner[b] = a, l, None",
+            "pass",
+        ),
+        # both give birth, k before l: l takes k's column
+        (
+            "                    R[l] ^= R[k]\n                    V[l] ^= V[k]\n",
+            "                    pass\n",
+        ),
+        # both give birth, l before k: k takes l's column
+        (
+            "                    R[k] ^= R[l]\n                    V[k] ^= V[l]\n",
+            "",
+        ),
+        # both die: b takes a's column
+        (
+            "                R[b] ^= R[a]\n                V[b] ^= V[a]\n                if",
+            "                if",
+        ),
+        # both die, low of a after low of b: a takes b's column
+        (
+            "                    R[a] ^= R[b]\n                    V[a] ^= V[b]\n",
+            "",
+        ),
+        # a dies, b gives birth: the two column additions
+        (
+            "                R[b] ^= R[a]\n                V[b] ^= V[a]\n"
+            "                R[a] ^= R[b]\n                V[a] ^= V[b]\n",
+            "",
+        ),
+        # a gives birth, b dies: V loses its entry at (a, b)
+        (
+            "        elif a_in_vb:  # a gives birth, b dies\n            V[b] ^= V[a]",
+            "        elif a_in_vb:  # a gives birth, b dies\n            pass",
+        ),
+    ]
+]
+
+# matching_cost, the int cost that verify re-checks its matchings with
+CATALOGUE += [
+    # a matched pair costs its birth gap alone
+    (
+        "src/phstab/bottleneck.py",
+        "cost = max(abs(b0 - b1), abs(d0 - d1))",
+        "cost = abs(b0 - b1)",
+        [
+            "tests/test_bottleneck.py::test_matching_cost_pins_its_messages_and_equals_the_fraction_twin",
+            "tests/test_acceptance.py::test_int_recheck_equals_the_fraction_twin_on_the_corpus",
+        ],
+    ),
+    # a matching that leaves a point out is not rejected
+    (
+        "src/phstab/bottleneck.py",
+        "if len(used0) != len(dims0) or len(used1) != len(dims1):",
+        "if False:",
+        [
+            "tests/test_bottleneck.py::test_matching_cost_pins_its_messages_and_equals_the_fraction_twin",
+        ],
+    ),
+]
+
 _OUTCOME = re.compile(r"(PASSED|FAILED|ERROR) (\S+)")
 
 

@@ -6,6 +6,8 @@ computes GF(2) ranks by Gaussian elimination on integer bitmasks.  Diagram
 point counts are then checked against rank differences, which gives a
 second, structurally different route to the same numbers.
 
+``fraction_matching_cost`` is the library's int matching cost taken in
+Fractions, point by point, with ``pair_cost`` and ``diagonal_cost``.
 The Fraction-matrix bottleneck twin runs the library's matcher core on the
 plain per-dimension cost matrices, essential points included, with no
 integer scaling and no separate sorted matching of essential points.
@@ -26,12 +28,13 @@ measured cost of matching them by pivot identity), and
 ``interval_references`` does so for every interval of a schedule; every
 interval that ``verify_stability`` carries across crossings, with the
 order and pairs ``verify_recording`` records for it, must equal it.
-``reference_composition`` re-identifies those diagrams at each crossing
-(``breakpoint_matching``) and composes the whole chain of full maps
-(``compose_matchings``); the point map ``verify_stability`` carries must
-equal it.  ``bucket_reidentify`` re-identifies two pair lists at a crossing
-by value alone; ``reidentify_differences`` checks the full map the
-library's local rule gives against it at every crossing of a recorded run.
+``interval_references`` also re-identifies those diagrams at each
+crossing (``breakpoint_matching``) and composes the whole chain of full
+maps (``compose_matchings``) as it goes; the point map
+``verify_stability`` carries must equal it.  ``bucket_reidentify``
+re-identifies two pair lists at a crossing by value alone;
+``reidentify_differences`` checks the full map the library's local rule
+gives against it at every crossing of a recorded run.
 ``doctored_schedule_differences`` hands ``verify_stability`` five
 doctored copies of a crossing schedule and checks the violation each
 must raise.  The other helpers build what the library itself never needs:
@@ -58,8 +61,6 @@ from phstab.bottleneck import (
     _min_max_matching,
     _perfect_matching,
     _split_by_dim,
-    diagonal_cost,
-    pair_cost,
 )
 from phstab.complexes import (
     FiltrationFunction,
@@ -104,6 +105,63 @@ class TOutOfRange(PhstabError):
     """Interpolation parameter outside [0, 1]."""
 
 
+class DimensionMismatch(PhstabError):
+    """Diagram points of different homology dimensions were compared."""
+
+
+def is_essential(p) -> bool:
+    """Whether a diagram point never dies."""
+    # a finite death is a Fraction: test the type, not Fraction == float
+    return isinstance(p.death, float) and p.death == INF
+
+
+def pair_cost(p, q):
+    """L-infinity cost of matching two points of equal dimension.
+
+    Two essential points compare by birth alone; an essential point can
+    never match a finite one (cost +inf).
+    """
+    if p.dim != q.dim:
+        raise DimensionMismatch(f"dim {p.dim} vs dim {q.dim}")
+    if is_essential(p) != is_essential(q):
+        return INF
+    birth_gap = abs(p.birth - q.birth)
+    if is_essential(p):
+        return birth_gap
+    return max(birth_gap, abs(p.death - q.death))
+
+
+def diagonal_cost(p):
+    """Cost of sending a point to its diagonal projection; +inf if essential."""
+    if is_essential(p):
+        return INF
+    return (p.death - p.birth) / 2
+
+
+def fraction_matching_cost(D0: Diagram, D1: Diagram, m: Matching):
+    """The twin of ``bottleneck.matching_cost``: the largest cost of an
+    entry of ``m``, in Fractions, point by point; 0 for empty diagrams.
+
+    A matching that does not use each point exactly once raises
+    InvalidMatching, and one across dimensions DimensionMismatch, with
+    messages of their own: the tests pin the library's messages.
+    """
+    lefts = sorted(i for i, _ in m.pairs if i is not None)
+    rights = sorted(j for _, j in m.pairs if j is not None)
+    if lefts != list(range(len(D0.points))) or rights != list(range(len(D1.points))):
+        raise InvalidMatching("a point is unused or used twice")
+    worst = 0
+    for i, j in m.pairs:
+        if i is None:
+            cost = diagonal_cost(D1.points[j])
+        elif j is None:
+            cost = diagonal_cost(D0.points[i])
+        else:
+            cost = pair_cost(D0.points[i], D1.points[j])
+        worst = max(worst, cost)
+    return worst
+
+
 def fraction_numerators(*columns) -> list:
     """Each column of Fractions as int numerators over the lcm of all their
     denominators: a scale built from the values alone, where the library
@@ -143,17 +201,14 @@ def fraction_interpolate(
 
 @dataclass(frozen=True)
 class ReferenceCertificate:
-    """One interval certified from scratch: both endpoint diagrams, the
-    pivot-identity matching between them, its measured cost and the
-    sup-norm of the endpoint functions it is bounded by."""
+    """One interval certified from scratch: its order and pivot pairs, the
+    measured cost of matching its two endpoint diagrams by pivot identity
+    and the sup-norm of the endpoint functions it is bounded by."""
 
     t_lo: Fraction
     t_hi: Fraction
     order_used: tuple[int, ...]
     pairs: tuple[PivotPair, ...]
-    left: Diagram
-    right: Diagram
-    matching: Matching
     cost: "Fraction | int"
     bound: Fraction
 
@@ -260,8 +315,9 @@ def interval_matching(
     f1: FiltrationFunction,
     t_lo,
     t_hi,
-) -> ReferenceCertificate:
-    """Certify one order-constant interval from scratch.
+) -> tuple:
+    """Certify one order-constant interval from scratch: its
+    ReferenceCertificate and its two endpoint diagrams.
 
     Checks that no simplex pair swaps strictly inside the interval, takes
     the order induced at the midpoint (valid for every t in the interval)
@@ -298,10 +354,7 @@ def interval_matching(
             f"!= sup-norm {fraction_string(bound)}; costliest "
             f"pivot pair {_costliest_pair(K, left, right)}"
         )
-    matching = Matching(tuple((i, i) for i in range(len(pairs))))
-    return ReferenceCertificate(
-        t_lo, t_hi, order, pairs, left, right, matching, cost, bound
-    )
+    return ReferenceCertificate(t_lo, t_hi, order, pairs, cost, bound), left, right
 
 
 def _costliest_pair(K: SimplicialComplex, left: Diagram, right: Diagram) -> str:
@@ -380,16 +433,6 @@ def as_map(m: Matching) -> dict[int, int]:
             raise InvalidMatching("matching contains diagonal entries")
         out[i] = j
     return out
-
-
-def reference_composition(refs) -> Matching:
-    """The chain of ``interval_matching`` certificates composed end to end:
-    each interval's matching, then the zero-cost re-identification into the
-    next interval's left diagram."""
-    chain = [refs[0].matching]
-    for prev, cur in zip(refs, refs[1:]):
-        chain += [breakpoint_matching(prev.right, cur.left), cur.matching]
-    return compose_matchings(chain)
 
 
 def _point(K: SimplicialComplex, values: tuple, pv: PivotPair) -> tuple:
@@ -473,30 +516,49 @@ def reidentify_differences(K, f0, f1, events) -> tuple:
     return crossings, equal_points, out
 
 
-def interval_references(K, f0, f1, schedule) -> list:
-    """``interval_matching`` of each interval of ``schedule`` in turn, or
-    the PhstabError that it raised there."""
+def interval_references(K, f0, f1, schedule) -> tuple:
+    """The certificate of ``interval_matching`` for each interval of
+    ``schedule`` in turn, or the PhstabError that it raised there, and the
+    chain of their matchings composed end to end, None if one raised.
+
+    The chain is each interval's matching by pivot identity, then the
+    zero-cost re-identification into the next interval's left diagram
+    (``breakpoint_matching``).  It is composed as it grows, so no diagram
+    is kept past the next interval.
+    """
     bps = schedule.breakpoints()
-    out = []
+    refs: list = []
+    composed = right = None
     for lo, hi in zip(bps, bps[1:]):
         try:
-            out.append(interval_matching(K, f0, f1, lo, hi))
+            ref, left, next_right = interval_matching(K, f0, f1, lo, hi)
         except PhstabError as exc:
-            out.append(exc)
-    return out
+            refs.append(exc)
+            composed = None
+            continue
+        identity = Matching(tuple((i, i) for i in range(len(ref.pairs))))
+        if not refs:
+            composed = identity
+        elif composed is not None:
+            link = breakpoint_matching(right, left)
+            composed = compose_matchings([composed, link, identity])
+        refs.append(ref)
+        right = next_right
+    return refs, composed
 
 
-def reference_differences(report, events, refs) -> list[str]:
+def reference_differences(report, events, references) -> list[str]:
     """How ``report`` and the intervals in the events of
-    ``verify_recording`` depart from ``interval_references``; empty if
-    they do not.
+    ``verify_recording`` depart from ``references``, as
+    ``interval_references`` returns them; empty if they do not.
 
     There must be one recorded interval and one reference per certificate.
     Each reference must be certified, each interval's order and pivot pairs
     must equal its reference's, its share must equal both the reference's
-    measured cost and its bound, and the carried point map must equal
-    ``reference_composition``.
+    measured cost and its bound, and the carried point map must equal the
+    composed chain.
     """
+    refs, composed = references
     out = []
     reduced = recorded_intervals(events)
     certs = report.certificates
@@ -515,8 +577,7 @@ def reference_differences(report, events, refs) -> list[str]:
         for name in ("cost", "bound"):
             if cert.share != getattr(ref, name):
                 out.append(f"interval {k}: share differs from the {name}")
-    certified = all(isinstance(ref, ReferenceCertificate) for ref in refs)
-    if certified and report.composed_matching != reference_composition(refs):
+    if composed is not None and report.composed_matching != composed:
         out.append("composed matching differs")
     return out
 

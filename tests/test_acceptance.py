@@ -16,12 +16,7 @@ from unittest import mock
 import pytest
 
 from phstab import bottleneck
-from phstab.bottleneck import (
-    bottleneck_bijection,
-    bottleneck_diagonal,
-    matching_cost,
-    scaled_matching_cost,
-)
+from phstab.bottleneck import bottleneck_bijection, bottleneck_diagonal, matching_cost
 from phstab.cli import run_command
 from phstab.complexes import FiltrationFunction, common_scale, find_duplicate_value
 from phstab.errors import PhstabError
@@ -45,6 +40,7 @@ from oracles import (
     doctored_schedule_differences,
     fraction_interpolate,
     fraction_key_order,
+    fraction_matching_cost,
     fraction_matrix_bottleneck,
     interval_references,
     inverse,
@@ -110,7 +106,8 @@ def test_1_stability_bound_holds_everywhere(corpus, capsys):
 @pytest.fixture(scope="module")
 def references(corpus):
     """For each corpus instance, each interval certified from scratch, or
-    the error that raised (``interval_references``)."""
+    the error that raised, and their chain composed (``interval_references``,
+    which keeps no diagram)."""
     return [
         interval_references(inst.complex, *inst.functions, report.schedule)
         for inst, report, _ in corpus
@@ -125,7 +122,7 @@ def test_2_interval_certificates_stay_within_their_share(corpus, references, cap
     from-scratch certification that raised counts as a failure too."""
     intervals = 0
     failures = 0
-    for (inst, report, _), refs in zip(corpus, references):
+    for (inst, report, _), (refs, _) in zip(corpus, references):
         gap = sup_norm(*inst.functions)
         bps = report.schedule.breakpoints()
         for lo, hi, ref in zip(bps, bps[1:], refs):
@@ -219,9 +216,10 @@ def test_a_doctored_schedule_is_a_violation_naming_crossing_t_and_pair(corpus):
 
 def test_int_recheck_equals_the_fraction_twin_on_the_corpus(corpus):
     """verify re-checks the composed map and the exact distance's witness
-    on the diagrams' ints; on every corpus instance that cost, and the
-    cost of the diagonal variant's witness, is ``matching_cost``'s, also
-    with the right diagram held over three times its scale."""
+    on the diagrams' ints (``matching_cost``); on every corpus instance
+    that cost, and the cost of the diagonal variant's witness, is the
+    Fraction twin's, also with the right diagram held over three times its
+    scale."""
     for inst, report, _ in corpus:
         D0, D1 = report.left_diagram, report.right_diagram
         stretched = Diagram(
@@ -237,9 +235,9 @@ def test_int_recheck_equals_the_fraction_twin_on_the_corpus(corpus):
             bottleneck_diagonal(D0, D1)[1],
         )
         for m in witnesses:
-            want = matching_cost(D0, D1, m)
-            assert scaled_matching_cost(D0, D1, m) == want
-            assert scaled_matching_cost(D0, stretched, m) == want
+            want = fraction_matching_cost(D0, D1, m)
+            assert matching_cost(D0, D1, m) == want
+            assert matching_cost(D0, stretched, m) == want
 
 
 def test_integer_sort_equals_the_fraction_key_sort_on_the_corpus(corpus):

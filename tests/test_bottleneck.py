@@ -14,27 +14,23 @@ from phstab.bottleneck import (
     _perfect_matching,
     bottleneck_bijection,
     bottleneck_diagonal,
-    diagonal_cost,
     matching_cost,
-    pair_cost,
-    scaled_matching_cost,
 )
 from phstab.complexes import FiltrationFunction, validate_complex
-from phstab.errors import (
-    CountMismatch,
-    DimensionMismatch,
-    InternalProofViolation,
-    InvalidMatching,
-)
+from phstab.errors import CountMismatch, InternalProofViolation, InvalidMatching
 from phstab.generate import GeneratorConfig, generate_complex, random_filtration
 from phstab.persistence import Diagram, DiagramPoint, PivotPair, diagram
 from phstab.rational import INF, fraction_string
 
 from oracles import (
+    DimensionMismatch,
     TooLarge,
     brute_force_bottleneck,
     brute_force_diagonal,
     counts_by_dim,
+    diagonal_cost,
+    fraction_matching_cost,
+    pair_cost,
     scratch_min_max_matching,
 )
 
@@ -101,7 +97,7 @@ def test_bottleneck_bijection_prefers_order_preserving_match():
     D0, D1 = _two_point_diagrams()
     dist, matching = bottleneck_bijection(D0, D1)
     assert dist == 1
-    assert matching_cost(D0, D1, matching) == 1
+    assert fraction_matching_cost(D0, D1, matching) == 1
 
 
 def test_matching_cost_validates():
@@ -117,16 +113,9 @@ def test_matching_cost_validates():
         matching_cost(D, D, Matching(((0, 1), (1, 0))))
 
 
-def _cost_or_message(cost, D0, D1, m):
-    try:
-        return cost(D0, D1, m)
-    except InvalidMatching as exc:
-        return f"InvalidMatching: {exc}"
-
-
-def test_scaled_matching_cost_is_matching_cost_on_ints():
-    """The int re-check gives ``matching_cost``'s value, or raises
-    InvalidMatching with its message: on the invalid matchings above, on
+def test_matching_cost_pins_its_messages_and_equals_the_fraction_twin():
+    """``matching_cost`` raises InvalidMatching with its message on each
+    invalid matching, and on ints gives the Fraction twin's value: on
     diagonal entries, on essential points and on diagrams over different
     scales."""
     D0, D1 = _two_point_diagrams()
@@ -134,15 +123,21 @@ def test_scaled_matching_cost_is_matching_cost_on_ints():
     thirds = _points_diagram(
         [(0, 0, INF), (0, Fraction(1, 3), Fraction(7, 3)), (0, 0, 2)]
     )
-    n = len(D0.points)
-    cases = [
-        (D0, D1, Matching(tuple((i, 0) for i in range(n)))),
-        (D0, D1, Matching(((0, 0),))),
-        (D0, D1, Matching(((0, 0), (1, 1), (n, 2)))),
-        (D0, D1, Matching(((0, 0), (1, 1), (-1, 2)))),
-        (D0, D1, Matching(((0, 0), (1, 1), (2, n)))),
-        (D0, D1, Matching(((None, None), (0, 0)))),
-        (D, D, Matching(((0, 1), (1, 0)))),
+    assert len(D0.points) == len(D1.points) == 3
+    invalid = {
+        "right index 0 reused or out of range": (D0, D1, ((0, 0), (1, 0), (2, 0))),
+        "matching does not cover both diagrams": (D0, D1, ((0, 0),)),
+        "left index 3 reused or out of range": (D0, D1, ((0, 0), (1, 1), (3, 2))),
+        "left index -1 reused or out of range": (D0, D1, ((0, 0), (1, 1), (-1, 2))),
+        "right index 3 reused or out of range": (D0, D1, ((0, 0), (1, 1), (2, 3))),
+        "empty matching entry": (D0, D1, ((None, None), (0, 0))),
+        "pair (0, 1) matches dim 0 with dim 1": (D, D, ((0, 1), (1, 0))),
+    }
+    for message, (D_left, D_right, pairs) in invalid.items():
+        with pytest.raises(InvalidMatching) as ei:
+            matching_cost(D_left, D_right, Matching(pairs))
+        assert str(ei.value) == message
+    valid = [
         (D0, D1, Matching(((0, 0), (1, 1), (2, 2)))),
         (D0, D1, Matching(((0, 0), (1, None), (None, 1), (2, 2)))),
         (D0, D1, Matching(((0, None), (None, 0), (1, 1), (2, 2)))),
@@ -151,20 +146,18 @@ def test_scaled_matching_cost_is_matching_cost_on_ints():
         (thirds, D1, Matching(((0, 0), (1, None), (2, 2), (None, 1)))),
     ]
     assert thirds.scale != D1.scale
-    for D_left, D_right, m in cases:
-        want = _cost_or_message(matching_cost, D_left, D_right, m)
-        assert _cost_or_message(scaled_matching_cost, D_left, D_right, m) == want, m
-    assert _cost_or_message(matching_cost, *cases[0]) == (
-        "InvalidMatching: right index 0 reused or out of range"
-    )
-    assert scaled_matching_cost(*cases[-4]) == INF  # an essential to the diagonal
+    for D_left, D_right, m in valid:
+        assert matching_cost(D_left, D_right, m) == fraction_matching_cost(
+            D_left, D_right, m
+        ), m
+    assert matching_cost(*valid[-4]) == INF  # an essential to the diagonal
 
 
 def test_bottleneck_of_identical_diagrams_is_zero():
     D0, _ = _two_point_diagrams()
     dist, matching = bottleneck_bijection(D0, D0)
     assert dist == 0
-    assert matching_cost(D0, D0, matching) == 0
+    assert fraction_matching_cost(D0, D0, matching) == 0
 
 
 def test_bijection_requires_equal_counts():
@@ -201,7 +194,7 @@ def test_infinite_distance_when_essential_counts_differ():
     for variant in (bottleneck_bijection, bottleneck_diagonal):
         dist, matching = variant(D0, D1)
         assert dist == INF
-        assert matching_cost(D0, D1, matching) == INF
+        assert fraction_matching_cost(D0, D1, matching) == INF
     # the diagonal absorbs a finite surplus but never an essential point
     dist, _ = bottleneck_diagonal(D0, _points_diagram([(0, 1, INF)]))
     assert dist == INF
@@ -232,7 +225,7 @@ def test_bijection_matches_brute_force():
         fast, matching = bottleneck_bijection(D0, D1)
         slow = brute_force_bottleneck(D0, D1)
         assert fast == slow
-        assert matching_cost(D0, D1, matching) == fast
+        assert fraction_matching_cost(D0, D1, matching) == fast
 
 
 def test_diagonal_never_exceeds_bijection():
@@ -293,7 +286,7 @@ def test_diagonal_matches_brute_force_on_unequal_counts():
         dist, matching = bottleneck_diagonal(D0, D1)
         finite += dist != INF
         assert dist == brute_force_diagonal(D0.points, D1.points)
-        assert matching_cost(D0, D1, matching) == dist
+        assert fraction_matching_cost(D0, D1, matching) == dist
     assert unequal >= 30 and finite >= 30
 
 
@@ -303,7 +296,7 @@ def test_witness_achieves_distance_for_both_variants():
     for D0, D1 in cases:
         for variant in (bottleneck_bijection, bottleneck_diagonal):
             dist, matching = variant(D0, D1)
-            assert matching_cost(D0, D1, matching) == dist
+            assert fraction_matching_cost(D0, D1, matching) == dist
 
 
 def test_perfect_matching_follows_long_augmenting_paths():
@@ -419,7 +412,7 @@ def test_essential_and_mixed_diagrams_with_tied_births_match_brute_force():
         ):
             dist, matching = variant(D0, D1)
             assert dist == oracle
-            assert matching_cost(D0, D1, matching) == dist
+            assert fraction_matching_cost(D0, D1, matching) == dist
         finite += dist != INF
     assert finite >= 30
 
@@ -443,12 +436,12 @@ def test_coprime_denominators():
     # A-E costs 8/33 and B-C 10/39; A-C costs 23/231 but forces B-E, 109/273
     dist, matching = bottleneck_bijection(D0, D1)
     assert dist == Fraction(10, 39) == brute_force_bottleneck(D0, D1)
-    assert matching_cost(D0, D1, matching) == dist
+    assert fraction_matching_cost(D0, D1, matching) == dist
     # E pays at least 1/6: half its lifetime 1/3, and more to A or B;
     # everything else can go to the diagonal for less
     dist, matching = bottleneck_diagonal(D0, D1)
     assert dist == Fraction(1, 6) == brute_force_diagonal(D0.points, D1.points)
-    assert matching_cost(D0, D1, matching) == dist
+    assert fraction_matching_cost(D0, D1, matching) == dist
 
 
 def test_thousand_point_shift_pair_is_fast():
@@ -464,4 +457,4 @@ def test_thousand_point_shift_pair_is_fast():
         dist, matching = variant(D0, D1)
         assert time.perf_counter() - start < 10
         assert dist == Fraction(1, 2)
-        assert matching_cost(D0, D1, matching) == dist
+        assert fraction_matching_cost(D0, D1, matching) == dist

@@ -9,18 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from phstab.bottleneck import (
-    bottleneck_bijection,
-    bottleneck_diagonal,
-    diagonal_cost,
-    pair_cost,
-)
+from phstab.bottleneck import bottleneck_bijection, bottleneck_diagonal
 from phstab.cli import run_command
 from phstab.generate import GeneratorConfig
 from phstab.instances import format_instance, parse_instance
 from phstab.persistence import diagram
 
-from oracles import perturbed_instance
+from oracles import diagonal_cost, is_essential, pair_cost, perturbed_instance
 
 EDGE_TWO = "0 : 0 1\n1 : 1 0.25\n0 1 : 2 2\n"
 EDGE_ONE = "0 : 0\n1 : 1\n0 1 : 2\n"
@@ -175,7 +170,7 @@ def _tied_swaps(D0, D1, matching):
     by_dim = {}
     for i, j in matching.pairs:
         p = D1.points[j] if i is None else D0.points[i]
-        if not p.is_essential:
+        if not is_essential(p):
             by_dim.setdefault(p.dim, []).append((i, j))
     swaps = {}
     for d, entries in by_dim.items():

@@ -24,6 +24,7 @@ from oracles import (
     diagram_with_order,
     dims,
     inverse,
+    is_essential,
     persistent_betti,
     random_compatible_order,
     set_pivot_pairs,
@@ -50,10 +51,10 @@ def test_edge_diagram():
 
 def test_edge_diagram_records_pivot_simplices():
     K, _, D = _diag(EDGE, (0, 1, 2))
-    finite = [p for p in D.points if not p.is_essential][0]
+    finite = [p for p in D.points if not is_essential(p)][0]
     assert K.simplices[finite.pair.birth].vertices == (1,)
     assert K.simplices[finite.pair.death].vertices == (0, 1)
-    essential = [p for p in D.points if p.is_essential][0]
+    essential = [p for p in D.points if is_essential(p)][0]
     assert K.simplices[essential.pair.birth].vertices == (0,)
     assert essential.pair.death is None
 

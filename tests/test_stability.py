@@ -8,7 +8,7 @@ import pytest
 
 import phstab
 from phstab import cli, stability
-from phstab.bottleneck import Matching, bottleneck_bijection, matching_cost
+from phstab.bottleneck import Matching, bottleneck_bijection
 from phstab.cli import run_command
 from phstab.complexes import FiltrationFunction, validate_complex
 from phstab.errors import InternalProofViolation, InvalidFiltration, NonUniqueValues
@@ -30,6 +30,7 @@ from oracles import (
     compose_matchings,
     diagram_with_order,
     dims,
+    fraction_matching_cost,
     interval_matching,
     interval_references,
     random_compatible_order,
@@ -46,11 +47,11 @@ def test_interval_certificate_on_half_interval():
     f0 = FiltrationFunction(K, (0, 1, 2))
     f1 = FiltrationFunction(K, (1, Fraction(1, 4), 2))
     # vertices swap at t = 4/7; the left interval is certified in one piece
-    cert = interval_matching(K, f0, f1, 0, Fraction(4, 7))
+    cert, left, _ = interval_matching(K, f0, f1, 0, Fraction(4, 7))
     # every simplex is a coordinate of some point, so cost == bound exactly
     assert cert.cost == cert.bound == Fraction(4, 7) * 1
-    assert len(cert.matching.pairs) == len(cert.left.points)
-    assert cert.left.points == diagram(K, f0).points
+    assert len(cert.pairs) == len(left.points)
+    assert left.points == diagram(K, f0).points
     check_order_compatible(K, f0, cert.order_used)
 
 
@@ -68,10 +69,10 @@ def test_interval_matching_of_identical_functions_costs_nothing():
     # ties are fine here: the canonical tie-break serves both endpoints
     K = validate_complex(EDGE)
     f = FiltrationFunction(K, (0, 0, 1))
-    cert = interval_matching(K, f, f, 0, 1)
+    cert, left, right = interval_matching(K, f, f, 0, 1)
     assert cert.cost == 0
     assert cert.bound == 0
-    assert cert.left.points == cert.right.points
+    assert left.points == right.points
 
 
 def test_breakpoint_matching_between_tie_break_orders():
@@ -82,7 +83,7 @@ def test_breakpoint_matching_between_tie_break_orders():
         D_a = diagram_with_order(K, f, random_compatible_order(K, f, rng))
         D_b = diagram_with_order(K, f, random_compatible_order(K, f, rng))
         m = breakpoint_matching(D_a, D_b)
-        assert matching_cost(D_a, D_b, m) == 0
+        assert fraction_matching_cost(D_a, D_b, m) == 0
 
 
 def test_breakpoint_matching_rejects_different_functions():
@@ -168,7 +169,7 @@ def test_verify_stability_random_instances():
             assert cert.share == (cert.t_hi - cert.t_lo) * report.sup_norm_value
         # the composed matching is a genuine bijection with the stated cost
         assert (
-            matching_cost(
+            fraction_matching_cost(
                 report.left_diagram, report.right_diagram, report.composed_matching
             )
             == report.composed_cost
