@@ -7,8 +7,10 @@ the two endpoint diagrams by identity.  Every simplex is the birth or death
 of exactly one pair, so that matching costs exactly the interval's share of
 the sup-norm: the certificate checks this partition, not a measured cost.
 At a crossing time both adjacent orders give the same value multiset, so a
-zero-cost re-identification of the two pair lists exists, and only the
-pairs with a simplex tied there need it (``_reidentify``).  One point map
+zero-cost re-identification of the two pair lists exists.  Only the pairs
+with a simplex tied there can move, and only at a switch, where a pair
+changes, or where two of them have equal points (``_reidentify``); at
+every other crossing the map is the identity.  One point map
 carried through them is an explicit bijection between the end diagrams,
 the only diagrams built.  The interval shares add up to the sup-norm by
 construction, so that bijection costs at most the sup-norm, which the
@@ -230,15 +232,19 @@ def _carried_certificates(
 
     Each crossing is one step.  It compares the pairs of the tied runs
     with the schedule's pairs there, takes the pivot pairs with a tied
-    simplex, reverses the runs by adjacent transpositions, O(1) bitset
-    operations each, and takes those pairs again.  Only they can change:
-    they must cover the same simplices before and after, so the pairs
-    partition the simplices in every interval, and they alone are
+    simplex and the pivot row and owner of each tied label, and reverses
+    the runs by adjacent transpositions, O(1) bitset operations each.
+    Only those pairs can change.  If no tied label's row or owner changed
+    and no two of those pairs can have equal points, every point keeps
+    its place and nothing more is done.  Otherwise it takes those pairs
+    again: they must cover the same simplices before and after, so the
+    pairs partition the simplices in every interval, and they alone are
     re-identified by value, which is exact (see ``_reidentify``).  The
-    point map is keyed by birth label and follows them, and the two outer
-    pairs of each run are certified.  So a crossing costs its
-    transpositions, its tied pairs and O(log n) per certificate it pops
-    or pushes.  Any failure is a bug, so every one is an
+    point map is keyed by birth label and follows them.  Either way the
+    two outer pairs of each run are certified.  So a crossing costs its
+    transpositions, its tied labels and O(log n) per certificate it pops
+    or pushes, and the values of its tied pairs only where a pair changes
+    or two points may be equal.  Any failure is a bug, so every one is an
     InternalProofViolation naming the interval or crossing, t and the
     simplex pair involved.
 
@@ -297,6 +303,9 @@ def _carried_certificates(
             live[x] = y
         elif not drop and num0[x] == num0[y]:
             flagged.append((x, y))
+
+    def links():  # the pivot row and owner of each tied label
+        return [(low[x], owner[x]) for x in tied]
 
     for x, y in zip(perm, perm[1:]):
         certify(x, y)
@@ -361,9 +370,11 @@ def _carried_certificates(
         # every pair in it swaps; those pairs must be the schedule's at hi.
         tied: list = []
         swapped: list = []
-        for start, end in runs:
+        run_of: dict = {}  # tied label -> n + the index of its run
+        for r, (start, end) in enumerate(runs):
             run = perm[start:end]
             tied += run
+            run_of.update(dict.fromkeys(run, n + r))
             swapped += combinations(sorted([names[x] for x in run]), 2)
         if len(runs) > 1:
             swapped.sort()
@@ -382,35 +393,57 @@ def _carried_certificates(
                 f"crossing {k} at t = {fraction_string(hi)}: {what}"
             )
         # The pivot pairs with a tied simplex, as (birth, death) labels in
-        # the order of their births, before and after the runs reverse.
-        # Tied simplices are never face and coface (f_t is strictly
-        # monotone), so each run reverses by adjacent transpositions.
+        # the order of their births, before the runs reverse.  Tied
+        # simplices are never face and coface (f_t is strictly monotone),
+        # so each run reverses by adjacent transpositions.
         births = {x if low[x] is None else low[x] for x in tied}
         left = [(x, owner[x]) for x in sorted(births, key=pos.__getitem__)]
+        held = links()
         for start, end in runs:
             vine.reverse(start, end)
-        births = {x if low[x] is None else low[x] for x in tied}
-        right = [(x, owner[x]) for x in sorted(births, key=pos.__getitem__)]
-        # Those pairs must use the same simplices, each exactly once, before
-        # and after.  Every other pair is unchanged, so the pairs still
-        # partition the simplices, as checked in full for the first interval.
-        was = [x for pair in left for x in pair if x is not None]
-        now = [x for pair in right for x in pair if x is not None]
-        if not (len(was) == len(now) == len(set(now)) and set(was) == set(now)):
-            for x in sorted(set(was) | set(now)):
-                if was.count(x) != 1 or now.count(x) != 1:
-                    raise InternalProofViolation(
-                        f"crossing {k} at t = {fraction_string(hi)}: simplex "
-                        f"{{{K.simplices[names[x]]}}} is a coordinate of "
-                        f"{was.count(x)} pivot pairs with a tied simplex "
-                        f"before the swaps and of {now.count(x)} after"
-                    )
-        values = dict(zip(
-            was, interpolate([num0[x] for x in was], [num1[x] for x in was], hi)
-        ))
-        step = _reidentify(K, names, dims, left, right, values, q * scale, k, hi)
-        for i, j in zip([origin[x] for x, _ in left], step):
-            origin[right[j][0]] = i
+        # A pair changes only at a switch (Cohen-Steiner, Edelsbrunner and
+        # Morozov, SoCG 2006), and most crossings have none.  If the pivot
+        # row and owner of every tied label are unchanged, every pair with
+        # a tied simplex keeps both its simplices, so its point at hi is
+        # unchanged, and so is the cover they make.  The bucket rule of
+        # _reidentify then sends each of those pairs to itself, unless two
+        # of them have equal points, which it may cross.  Equal points need
+        # no values.  The runs are the classes of simplices of equal value
+        # at hi (the order is sorted there), and an untied simplex has a
+        # value of its own.  So two distinct pairs have equal points only
+        # if they have one dimension, their births lie in one run, and
+        # their deaths are both essential or lie in one run (an untied
+        # death is one pair's alone).  Each pair with a tied birth is keyed
+        # by (dimension, run of its birth, run of its death, or its death
+        # label if that is untied, or None), and a changed label or a
+        # repeated key sends the crossing through the full step below.
+        born = [x for x in tied if low[x] is None]
+        points = {(dims[x], run_of[x], run_of.get(owner[x], owner[x])) for x in born}
+        step: list = []  # left's indices to right's; empty if none moves
+        if held != links() or len(points) != len(born):
+            births = {x if low[x] is None else low[x] for x in tied}
+            right = [(x, owner[x]) for x in sorted(births, key=pos.__getitem__)]
+            # Those pairs must use the same simplices, each exactly once,
+            # before and after.  Every other pair is unchanged, so the
+            # pairs still partition the simplices, as checked in full for
+            # the first interval.
+            was = [x for pair in left for x in pair if x is not None]
+            now = [x for pair in right for x in pair if x is not None]
+            if not (len(was) == len(now) == len(set(now)) and set(was) == set(now)):
+                for x in sorted(set(was) | set(now)):
+                    if was.count(x) != 1 or now.count(x) != 1:
+                        raise InternalProofViolation(
+                            f"crossing {k} at t = {fraction_string(hi)}: simplex "
+                            f"{{{K.simplices[names[x]]}}} is a coordinate of "
+                            f"{was.count(x)} pivot pairs with a tied simplex "
+                            f"before the swaps and of {now.count(x)} after"
+                        )
+            values = dict(zip(
+                was, interpolate([num0[x] for x in was], [num1[x] for x in was], hi)
+            ))
+            step = _reidentify(K, names, dims, left, right, values, q * scale, k, hi)
+            for i, j in zip([origin[x] for x, _ in left], step):
+                origin[right[j][0]] = i
         # A reversed run's lines met at hi with b decreasing along it, each
         # adjacent pair having held a certificate there, so now b increases
         # along it and its inner pairs never meet again.  Only the two

@@ -35,6 +35,9 @@ maps (``compose_matchings``) as it goes; the point map
 re-identifies two pair lists at a crossing by value alone;
 ``reidentify_differences`` checks the full map the library's local rule
 gives against it at every crossing of a recorded run.
+``reidentify_calls`` records the crossings at which verify re-identifies,
+and ``crossings_to_reidentify`` the ones where it must: where a pair
+changes or two pairs with a tied simplex have equal points.
 ``doctored_schedule_differences`` hands ``verify_stability`` five
 doctored copies of a crossing schedule and checks the violation each
 must raise.  The other helpers build what the library itself never needs:
@@ -514,6 +517,45 @@ def reidentify_differences(K, f0, f1, events) -> tuple:
         if got != want:
             out.append(f"crossing {k} at t = {fraction_string(t)}: {got} != {want}")
     return crossings, equal_points, out
+
+
+def reidentify_calls(K, f0, f1) -> tuple:
+    """The crossings at which ``verify_stability`` calls
+    ``stability._reidentify``, in order, and the events
+    ``verify_recording`` records in the same run."""
+    calls: list = []
+    reidentify = stability._reidentify
+
+    def counted(K, names, dims, left, right, values, scale, k, t):
+        calls.append(k)
+        return reidentify(K, names, dims, left, right, values, scale, k, t)
+
+    with mock.patch.object(stability, "_reidentify", counted):
+        _, events = verify_recording(K, f0, f1)
+    return calls, events
+
+
+def crossings_to_reidentify(K, f0, f1, events) -> list:
+    """The crossings, among the events of ``verify_recording``, where a
+    pivot pair changes or two pairs with a tied simplex have equal points
+    at the Fraction values there.  At every other crossing the bucket rule
+    sends each pair to itself.  A simplex is tied when another has its
+    value at t, which this reads from the values alone."""
+    out = []
+    for kind, k, t, left, right, _ in events:
+        if kind != "crossing":
+            continue
+        values = fraction_interpolate(f0, f1, t).values
+        count = Counter(values)
+        points = Counter(
+            _point(K, values, pv)
+            for pv in right
+            if count[values[pv.birth]] > 1
+            or pv.death is not None and count[values[pv.death]] > 1
+        )
+        if set(left) != set(right) or max(points.values(), default=0) > 1:
+            out.append(k)
+    return out
 
 
 def interval_references(K, f0, f1, schedule) -> tuple:
