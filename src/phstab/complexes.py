@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import lcm
 from typing import Iterable
 
@@ -18,24 +19,26 @@ from .errors import DomainMismatch, InvalidComplex, InvalidFiltration
 from .rational import fraction_string, to_fraction
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class Simplex:
     """A simplex given by its strictly increasing tuple of vertex ids."""
 
     vertices: tuple[int, ...]
 
-    def __post_init__(self):
-        verts = tuple(self.vertices)
+    def __init__(self, vertices):
+        verts = tuple(vertices)
         if not verts:
             raise ValueError("empty simplex")
         for v in verts:
-            if isinstance(v, bool) or not isinstance(v, int):
+            if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
                 raise ValueError(f"vertex id {v!r} is not an integer")
             if v < 0:
                 raise ValueError(f"negative vertex id {v}")
-        if len(set(verts)) != len(verts):
-            raise ValueError(f"duplicate vertex in {verts}")
-        object.__setattr__(self, "vertices", tuple(sorted(verts)))
+        if len(verts) > 1:
+            if len(set(verts)) != len(verts):
+                raise ValueError(f"duplicate vertex in {verts}")
+            verts = tuple(sorted(verts))
+        object.__setattr__(self, "vertices", verts)
 
     @property
     def dim(self) -> int:
@@ -49,7 +52,7 @@ def facets(vertices: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The vertex tuples of all codimension-1 faces; empty for a vertex."""
     if len(vertices) == 1:
         return ()
-    return tuple(vertices[:i] + vertices[i + 1:] for i in range(len(vertices)))
+    return tuple(combinations(vertices, len(vertices) - 1))[::-1]
 
 
 @dataclass(frozen=True)
@@ -117,24 +120,23 @@ def validate_complex(simplices: Iterable) -> SimplicialComplex:
     canon: list = []  # (input position, Simplex)
     for pos, raw in enumerate(simplices):
         try:
-            s = raw if isinstance(raw, Simplex) else Simplex(tuple(raw))
-            canon.append((pos, s))
+            canon.append((pos, raw if isinstance(raw, Simplex) else Simplex(raw)))
         except (TypeError, ValueError) as exc:
             issues.append(Issue(f"malformed simplex {raw!r}: {exc}", pos))
+    # The index holds each vertex tuple once, so it is short exactly on a
+    # duplicate; closure reads the complex's face positions, one look-up each.
+    K = SimplicialComplex(tuple(s for _, s in canon))
     seen: set[tuple[int, ...]] = set()
-    for pos, s in canon:
+    for pos, s in canon if len(K.index) < len(K) else ():
         if s.vertices in seen:
             issues.append(Issue(f"duplicate simplex {{{s}}}", pos))
         seen.add(s.vertices)
-    # The closure check reads the complex's own face positions, so a parse
-    # looks each face up once.
-    K = SimplicialComplex(tuple(s for _, s in canon))
     for (pos, s), found in zip(canon, K.facet_positions):
         if None in found:
             issues.extend(
                 Issue(f"simplex {{{s}}} is missing face {{{Simplex(face)}}}", pos)
-                for face, at in zip(facets(s.vertices), found)
-                if at is None
+                for face, where in zip(facets(s.vertices), found)
+                if where is None
             )
     if issues:
         raise InvalidComplex(issues)

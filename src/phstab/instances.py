@@ -50,61 +50,51 @@ def _lines(text: str) -> list:
 def parse_instance_text(text: str, path: "str | None" = None) -> InstanceFile:
     """Parse instance file content, collecting every problem before failing."""
     problems: "list[tuple[int | None, str]]" = []
-    rows = []  # (line_no, simplex, values as (numerator, denominator))
-    expected_width = None
+    line_nos, simplices, rows = [], [], []  # per data line; rows of (n, d)
+    width = None
     for line_no, raw in enumerate(_lines(text), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        left, colon, right = raw.partition("#")[0].partition(":")
+        if not colon:
+            if left.strip():
+                problems.append((line_no, "missing ':' between vertices and values"))
             continue
-        if ":" not in line:
-            problems.append((line_no, "missing ':' between vertices and values"))
-            continue
-        left, right = line.split(":", 1)
         try:
-            vertices = tuple(int(tok) for tok in left.split())
+            vertices = tuple(map(int, left.split()))
         except ValueError:
             problems.append((line_no, f"vertices are not integers: {left.strip()!r}"))
             continue
         if not vertices:
             problems.append((line_no, "no vertices before ':'"))
             continue
-        value_tokens = right.split()
-        if not value_tokens:
+        tokens = right.split()
+        if not tokens:
             problems.append((line_no, "no values after ':'"))
             continue
-        if len(value_tokens) > 2:
-            problems.append(
-                (line_no, f"expected 1 or 2 values, got {len(value_tokens)}")
-            )
+        if len(tokens) > 2:
+            problems.append((line_no, f"expected 1 or 2 values, got {len(tokens)}"))
             continue
-        values = []
-        bad = False
-        for tok in value_tokens:
+        row = []
+        for tok in tokens:
             try:
-                values.append(read_value(tok))
+                row.append(read_value(tok))
             except (ValueError, ZeroDivisionError) as exc:
                 why = f": {exc}" if isinstance(exc, ExponentTooLarge) else ""
                 problems.append((line_no, f"unreadable value {tok!r}{why}"))
-                bad = True
-        if bad:
+        if len(row) < len(tokens):
             continue
-        if expected_width is None:
-            expected_width = len(values)
-        elif len(values) != expected_width:
+        width = width or len(row)
+        if len(row) != width:
             problems.append(
-                (
-                    line_no,
-                    f"line has {len(values)} values but earlier lines have "
-                    f"{expected_width}",
-                )
+                (line_no, f"line has {len(row)} values but earlier lines have {width}")
             )
             continue
         try:
-            simplex = Simplex(vertices)
+            simplices.append(Simplex(vertices))
         except ValueError as exc:
             problems.append((line_no, str(exc)))
             continue
-        rows.append((line_no, simplex, tuple(values)))
+        line_nos.append(line_no)
+        rows.append(row)
 
     if not rows and not problems:
         problems.append((None, "no simplices in file"))
@@ -112,19 +102,19 @@ def parse_instance_text(text: str, path: "str | None" = None) -> InstanceFile:
         raise ParseError(problems, path)
 
     try:
-        K = validate_complex([simplex for _, simplex, _ in rows])
+        K = validate_complex(simplices)
     except InvalidComplex as exc:
         raise ParseError(
-            [(rows[issue.index][0], issue.message) for issue in exc.issues], path
+            [(line_nos[issue.index], issue.message) for issue in exc.issues], path
         ) from None
 
     # One scale for the whole file, so its columns compare as they are.
-    scale = lcm(*(d for _, _, values in rows for _, d in values))
+    scale = lcm(*{d for row in rows for _, d in row})
     functions = tuple(
         FiltrationFunction.over_scale(
-            K, tuple(n * (scale // d) for n, d in column), scale
+            K, tuple([n * (scale // d) for n, d in column]), scale
         )
-        for column in zip(*(values for _, _, values in rows))
+        for column in zip(*rows)
     )
     return InstanceFile(K, functions)
 

@@ -23,16 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .complexes import FiltrationFunction, SimplicialComplex
 from .ordering import total_order
 from .rational import INF, format_value
 
 
-@dataclass(frozen=True)
-class PivotPair:
+class PivotPair(NamedTuple):
     """Birth/death simplex positions (in the complex list); death None when
-    the class never dies."""
+    the class never dies.  A tuple, so it equals ``(birth, death)``."""
 
     birth: int
     death: "int | None"

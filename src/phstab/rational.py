@@ -29,6 +29,7 @@ INF = math.inf
 # its leading zeros, which alone can carry it past that limit.
 MAX_EXPONENT = 100_000
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
+_STRAY_UNDERSCORE = re.compile(r"(?<!\d)_|_(?!\d)")  # Fraction reads 1_0 from 3.11 on
 
 
 class ExponentTooLarge(ValueError):
@@ -65,7 +66,9 @@ def to_fraction(value) -> Fraction:
                 )
             text = f"{text[:exponent.start()]}e{sign}{digits or 0}"
         try:
-            return Fraction(text)
+            if _STRAY_UNDERSCORE.search(text):
+                raise ValueError(text)
+            return Fraction(text.replace("_", ""))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {value!r}") from exc
     raise TypeError(f"cannot convert {type(value).__name__} to Fraction")
@@ -83,16 +86,20 @@ def read_value(token) -> tuple[int, int]:
     test comes first: ``'²'.isdigit()`` holds, but ``int('²')`` raises.
     """
     if type(token) is str and token.isascii():
-        sign = -1 if token.startswith("-") else 1
-        body = token[1:] if token.startswith(("+", "-")) else token
-        whole, _, decimals = body.partition(".")
-        numerator, _, denominator = body.partition("/")
+        numerator, slash, denominator = token.partition("/")
         try:
-            if (whole + decimals).isdigit():
-                return sign * int(whole + decimals), 10 ** len(decimals)
-            if numerator.isdigit() and denominator.isdigit() and int(denominator):
-                return sign * int(numerator), int(denominator)
-        except ValueError:  # past the interpreter's int digit limit
+            if slash:  # int() reads the sign; it raises on two
+                if numerator.lstrip("+-").isdigit() and denominator.isdigit():
+                    d = int(denominator)
+                    if d:
+                        return int(numerator), d
+            else:
+                sign = -1 if token[:1] == "-" else 1
+                body = token[1:] if token[:1] in ("+", "-") else token
+                whole, _, decimals = body.partition(".")
+                if (whole + decimals).isdigit():
+                    return sign * int(whole + decimals), 10 ** len(decimals)
+        except ValueError:  # two signs, or past the interpreter's int digit limit
             pass
     x = to_fraction(token)
     return x.numerator, x.denominator

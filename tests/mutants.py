@@ -116,6 +116,7 @@ CATALOGUE += [
         [
             "tests/test_bottleneck.py::test_matching_cost_pins_its_messages_and_equals_the_fraction_twin",
             "tests/test_stability.py::test_verify_stability_random_instances",
+            "tests/test_acceptance.py::test_int_recheck_equals_the_fraction_twin_on_the_corpus",
         ],
     ),
     # a matching that leaves a point out is not rejected
@@ -168,6 +169,62 @@ CATALOGUE += [
         "run_of.get(owner[x], owner[x])",
         "owner[x]",
         [WORK_COUNT],
+    ),
+]
+
+# The reader: the parse loop, the value reader and the simplex and complex
+# checks it calls, each against the fuzzed reference twin and a pinned test
+FUZZ = (
+    "tests/test_instances.py::"
+    "test_the_reader_equals_the_reference_parse_on_fuzzed_files"
+)
+CATALOGUE += [
+    # a simplex accepts a vertex twice
+    (
+        "src/phstab/complexes.py",
+        '            if len(set(verts)) != len(verts):\n'
+        '                raise ValueError(f"duplicate vertex in {verts}")\n',
+        "",
+        [FUZZ, "tests/test_complexes.py::test_simplex_rejects_bad_vertices"],
+    ),
+    # validate_complex misses a duplicate simplex
+    (
+        "src/phstab/complexes.py",
+        "for pos, s in canon if len(K.index) < len(K) else ():",
+        "for pos, s in ():",
+        [
+            FUZZ,
+            "tests/test_complexes.py::test_validate_complex_collects_every_issue",
+            "tests/test_instances.py::test_a_duplicate_is_reported_at_its_own_line",
+        ],
+    ),
+    # the faces of a simplex listed in combinations order, so its missing
+    # faces are reported in another order
+    (
+        "src/phstab/complexes.py",
+        "tuple(combinations(vertices, len(vertices) - 1))[::-1]",
+        "tuple(combinations(vertices, len(vertices) - 1))",
+        [
+            "tests/test_complexes.py::test_facets_of_triangle",
+            "tests/test_complexes.py::test_validate_complex_collects_every_issue",
+        ],
+    ),
+    # a line whose width differs from the first data line's is kept
+    (
+        "src/phstab/instances.py",
+        "if len(row) != width:",
+        "if False:",
+        [
+            FUZZ,
+            "tests/test_instances.py::test_parse_collects_all_problems_with_line_numbers",
+        ],
+    ),
+    # read_value drops the sign of a p/q value
+    (
+        "src/phstab/rational.py",
+        "return int(numerator), d",
+        "return abs(int(numerator)), d",
+        [FUZZ, "tests/test_rational.py::test_read_value_equals_to_fraction"],
     ),
 ]
 

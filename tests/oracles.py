@@ -21,6 +21,9 @@ Fractions throughout, ``combination_generate_complex`` tests every vertex
 set for a clique and ``fraction_interpolate`` builds f_t as a filtration
 of Fractions: the twins of the library's inversion schedule, bitset
 reduction, integer generator, clique extension and int evaluator.
+``reference_parse`` is the instance reader as it was before its one lean
+loop, with its own value reader, simplex checks and complex validation:
+the twin of ``instances.parse_instance_text``.
 
 ``interval_matching`` certifies one interval from scratch (pairwise order
 check, midpoint order, fresh reduction, both endpoint diagrams and the
@@ -55,6 +58,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 from unittest import mock
 
 from phstab import stability
@@ -76,6 +80,7 @@ from phstab.errors import (
     InternalProofViolation,
     InvalidFiltration,
     InvalidMatching,
+    ParseError,
     PhstabError,
 )
 from phstab.generate import generate_instance
@@ -85,6 +90,7 @@ from phstab.ordering import total_order
 from phstab.persistence import Diagram, PivotPair, diagram_from_pivots, pivot_pairs
 from phstab.rational import (
     INF,
+    ExponentTooLarge,
     format_value,
     fraction_string,
     to_fraction,
@@ -1109,3 +1115,125 @@ def fraction_random_filtration(
         for rank, i in enumerate(by_rank):
             values[i] += (rank + 1) * delta
     return FiltrationFunction(K, tuple(values))
+
+
+def _reference_read_value(token) -> tuple:
+    """``rational.read_value`` as it was: a sign, then a decimal (an
+    integer included) or ``p/q`` read with ``int()``, else ``to_fraction``."""
+    if type(token) is str and token.isascii():
+        sign = -1 if token.startswith("-") else 1
+        body = token[1:] if token.startswith(("+", "-")) else token
+        whole, _, decimals = body.partition(".")
+        numerator, _, denominator = body.partition("/")
+        try:
+            if (whole + decimals).isdigit():
+                return sign * int(whole + decimals), 10 ** len(decimals)
+            if numerator.isdigit() and denominator.isdigit() and int(denominator):
+                return sign * int(numerator), int(denominator)
+        except ValueError:  # past the interpreter's int digit limit
+            pass
+    x = to_fraction(token)
+    return x.numerator, x.denominator
+
+
+def _braced(vertices) -> str:
+    return "{" + ",".join(map(str, vertices)) + "}"
+
+
+def reference_parse(text: str, path: "str | None" = None) -> tuple:
+    """``instances.parse_instance_text`` as it was: each line split, its
+    vertices read one at a time, a simplex checked as the frozen-dataclass
+    ``Simplex`` checked it, then duplicates found with a set and missing
+    faces by a scan of the vertex tuples.  Returns (vertex tuples, one
+    numerator tuple per column, scale), or raises the ParseError the
+    library must raise."""
+    problems: list = []
+    rows = []  # (line_no, sorted vertices, values as (numerator, denominator))
+    expected_width = None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            problems.append((line_no, "missing ':' between vertices and values"))
+            continue
+        left, right = line.split(":", 1)
+        try:
+            vertices = tuple(int(tok) for tok in left.split())
+        except ValueError:
+            problems.append((line_no, f"vertices are not integers: {left.strip()!r}"))
+            continue
+        if not vertices:
+            problems.append((line_no, "no vertices before ':'"))
+            continue
+        value_tokens = right.split()
+        if not value_tokens:
+            problems.append((line_no, "no values after ':'"))
+            continue
+        if len(value_tokens) > 2:
+            problems.append(
+                (line_no, f"expected 1 or 2 values, got {len(value_tokens)}")
+            )
+            continue
+        values = []
+        bad = False
+        for tok in value_tokens:
+            try:
+                values.append(_reference_read_value(tok))
+            except (ValueError, ZeroDivisionError) as exc:
+                why = f": {exc}" if isinstance(exc, ExponentTooLarge) else ""
+                problems.append((line_no, f"unreadable value {tok!r}{why}"))
+                bad = True
+        if bad:
+            continue
+        if expected_width is None:
+            expected_width = len(values)
+        elif len(values) != expected_width:
+            problems.append(
+                (
+                    line_no,
+                    f"line has {len(values)} values but earlier lines have "
+                    f"{expected_width}",
+                )
+            )
+            continue
+        negative = [v for v in vertices if v < 0]
+        if negative:
+            problems.append((line_no, f"negative vertex id {negative[0]}"))
+            continue
+        if len(set(vertices)) != len(vertices):
+            problems.append((line_no, f"duplicate vertex in {vertices}"))
+            continue
+        rows.append((line_no, tuple(sorted(vertices)), tuple(values)))
+
+    if not rows and not problems:
+        problems.append((None, "no simplices in file"))
+    if problems:
+        raise ParseError(problems, path)
+
+    issues = []
+    seen: set = set()
+    for line_no, vertices, _ in rows:
+        if vertices in seen:
+            issues.append((line_no, f"duplicate simplex {_braced(vertices)}"))
+        seen.add(vertices)
+    for line_no, vertices, _ in rows:
+        for i in range(len(vertices) if len(vertices) > 1 else 0):
+            face = vertices[:i] + vertices[i + 1:]
+            if face not in seen:
+                issues.append(
+                    (
+                        line_no,
+                        f"simplex {_braced(vertices)} is missing face {_braced(face)}",
+                    )
+                )
+    if issues:
+        raise ParseError(issues, path)
+
+    scale = lcm(*(d for _, _, values in rows for _, d in values))
+    columns = tuple(
+        tuple(n * (scale // d) for n, d in column)
+        for column in zip(*(values for _, _, values in rows))
+    )
+    return [vertices for _, vertices, _ in rows], columns, scale

@@ -309,6 +309,22 @@ def test_verify_random_seed3_is_pinned(cli_env):
     assert done.stdout == pinned.read_bytes()
 
 
+def test_diagram_of_every_literal_form_is_pinned(cli_env):
+    # CI's smoke runs diff the same commands against the same file on every
+    # Python version: the reader leans on int() and Fraction, whose literal
+    # grammars differ between versions
+    here = Path(__file__).parent
+    cmd = [sys.executable, "-m", "phstab.cli", "diagram", str(here / "literals.txt")]
+    out = b""
+    for column in ("0", "1"):
+        done = subprocess.run(
+            cmd + ["--function", column], capture_output=True, env=cli_env
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        out += done.stdout
+    assert out == (here / "diagram_literals.txt").read_bytes()
+
+
 def test_crossings_of_a_generated_three_way_tie_is_pinned(cli_env, tmp_path):
     # CI's smoke runs diff the same commands against the same file; at
     # t = 0.96875 simplices {5}, {0,4} and {2,3} tie pairwise

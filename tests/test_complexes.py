@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -56,9 +58,24 @@ def test_simplex_rejects_bad_vertices():
         Simplex(("a",))
 
 
+def test_simplex_equality_order_hash_and_repr():
+    a, b = Simplex((1, 0)), Simplex(vertices=[0, 1])
+    assert a == b and hash(a) == hash(b) == hash(((0, 1),))
+    assert a != (0, 1)
+    assert repr(a) == "Simplex(vertices=(0, 1))"
+    assert sorted([Simplex((1,)), Simplex((0, 1)), Simplex((0,))]) == [
+        Simplex((0,)), Simplex((0, 1)), Simplex((1,)),
+    ]
+    with pytest.raises(AttributeError):  # frozen
+        a.vertices = (2,)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert pickle.loads(pickle.dumps(a)) == copy.deepcopy(a) == a
+
+
 def test_facets_of_triangle():
     s = Simplex((0, 1, 2))
-    assert set(facets(s.vertices)) == {(1, 2), (0, 2), (0, 1)}
+    assert facets(s.vertices) == ((1, 2), (0, 2), (0, 1))  # the i-th drops vertex i
     assert facets((5,)) == ()
 
 

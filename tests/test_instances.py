@@ -1,5 +1,8 @@
+import random
 import time
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -7,6 +10,8 @@ from phstab.cli import run_command
 from phstab.errors import ParseError
 from phstab.generate import GeneratorConfig, generate_instance
 from phstab.instances import format_instance, parse_instance, parse_instance_text
+
+from oracles import reference_parse
 
 GOOD = """\
 # a single edge, two functions
@@ -179,3 +184,118 @@ def test_a_utf8_byte_order_mark_is_accepted(tmp_path):
         "f1: monotone, all values distinct",
     )
     assert parse_instance(str(path)).complex == parse_instance_text(GOOD).complex
+
+
+# Value literals of every form the reader takes, and tokens it must reject.
+_LITERALS = (
+    "0 7 -3 +12 00012 -0 5. .5 +.5 -.25 0.50 007.700 3/4 -3/6 +7/3 1/03 "
+    "1e3 2.5e-2 1E-2 1_0 1_0/3 ٣ ١٢ ２"
+).split()
+_UNREADABLE = "x 1/0 3/-4 1.2.3 . - +-5 1__0 _1 0x10 inf 1e100000000".split()
+
+
+def _fuzz_file(rng) -> str:
+    """An instance file of a random closed complex and one or two value
+    columns of literals of every form, in random order, with comments,
+    blank lines and LF, CR or CRLF line ends; most files then get one to
+    three bad lines of every kind: no ':', junk, negative or duplicate
+    vertices, 0 or 3 values, unreadable values, a width unlike the first
+    line's, a missing face or a duplicate simplex."""
+    vertices = list(range(rng.randint(1, 5)))
+    simplices = {(v,) for v in vertices}
+    for _ in range(rng.randint(0, 4)):
+        size = rng.randint(1, min(3, len(vertices)))
+        top = tuple(sorted(rng.sample(vertices, size)))
+        simplices |= {f for k in range(1, len(top) + 1) for f in combinations(top, k)}
+    simplices = sorted(simplices, key=lambda s: (len(s), s))
+    if rng.random() < 0.3:
+        rng.shuffle(simplices)
+    width = rng.choice((1, 2))
+
+    def line(verts, values) -> str:
+        verts = list(verts)
+        rng.shuffle(verts)
+        sep = rng.choice((" ", "  ", "\t"))
+        text = f"{sep.join(map(str, verts))}{rng.choice(('', ' '))}:{sep}"
+        text += sep.join(values)
+        return text + rng.choice(("", " ", "  # note", "#c:1"))
+
+    lines = [line(s, [rng.choice(_LITERALS) for _ in range(width)]) for s in simplices]
+    for _ in range(rng.randint(0, 3) if rng.random() < 0.6 else 0):
+        at = rng.randrange(len(lines) + 1)
+        simplex = rng.choice(simplices)
+        values = [rng.choice(_LITERALS) for _ in range(width)]
+        kind = rng.randrange(10)
+        if kind == 0:  # no ':'
+            bad = line(simplex, values).replace(":", " ", 1)
+        elif kind == 1:  # a vertex that is no integer
+            bad = line(simplex + (rng.choice(("a", "1.5", "0x1", "٣")),), values)
+        elif kind == 2:  # a negative vertex
+            bad = line(simplex + (-rng.randint(1, 3),), values)
+        elif kind == 3:  # a vertex twice
+            bad = line(simplex + (simplex[0],), values)
+        elif kind == 4:  # no values, or three
+            bad = line(simplex, rng.choice(([], ["1", "2", "3"])))
+        elif kind == 5:  # an unreadable value
+            values[rng.randrange(width)] = rng.choice(_UNREADABLE)
+            bad = line(simplex, values)
+        elif kind == 6:  # a width unlike the first line's
+            bad = line(simplex, values[:1] if width == 2 else values * 2)
+        elif kind == 7 and len(lines) > 1:  # a missing face
+            del lines[rng.randrange(len(lines))]
+            continue
+        elif kind == 8:  # a duplicate simplex
+            bad = line(simplex, values)
+        else:  # no vertices
+            bad = line((), values)
+        lines.insert(at, bad)
+    for _ in range(rng.randint(0, 3)):
+        extra = rng.choice(("", "  ", "# comment : 1 2", "\t# x"))
+        lines.insert(rng.randrange(len(lines) + 1), extra)
+    if rng.random() < 0.02:
+        lines = [ln for ln in lines if ln.lstrip().startswith("#") or not ln.strip()]
+    end = rng.choice(("\n", "\r\n", "\r"))
+    return end.join(lines) + rng.choice(("", end))
+
+
+def _read(parse, text):
+    """What a reader makes of ``text``: ("read", vertex tuples, numerator
+    columns, scale), or ("error", the problems of its ParseError)."""
+    try:
+        return ("read", *parse(text))
+    except ParseError as exc:
+        return ("error", exc.problems)
+
+
+def _library_parse(text):
+    inst = parse_instance_text(text)
+    columns = tuple(f.numerators for f in inst.functions)
+    scale = inst.functions[0].scale
+    return [s.vertices for s in inst.complex.simplices], columns, scale
+
+
+_PROBLEMS = (
+    "missing ':'", "vertices are not integers", "no vertices", "no values",
+    "expected 1 or 2 values", "unreadable value", "line has", "negative vertex",
+    "duplicate vertex", "duplicate simplex", "is missing face", "no simplices",
+)
+
+
+def test_the_reader_equals_the_reference_parse_on_fuzzed_files():
+    """2,000 seeded files, about half of them valid: the reader gives the
+    same complex, numerators and scale as ``oracles.reference_parse``, or
+    a ParseError with the same problems, and every kind of problem occurs."""
+    rng = random.Random(30)
+    valid = 0
+    kinds = Counter()
+    for _ in range(2000):
+        text = _fuzz_file(rng)
+        want = _read(reference_parse, text)
+        assert _read(_library_parse, text) == want, repr(text)
+        if want[0] == "error":
+            kinds.update(next(k for k in _PROBLEMS if k in msg) for _, msg in want[1])
+        else:
+            valid += 1
+            kinds[f"{len(want[2])} columns"] += 1
+    assert valid > 500
+    assert set(kinds) == {*_PROBLEMS, "1 columns", "2 columns"}, kinds

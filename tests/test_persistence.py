@@ -293,3 +293,10 @@ def test_vineyard_transpositions_keep_the_reduction():
     }
     assert set(taken) == branches, taken
 
+
+def test_a_pivot_pair_is_its_birth_death_tuple():
+    p = PivotPair(3, None)
+    assert (p.birth, p.death) == (3, None)
+    assert p == (3, None) and hash(p) == hash((3, None))
+    assert repr(p) == "PivotPair(birth=3, death=None)"
+    assert PivotPair(1, 4) != PivotPair(1, 5)
