@@ -87,6 +87,11 @@ class SimplicialComplex:
         keys = [(len(s.vertices), s.vertices) for s in self.simplices]
         return tuple(sorted(range(len(keys)), key=keys.__getitem__))
 
+    @cached_property
+    def dims(self) -> tuple[int, ...]:
+        """The dimension of each simplex, by position."""
+        return tuple(len(s.vertices) - 1 for s in self.simplices)
+
     @property
     def dim(self) -> int:
         """Largest simplex dimension; -1 for the empty complex."""

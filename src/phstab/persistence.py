@@ -157,10 +157,12 @@ class Vineyard:
 
     def pairs(self) -> tuple[PivotPair, ...]:
         """One PivotPair per diagram point, essentials with death None, in
-        the current order of the birth simplices."""
-        simplex, owner = self.simplex, self.owner
+        the current order of the birth simplices.  Each is built by
+        ``tuple.__new__``, as ``PivotPair._make`` builds one, which skips
+        the NamedTuple's ``__new__``, a Python call per point."""
+        simplex, owner, make = self.simplex, self.owner, tuple.__new__
         return tuple(
-            PivotPair(simplex[x], None if owner[x] is None else simplex[owner[x]])
+            make(PivotPair, (simplex[x], None if owner[x] is None else simplex[owner[x]]))
             for x in self.births()
         )
 
@@ -243,9 +245,9 @@ def diagram_from_pivots(
 ) -> Diagram:
     """Evaluate a pair list against a function compatible with its order:
     the births and deaths are ``f``'s ints, over its scale."""
-    nums, simplices = f.numerators, K.simplices
+    nums, dims = f.numerators, K.dims
     return Diagram(
-        tuple(simplices[pv.birth].dim for pv in pairs),
+        tuple(dims[pv.birth] for pv in pairs),
         tuple(nums[pv.birth] for pv in pairs),
         tuple(None if pv.death is None else nums[pv.death] for pv in pairs),
         f.scale,

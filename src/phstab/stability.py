@@ -17,13 +17,23 @@ construction, so that bijection costs at most the sup-norm, which the
 exact bottleneck distance can only undercut.
 
 The order and its reduction are carried from interval to interval rather
-than rebuilt (``persistence.Vineyard``), so a verify reduces once, and the
-order is checked by kinetic certificates, so a crossing costs its swaps,
-not n (``_carried_certificates``).  A run holds the first pair list and
-one reduction, O(n^2) bits, and nothing per interval: an interval's
+than rebuilt (``persistence.Vineyard``), so a verify reduces once, and
+the order is checked by kinetic certificates, so a crossing costs its
+swaps, not n (``_carried_certificates``).  The carried order is
+dimension-major: each dimension's simplices in the order of f_t, lower
+dimensions first.  R = D * V is block-diagonal by dimension, so the
+pivot pairs depend only on the order within each dimension, and a
+crossing of two simplices of different dimensions is no swap, no
+certificate and no event.  The schedule's pairs of two dimensions are
+checked instead: each must tie at its time, and the schedule must hold
+as many pairs as f0 and f1 order differently, so it holds exactly the
+crossing pairs (``verify_stability``).  The pairs carried to t = 1 must
+be those of f1's canonical order reduced from scratch, which checks the
+block-diagonal argument.  A run holds the first pair list and one
+reduction, O(n^2) bits, and nothing per interval: an interval's
 certificate is its breakpoints and its share of the sup-norm, which the
-report derives from the schedule when it is read.  Values are compared as
-ints over one scale, and a Fraction is built only for a violation
+report derives from the schedule when it is read.  Values are compared
+as ints over one scale, and a Fraction is built only for a violation
 message.  The end diagrams hold the same ints, and the costs of the
 composed map and of the exact distance's witness are re-checked on them
 (``_bijection_cost``), not with the matcher's own code.  The test suite
@@ -39,11 +49,13 @@ make the mathematics fail, only an implementation bug can.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import combinations, compress
+from operator import gt
 
 from .bottleneck import Matching, _scaled_points, bottleneck_bijection, matching_cost
 from .complexes import FiltrationFunction, SimplicialComplex, common_scale
@@ -196,12 +208,170 @@ def _reidentify(
     return step
 
 
+def _by_dimension(K: SimplicialComplex, order: tuple) -> tuple:
+    """``order`` stably sorted by dimension: each dimension's simplices in
+    their order in ``order``, lower dimensions first."""
+    return tuple(sorted(order, key=K.dims.__getitem__))
+
+
+def _decreasing(
+    K: SimplicialComplex,
+    k: int,
+    lo: Fraction,
+    hi: Fraction,
+    x: int,
+    y: int,
+    a: list,
+    b: list,
+    scale: int,
+) -> InternalProofViolation:
+    """The violation for simplices x and y, x below y just after lo, whose
+    values decrease at hi, the upper end of interval ``k``; ``a`` and
+    ``b`` are f0 and f1 as ints over ``scale``."""
+    vx, vy = interpolate([a[x], a[y]], [b[x], b[y]], hi)
+    over = hi.denominator * scale
+    return InternalProofViolation(
+        f"{_interval(k, lo, hi)}: carried order fails at t = "
+        f"{fraction_string(hi)}: values decrease along the order: "
+        f"f({K.simplices[x]}) = {fraction_string(Fraction(vx, over))} > "
+        f"{fraction_string(Fraction(vy, over))} = f({K.simplices[y]})"
+    )
+
+
+def _schedule_fault(
+    K: SimplicialComplex,
+    a: list,
+    b: list,
+    k: int,
+    t: Fraction,
+    swapped: list,
+    expected: tuple,
+) -> InternalProofViolation:
+    """The violation at crossing ``k`` at ``t``, where the scheduled pairs
+    ``expected`` failed the check against the pairs the tied runs swapped
+    (``swapped``) or against the ties of two dimensions.
+
+    Built on the error path only, from the values: every pair of distinct
+    lines that meet at t ties there.  It names the first tied pair that
+    is not scheduled, else the first scheduled pair that does not tie,
+    whatever their dimensions.  Otherwise the runs swapped other pairs
+    than the ties of one dimension, or a scheduled pair is listed twice or
+    out of order.
+    """
+    by_value: dict = {}
+    for s, v in enumerate(interpolate(a, b, t)):
+        by_value.setdefault(v, []).append(s)
+    ties = {
+        (i, j)
+        for group in by_value.values()
+        for i, j in combinations(group, 2)
+        if a[i] != a[j]
+    }
+    unscheduled = sorted(ties.difference(expected))
+    untied = sorted(set(expected) - ties)
+    dim = K.dims
+    differ = sorted(set(swapped) ^ {(i, j) for i, j in ties if dim[i] == dim[j]})
+    if unscheduled:
+        pair = _simplex_pair(K, *unscheduled[0])
+        what = f"simplices {pair} tie but are not scheduled"
+    elif untied:
+        what = f"scheduled simplices {_simplex_pair(K, *untied[0])} do not tie"
+    elif differ:
+        pair = _simplex_pair(K, *differ[0])
+        what = f"the tied runs and the ties differ at simplices {pair}"
+    else:
+        twice = next(y for x, y in zip(expected, expected[1:]) if not x < y)
+        what = (
+            f"scheduled simplices {_simplex_pair(K, *twice)} are listed twice "
+            "or out of order"
+        )
+    return InternalProofViolation(f"crossing {k} at t = {fraction_string(t)}: {what}")
+
+
+def _inverse(order: tuple) -> list:
+    """Where each simplex stands in ``order``, a permutation of them."""
+    where = [0] * len(order)
+    for i, s in enumerate(order):
+        where[s] = i
+    return where
+
+
+def _inversions(order0: tuple, order1: tuple) -> int:
+    """How many pairs of simplices ``order0`` and ``order1`` put in
+    opposite orders: the inversions of order0's positions in order1
+    (Knuth, TAOCP vol. 3, 5.1.1), counted by a natural merge sort (5.2.4)
+    in O(n log n).  It starts from the increasing runs and merges them in
+    pairs, so two orders that differ in few pairs cost about one pass.
+    When two runs merge, each element of the right run is out of order
+    with the elements of the left run above it, and only the elements
+    below the left run's top and above the right run's first are walked.
+    """
+    n, rank = len(order1), _inverse(order1)
+    ranks = [rank[s] for s in order0]
+    cuts = [0, *compress(range(1, n), map(gt, ranks, ranks[1:])), n]
+    runs = [ranks[i:j] for i, j in zip(cuts, cuts[1:])]
+    count = 0
+    while len(runs) > 1:
+        merged = []
+        for left, right in zip(runs[::2], runs[1::2]):
+            m, top = len(left), left[-1]
+            i = bisect_left(left, right[0])
+            for y in right:
+                if y > top:
+                    break
+                while left[i] < y:
+                    i += 1
+                count += m - i
+            merged.append(sorted(left + right))  # two runs: one linear merge
+        runs = merged + runs[len(merged) * 2 :]
+    return count
+
+
+def _missed_crossing(
+    K: SimplicialComplex,
+    f0: FiltrationFunction,
+    f1: FiltrationFunction,
+    schedule: CrossingSchedule,
+    count: int,
+    inversions: int,
+) -> InternalProofViolation:
+    """The violation for a schedule of ``count`` pairs where f0 and f1
+    order ``inversions`` pairs differently.  Built on the error path only,
+    in O(n^2): the inverted pair that meets first of those the schedule
+    lacks is named at its crossing, if its time is scheduled, or else as a
+    missed crossing at the upper end of the interval that spans it."""
+    a, b, scale = common_scale(f0, f1)
+    listed = set().union(*schedule.pairs_at)
+    missed = [
+        (Fraction(a[i] - a[j], a[i] - a[j] - b[i] + b[j]), i, j)
+        for i, j in combinations(range(len(a)), 2)
+        if (a[i] - a[j]) * (b[i] - b[j]) < 0 and (i, j) not in listed
+    ]
+    if not missed:
+        return InternalProofViolation(
+            f"the schedule lists {count} crossing pairs, but f0 and f1 order "
+            f"{inversions} pairs differently"
+        )
+    t, i, j = min(missed)
+    times = schedule.times
+    k = bisect_left(times, t)
+    if k < len(times) and times[k] == t:
+        return InternalProofViolation(
+            f"crossing {k} at t = {fraction_string(t)}: simplices "
+            f"{_simplex_pair(K, i, j)} tie but are not scheduled"
+        )
+    lo, hi = schedule.breakpoints()[k : k + 2]
+    x, y = (i, j) if a[i] < a[j] else (j, i)
+    return _decreasing(K, k, lo, hi, x, y, a, b, scale)
+
+
 def _carried_certificates(
     K: SimplicialComplex,
     f0: FiltrationFunction,
     f1: FiltrationFunction,
     schedule: CrossingSchedule,
     order0: tuple,
+    order1: tuple,
     sink: "list | None" = None,
 ) -> tuple:
     """Certify every interval of ``schedule``, carrying one order and its
@@ -209,78 +379,107 @@ def _carried_certificates(
 
     Returns the carried point map (point i of the first interval's pair
     list is point ``track[i]`` of the last one's), the first and last pair
-    lists and the last order.  The order starts as ``order0``, the
-    canonical order of f0 (the order just after t = 0, since f0 is
-    untied), and is reduced once, into a ``Vineyard`` whose labels are
-    positions in ``order0``.  f0 and f1 are read over one shared scale L
-    (``common_scale``), by label, so simplex x has the value line
-    ((1 - t) * a[x] + t * b[x]) / L and every comparison below is between
-    ints.
+    lists and the last order.  The order is dimension-major: each
+    dimension's simplices in the order of f_t, lower dimensions first.
+    It starts as ``order0``, the canonical order of f0 (the order just
+    after t = 0, since f0 is untied), stably sorted by dimension, and is
+    reduced once, into a ``Vineyard`` whose labels are positions in it.
+    The first pair list is in the birth order of ``order0`` and the last
+    in that of ``order1``, the canonical order of f1, each sorted once;
+    the point map is between those lists.  f0 and f1 are read over one
+    shared scale L (``common_scale``), by label, so simplex x has the
+    value line ((1 - t) * a[x] + t * b[x]) / L and every comparison below
+    is between ints.
 
     The order is checked by kinetic certificates (Basch, Guibas and
     Hershberger, "Data Structures for Mobile Data", J. Algorithms 1999),
     not by a pass over it per interval.
-    An adjacent pair (x, y) of the order whose lines meet later, because
-    y ends below x (b[y] < b[x]), holds a certificate keyed by the int key
-    of that time (``time_key``) in a heap, not pushed again while it is
-    pending.  At each breakpoint hi a certificate before hi is a missed
-    crossing, and those at hi are the adjacent pairs tied there, whose
-    runs the crossing at hi reverses.  The first interval's pivot pairs
-    must partition the simplices, so each interval's matching costs
-    exactly its share of the sup-norm (``StabilityReport.certificates``
-    derives the shares from the schedule).
+    An adjacent pair (x, y) of the order, of one dimension, whose lines
+    meet later, because y ends below x (b[y] < b[x]), holds a certificate
+    keyed by the int key of that time (``time_key``) in a heap, not pushed
+    again while it is pending.  At each breakpoint hi a certificate before
+    hi is a missed crossing, and those at hi are the adjacent pairs of one
+    dimension tied there, whose runs the crossing at hi reverses.  A pair
+    of two dimensions is never a certificate, an event or a swap.  The
+    first interval's pivot pairs must partition the simplices, so each
+    interval's matching costs exactly its share of the sup-norm
+    (``StabilityReport.certificates`` derives the shares from the
+    schedule).
 
     Each crossing is one step.  It compares the pairs of the tied runs
-    with the schedule's pairs there, takes the pivot pairs with a tied
-    simplex and the pivot row and owner of each tied label, and reverses
-    the runs by adjacent transpositions, O(1) bitset operations each.
-    Only those pairs can change.  If no tied label's row or owner changed
-    and no two of those pairs can have equal points, every point keeps
-    its place and nothing more is done.  Otherwise it takes those pairs
-    again: they must cover the same simplices before and after, so the
-    pairs partition the simplices in every interval, and they alone are
-    re-identified by value, which is exact (see ``_reidentify``).  The
-    point map is keyed by birth label and follows them.  Either way the
-    two outer pairs of each run are certified.  So a crossing costs its
-    transpositions, its tied labels and O(log n) per certificate it pops
-    or pushes, and the values of its tied pairs only where a pair changes
-    or two points may be equal.  Any failure is a bug, so every one is an
+    with the schedule's pairs of one dimension there, and checks that each
+    scheduled pair of two dimensions ties there; a crossing with no run
+    does nothing more.  Otherwise it takes the pivot row and owner of each
+    tied label and reverses the runs by adjacent transpositions, O(1)
+    bitset operations each.  Only the pairs with a tied simplex can
+    change.  If no tied label's row or owner changed and no two of those
+    pairs can have equal points, every point keeps its place and nothing
+    more is done.  Otherwise it takes those pairs before the swaps, from
+    the snapshot, and after: they must cover the same simplices before
+    and after, so the pairs partition the simplices in every interval,
+    and they alone are re-identified by value, which is exact (see
+    ``_reidentify``).  The point map is keyed by birth simplex and follows
+    them.  Either way the two outer pairs of each run are certified.  So
+    a crossing costs its pairs of two dimensions, its transpositions, its
+    tied labels and O(log n) per certificate it pops or pushes, and the
+    values of its tied pairs only where a pair changes or two points may
+    be equal.  Any failure is a bug, so every one is an
     InternalProofViolation naming the interval or crossing, t and the
     simplex pair involved.
 
     ``sink``, a list, receives ("interval", k, lo, hi, order, pairs) for
-    each interval and ("crossing", k, t, left, right, step) for each
+    each interval, with the dimension-major order and its pairs in its
+    birth order, and ("crossing", k, t, left, right, step) for each
     crossing, with the full pair lists and the full map from ``left``'s
     indices to ``right``'s; they are built only when it is given.
     """
     a, b, scale = common_scale(f0, f1)
-    num0, num1 = [a[s] for s in order0], [b[s] for s in order0]
-    key_scale = time_key_scale(num0, num1)
-    vine = Vineyard(K, order0)
+    vine = Vineyard(K, _by_dimension(K, order0))
     perm, pos, names, low, owner = vine.perm, vine.pos, vine.simplex, vine.low, vine.owner
     n = len(perm)
-    dims = [K.simplices[s].dim for s in names]  # label -> dimension
-    first = pairs = vine.pairs()
-    origin: list = [None] * n  # birth label -> its point in first
-    for i, x in enumerate(vine.births()):
-        origin[x] = i
-    # Why certificates suffice.  If every adjacent pair of the order is in
-    # order at t, the whole order is sorted at t, by transitivity.  An
-    # adjacent pair (x, y) in order at the lower end lo stays in order up
-    # to 1 unless its value gap falls below 0 at t = 1, that is unless
-    # b[y] < b[x], and then it falls below 0 just after t* = d0 / D,
-    # d0 = a[y] - a[x] >= 0, D = d0 + b[x] - b[y] <= span: its
-    # certificate.  Every adjacent pair with b[y] < b[x] has one, so the
-    # order stays sorted up to the first certificate, and a certificate
-    # before hi is a pair whose values decrease at hi.  A pair tied at hi
-    # holds a certificate at hi, unless its lines are identical (tied at
-    # both ends, so everywhere); those are flagged when they become
-    # adjacent, which is at t = 0 or as the outer pair of a reversed run,
-    # and are a violation at the next breakpoint.  Faces need no check of
-    # their own: f0 and f1 are monotone (total_order) and untied
-    # (crossing_times), so each face is strictly below its cofaces at both
-    # ends, hence at every t, and an order whose values do not decrease
-    # puts faces first.
+    num0, num1 = [a[s] for s in names], [b[s] for s in names]
+    key_scale = time_key_scale(num0, num1)
+    dim_of = K.dims  # complex position -> dimension
+    dims = [dim_of[s] for s in names]  # label -> dimension
+    rank = _inverse(order0)  # complex position -> position in order0
+    pairs = vine.pairs()
+    first = tuple(sorted(pairs, key=lambda pv: rank[pv.birth]))
+    origin: list = [None] * n  # birth simplex -> its point in first
+    for i, pv in enumerate(first):
+        origin[pv.birth] = i
+    # Why one order per dimension suffices.  The boundary of a d-simplex
+    # holds (d - 1)-simplices only.  The reduction adds column k to column
+    # j only when both have the same pivot row, a (d - 1)-simplex, so k is
+    # a d-simplex too, and it compares rows only with rows of that
+    # dimension: R = D * V and V are block-diagonal by dimension, and the
+    # reduction of the d-simplices' columns reads only the order of the
+    # d-simplices among themselves and of the (d - 1)-simplices among
+    # themselves (Chen and Kerber, "Persistent Homology Computation with a
+    # Twist", EuroCG 2011).  So the pivot pairs of two orders that agree
+    # within each dimension are the same pairs, listed by another birth
+    # order.  In an interval f_t is sorted along each dimension's part of
+    # the carried order, which is then f_t's canonical order restricted to
+    # that dimension, so the carried pairs are f_t's canonical pairs.  A
+    # dimension-major order puts faces first, whatever the values, so it
+    # is a filtration order the vineyard can carry, and two simplices of
+    # one dimension are never face and coface, so any two adjacent ones may
+    # be transposed (Cohen-Steiner, Edelsbrunner and Morozov, SoCG 2006).
+    # A crossing of two dimensions changes no part, so no pair: it is no
+    # event, and only the schedule is checked there.
+    #
+    # Why certificates suffice.  If every adjacent pair of one dimension
+    # is in order at t, each dimension's part of the order is sorted at t,
+    # by transitivity.  An adjacent pair (x, y) in order at the lower end
+    # lo stays in order up to 1 unless its value gap falls below 0 at t =
+    # 1, that is unless b[y] < b[x], and then it falls below 0 just after
+    # t* = d0 / D, d0 = a[y] - a[x] >= 0, D = d0 + b[x] - b[y] <= span:
+    # its certificate.  Every adjacent pair of one dimension with b[y] <
+    # b[x] has one, so the parts stay sorted up to the first certificate,
+    # and a certificate before hi is a pair whose values decrease at hi.
+    # A pair tied at hi holds a certificate at hi, unless its lines are
+    # identical (tied at both ends, so everywhere); those are flagged when
+    # they become adjacent, which is at t = 0 or as the outer pair of a
+    # reversed run, and are a violation at the next breakpoint.
     heap: list = []  # (time key, x, y): x just before y, meeting at the key
     flagged: list = []  # adjacent pairs with identical lines
     # live[x] = y: a certificate of (x, y) was pushed, and is pending unless
@@ -294,7 +493,7 @@ def _carried_certificates(
     live: list = [None] * n
 
     def certify(x, y):
-        if live[x] == y:
+        if live[x] == y or dims[x] != dims[y]:
             return
         drop = num1[x] - num1[y]
         if drop > 0:
@@ -309,9 +508,16 @@ def _carried_certificates(
 
     for x, y in zip(perm, perm[1:]):
         certify(x, y)
-    bps = schedule.breakpoints()
+    bps, pairs_at = schedule.breakpoints(), schedule.pairs_at
+    crossings = len(bps) - 2
     for k, (lo, hi) in enumerate(zip(bps, bps[1:])):
         p, q = hi.numerator, hi.denominator
+        # Breakpoints that increase strictly put every crossing time
+        # inside (0, 1), each in one place (see verify_stability).
+        if p * lo.denominator <= lo.numerator * q:
+            raise InternalProofViolation(
+                f"{_interval(k, lo, hi)}: the crossing times do not increase"
+            )
         key_hi = time_key(p, q, key_scale)
         if flagged:
             x, y = flagged[0]
@@ -331,15 +537,7 @@ def _carried_certificates(
             d0 = num0[y] - num0[x]
             first_vs_hi = -1 if key < key_hi else q * d0 - p * (d0 + num1[x] - num1[y])
         if first_vs_hi < 0:
-            vx, vy = (Fraction(v, q * scale) for v in interpolate(
-                [num0[x], num0[y]], [num1[x], num1[y]], hi
-            ))
-            raise InternalProofViolation(
-                f"{_interval(k, lo, hi)}: carried order fails at t = "
-                f"{fraction_string(hi)}: values decrease along the order: "
-                f"f({K.simplices[names[x]]}) = {fraction_string(vx)} > "
-                f"{fraction_string(vy)} = f({K.simplices[names[y]]})"
-            )
+            raise _decreasing(K, k, lo, hi, names[x], names[y], a, b, scale)
         # The certificates at hi are the adjacent pairs tied there.  One can
         # outlive its pair's adjacency, when a reversed run puts z between
         # x and y, but cannot reach its time t* that way: the order is
@@ -361,13 +559,16 @@ def _carried_certificates(
             _check_partition(K, first, k, lo, hi)
         if sink is not None:
             sink.append(("interval", k, lo, hi, tuple(names[x] for x in perm), pairs))
-        if k == len(schedule):
+        if k == crossings:
             break
-        # The crossing at hi.  The runs are the simplices tied there: the
-        # order is sorted at hi, so simplices of equal value are adjacent.
-        # The lines of one run meet at one point with distinct slopes
-        # (identical lines were flagged above), so its order reverses and
-        # every pair in it swaps; those pairs must be the schedule's at hi.
+        # The crossing at hi.  The runs are the simplices of one dimension
+        # tied there: each dimension's part of the order is sorted at hi,
+        # so its simplices of equal value are adjacent.  The lines of one
+        # run meet at one point with distinct slopes (identical lines were
+        # flagged above), so its order reverses and every pair in it
+        # swaps; those pairs must be the schedule's pairs of one dimension
+        # at hi, and each scheduled pair of two dimensions must tie there:
+        # f_t at hi = p/q is a * (q - p) + b * p over q * L.
         tied: list = []
         swapped: list = []
         run_of: dict = {}  # tied label -> n + the index of its run
@@ -378,91 +579,110 @@ def _carried_certificates(
             swapped += combinations(sorted([names[x] for x in run]), 2)
         if len(runs) > 1:
             swapped.sort()
-        expected = schedule.pairs_at[k]
-        if tuple(swapped) != expected:
-            unscheduled = sorted(set(swapped) - set(expected))
-            if unscheduled:
-                what = (
-                    f"simplices {_simplex_pair(K, *unscheduled[0])} tie but are "
-                    "not scheduled"
-                )
+        expected = pairs_at[k]
+        same: list = []  # the scheduled pairs of one dimension
+        rest, previous = q - p, ()
+        for pair in expected:
+            i, j = pair
+            if dim_of[i] == dim_of[j]:
+                same.append(pair)
+            elif (
+                previous < pair
+                and i < j
+                and a[i] != a[j]
+                and a[i] * rest + b[i] * p == a[j] * rest + b[j] * p
+            ):
+                previous = pair
             else:
-                untied = sorted(set(expected) - set(swapped))
-                what = f"scheduled simplices {_simplex_pair(K, *untied[0])} do not tie"
-            raise InternalProofViolation(
-                f"crossing {k} at t = {fraction_string(hi)}: {what}"
-            )
-        # The pivot pairs with a tied simplex, as (birth, death) labels in
-        # the order of their births, before the runs reverse.  Tied
-        # simplices are never face and coface (f_t is strictly monotone),
-        # so each run reverses by adjacent transpositions.
-        births = {x if low[x] is None else low[x] for x in tied}
-        left = [(x, owner[x]) for x in sorted(births, key=pos.__getitem__)]
-        held = links()
-        for start, end in runs:
-            vine.reverse(start, end)
-        # A pair changes only at a switch (Cohen-Steiner, Edelsbrunner and
-        # Morozov, SoCG 2006), and most crossings have none.  If the pivot
-        # row and owner of every tied label are unchanged, every pair with
-        # a tied simplex keeps both its simplices, so its point at hi is
-        # unchanged, and so is the cover they make.  The bucket rule of
-        # _reidentify then sends each of those pairs to itself, unless two
-        # of them have equal points, which it may cross.  Equal points need
-        # no values.  The runs are the classes of simplices of equal value
-        # at hi (the order is sorted there), and an untied simplex has a
-        # value of its own.  So two distinct pairs have equal points only
-        # if they have one dimension, their births lie in one run, and
-        # their deaths are both essential or lie in one run (an untied
-        # death is one pair's alone).  Each pair with a tied birth is keyed
-        # by (dimension, run of its birth, run of its death, or its death
-        # label if that is untied, or None), and a changed label or a
-        # repeated key sends the crossing through the full step below.
-        born = [x for x in tied if low[x] is None]
-        points = {(dims[x], run_of[x], run_of.get(owner[x], owner[x])) for x in born}
+                raise _schedule_fault(K, a, b, k, hi, swapped, expected)
+        if swapped != same:
+            raise _schedule_fault(K, a, b, k, hi, swapped, expected)
         step: list = []  # left's indices to right's; empty if none moves
-        if held != links() or len(points) != len(born):
-            births = {x if low[x] is None else low[x] for x in tied}
-            right = [(x, owner[x]) for x in sorted(births, key=pos.__getitem__)]
-            # Those pairs must use the same simplices, each exactly once,
-            # before and after.  Every other pair is unchanged, so the
-            # pairs still partition the simplices, as checked in full for
-            # the first interval.
-            was = [x for pair in left for x in pair if x is not None]
-            now = [x for pair in right for x in pair if x is not None]
-            if not (len(was) == len(now) == len(set(now)) and set(was) == set(now)):
-                for x in sorted(set(was) | set(now)):
-                    if was.count(x) != 1 or now.count(x) != 1:
-                        raise InternalProofViolation(
-                            f"crossing {k} at t = {fraction_string(hi)}: simplex "
-                            f"{{{K.simplices[names[x]]}}} is a coordinate of "
-                            f"{was.count(x)} pivot pairs with a tied simplex "
-                            f"before the swaps and of {now.count(x)} after"
-                        )
-            values = dict(zip(
-                was, interpolate([num0[x] for x in was], [num1[x] for x in was], hi)
-            ))
-            step = _reidentify(K, names, dims, left, right, values, q * scale, k, hi)
-            for i, j in zip([origin[x] for x, _ in left], step):
-                origin[right[j][0]] = i
-        # A reversed run's lines met at hi with b decreasing along it, each
-        # adjacent pair having held a certificate there, so now b increases
-        # along it and its inner pairs never meet again.  Only the two
-        # outer pairs are new.
-        for start, end in runs:
-            if start:
-                certify(perm[start - 1], perm[start])
-            if end < n:
-                certify(perm[end - 1], perm[end])
+        if runs:
+            held = links()
+            for start, end in runs:
+                vine.reverse(start, end)
+            # A pair changes only at a switch (Cohen-Steiner, Edelsbrunner
+            # and Morozov, SoCG 2006), and most crossings have none.  If
+            # the pivot row and owner of every tied label are unchanged,
+            # every pair with a tied simplex keeps both its simplices, so
+            # its point at hi is unchanged, and so is the cover they make.
+            # The bucket rule of _reidentify then sends each of those pairs
+            # to itself, unless two of them have equal points, which it may
+            # cross.  Equal points need no values.  Two pairs with equal
+            # points have one dimension, so births of one dimension and
+            # deaths of one dimension.  The runs are the classes of
+            # simplices of one dimension and equal value at hi (each part
+            # of the order is sorted there), and an untied simplex has a
+            # value no other simplex of its dimension has.  So two distinct
+            # pairs have equal points only if they have one dimension,
+            # their births lie in one run, and their deaths are both
+            # essential or lie in one run (an untied death is one pair's
+            # alone).  Each pair with a tied birth is keyed by (dimension,
+            # run of its birth, run of its death, or its death label if
+            # that is untied, or None), and a changed label or a repeated
+            # key sends the crossing through the full step below.
+            born = [x for x in tied if low[x] is None]
+            points = {(dims[x], run_of[x], run_of.get(owner[x], owner[x])) for x in born}
+            if held != links() or len(points) != len(born):
+                # The pivot pairs with a tied simplex, as (birth, death)
+                # labels, before the swaps (from the snapshot) and after,
+                # each in the order of their births then.  ``tied`` lists
+                # the runs as they were, and an untied birth did not move.
+                was_at = dict(zip(tied, [i for s, e in runs for i in range(s, e)]))
+                death_of: dict = {}  # birth label -> death label, before
+                for x, (r, o) in zip(tied, held):
+                    if r is None:
+                        death_of[x] = o
+                    else:
+                        death_of[r] = x
+                left = sorted(
+                    death_of.items(), key=lambda xd: was_at.get(xd[0], pos[xd[0]])
+                )
+                births = {x if low[x] is None else low[x] for x in tied}
+                right = [(x, owner[x]) for x in sorted(births, key=pos.__getitem__)]
+                # Those pairs must use the same simplices, each exactly
+                # once, before and after.  Every other pair is unchanged,
+                # so the pairs still partition the simplices, as checked in
+                # full for the first interval.
+                was = [x for pair in left for x in pair if x is not None]
+                now = [x for pair in right for x in pair if x is not None]
+                if not (len(was) == len(now) == len(set(now)) and set(was) == set(now)):
+                    for x in sorted(set(was) | set(now)):
+                        if was.count(x) != 1 or now.count(x) != 1:
+                            raise InternalProofViolation(
+                                f"crossing {k} at t = {fraction_string(hi)}: simplex "
+                                f"{{{K.simplices[names[x]]}}} is a coordinate of "
+                                f"{was.count(x)} pivot pairs with a tied simplex "
+                                f"before the swaps and of {now.count(x)} after"
+                            )
+                values = dict(zip(
+                    was, interpolate([num0[x] for x in was], [num1[x] for x in was], hi)
+                ))
+                step = _reidentify(K, names, dims, left, right, values, q * scale, k, hi)
+                for i, j in zip([origin[names[x]] for x, _ in left], step):
+                    origin[names[right[j][0]]] = i
+            # A reversed run's lines met at hi with b decreasing along it,
+            # each adjacent pair having held a certificate there, so now b
+            # increases along it and its inner pairs never meet again.
+            # Only the two outer pairs are new.
+            for start, end in runs:
+                if start:
+                    certify(perm[start - 1], perm[start])
+                if end < n:
+                    certify(perm[end - 1], perm[end])
         if sink is not None:
             before, pairs = pairs, vine.pairs()
             where = {pv.birth: j for j, pv in enumerate(pairs)}
             to = {names[left[i][0]]: names[right[j][0]] for i, j in enumerate(step)}
             full = [where[to.get(pv.birth, pv.birth)] for pv in before]
             sink.append(("crossing", k, hi, before, pairs, full))
+    rank = _inverse(order1)
+    last = tuple(sorted(vine.pairs(), key=lambda pv: rank[pv.birth]))
     track: list = [None] * len(first)
-    for j, x in enumerate(vine.births()):
-        track[origin[x]] = j
-    return track, first, vine.pairs(), tuple(names[x] for x in perm)
+    for j, pv in enumerate(last):
+        track[origin[pv.birth]] = j
+    return track, first, last, tuple(names[x] for x in perm)
 
 
 def _bijection_cost(D0: Diagram, D1: Diagram, m: Matching, what: str):
@@ -513,22 +733,27 @@ def verify_stability(
 
     Produces per-interval certificates, the end-to-end bijection carried
     through the zero-cost re-identifications at the crossings, and the
-    exact bottleneck distance.  Checked in exact rationals: each interval's
-    pivot pairs partition the simplices, exact <= composed <= sup-norm, and
-    the exact distance is its witness's cost.
+    exact bottleneck distance.  Checked in exact rationals: the schedule
+    holds exactly the crossing pairs, each interval's pivot pairs partition
+    the simplices, exact <= composed <= sup-norm, and the exact distance is
+    its witness's cost.
     """
     order0 = total_order(K, f0)  # each validates its function, f0 first
     order1 = total_order(K, f1)
     gap = sup_norm(f0, f1)
     schedule = crossing_times(f0, f1)  # raises NonUniqueValues on any tie
-    track, first, last, order = _carried_certificates(K, f0, f1, schedule, order0)
+    track, first, last, order = _carried_certificates(
+        K, f0, f1, schedule, order0, order1
+    )
     composed = Matching(tuple(enumerate(track)))
 
-    # The carried order starts as the canonical order of f0 and must end as
-    # the canonical order of f1 (both untied), and the pairs carried with
-    # it must be that order's pairs reduced from scratch, so the first and
-    # last pair lists are the canonical pairs of f0 and f1.
-    if order != order1:
+    # The carried order starts as the canonical order of f0 by dimension
+    # and must end as the canonical order of f1 (both untied) by
+    # dimension.  The pairs carried with it, put in the birth order of f1's
+    # canonical order, must be that order's pairs reduced from scratch: an
+    # independent check that one order per dimension gives the pairs.  So
+    # the first and last pair lists are the canonical pairs of f0 and f1.
+    if order != _by_dimension(K, order1):
         raise InternalProofViolation(
             "the order carried to t = 1 is not the canonical order of f1"
         )
@@ -537,6 +762,22 @@ def verify_stability(
             "the pivot pairs carried to t = 1 are not those of the canonical "
             "order of f1"
         )
+    # Why the schedule holds exactly the crossing pairs, each at its own
+    # time.  The sweep checked that its times increase strictly inside
+    # (0, 1), that at each time its pairs of one dimension are the pairs
+    # the tied runs swapped, each once, and that its pairs of two
+    # dimensions are listed once each, in increasing order, and tie there
+    # with distinct values at 0.  The lines of a run meet at one point
+    # with distinct slopes, so they differ at 0 too.  So each scheduled
+    # pair is two lines that differ at 0 and meet strictly inside (0, 1),
+    # hence ordered one way by f0 and the other by f1: an inversion
+    # between order0 and order1, listed at the one time its lines meet.
+    # No pair is listed twice, so the scheduled pairs are distinct
+    # inversions, and if they are as many as the inversions, they are all
+    # of them.
+    count, inversions = sum(map(len, schedule.pairs_at)), _inversions(order0, order1)
+    if count != inversions:
+        raise _missed_crossing(K, f0, f1, schedule, count, inversions)
     D0 = diagram_from_pivots(K, f0, first)
     D1 = diagram_from_pivots(K, f1, last)
 

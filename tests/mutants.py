@@ -172,6 +172,58 @@ CATALOGUE += [
     ),
 ]
 
+# The sweep by dimension: pairs of two dimensions are no events, so the
+# schedule's ties across dimensions and its inversion count stand in for
+# the comparison with every tied pair
+ACROSS = "tests/test_stability.py::test_schedule_faults_across_dimensions_are_violations"
+DOCTORED = (
+    "tests/test_acceptance.py::"
+    "test_a_doctored_schedule_is_a_violation_naming_crossing_t_and_pair"
+)
+CATALOGUE += [
+    # certify keeps adjacent pairs of two dimensions too, so a vertex and
+    # an edge can swap and the order is no longer by dimension
+    (
+        "src/phstab/stability.py",
+        "if live[x] == y or dims[x] != dims[y]:",
+        "if live[x] == y:",
+        [
+            "tests/test_stability.py::test_verify_stability_random_instances",
+            "tests/test_acceptance.py::test_transpositions_are_the_same_dimension_crossing_pairs",
+            MID_SIZE[0],
+        ],
+    ),
+    # a scheduled pair of two dimensions need not tie at its time
+    (
+        "src/phstab/stability.py",
+        "                and a[i] * rest + b[i] * p == a[j] * rest + b[j] * p\n",
+        "",
+        [ACROSS + "[moved]", ACROSS + "[added]", DOCTORED],
+    ),
+    # the schedule's pair count is not checked against the inversions, so
+    # a pair of two dimensions may be missing
+    (
+        "src/phstab/stability.py",
+        "if count != inversions:",
+        "if False:",
+        [ACROSS + "[dropped]", ACROSS + "[dropped-across]", DOCTORED],
+    ),
+    # a pair of two dimensions may be listed twice at one time
+    (
+        "src/phstab/stability.py",
+        "                previous < pair\n                and i < j\n",
+        "                i < j\n",
+        [ACROSS + "[twice]"],
+    ),
+    # the crossing times need not increase, so a pair may be listed twice
+    (
+        "src/phstab/stability.py",
+        "if p * lo.denominator <= lo.numerator * q:",
+        "if False:",
+        [ACROSS + "[time-twice]"],
+    ),
+]
+
 # The reader: the parse loop, the value reader and the simplex and complex
 # checks it calls, each against the fuzzed reference twin and a pinned test
 FUZZ = (

@@ -41,10 +41,14 @@ gives against it at every crossing of a recorded run.
 ``reidentify_calls`` records the crossings at which verify re-identifies,
 and ``crossings_to_reidentify`` the ones where it must: where a pair
 changes or two pairs with a tied simplex have equal points.
-``doctored_schedule_differences`` hands ``verify_stability`` five
-doctored copies of a crossing schedule and checks the violation each
-must raise.  The other helpers build what the library itself never needs:
-the full order check (values and face closure), random compatible orders,
+``doctored_schedule_differences`` hands ``verify_stability`` up to nine
+doctored copies of a crossing schedule, four of them aimed at pairs of
+two dimensions, and checks the violation each must raise.
+``transpositions`` counts the transpositions of a verify, which must be
+its schedule's pairs of one dimension (``same_dimension_pairs``), and
+``crafted_runs`` builds instances with long runs through one point.  The
+other helpers build what the library itself never needs: the full order
+check (values and face closure), random compatible orders,
 diagrams under a supplied order, sublevel complexes, interval midpoints,
 a permutation-enumerating bottleneck and perturbed instances, whose two
 functions differ by little.
@@ -83,11 +87,17 @@ from phstab.errors import (
     ParseError,
     PhstabError,
 )
-from phstab.generate import generate_instance
+from phstab.generate import GeneratorConfig, generate_complex, generate_instance
 from phstab.instances import InstanceFile
 from phstab.interpolation import CrossingSchedule, sup_norm
 from phstab.ordering import total_order
-from phstab.persistence import Diagram, PivotPair, diagram_from_pivots, pivot_pairs
+from phstab.persistence import (
+    Diagram,
+    PivotPair,
+    Vineyard,
+    diagram_from_pivots,
+    pivot_pairs,
+)
 from phstab.rational import (
     INF,
     ExponentTooLarge,
@@ -564,6 +574,98 @@ def crossings_to_reidentify(K, f0, f1, events) -> list:
     return out
 
 
+def transpositions(K, f0, f1) -> tuple:
+    """The report of ``verify_stability`` and the number of
+    ``Vineyard.transpose`` calls it made."""
+    count = 0
+    transpose = Vineyard.transpose
+
+    def counted(self, i):
+        nonlocal count
+        count += 1
+        transpose(self, i)
+
+    with mock.patch.object(Vineyard, "transpose", counted):
+        report = stability.verify_stability(K, f0, f1)
+    return report, count
+
+
+def same_dimension_pairs(K, schedule) -> int:
+    """How many of the schedule's crossing pairs join two simplices of one
+    dimension."""
+    dim = [s.dim for s in K.simplices]
+    return sum(dim[i] == dim[j] for pairs in schedule.pairs_at for i, j in pairs)
+
+
+def crafted_runs(seed: int, k: int, runs: int = 1, mixed: bool = False) -> tuple:
+    """A seeded instance whose lines meet where the sweep's fast paths
+    need them, and the groups of simplex positions that tie at its time
+    t*: (instance, t*, groups).
+
+    ``runs`` groups of k simplices of one dimension each have value lines
+    through one point, all at one t*: group g passes through (t*, v_g),
+    with a_i = v_g - t* s_i and b_i = v_g + (1 - t*) s_i for distinct
+    slopes s_i, so each group ties at t* as one run of k.  With ``mixed``,
+    one simplex of another dimension, neither a face nor a coface of any
+    of them, passes through (t*, v_0) too and is the last of group 0: that
+    tie mixes dimensions, and the sweep sees its run of k alone.
+    Simplices of one dimension are never faces of one another, so only
+    the faces and cofaces of the chosen simplices need room: their faces
+    take values below every line at both ends and their cofaces values
+    above.  Every other simplex takes values between, rising with
+    dimension, so the lines also cross it.  Draws repeat until a mixed
+    tie has a simplex to take and both functions are untied.
+    """
+    rng = random.Random(seed)
+    K = generate_complex(rng, GeneratorConfig(seed=seed, num_vertices=8, fill_prob=0.6))
+    by_dim: dict = {}
+    for s, simplex in enumerate(K.simplices):
+        by_dim.setdefault(simplex.dim, []).append(s)
+    d = rng.choice([e for e, group in by_dim.items() if len(group) >= k * runs])
+    vertex_sets = [set(simplex.vertices) for simplex in K.simplices]
+
+    def related(s, c) -> bool:  # face or coface
+        return vertex_sets[s] < vertex_sets[c] or vertex_sets[c] < vertex_sets[s]
+
+    while True:
+        chosen = rng.sample(by_dim[d], k * runs)
+        groups = [chosen[g * k : (g + 1) * k] for g in range(runs)]
+        if mixed:
+            others = [
+                s for s in range(len(K))
+                if K.simplices[s].dim != d and not any(related(s, c) for c in chosen)
+            ]
+            if not others:
+                continue
+            groups[0].append(rng.choice(others))
+        t = Fraction(rng.randint(1, 15), 16)
+        lines = {}
+        slopes = iter(rng.sample(range(-12, 13), sum(map(len, groups))))
+        for g, group in enumerate(groups):
+            v = 100 + 15 * g
+            for c in group:
+                slope = next(slopes)
+                lines[c] = (v - t * slope, v + (1 - t) * slope)
+
+        def band(s) -> tuple:  # (base, width) of the values s may take
+            dim = K.simplices[s].dim
+            if any(vertex_sets[s] < vertex_sets[c] for c in lines):
+                return 10 * dim, 10
+            if any(vertex_sets[c] < vertex_sets[s] for c in lines):
+                return 200 + 10 * dim, 10
+            return 60 + 30 * dim, 30
+
+        def drawn(s):
+            base, width = band(s)
+            return base + Fraction(rng.randrange(100 * width), 100)
+
+        a = [lines[s][0] if s in lines else drawn(s) for s in range(len(K))]
+        b = [lines[s][1] if s in lines else drawn(s) for s in range(len(K))]
+        f0, f1 = FiltrationFunction(K, tuple(a)), FiltrationFunction(K, tuple(b))
+        if len(set(a)) == len(set(b)) == len(K):
+            return InstanceFile(K, (f0, f1)), t, groups
+
+
 def interval_references(K, f0, f1, schedule) -> tuple:
     """The certificate of ``interval_matching`` for each interval of
     ``schedule`` in turn, or the PhstabError that it raised there, and the
@@ -595,18 +697,21 @@ def interval_references(K, f0, f1, schedule) -> tuple:
     return refs, composed
 
 
-def reference_differences(report, events, references) -> list[str]:
+def reference_differences(K, report, events, references) -> list[str]:
     """How ``report`` and the intervals in the events of
     ``verify_recording`` depart from ``references``, as
     ``interval_references`` returns them; empty if they do not.
 
     There must be one recorded interval and one reference per certificate.
-    Each reference must be certified, each interval's order and pivot pairs
-    must equal its reference's, its share must equal both the reference's
-    measured cost and its bound, and the carried point map must equal the
-    composed chain.
+    Each reference must be certified.  Verify carries its order by
+    dimension, so each interval's order must equal its reference's order
+    stably sorted by dimension, and its pivot pairs the reference's pairs
+    stably sorted by the dimension of their births.  Each interval's share
+    must equal both the reference's measured cost and its bound, and the
+    carried point map must equal the composed chain.
     """
     refs, composed = references
+    dim = [s.dim for s in K.simplices]
     out = []
     reduced = recorded_intervals(events)
     certs = report.certificates
@@ -619,8 +724,11 @@ def reference_differences(report, events, references) -> list[str]:
         if isinstance(ref, PhstabError):
             out.append(f"interval {k}: not certified: {ref}")
             continue
-        for name, got in (("order_used", order), ("pairs", pairs)):
-            if got != getattr(ref, name):
+        for name, got, want in (
+            ("order_used", order, sorted(ref.order_used, key=dim.__getitem__)),
+            ("pairs", pairs, sorted(ref.pairs, key=lambda pv: dim[pv.birth])),
+        ):
+            if got != tuple(want):
                 out.append(f"interval {k}: {name} differs")
         for name in ("cost", "bound"):
             if cert.share != getattr(ref, name):
@@ -647,19 +755,27 @@ def _violation(K, f0, f1, schedule) -> "str | None":
     return None
 
 
-def doctored_schedule_differences(K, f0, f1, rng) -> list[str]:
-    """How ``verify_stability`` departs from what five doctored copies of
-    the true schedule must make it raise; empty if it does not.
+def doctored_schedule_differences(K, f0, f1, rng) -> tuple:
+    """How ``verify_stability`` departs from what doctored copies of the
+    true schedule must make it raise, empty if it does not, and the names
+    of the copies it was handed.
 
     At a crossing time ``rng`` picks, the copies (1) drop the time, which
-    the certificates must report as a missed crossing: the first interval
-    that spans it, at its upper end, names a pair scheduled there whose
-    values, as printed, decrease there; (2) move it halfway to the time
-    before it (or to 0), where nothing ties; (3) drop one pair of a time
-    with several, if any, a pair that ties but is not scheduled; (4) add
-    a pair that does not tie there; (5) replace one of its pairs by a pair
-    that does not tie there, so that only the pairs, not their number,
-    tell the copy from the true schedule.
+    must be reported as a missed crossing: the first interval that spans
+    it, at its upper end, names a pair scheduled there whose values, as
+    printed, decrease there; (2) move it halfway to the time before it (or
+    to 0), where nothing ties; (3) drop one pair of a time with several,
+    if any, a pair that ties but is not scheduled; (4) add a pair that
+    does not tie there; (5) replace one of its pairs by a pair that does
+    not tie there, so that only the pairs, not their number, tell the copy
+    from the true schedule.
+
+    Verify sweeps the simplices of each dimension apart, so a pair of two
+    dimensions is no event, and the copies (6) to (9) aim at such pairs:
+    (6) add one that does not tie at the picked time; (7) drop one from a
+    time with several pairs, if any holds one; and, at a time that holds
+    only such pairs, if any, (8) move it as in (2) and (9) drop it as in
+    (1).
     """
     true = stability.crossing_times(f0, f1)
     times, pairs_at = list(true.times), list(true.pairs_at)
@@ -670,50 +786,64 @@ def doctored_schedule_differences(K, f0, f1, rng) -> list[str]:
         schedule = CrossingSchedule(tuple(times), tuple(pairs_at))
         return _violation(K, f0, f1, schedule)
 
-    out = []
-    # (1) the missed pair and its values are read back from the message
-    got = raised(times[:i] + times[i + 1:], pairs_at[:i] + pairs_at[i + 1:])
-    hi = times[i + 1] if i + 1 < len(times) else Fraction(1)
-    m = _MISSED.fullmatch(got or "")
-    pair = m and tuple(K.index[tuple(map(int, v.split(",")))] for v in (m[3], m[6]))
-    f_hi = fraction_interpolate(f0, f1, hi).values
-    if not (
-        m
-        and (int(m[1]), m[2]) == (i, fraction_string(hi))
-        and tuple(sorted(pair)) in pairs_at[i]
-        and (m[4], m[5]) == tuple(fraction_string(f_hi[x]) for x in pair)
-        and f_hi[pair[0]] > f_hi[pair[1]]
-    ):
-        out.append(f"dropped t = {fraction_string(t)}: {got!r}")
-    # (2)
-    moved = ((times[i - 1] if i else 0) + t) / 2
-    expected = [(
-        raised(times[:i] + [moved] + times[i + 1:], pairs_at),
-        f"crossing {i} at t = {fraction_string(moved)}: scheduled simplices "
-        f"{_simplex_pair(K, *pairs_at[i][0])} do not tie",
-    )]
-    # (3)
-    several = [j for j, ps in enumerate(pairs_at) if len(ps) > 1]
-    if several:
-        j = rng.choice(several)
-        r = rng.randrange(len(pairs_at[j]))
+    def dropped(i) -> list:
+        """Drop time i: the missed pair and its values are read back from
+        the message."""
+        got = raised(times[:i] + times[i + 1:], pairs_at[:i] + pairs_at[i + 1:])
+        hi = times[i + 1] if i + 1 < len(times) else Fraction(1)
+        m = _MISSED.fullmatch(got or "")
+        pair = m and tuple(K.index[tuple(map(int, v.split(",")))] for v in (m[3], m[6]))
+        f_hi = fraction_interpolate(f0, f1, hi).values
+        if (
+            m
+            and (int(m[1]), m[2]) == (i, fraction_string(hi))
+            and tuple(sorted(pair)) in pairs_at[i]
+            and (m[4], m[5]) == tuple(fraction_string(f_hi[x]) for x in pair)
+            and f_hi[pair[0]] > f_hi[pair[1]]
+        ):
+            return []
+        return [f"dropped t = {fraction_string(times[i])}: {got!r}"]
+
+    def moved(i) -> tuple:
+        """Move time i halfway to the time before it, where nothing ties."""
+        to = ((times[i - 1] if i else 0) + times[i]) / 2
+        return (
+            raised(times[:i] + [to] + times[i + 1:], pairs_at),
+            f"crossing {i} at t = {fraction_string(to)}: scheduled simplices "
+            f"{_simplex_pair(K, *pairs_at[i][0])} do not tie",
+        )
+
+    def without(j, r) -> tuple:
+        """Drop pair r of time j, a pair that ties but is not scheduled."""
         fewer = pairs_at[j][:r] + pairs_at[j][r + 1:]
-        expected.append((
+        return (
             raised(times, pairs_at[:j] + [fewer] + pairs_at[j + 1:]),
             f"crossing {j} at t = {fraction_string(times[j])}: simplices "
             f"{_simplex_pair(K, *pairs_at[j][r])} tie but are not scheduled",
-        ))
-    # (4) only the scheduled pairs tie at t
+        )
+
+    def adding(extra) -> tuple:
+        """Add a pair that does not tie at t: only the scheduled pairs do."""
+        more = tuple(sorted(pairs_at[i] + (extra,)))
+        return (
+            raised(times, pairs_at[:i] + [more] + pairs_at[i + 1:]),
+            f"crossing {i} at t = {fraction_string(t)}: scheduled simplices "
+            f"{_simplex_pair(K, *extra)} do not tie",
+        )
+
+    out = dropped(i)  # (1)
+    ran = ["dropped", "moved", "added", "replaced"]
+    expected = [moved(i)]  # (2)
+    several = [j for j, ps in enumerate(pairs_at) if len(ps) > 1]
+    if several:  # (3)
+        j = rng.choice(several)
+        expected.append(without(j, rng.randrange(len(pairs_at[j]))))
+        ran.append("dropped pair")
     while True:
         extra = tuple(sorted(rng.sample(range(len(K)), 2)))
         if extra not in pairs_at[i]:
             break
-    more = tuple(sorted(pairs_at[i] + (extra,)))
-    expected.append((
-        raised(times, pairs_at[:i] + [more] + pairs_at[i + 1:]),
-        f"crossing {i} at t = {fraction_string(t)}: scheduled simplices "
-        f"{_simplex_pair(K, *extra)} do not tie",
-    ))
+    expected.append(adding(extra))  # (4)
     # (5) the replaced pair ties but is not scheduled
     r = rng.randrange(len(pairs_at[i]))
     same = tuple(sorted(pairs_at[i][:r] + pairs_at[i][r + 1:] + (extra,)))
@@ -722,8 +852,34 @@ def doctored_schedule_differences(K, f0, f1, rng) -> list[str]:
         f"crossing {i} at t = {fraction_string(t)}: simplices "
         f"{_simplex_pair(K, *pairs_at[i][r])} tie but are not scheduled",
     ))
+    dim = [s.dim for s in K.simplices]
+
+    def across(pair) -> bool:
+        return dim[pair[0]] != dim[pair[1]]
+
+    others = [
+        pair for pair in combinations(range(len(K)), 2)
+        if across(pair) and pair not in pairs_at[i]
+    ]
+    if others:  # (6)
+        expected.append(adding(rng.choice(others)))
+        ran.append("added across")
+    mixed = [
+        (j, r)
+        for j, ps in enumerate(pairs_at) if len(ps) > 1
+        for r, pair in enumerate(ps) if across(pair)
+    ]
+    if mixed:  # (7)
+        expected.append(without(*rng.choice(mixed)))
+        ran.append("dropped pair across")
+    only = [j for j, ps in enumerate(pairs_at) if all(map(across, ps))]
+    if only:  # (8) and (9)
+        j = rng.choice(only)
+        expected.append(moved(j))
+        out += dropped(j)
+        ran += ["moved across", "dropped across"]
     out.extend(f"{got!r} != {want!r}" for got, want in expected if got != want)
-    return out
+    return out, ran
 
 
 def interval_midpoints(schedule: CrossingSchedule) -> tuple[Fraction, ...]:

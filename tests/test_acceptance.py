@@ -10,7 +10,9 @@ once from scratch.
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -35,6 +37,7 @@ from phstab.stability import verify_stability
 from oracles import (
     brute_force_bottleneck,
     counts_by_dim,
+    crafted_runs,
     crossings_to_reidentify,
     diagram_rank_count,
     diagram_with_order,
@@ -52,8 +55,10 @@ from oracles import (
     reference_differences,
     reidentify_calls,
     reidentify_differences,
+    same_dimension_pairs,
     scan_crossing_times,
     set_pivot_pairs,
+    transpositions,
     value_grid,
     value_multiset,
     verify_recording,
@@ -195,7 +200,7 @@ def test_carried_certificates_equal_the_from_scratch_reference(corpus, reference
     crossings; each interval's order and pivot pairs, its share and the
     composed matching must equal the from-scratch reference."""
     for (inst, report, events), refs in zip(_verified(corpus), references):
-        differences = reference_differences(report, events, refs)
+        differences = reference_differences(inst.complex, report, events, refs)
         assert not differences, f"{format_instance(inst)}{'; '.join(differences)}"
 
 
@@ -221,27 +226,43 @@ def test_carried_certificates_equal_the_reference_at_mid_size(
     report, events = verify_recording(inst.complex, *inst.functions)
     assert (len(inst.complex), len(report.schedule)) == (n, crossings)
     refs = interval_references(inst.complex, *inst.functions, report.schedule)
-    assert reference_differences(report, events, refs) == []
+    assert reference_differences(inst.complex, report, events, refs) == []
 
 
 def test_a_doctored_schedule_is_a_violation_naming_crossing_t_and_pair(corpus):
-    """verify checks the order by certificates of adjacent pairs, so a
-    crossing it misses would be a certificate it never pops.  Five doctored
-    copies of each schedule with at least two crossing times, on the corpus
-    and at mid size, must each raise the violation they cause, naming the
-    interval or crossing, t and a simplex pair (see
-    ``doctored_schedule_differences``)."""
+    """verify checks the order by certificates of adjacent pairs of one
+    dimension, so a crossing it misses would be a certificate it never
+    pops; a pair of two dimensions is checked against the schedule and the
+    inversion count instead.  Up to nine doctored copies of each schedule
+    with at least two crossing times, on the corpus and at mid size, must
+    each raise the violation they cause, naming the interval or crossing,
+    t and a simplex pair (see ``doctored_schedule_differences``).  The
+    copies aimed at pairs of two dimensions reach hundreds of instances
+    each."""
     instances = [
         inst for inst, report, _ in _verified(corpus) if len(report.schedule) > 1
     ]
     instances += [_mid_size_instance(*case[:3]) for case in MID_SIZE]
     assert len(instances) == 498
+    ran = Counter()
     for number, inst in enumerate(instances):
         rng = random.Random(number)
-        differences = doctored_schedule_differences(
+        differences, copies = doctored_schedule_differences(
             inst.complex, *inst.functions, rng
         )
         assert not differences, f"{format_instance(inst)}{'; '.join(differences)}"
+        ran.update(copies)
+    assert ran == {
+        "dropped": 498,
+        "moved": 498,
+        "added": 498,
+        "replaced": 498,
+        "dropped pair": 272,
+        "added across": 498,
+        "dropped pair across": 210,
+        "moved across": 490,
+        "dropped across": 490,
+    }
 
 
 def test_int_recheck_equals_the_fraction_twin_on_the_corpus(corpus):
@@ -338,6 +359,59 @@ def test_reidentification_runs_only_where_a_pair_changes_or_points_are_equal():
         called += len(calls)
         crossings += sum(kind == "crossing" for kind, *_ in events)
     assert (called, crossings) == (2416, 18_531)
+
+
+def test_transpositions_are_the_same_dimension_crossing_pairs():
+    """Work counted without a clock: verify sweeps each dimension's
+    simplices apart, so it transposes each scheduled pair of one dimension
+    once and never a pair of two dimensions.  On the corpus and at mid
+    size, that is 11,211 of the 20,432 crossing pairs."""
+    instances = _corpus_instances()
+    instances += [_mid_size_instance(*case[:3]) for case in MID_SIZE]
+    transposed = crossing_pairs = 0
+    for inst in instances:
+        report, count = transpositions(inst.complex, *inst.functions)
+        assert count == same_dimension_pairs(inst.complex, report.schedule), (
+            format_instance(inst)
+        )
+        transposed += count
+        crossing_pairs += sum(map(len, report.schedule.pairs_at))
+    assert (transposed, crossing_pairs) == (11_211, 20_432)
+
+
+# (seed, k, runs, mixed) for ``crafted_runs``: runs of k = 3 to 8 simplices
+# of one dimension through one point, two runs at one time, and ties at
+# that point that mix dimensions
+CRAFTED = [
+    (3, 3, 2, True),
+    (4, 4, 1, False),
+    (5, 5, 2, True),
+    (6, 6, 1, True),
+    (7, 7, 2, False),
+    (8, 8, 1, True),
+]
+
+
+@pytest.mark.parametrize("seed, k, runs, mixed", CRAFTED)
+def test_crafted_runs_equal_the_reference_and_the_twins(seed, k, runs, mixed):
+    """The crafted runs, which the corpus never reaches (it has no run
+    longer than three), go through the reference comparison, the bucket
+    twin and both work counts."""
+    inst, t, groups = crafted_runs(seed, k, runs, mixed)
+    K, (f0, f1) = inst.complex, inst.functions
+    report, events = verify_recording(K, f0, f1)
+    schedule = report.schedule
+    tied = set(schedule.pairs_at[schedule.times.index(t)])
+    for group in groups:
+        assert set(combinations(sorted(group), 2)) <= tied
+    assert len({K.simplices[s].dim for s in groups[0]}) == 1 + mixed
+    refs = interval_references(K, f0, f1, schedule)
+    assert reference_differences(K, report, events, refs) == []
+    assert reidentify_differences(K, f0, f1, events)[2] == []
+    calls, events = reidentify_calls(K, f0, f1)
+    assert calls == crossings_to_reidentify(K, f0, f1, events)
+    _, count = transpositions(K, f0, f1)
+    assert count == same_dimension_pairs(K, schedule)
 
 
 def test_interpolate_is_the_convex_combination_at_every_breakpoint(corpus):

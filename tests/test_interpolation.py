@@ -192,7 +192,7 @@ def test_inversion_schedule_equals_the_all_pairs_scan_on_negative_mixed_values()
 def _verified_as_reference(K, f0, f1):
     report, events = verify_recording(K, f0, f1)
     refs = interval_references(K, f0, f1, report.schedule)
-    assert reference_differences(report, events, refs) == []
+    assert reference_differences(K, report, events, refs) == []
     return report
 
 

@@ -208,7 +208,7 @@ def _verified_as_reference(K, f0, f1):
     checking both against the from-scratch reference."""
     report, events = verify_recording(K, f0, f1)
     refs = interval_references(K, f0, f1, report.schedule)
-    assert reference_differences(report, events, refs) == []
+    assert reference_differences(K, report, events, refs) == []
     return report, [order for order, _ in recorded_intervals(events)]
 
 
@@ -267,6 +267,78 @@ def test_schedule_disagreeing_with_the_tied_runs_is_a_violation(monkeypatch):
     extra = (((0, 1), (0, 2), (2, 3)),)
     _doctor_schedule(monkeypatch, CrossingSchedule(true.times, extra))
     with pytest.raises(InternalProofViolation, match=r"crossing 0 at t = 1/2: .*\(\{0\}, \{2\}\)"):
+        verify_stability(K, f0, f1)
+
+
+# {0} meets the edge {1,2} at t = 1/2, where {1} and {2} meet too, and {1}
+# meets {0} at 6/7; in ACROSS only {0} and {1,2} meet, at 1/2
+MIXED = ((3, 0, 1, 2), (1, Fraction(3, 2), Fraction(1, 2), 2))
+ACROSS = ((3, 0, 1, 2), (1, 0, Fraction(1, 2), 2))
+CROSS, SAME = (0, 3), (1, 2)
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "values, times, pairs_at, message",
+    [
+        # a time of two dimensions only, moved to where nothing ties
+        (
+            ACROSS, (Fraction(1, 4),), ((CROSS,),),
+            "crossing 0 at t = 1/4: scheduled simplices ({0}, {1,2}) do not tie",
+        ),
+        # that time dropped: the inversion count finds the pair it lacks
+        (
+            ACROSS, (), (),
+            "interval 0 [0, 1]: carried order fails at t = 1: values decrease "
+            "along the order: f(1,2) = 2 > 1 = f(0)",
+        ),
+        # a pair of two dimensions added where it does not tie
+        (
+            ACROSS, (HALF,), ((CROSS, (2, 3)),),
+            "crossing 0 at t = 1/2: scheduled simplices ({2}, {1,2}) do not tie",
+        ),
+        # one listed twice, which the count alone would not tell
+        (
+            ACROSS, (HALF,), ((CROSS, CROSS),),
+            "crossing 0 at t = 1/2: scheduled simplices ({0}, {1,2}) are listed "
+            "twice or out of order",
+        ),
+        # a time listed twice, so a pair could be listed at two times
+        (
+            ACROSS, (HALF, HALF), ((CROSS,), (CROSS,)),
+            "interval 1 [1/2, 1/2]: the crossing times do not increase",
+        ),
+        # the pair of two dimensions dropped from a time with two pairs
+        (
+            MIXED, (HALF, Fraction(6, 7)), ((SAME,), ((0, 1),)),
+            "crossing 0 at t = 1/2: simplices ({0}, {1,2}) tie but are not "
+            "scheduled",
+        ),
+        # the pair of one dimension dropped there: the runs tell
+        (
+            MIXED, (HALF, Fraction(6, 7)), ((CROSS,), ((0, 1),)),
+            "crossing 0 at t = 1/2: simplices ({1}, {2}) tie but are not "
+            "scheduled",
+        ),
+    ],
+    ids=[
+        "moved", "dropped", "added", "twice", "time-twice", "dropped-across",
+        "dropped-same",
+    ],
+)
+def test_schedule_faults_across_dimensions_are_violations(
+    monkeypatch, values, times, pairs_at, message
+):
+    # verify sweeps each dimension apart: a pair of a vertex and an edge is
+    # no event, and is checked by its tie and by the inversion count
+    K = validate_complex([(0,), (1,), (2,), (1, 2)])
+    f0, f1 = (FiltrationFunction(K, v) for v in values)
+    true = crossing_times(f0, f1)
+    want = ((CROSS,),) if values is ACROSS else ((CROSS, SAME), ((0, 1),))
+    assert true.pairs_at == want
+    assert verify_stability(K, f0, f1).schedule == true
+    _doctor_schedule(monkeypatch, CrossingSchedule(times, pairs_at))
+    with pytest.raises(InternalProofViolation, match="^" + re.escape(message) + "$"):
         verify_stability(K, f0, f1)
 
 
