@@ -157,7 +157,7 @@ def _cmd_bottleneck(args) -> tuple[int, str]:
         D1 = diagram(inst1.complex, _pick_function(inst1, k))
         bound = None  # two complexes: no bound is known
     distance = bottleneck_diagonal if args.diagonal else bottleneck_bijection
-    dist, matching = distance(D0, D1, bound=bound)
+    dist, matching = distance(D0, D1, bound=bound, witness=args.matching)
     lines = [f"distance {format_value(dist)}"]
     if args.matching:
         for i, j in matching.pairs:

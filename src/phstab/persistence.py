@@ -88,9 +88,6 @@ class Diagram:
             (2 * b, 2 * (b if d is None else d)) for b, d in zip(self.births, self.deaths)
         ]
 
-    def points_in_dim(self, dim: int) -> tuple[int, ...]:
-        return tuple(i for i, d in enumerate(self.dims) if d == dim)
-
     def __eq__(self, other):
         if not isinstance(other, Diagram):
             return NotImplemented

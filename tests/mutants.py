@@ -130,6 +130,45 @@ CATALOGUE += [
     ),
 ]
 
+# The diagonal variant's real-point search and the witness on demand
+TWIN = "tests/test_bottleneck.py::test_diagonal_variant_equals_the_augmented_twin"
+CATALOGUE += [
+    # the points of D1 are never heavy, so a probe checks only the heavy
+    # points of D0
+    (
+        "src/phstab/bottleneck.py",
+        "(columns, halves1, len(pts0))]",
+        "(columns, [0] * len(pts1), len(pts0))]",
+        [TWIN],
+    ),
+    # a point is heavy when half its lifetime reaches the limit
+    (
+        "src/phstab/bottleneck.py",
+        "cut = [u for u, c in enumerate(need) if c > limit]",
+        "cut = [u for u, c in enumerate(need) if c >= limit]",
+        [TWIN],
+    ),
+    # a carried matching is not cut to the limit: a row that lost its
+    # edge is a root but still holds its column
+    (
+        "src/phstab/bottleneck.py",
+        "                    trial_owner[trial[u]] = None\n                    trial[u] = None\n",
+        "                    pass\n",
+        [
+            TWIN,
+            "tests/test_bottleneck.py::"
+            "test_carried_search_equals_the_from_scratch_twin_on_random_rows",
+        ],
+    ),
+    # --matching prints without building the witness
+    (
+        "src/phstab/cli.py",
+        "witness=args.matching",
+        "witness=False",
+        ["tests/test_acceptance.py::test_the_distance_alone_runs_no_witness_search"],
+    ),
+]
+
 # The crossing step's skip of the re-identification, where no pair changes
 # and no two points can be equal
 WORK_COUNT = (

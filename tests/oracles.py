@@ -8,13 +8,15 @@ second, structurally different route to the same numbers.
 
 ``fraction_matching_cost`` is the library's int matching cost taken in
 Fractions, point by point, with ``pair_cost`` and ``diagonal_cost``.
-The Fraction-matrix bottleneck twin runs the library's matcher core on the
+The Fraction-matrix bottleneck twin runs ``min_max_matching``, the
+library's search on a square graph whose rows must all be matched, on the
 plain per-dimension cost matrices, essential points included, with no
-integer scaling and no separate sorted matching of essential points.
-``scratch_min_max_matching`` is that core's binary search as it was before
-probes carried a matching: every probe filters every row and matches from
-scratch.  ``fraction_key_order`` is the canonical order sorted on
-(Fraction value, dimension, vertices) keys.  ``scan_crossing_times`` finds
+integer scaling and no separate sorted matching of essential points; for
+--diagonal those are the augmented matrices, the graph that the library's
+real-point search stands in for.  ``scratch_min_max_matching`` is the
+square search as it was before probes carried a matching: every probe
+filters every row and matches from scratch.  ``fraction_key_order`` is
+the canonical order sorted on (Fraction value, dimension, vertices) keys.  ``scan_crossing_times`` finds
 the crossing schedule by testing every simplex pair, ``set_pivot_pairs``
 reduces with set columns, ``fraction_random_filtration`` generates in
 Fractions throughout, ``combination_generate_complex`` tests every vertex
@@ -49,9 +51,9 @@ its schedule's pairs of one dimension (``same_dimension_pairs``), and
 ``crafted_runs`` builds instances with long runs through one point.  The
 other helpers build what the library itself never needs: the full order
 check (values and face closure), random compatible orders,
-diagrams under a supplied order, sublevel complexes, interval midpoints,
-a permutation-enumerating bottleneck and perturbed instances, whose two
-functions differ by little.
+diagrams under a supplied order, a diagram's points of one dimension,
+sublevel complexes, interval midpoints, a permutation-enumerating
+bottleneck and perturbed instances, whose two functions differ by little.
 """
 
 import functools
@@ -69,7 +71,7 @@ from phstab import stability
 
 from phstab.bottleneck import (
     Matching,
-    _min_max_matching,
+    _min_max_cost,
     _perfect_matching,
     _split_by_dim,
 )
@@ -382,6 +384,11 @@ def _costliest_pair(K: SimplicialComplex, left: Diagram, right: Diagram) -> str:
     return _simplex_pair(K, p.pair.birth, p.pair.death)
 
 
+def points_in_dim(D, dim: int) -> tuple:
+    """The indices of D's points in dimension ``dim``, in order."""
+    return tuple(i for i, d in enumerate(D.dims) if d == dim)
+
+
 def breakpoint_matching(D_left: Diagram, D_right: Diagram) -> Matching:
     """Zero-cost bijection between two diagrams of one function.
 
@@ -402,8 +409,8 @@ def breakpoint_matching(D_left: Diagram, D_right: Diagram) -> Matching:
     dims = sorted({p.dim for p in D_left.points} | {p.dim for p in D_right.points})
     pairs = []
     for d in dims:
-        left_idx = sorted(D_left.points_in_dim(d), key=sort_key(D_left))
-        right_idx = sorted(D_right.points_in_dim(d), key=sort_key(D_right))
+        left_idx = sorted(points_in_dim(D_left, d), key=sort_key(D_left))
+        right_idx = sorted(points_in_dim(D_right, d), key=sort_key(D_right))
         if len(left_idx) != len(right_idx):
             raise InternalProofViolation(
                 f"dimension {d}: {len(left_idx)} points vs {len(right_idx)}"
@@ -1129,17 +1136,22 @@ def brute_force_diagonal(points0, points1):
     return worst
 
 
-def fraction_matrix_bottleneck(D0, D1, diagonal=False):
-    """Either exact bottleneck distance from whole Fraction cost matrices.
+def fraction_matrix_matching(D0, D1, diagonal=False):
+    """Either exact bottleneck distance from whole Fraction cost matrices,
+    with a witness.
 
-    Per dimension the core gets every point at once: the ``pair_cost``
-    matrix for the bijection variant, or for the diagonal variant the
-    augmented matrix, where a point reaches its own diagonal partner at
-    ``diagonal_cost``, partners match each other for free and every other
-    entry is infinite.  The core takes the finite entries of each row as
-    its edges.
+    Per dimension ``min_max_matching`` gets every point at once: the
+    ``pair_cost`` matrix for the bijection variant, or for the diagonal
+    variant the augmented matrix, where a point reaches its own diagonal
+    partner at ``diagonal_cost``, partners match each other for free and
+    every other entry is infinite.  It takes the finite entries of each
+    row as its edges.  The witness is its matchings, partner pairs
+    dropped, sorted like the library's; on diagrams of finite points only
+    it is the library's witness too, the run that the diagonal variant's
+    real-point search stands in for.
     """
     worst = 0
+    pairs = []
     for _, idx0, idx1 in _split_by_dim(D0, D1, require_equal=not diagonal):
         pts0 = [D0.points[i] for i in idx0]
         pts1 = [D1.points[j] for j in idx1]
@@ -1157,13 +1169,32 @@ def fraction_matrix_bottleneck(D0, D1, diagonal=False):
         else:
             costs = [[pair_cost(p, q) for q in pts1] for p in pts0]
         rows = [[(j, c) for j, c in enumerate(row) if c != math.inf] for row in costs]
-        cost, _ = _min_max_matching(rows)
+        cost, local = min_max_matching(rows)
         worst = max(worst, cost)
-    return worst
+        pairs.extend(
+            (idx0[a] if a < n0 else None, idx1[b] if b < n1 else None)
+            for a, b in local
+            if a < n0 or b < n1
+        )
+    pairs.sort(key=lambda p: (p[0] is None, p[1] if p[0] is None else p[0]))
+    return worst, Matching(tuple(pairs))
+
+
+def min_max_matching(rows):
+    """The library's search on a square graph whose rows are all heavy,
+    with the witness of one from-scratch ``_perfect_matching`` at the
+    chosen cost: (cost, pairs) like ``scratch_min_max_matching``, or
+    (cost, None) when that run finds none."""
+    n = len(rows)
+    cost = _min_max_cost([(rows, [INF] * n, n)])
+    if cost == INF:
+        return INF, [(i, i) for i in range(n)]
+    match = _perfect_matching([[v for v, c in row if c <= cost] for row in rows])
+    return cost, None if match is None else list(enumerate(match))
 
 
 def scratch_min_max_matching(rows):
-    """``_min_max_matching`` with every probe matched from scratch.
+    """``min_max_matching`` with every probe matched from scratch.
 
     Binary search over the sorted distinct costs; each probe keeps the
     edges costing at most its limit, in column order, and runs

@@ -45,7 +45,7 @@ from oracles import (
     fraction_interpolate,
     fraction_key_order,
     fraction_matching_cost,
-    fraction_matrix_bottleneck,
+    fraction_matrix_matching,
     interval_references,
     inverse,
     persistent_betti,
@@ -461,8 +461,8 @@ def test_5_diagonal_matching_never_costs_more(corpus, capsys):
         if d_diag > report.exact_bottleneck:
             failures += 1
         # both variants equal their from-scratch twin on Fraction matrices
-        assert report.exact_bottleneck == fraction_matrix_bottleneck(D0, D1)
-        assert d_diag == fraction_matrix_bottleneck(D0, D1, diagonal=True)
+        assert report.exact_bottleneck == fraction_matrix_matching(D0, D1)[0]
+        assert d_diag == fraction_matrix_matching(D0, D1, diagonal=True)[0]
     _announce(
         capsys,
         5,
@@ -487,16 +487,16 @@ def _bounded_twin_differences(D0, D1, gap):
 
 
 def _edge_count(run):
-    """Total edges the matcher core gets while ``run()`` runs."""
+    """Total edges the matcher's search gets while ``run()`` runs."""
     count = 0
-    real = bottleneck._min_max_matching
+    real = bottleneck._min_max_cost
 
-    def counting(rows):
+    def counting(sides):
         nonlocal count
-        count += sum(map(len, rows))
-        return real(rows)
+        count += sum(len(row) for rows, _, _ in sides for row in rows)
+        return real(sides)
 
-    with mock.patch.object(bottleneck, "_min_max_matching", counting):
+    with mock.patch.object(bottleneck, "_min_max_cost", counting):
         run()
     return count
 
@@ -524,6 +524,58 @@ def test_bounded_matcher_equals_the_unbounded_run(corpus):
         bounded += _edge_count(lambda: bottleneck_bijection(D0, D1, bound=gap))
     # the window prunes: most pairs of points are farther apart than gap
     assert bounded * 3 < unbounded, (bounded, unbounded)
+
+
+def _cli(argv):
+    """``run_command``'s (status, text), or (None, the exception's repr)
+    when one escapes it."""
+    try:
+        return run_command(argv)
+    except Exception as exc:
+        return None, repr(exc)
+
+
+def test_the_distance_alone_runs_no_witness_search(corpus, tmp_path):
+    """``bottleneck`` without --matching runs no witness search (the one
+    ``_perfect_matching`` at the chosen cost), and its distance line is
+    the first line of --matching, which does: both variants, on the
+    corpus, on bench-style perturbed pairs (n = 150 to 270) and on
+    two-file pairs of them, where the bijection exits 1 on unequal
+    counts, with or without --matching."""
+    paths = []
+    for k, (inst, _, _) in enumerate(corpus):
+        paths.append(tmp_path / f"corpus-{k}.txt")
+        paths[-1].write_text(format_instance(inst))
+    for seed, vertices in ((0, 19), (1, 18), (2, 18), (3, 19)):
+        cfg = GeneratorConfig(
+            seed=seed, num_vertices=vertices, fill_prob=0.5, max_dimension=2
+        )
+        inst = perturbed_instance(cfg, Fraction(1, 256 << seed % 3))
+        assert 150 <= len(inst.complex) <= 270
+        paths.append(tmp_path / f"perturbed-{seed}.txt")
+        paths[-1].write_text(format_instance(inst))
+    runs = []
+    real = bottleneck._perfect_matching
+
+    def counting(adjacency):
+        runs.append(len(adjacency))
+        return real(adjacency)
+
+    commands = [[str(p)] for p in paths]
+    commands += [[str(a), str(b)] for a, b in zip(paths[-4:], paths[-3:])]
+    witnessed = 0
+    with mock.patch.object(bottleneck, "_perfect_matching", counting):
+        for files in commands:
+            for extra in ([], ["--diagonal"]):
+                argv = ["bottleneck", *files, *extra]
+                runs.clear()
+                status, text = _cli(argv)
+                assert status in (0, 1) and runs == [], (argv, text)
+                matched_status, matched = _cli(argv + ["--matching"])
+                assert matched_status == status, (argv, matched)
+                assert matched.splitlines()[0] == text, argv
+                witnessed += bool(runs)
+    assert witnessed >= 2 * len(commands) - 20, (witnessed, len(commands))
 
 
 def test_6_tie_break_choice_never_changes_the_diagram(capsys):

@@ -3,6 +3,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -10,15 +11,16 @@ import pytest
 from phstab import bottleneck
 from phstab.bottleneck import (
     Matching,
-    _min_max_matching,
     _perfect_matching,
     bottleneck_bijection,
     bottleneck_diagonal,
     matching_cost,
 )
+from phstab.cli import run_command
 from phstab.complexes import FiltrationFunction, validate_complex
 from phstab.errors import CountMismatch, InternalProofViolation, InvalidMatching
 from phstab.generate import GeneratorConfig, generate_complex, random_filtration
+from phstab.instances import parse_instance
 from phstab.persistence import Diagram, DiagramPoint, PivotPair, diagram
 from phstab.rational import INF, fraction_string
 
@@ -30,6 +32,8 @@ from oracles import (
     counts_by_dim,
     diagonal_cost,
     fraction_matching_cost,
+    fraction_matrix_matching,
+    min_max_matching,
     pair_cost,
     scratch_min_max_matching,
 )
@@ -253,11 +257,12 @@ def _random_diagram(rng, vertices):
 
 
 def _candidate_below(D0, D1, cost, diagonal):
-    """The largest edge cost of either variant's problem below ``cost``."""
+    """The largest edge cost of either variant's problem below ``cost``,
+    or half of ``cost`` when there is none."""
     costs = [pair_cost(p, q) for p in D0.points for q in D1.points if p.dim == q.dim]
     if diagonal:
         costs += map(diagonal_cost, D0.points + D1.points)
-    return max(c for c in costs if c < cost)
+    return max((c for c in costs if c < cost), default=cost / 2)
 
 
 def test_a_bound_below_the_distance_is_a_violation():
@@ -335,7 +340,7 @@ def test_carried_search_equals_the_from_scratch_twin_on_random_rows():
         shape = list(ROW_SHAPES)[trial % len(ROW_SHAPES)]
         n = rng.randint(1, 12) if trial % 8 else rng.randint(20, 40)
         rows = _random_rows(rng, n, *ROW_SHAPES[shape])
-        got = _min_max_matching(rows)
+        got = min_max_matching(rows)
         assert got == scratch_min_max_matching(rows), (shape, rows)
         outcomes[shape, got[0] == INF] += 1
     assert outcomes["mostly infeasible", True] >= 100
@@ -343,18 +348,19 @@ def test_carried_search_equals_the_from_scratch_twin_on_random_rows():
 
 
 def test_both_variants_hand_the_core_rows_it_matches_like_its_twin():
-    """Every row set the two variants build, the augmented --diagonal
-    shape included, gets the from-scratch search's (cost, witness)."""
+    """Every search the two variants run gets the from-scratch search's
+    cost: on its rows for the bijection's one side, and on the augmented
+    rows that the two real-point sides of --diagonal stand in for."""
     calls = []
-    real = bottleneck._min_max_matching
+    real = bottleneck._min_max_cost
 
-    def recording(rows):
-        result = real(rows)
-        calls.append((rows, result))
+    def recording(sides):
+        result = real(sides)
+        calls.append((sides, result))
         return result
 
     rng = random.Random(1502)
-    with mock.patch.object(bottleneck, "_min_max_matching", recording):
+    with mock.patch.object(bottleneck, "_min_max_cost", recording):
         for seed in range(40):
             D0, D1 = _pair_of_diagrams(seed, vertices=6)
             bottleneck_bijection(D0, D1)
@@ -364,8 +370,12 @@ def test_both_variants_hand_the_core_rows_it_matches_like_its_twin():
             T1 = _points_diagram(_tied_points(rng, dims, 0.2))
             bottleneck_diagonal(T0, T1)
     assert len(calls) >= 120
-    for rows, got in calls:
-        assert got == scratch_min_max_matching(rows), rows
+    for sides, got in calls:
+        if len(sides) == 1:
+            rows = sides[0][0]
+        else:
+            rows = bottleneck._augmented_rows(*sides)
+        assert got == scratch_min_max_matching(rows)[0], sides
 
 
 def _tied_points(rng, dims, essential_share):
@@ -458,3 +468,104 @@ def test_thousand_point_shift_pair_is_fast():
         assert time.perf_counter() - start < 10
         assert dist == Fraction(1, 2)
         assert fraction_matching_cost(D0, D1, matching) == dist
+
+
+def _twin_shapes(rng, shape):
+    """Two lists of finite (dim, birth, death) points of one twin-test
+    shape; the counts of a dimension differ between the lists at random."""
+    counts = [{d: rng.randint(0, 6) for d in (0, 1)} for _ in range(2)]
+    if shape == "tied":  # births and deaths from a tiny set
+        return [_tied_points(rng, dims, 0) for dims in counts]
+    if shape == "one side empty":
+        counts[rng.randint(0, 1)][rng.randint(0, 1)] = 0
+        return [_tied_points(rng, dims, 0) for dims in counts]
+    if shape == "all heavy":  # long lives, short moves, equal counts
+        first = [
+            (d, Fraction(rng.randint(0, 8), 2), Fraction(rng.randint(40, 60), 2))
+            for d, count in counts[0].items()
+            for _ in range(count)
+        ]
+        return first, [
+            (d, b + Fraction(rng.randint(-2, 2), 4), e + Fraction(rng.randint(-2, 2), 4))
+            for d, b, e in first
+        ]
+    # all light: short lives far apart, so every point takes the diagonal
+    return [
+        [
+            (d, Fraction(20 * k + 10 * side), Fraction(20 * k + 10 * side + rng.randint(0, 3), 2))
+            for d, count in dims.items()
+            for k in range(count)
+        ]
+        for side, dims in enumerate(counts)
+    ]
+
+
+def test_diagonal_variant_equals_the_augmented_twin():
+    """The real-point search gives the (cost, witness) of the augmented
+    search it stands in for, with and without a bound that holds, on tied
+    births, unequal counts, an empty side, and where every point is heavy
+    or every point light at the distance; a bound below the distance
+    still raises.  Every distance alone, which builds no witness, is
+    checked first."""
+    rng = random.Random(3201)
+    shapes = ("tied", "one side empty", "all heavy", "all light")
+    cases = []
+    for trial in range(240):
+        points0, points1 = _twin_shapes(rng, shapes[trial % 4])
+        D0, D1 = _points_diagram(points0), _points_diagram(points1)
+        cases.append((shapes[trial % 4], D0, D1, fraction_matrix_matching(D0, D1, True)))
+    for _, D0, D1, (exact, _) in cases:
+        for bound in (None, exact, exact + Fraction(1, 2)):
+            got = bottleneck_diagonal(D0, D1, bound, witness=False)
+            assert got == (exact, None), (D0, D1)
+    seen = Counter()
+    for shape, D0, D1, twin in cases:
+        exact, witness = twin
+        for bound in (None, exact, exact + Fraction(1, 2)):
+            assert bottleneck_diagonal(D0, D1, bound) == twin, (D0, D1)
+        if exact > 0:
+            below = _candidate_below(D0, D1, exact, diagonal=True)
+            for build in (False, True):
+                with pytest.raises(InternalProofViolation, match="costs at most the bound"):
+                    bottleneck_diagonal(D0, D1, below, witness=build)
+        diagonal_entries = sum(None in pair for pair in witness.pairs)
+        seen[shape, "none to the diagonal"] += diagonal_entries == 0
+        seen[shape, "all to the diagonal"] += diagonal_entries == len(witness.pairs)
+        seen["unequal counts"] += counts_by_dim(D0) != counts_by_dim(D1)
+        seen["an empty side"] += not (D0.dims and D1.dims) or set(D0.dims) != set(D1.dims)
+    assert seen["all heavy", "none to the diagonal"] >= 50, seen
+    assert seen["all light", "all to the diagonal"] >= 50, seen
+    assert seen["unequal counts"] >= 120 and seen["an empty side"] >= 50, seen
+
+
+def test_a_witness_run_that_finds_none_is_a_violation():
+    """A search that chose too low a cost leaves the witness run without a
+    matching: that is a violation naming the dimension and the chosen
+    cost, exit 2 from the CLI, where the distance alone goes unchecked."""
+    real = bottleneck._min_max_cost
+    chosen = []
+
+    def too_low(sides):
+        chosen.append(real(sides) - 1)
+        return chosen[-1]
+
+    path = str(Path(__file__).with_name("perturbed_seed8.txt"))
+    inst = parse_instance(path)
+    D0, D1 = (diagram(inst.complex, f) for f in inst.functions)
+    q = bottleneck._scaled_points(D0, D1)[0]
+    with mock.patch.object(bottleneck, "_min_max_cost", too_low):
+        for variant in (bottleneck_bijection, bottleneck_diagonal):
+            with pytest.raises(InternalProofViolation) as caught:
+                variant(D0, D1)
+            assert str(caught.value) == (
+                "dimension 0: no matching of the finite points costs the chosen "
+                + fraction_string(Fraction(chosen[-1], q))
+            )
+        for extra in ((), ("--diagonal",)):
+            argv = ["bottleneck", path, *extra]
+            assert run_command(argv)[0] == 0
+            status, text = run_command(argv + ["--matching"])
+            assert status == 2
+            assert text.startswith(
+                "internal consistency failure: dimension 0: no matching of the finite"
+            )

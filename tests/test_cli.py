@@ -423,6 +423,22 @@ def test_bottleneck_of_a_perturbed_instance_is_pinned(cli_env):
         assert done.stdout == (here / pinned).read_bytes()
 
 
+def test_two_file_diagonal_bottleneck_is_pinned(tmp_path):
+    # CI's smoke runs diff the same commands against the same file: two
+    # complexes with equal essential counts, 22 points against 29, so no
+    # bound and a finite surplus for the diagonal; the distance alone,
+    # which builds no witness, is the pin's first line
+    here = Path(__file__).parent
+    other = tmp_path / "gen123.txt"
+    argv = ["gen", "--seed", "123", "--vertices", "7", "--prob", "0.5"]
+    _ok(argv + ["--max-dim", "2", "--out", str(other)])
+    argv = ["bottleneck", str(other), str(here / "perturbed_seed8.txt"), "--diagonal"]
+    pinned = (here / "bottleneck_diagonal_matching_two_files.txt").read_text()
+    assert _ok(argv + ["--matching"]) + "\n" == pinned
+    assert _ok(argv) == pinned.splitlines()[0]
+    assert sum("diagonal" in line for line in pinned.splitlines()) == 11
+
+
 def test_a_complex_past_the_generator_limit_exits_one_at_once(cli_env):
     # all 200 vertices joined, dimension 3: 66 million simplices if built
     cmd = [sys.executable, "-m", "phstab.cli", "gen", "--seed", "1"]

@@ -33,6 +33,7 @@ from oracles import (
     fraction_matching_cost,
     interval_matching,
     interval_references,
+    points_in_dim,
     random_compatible_order,
     recorded_intervals,
     reference_differences,
@@ -523,7 +524,7 @@ def _wrong_witness(D0, D1, bound=None):
     exact, witness = bottleneck_bijection(D0, D1, bound)
     reversed_pairs = []
     for d in dims(D0):
-        idx0, idx1 = D0.points_in_dim(d), D1.points_in_dim(d)
+        idx0, idx1 = points_in_dim(D0, d), points_in_dim(D1, d)
         reversed_pairs.extend(zip(idx0, reversed(idx1)))
     return exact, Matching(tuple(sorted(reversed_pairs)))
 
