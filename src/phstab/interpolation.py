@@ -13,8 +13,7 @@ differently, so the schedule is read off the inversions between the two
 orders, found by an insertion sort, not by testing every pair.  Each
 crossing time d0 / D has an exact int key floor(t * span^2)
 (``time_key``), so the pairs are grouped and sorted on ints and
-one Fraction is built per distinct time, not per pair; verify keys its
-certificates the same way.
+one Fraction is built per distinct time, not per pair.
 """
 
 from __future__ import annotations
@@ -70,13 +69,12 @@ def time_key_scale(a: list[int], b: list[int]) -> int:
 
     ``a`` and ``b`` are f0 and f1 as ints over one scale.  Two simplices
     with endpoint gaps d0 > 0 and d1 < 0 cross at t = d0 / D, D = d0 - d1,
-    and 0 < D <= span, the range of ``a`` plus the range of ``b``.  Two distinct such times d0/D and e/E differ by
-    |d0 E - e D| / (D E) >= 1/span^2, so with S = span^2 their keys
-    floor(t * S) are at least one apart: distinct crossing times get
-    distinct keys, in the order of the times, and equal times (2/4 and
-    3/6) one key.  The floor never decreases as t grows, so for any t a
-    key below (above) another's is a time below (above) it; only equal
-    keys need the times themselves compared.  0 with no simplices.
+    and 0 < D <= span, the range of ``a`` plus the range of ``b``.  Two
+    distinct such times d0/D and e/E differ by |d0 E - e D| / (D E) >=
+    1/span^2, so with S = span^2 their keys floor(t * S) are at least one
+    apart: distinct crossing times get distinct keys, in the order of the
+    times, and equal times (2/4 and 3/6) one key, so ``crossing_times``
+    groups and sorts its pairs on the keys alone.  0 with no simplices.
     """
     if not a:
         return 0

@@ -18,29 +18,30 @@ exact bottleneck distance can only undercut.
 
 The order and its reduction are carried from interval to interval rather
 than rebuilt (``persistence.Vineyard``), so a verify reduces once, and
-the order is checked by kinetic certificates, so a crossing costs its
-swaps, not n (``_carried_certificates``).  The carried order is
-dimension-major: each dimension's simplices in the order of f_t, lower
-dimensions first.  R = D * V is block-diagonal by dimension, so the
-pivot pairs depend only on the order within each dimension, and a
-crossing of two simplices of different dimensions is no swap, no
-certificate and no event.  The schedule's pairs of two dimensions are
-checked instead: each must tie at its time, and the schedule must hold
-as many pairs as f0 and f1 order differently, so it holds exactly the
-crossing pairs (``verify_stability``).  The pairs carried to t = 1 must
-be those of f1's canonical order reduced from scratch, which checks the
-block-diagonal argument.  A run holds the first pair list and one
-reduction, O(n^2) bits, and nothing per interval: an interval's
-certificate is its breakpoints and its share of the sup-norm, which the
-report derives from the schedule when it is read.  Values are compared
-as ints over one scale, and a Fraction is built only for a violation
-message.  The end diagrams hold the same ints, and the costs of the
-composed map and of the exact distance's witness are re-checked on them
-(``_bijection_cost``), not with the matcher's own code.  The test suite
-keeps a reference that measures each interval on its two diagrams and
-composes the whole chain of matchings; the order and pairs of each
-interval, as reported to a sink the tests attach, and the carried point
-map must equal it.
+the crossing schedule alone drives the sweep, so a crossing costs its
+scheduled pairs and swaps, not n (``_carried_certificates``).  The
+carried order is dimension-major: each dimension's simplices in the
+order of f_t, lower dimensions first.  R = D * V is block-diagonal by
+dimension, so the pivot pairs depend only on the order within each
+dimension, and a crossing of two simplices of different dimensions is no
+swap.  Each scheduled pair must tie at its time with values that differ
+at 0, the pairs of one dimension that tie at one value must be a block
+of the order, which the crossing reverses, and the schedule must hold as
+many pairs as f0 and f1 order differently, so it holds exactly the
+crossing pairs (``verify_stability``) and the order is sorted on every
+interval.  The pairs carried to t = 1 must be those of f1's canonical
+order reduced from scratch, which checks the block-diagonal argument.  A
+run holds the first pair list and one reduction, O(n^2) bits, and
+nothing per interval: an interval's certificate is its breakpoints and
+its share of the sup-norm, which the report derives from the schedule
+when it is read.  Values are compared as ints over one scale, and a
+Fraction is built only for a violation message.  The end diagrams hold
+the same ints, and the costs of the composed map and of the exact
+distance's witness are re-checked on them (``_bijection_cost``), not
+with the matcher's own code.  The test suite keeps a reference that
+measures each interval on its two diagrams and composes the whole chain
+of matchings; the order and pairs of each interval, as reported to a
+sink the tests attach, and the carried point map must equal it.
 
 Every inequality used along the way is checked with exact rational
 arithmetic; a failure raises InternalProofViolation, because no input can
@@ -53,21 +54,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from heapq import heappop, heappush
 from itertools import combinations, compress
 from operator import gt
 
 from .bottleneck import Matching, _scaled_points, bottleneck_bijection, matching_cost
 from .complexes import FiltrationFunction, SimplicialComplex, common_scale
 from .errors import InternalProofViolation, InvalidMatching
-from .interpolation import (
-    CrossingSchedule,
-    crossing_times,
-    interpolate,
-    sup_norm,
-    time_key,
-    time_key_scale,
-)
+from .interpolation import CrossingSchedule, crossing_times, interpolate, sup_norm
 from .ordering import total_order
 from .persistence import Diagram, Vineyard, diagram_from_pivots, pivot_pairs
 from .rational import INF, format_value, fraction_string
@@ -239,24 +232,16 @@ def _decreasing(
 
 
 def _schedule_fault(
-    K: SimplicialComplex,
-    a: list,
-    b: list,
-    k: int,
-    t: Fraction,
-    swapped: list,
-    expected: tuple,
+    K: SimplicialComplex, a: list, b: list, k: int, t: Fraction, expected: tuple
 ) -> InternalProofViolation:
     """The violation at crossing ``k`` at ``t``, where the scheduled pairs
-    ``expected`` failed the check against the pairs the tied runs swapped
-    (``swapped``) or against the ties of two dimensions.
+    ``expected`` failed the check of their ties.
 
     Built on the error path only, from the values: every pair of distinct
     lines that meet at t ties there.  It names the first tied pair that
     is not scheduled, else the first scheduled pair that does not tie,
-    whatever their dimensions.  Otherwise the runs swapped other pairs
-    than the ties of one dimension, or a scheduled pair is listed twice or
-    out of order.
+    whatever their dimensions.  Otherwise a scheduled pair is listed twice
+    or out of order.
     """
     by_value: dict = {}
     for s, v in enumerate(interpolate(a, b, t)):
@@ -269,16 +254,11 @@ def _schedule_fault(
     }
     unscheduled = sorted(ties.difference(expected))
     untied = sorted(set(expected) - ties)
-    dim = K.dims
-    differ = sorted(set(swapped) ^ {(i, j) for i, j in ties if dim[i] == dim[j]})
     if unscheduled:
         pair = _simplex_pair(K, *unscheduled[0])
         what = f"simplices {pair} tie but are not scheduled"
     elif untied:
         what = f"scheduled simplices {_simplex_pair(K, *untied[0])} do not tie"
-    elif differ:
-        pair = _simplex_pair(K, *differ[0])
-        what = f"the tied runs and the ties differ at simplices {pair}"
     else:
         twice = next(y for x, y in zip(expected, expected[1:]) if not x < y)
         what = (
@@ -332,29 +312,28 @@ def _missed_crossing(
     f0: FiltrationFunction,
     f1: FiltrationFunction,
     schedule: CrossingSchedule,
-    count: int,
-    inversions: int,
+    otherwise: str,
 ) -> InternalProofViolation:
-    """The violation for a schedule of ``count`` pairs where f0 and f1
-    order ``inversions`` pairs differently.  Built on the error path only,
-    in O(n^2): the inverted pair that meets first of those the schedule
-    lacks is named at its crossing, if its time is scheduled, or else as a
-    missed crossing at the upper end of the interval that spans it."""
+    """The violation for a schedule that lacks a crossing pair at its own
+    time, or ``otherwise`` if it lacks none.  Built on the error path
+    only, in O(n^2): the inverted pair that meets first of those the
+    schedule lacks is named at its crossing, if its time is scheduled, or
+    else as a missed crossing at the upper end of the interval that spans
+    it.  The times up to that interval increase, as the sweep checked."""
     a, b, scale = common_scale(f0, f1)
-    listed = set().union(*schedule.pairs_at)
-    missed = [
-        (Fraction(a[i] - a[j], a[i] - a[j] - b[i] + b[j]), i, j)
-        for i, j in combinations(range(len(a)), 2)
-        if (a[i] - a[j]) * (b[i] - b[j]) < 0 and (i, j) not in listed
-    ]
-    if not missed:
-        return InternalProofViolation(
-            f"the schedule lists {count} crossing pairs, but f0 and f1 order "
-            f"{inversions} pairs differently"
-        )
-    t, i, j = min(missed)
     times = schedule.times
-    k = bisect_left(times, t)
+    listed = {(t, pair) for t, pairs in zip(times, schedule.pairs_at) for pair in pairs}
+    missed = []
+    for i, j in combinations(range(len(a)), 2):
+        d0, d1 = a[i] - a[j], b[i] - b[j]
+        if d0 * d1 < 0:
+            t = Fraction(d0, d0 - d1)
+            if (t, (i, j)) not in listed:
+                missed.append((t, i, j))
+    if not missed:
+        return InternalProofViolation(otherwise)
+    t, i, j = min(missed)
+    k = next((m for m, s in enumerate(times) if s >= t), len(times))
     if k < len(times) and times[k] == t:
         return InternalProofViolation(
             f"crossing {k} at t = {fraction_string(t)}: simplices "
@@ -375,7 +354,7 @@ def _carried_certificates(
     sink: "list | None" = None,
 ) -> tuple:
     """Certify every interval of ``schedule``, carrying one order and its
-    reduction.
+    reduction through the schedule's crossings.
 
     Returns the carried point map (point i of the first interval's pair
     list is point ``track[i]`` of the last one's), the first and last pair
@@ -389,42 +368,33 @@ def _carried_certificates(
     the point map is between those lists.  f0 and f1 are read over one
     shared scale L (``common_scale``), by label, so simplex x has the
     value line ((1 - t) * a[x] + t * b[x]) / L and every comparison below
-    is between ints.
-
-    The order is checked by kinetic certificates (Basch, Guibas and
-    Hershberger, "Data Structures for Mobile Data", J. Algorithms 1999),
-    not by a pass over it per interval.
-    An adjacent pair (x, y) of the order, of one dimension, whose lines
-    meet later, because y ends below x (b[y] < b[x]), holds a certificate
-    keyed by the int key of that time (``time_key``) in a heap, not pushed
-    again while it is pending.  At each breakpoint hi a certificate before
-    hi is a missed crossing, and those at hi are the adjacent pairs of one
-    dimension tied there, whose runs the crossing at hi reverses.  A pair
-    of two dimensions is never a certificate, an event or a swap.  The
-    first interval's pivot pairs must partition the simplices, so each
-    interval's matching costs exactly its share of the sup-norm
-    (``StabilityReport.certificates`` derives the shares from the
+    is between ints.  The first interval's pivot pairs must partition the
+    simplices, so each interval's matching costs exactly its share of the
+    sup-norm (``StabilityReport.certificates`` derives the shares from the
     schedule).
 
-    Each crossing is one step.  It compares the pairs of the tied runs
-    with the schedule's pairs of one dimension there, and checks that each
-    scheduled pair of two dimensions ties there; a crossing with no run
-    does nothing more.  Otherwise it takes the pivot row and owner of each
-    tied label and reverses the runs by adjacent transpositions, O(1)
-    bitset operations each.  Only the pairs with a tied simplex can
-    change.  If no tied label's row or owner changed and no two of those
-    pairs can have equal points, every point keeps its place and nothing
-    more is done.  Otherwise it takes those pairs before the swaps, from
-    the snapshot, and after: they must cover the same simplices before
-    and after, so the pairs partition the simplices in every interval,
-    and they alone are re-identified by value, which is exact (see
-    ``_reidentify``).  The point map is keyed by birth simplex and follows
-    them.  Either way the two outer pairs of each run are certified.  So
-    a crossing costs its pairs of two dimensions, its transpositions, its
-    tied labels and O(log n) per certificate it pops or pushes, and the
-    values of its tied pairs only where a pair changes or two points may
-    be equal.  Any failure is a bug, so every one is an
-    InternalProofViolation naming the interval or crossing, t and the
+    The schedule alone drives the sweep: no pass over the order checks it
+    per interval.  Each crossing is one step.  It checks every scheduled
+    pair there, of one dimension or two: it is listed once, in increasing
+    order, its two lines differ at 0 and it ties there.  The pairs of one
+    dimension fall into classes of one dimension and one value there, and
+    each class must be a block of the carried order, which the step
+    reverses; a crossing with no such pair does nothing more.  Otherwise it
+    takes the pivot row and owner of each tied label and reverses the
+    blocks by adjacent transpositions, O(1) bitset operations each.  Only
+    the pairs with a tied simplex can change.  If no tied label's row or
+    owner changed and no two of those pairs can have equal points, every
+    point keeps its place and nothing more is done.  Otherwise it takes
+    those pairs before the swaps, from the snapshot, and after: they must
+    cover the same simplices before and after, so the pairs partition the
+    simplices in every interval, and they alone are re-identified by
+    value, which is exact (see ``_reidentify``).  The point map is keyed
+    by birth simplex and follows them.  So a crossing costs its scheduled
+    pairs, its transpositions and its tied labels, and the values of its
+    tied pairs only where a pair changes or two points may be equal.  That
+    the schedule holds every crossing pair is checked once the sweep is
+    done, by ``verify_stability``.  Any failure is a bug, so every one is
+    an InternalProofViolation naming the interval or crossing, t and the
     simplex pair involved.
 
     ``sink``, a list, receives ("interval", k, lo, hi, order, pairs) for
@@ -438,9 +408,9 @@ def _carried_certificates(
     perm, pos, names, low, owner = vine.perm, vine.pos, vine.simplex, vine.low, vine.owner
     n = len(perm)
     num0, num1 = [a[s] for s in names], [b[s] for s in names]
-    key_scale = time_key_scale(num0, num1)
     dim_of = K.dims  # complex position -> dimension
     dims = [dim_of[s] for s in names]  # label -> dimension
+    label = _inverse(names)  # complex position -> label
     rank = _inverse(order0)  # complex position -> position in order0
     pairs = vine.pairs()
     first = tuple(sorted(pairs, key=lambda pv: rank[pv.birth]))
@@ -465,138 +435,84 @@ def _carried_certificates(
     # one dimension are never face and coface, so any two adjacent ones may
     # be transposed (Cohen-Steiner, Edelsbrunner and Morozov, SoCG 2006).
     # A crossing of two dimensions changes no part, so no pair: it is no
-    # event, and only the schedule is checked there.
+    # swap, and only its tie is checked.
     #
-    # Why certificates suffice.  If every adjacent pair of one dimension
-    # is in order at t, each dimension's part of the order is sorted at t,
-    # by transitivity.  An adjacent pair (x, y) in order at the lower end
-    # lo stays in order up to 1 unless its value gap falls below 0 at t =
-    # 1, that is unless b[y] < b[x], and then it falls below 0 just after
-    # t* = d0 / D, d0 = a[y] - a[x] >= 0, D = d0 + b[x] - b[y] <= span:
-    # its certificate.  Every adjacent pair of one dimension with b[y] <
-    # b[x] has one, so the parts stay sorted up to the first certificate,
-    # and a certificate before hi is a pair whose values decrease at hi.
-    # A pair tied at hi holds a certificate at hi, unless its lines are
-    # identical (tied at both ends, so everywhere); those are flagged when
-    # they become adjacent, which is at t = 0 or as the outer pair of a
-    # reversed run, and are a violation at the next breakpoint.
-    heap: list = []  # (time key, x, y): x just before y, meeting at the key
-    flagged: list = []  # adjacent pairs with identical lines
-    # live[x] = y: a certificate of (x, y) was pushed, and is pending unless
-    # it was popped.  A popped pair swapped at its time, and two lines
-    # meet once, so it is never adjacent in its old order again: the mark
-    # needs no clearing.  A pending certificate is not pushed again.  A
-    # label holds one mark, so a pair that is adjacent again after x was
-    # certified with another label is pushed a second time; that entry is a
-    # copy of the same time, and the run merge below takes its position
-    # twice, without harm.
-    live: list = [None] * n
-
-    def certify(x, y):
-        if live[x] == y or dims[x] != dims[y]:
-            return
-        drop = num1[x] - num1[y]
-        if drop > 0:
-            d0 = num0[y] - num0[x]
-            heappush(heap, (time_key(d0, d0 + drop, key_scale), x, y))
-            live[x] = y
-        elif not drop and num0[x] == num0[y]:
-            flagged.append((x, y))
+    # Why the schedule suffices.  Each scheduled pair is checked at its
+    # time t: listed once, i < j, in increasing order, at times that
+    # increase strictly inside (0, 1), with lines that differ at 0 and meet
+    # at t.  Two such lines are ordered one way by f0 and the other by f1,
+    # and meet only at t: each scheduled pair is a distinct inversion
+    # between order0 and order1, listed at its own time.  verify_stability
+    # checks that they are as many as the inversions, so the schedule holds
+    # exactly the crossing pairs, each at its own time.  Then, by induction
+    # over the intervals, each dimension's part of the order is sorted on
+    # every interval.  It is on the first, as order0.  If it is just before
+    # a crossing t, f_t is sorted along it, so the simplices of one
+    # dimension and one value at t are adjacent; every pair of them is a
+    # crossing pair at t, so they are one class, and every class is such a
+    # block.  Their lines meet at one point, in the order of decreasing
+    # b, so reversing the block sorts it just after t, and nothing else
+    # changes order there.  Identical lines tie everywhere, but also at 0,
+    # so they are never scheduled and never swap (crossing_times refuses
+    # such ties on real input).  A class that is not a block means a
+    # crossing pair the schedule lacks, raised as such
+    # (``_missed_crossing``) before the vineyard transposes simplices that
+    # do not tie.
 
     def links():  # the pivot row and owner of each tied label
         return [(low[x], owner[x]) for x in tied]
 
-    for x, y in zip(perm, perm[1:]):
-        certify(x, y)
     bps, pairs_at = schedule.breakpoints(), schedule.pairs_at
     crossings = len(bps) - 2
     for k, (lo, hi) in enumerate(zip(bps, bps[1:])):
         p, q = hi.numerator, hi.denominator
         # Breakpoints that increase strictly put every crossing time
-        # inside (0, 1), each in one place (see verify_stability).
+        # inside (0, 1), each in one place.
         if p * lo.denominator <= lo.numerator * q:
             raise InternalProofViolation(
                 f"{_interval(k, lo, hi)}: the crossing times do not increase"
             )
-        key_hi = time_key(p, q, key_scale)
-        if flagged:
-            x, y = flagged[0]
-            raise InternalProofViolation(
-                f"{_interval(k, lo, hi)}: simplices "
-                f"{_simplex_pair(K, names[x], names[y])} are tied at both "
-                f"ends, so also at the midpoint t = "
-                f"{fraction_string((lo + hi) / 2)}"
-            )
-        # The sign of (the first certificate's time - hi), positive if
-        # there is none.  Certificates with the key of hi share one time,
-        # since the keys of crossing times are exact, but hi may be any t:
-        # only when the keys are equal are the times cross-multiplied.
-        first_vs_hi = 1
-        if heap and heap[0][0] <= key_hi:
-            key, x, y = heap[0]
-            d0 = num0[y] - num0[x]
-            first_vs_hi = -1 if key < key_hi else q * d0 - p * (d0 + num1[x] - num1[y])
-        if first_vs_hi < 0:
-            raise _decreasing(K, k, lo, hi, names[x], names[y], a, b, scale)
-        # The certificates at hi are the adjacent pairs tied there.  One can
-        # outlive its pair's adjacency, when a reversed run puts z between
-        # x and y, but cannot reach its time t* that way: the order is
-        # sorted at t*, so z would tie with both there, yet z met one of
-        # them to get between them, and distinct lines meet once.  So x
-        # and y are adjacent again by t*, and a popped certificate needs
-        # no staleness check.
-        due = []
-        while not first_vs_hi and heap and heap[0][0] == key_hi:
-            due.append(pos[heappop(heap)[1]])
-        due.sort()
-        runs: list = []  # [start, end) slices of perm tied at hi
-        for i in due:
-            if runs and runs[-1][1] > i:
-                runs[-1][1] = i + 2
-            else:
-                runs.append([i, i + 2])
         if not k:
             _check_partition(K, first, k, lo, hi)
         if sink is not None:
             sink.append(("interval", k, lo, hi, tuple(names[x] for x in perm), pairs))
         if k == crossings:
             break
-        # The crossing at hi.  The runs are the simplices of one dimension
-        # tied there: each dimension's part of the order is sorted at hi,
-        # so its simplices of equal value are adjacent.  The lines of one
-        # run meet at one point with distinct slopes (identical lines were
-        # flagged above), so its order reverses and every pair in it
-        # swaps; those pairs must be the schedule's pairs of one dimension
-        # at hi, and each scheduled pair of two dimensions must tie there:
-        # f_t at hi = p/q is a * (q - p) + b * p over q * L.
-        tied: list = []
-        swapped: list = []
-        run_of: dict = {}  # tied label -> n + the index of its run
-        for r, (start, end) in enumerate(runs):
-            run = perm[start:end]
-            tied += run
-            run_of.update(dict.fromkeys(run, n + r))
-            swapped += combinations(sorted([names[x] for x in run]), 2)
-        if len(runs) > 1:
-            swapped.sort()
-        expected = pairs_at[k]
-        same: list = []  # the scheduled pairs of one dimension
+        # The crossing at hi = p/q, where f_t is a * (q - p) + b * p over
+        # q * L.
+        classes: dict = {}  # (dimension, value at hi) -> labels tied there
         rest, previous = q - p, ()
-        for pair in expected:
+        for pair in pairs_at[k]:
             i, j = pair
-            if dim_of[i] == dim_of[j]:
-                same.append(pair)
-            elif (
+            v = a[i] * rest + b[i] * p
+            if not (
                 previous < pair
                 and i < j
                 and a[i] != a[j]
-                and a[i] * rest + b[i] * p == a[j] * rest + b[j] * p
+                and v == a[j] * rest + b[j] * p
             ):
-                previous = pair
-            else:
-                raise _schedule_fault(K, a, b, k, hi, swapped, expected)
-        if swapped != same:
-            raise _schedule_fault(K, a, b, k, hi, swapped, expected)
+                raise _schedule_fault(K, a, b, k, hi, pairs_at[k])
+            previous = pair
+            if dim_of[i] == dim_of[j]:
+                tie = classes.setdefault((dim_of[i], v), set())
+                tie.add(label[i])
+                tie.add(label[j])
+        runs: list = []  # [start, end) blocks of perm, one per class
+        tied: list = []  # their labels, as they were
+        run_of: dict = {}  # tied label -> n + the index of its class
+        for r, tie in enumerate(classes.values()):
+            at = [pos[x] for x in tie]
+            start = min(at)
+            if max(at) - start >= len(at):
+                raise _missed_crossing(
+                    K, f0, f1, schedule,
+                    f"crossing {k} at t = {fraction_string(hi)}: the scheduled "
+                    f"simplices that tie with {{{K.simplices[names[min(tie)]]}}} "
+                    "are not a block of the carried order",
+                )
+            runs.append((start, start + len(at)))
+            tied += perm[start : start + len(at)]
+            run_of.update(dict.fromkeys(tie, n + r))
         step: list = []  # left's indices to right's; empty if none moves
         if runs:
             held = links()
@@ -611,24 +527,24 @@ def _carried_certificates(
             # to itself, unless two of them have equal points, which it may
             # cross.  Equal points need no values.  Two pairs with equal
             # points have one dimension, so births of one dimension and
-            # deaths of one dimension.  The runs are the classes of
-            # simplices of one dimension and equal value at hi (each part
-            # of the order is sorted there), and an untied simplex has a
-            # value no other simplex of its dimension has.  So two distinct
-            # pairs have equal points only if they have one dimension,
-            # their births lie in one run, and their deaths are both
-            # essential or lie in one run (an untied death is one pair's
-            # alone).  Each pair with a tied birth is keyed by (dimension,
-            # run of its birth, run of its death, or its death label if
-            # that is untied, or None), and a changed label or a repeated
-            # key sends the crossing through the full step below.
+            # deaths of one dimension.  The classes are the simplices of
+            # one dimension and equal value at hi, and an untied simplex
+            # has a value no other simplex of its dimension has.  So two
+            # distinct pairs have equal points only if they have one
+            # dimension, their births lie in one class, and their deaths
+            # are both essential or lie in one class (an untied death is
+            # one pair's alone).  Each pair with a tied birth is keyed by
+            # (dimension, class of its birth, class of its death, or its
+            # death label if that is untied, or None), and a changed label
+            # or a repeated key sends the crossing through the full step
+            # below.
             born = [x for x in tied if low[x] is None]
             points = {(dims[x], run_of[x], run_of.get(owner[x], owner[x])) for x in born}
             if held != links() or len(points) != len(born):
                 # The pivot pairs with a tied simplex, as (birth, death)
                 # labels, before the swaps (from the snapshot) and after,
                 # each in the order of their births then.  ``tied`` lists
-                # the runs as they were, and an untied birth did not move.
+                # the blocks as they were, and an untied birth did not move.
                 was_at = dict(zip(tied, [i for s, e in runs for i in range(s, e)]))
                 death_of: dict = {}  # birth label -> death label, before
                 for x, (r, o) in zip(tied, held):
@@ -662,15 +578,6 @@ def _carried_certificates(
                 step = _reidentify(K, names, dims, left, right, values, q * scale, k, hi)
                 for i, j in zip([origin[names[x]] for x, _ in left], step):
                     origin[names[right[j][0]]] = i
-            # A reversed run's lines met at hi with b decreasing along it,
-            # each adjacent pair having held a certificate there, so now b
-            # increases along it and its inner pairs never meet again.
-            # Only the two outer pairs are new.
-            for start, end in runs:
-                if start:
-                    certify(perm[start - 1], perm[start])
-                if end < n:
-                    certify(perm[end - 1], perm[end])
         if sink is not None:
             before, pairs = pairs, vine.pairs()
             where = {pv.birth: j for j, pv in enumerate(pairs)}
@@ -749,35 +656,32 @@ def verify_stability(
 
     # The carried order starts as the canonical order of f0 by dimension
     # and must end as the canonical order of f1 (both untied) by
-    # dimension.  The pairs carried with it, put in the birth order of f1's
-    # canonical order, must be that order's pairs reduced from scratch: an
-    # independent check that one order per dimension gives the pairs.  So
-    # the first and last pair lists are the canonical pairs of f0 and f1.
+    # dimension; one that does not is a crossing the schedule lacks, if
+    # the values show one.  The pairs carried with it, put in the birth
+    # order of f1's canonical order, must be that order's pairs reduced
+    # from scratch: an independent check that one order per dimension
+    # gives the pairs.  So the first and last pair lists are the canonical
+    # pairs of f0 and f1.
     if order != _by_dimension(K, order1):
-        raise InternalProofViolation(
-            "the order carried to t = 1 is not the canonical order of f1"
+        raise _missed_crossing(
+            K, f0, f1, schedule,
+            "the order carried to t = 1 is not the canonical order of f1",
         )
     if last != pivot_pairs(K, order1):
         raise InternalProofViolation(
             "the pivot pairs carried to t = 1 are not those of the canonical "
             "order of f1"
         )
-    # Why the schedule holds exactly the crossing pairs, each at its own
-    # time.  The sweep checked that its times increase strictly inside
-    # (0, 1), that at each time its pairs of one dimension are the pairs
-    # the tied runs swapped, each once, and that its pairs of two
-    # dimensions are listed once each, in increasing order, and tie there
-    # with distinct values at 0.  The lines of a run meet at one point
-    # with distinct slopes, so they differ at 0 too.  So each scheduled
-    # pair is two lines that differ at 0 and meet strictly inside (0, 1),
-    # hence ordered one way by f0 and the other by f1: an inversion
-    # between order0 and order1, listed at the one time its lines meet.
-    # No pair is listed twice, so the scheduled pairs are distinct
-    # inversions, and if they are as many as the inversions, they are all
-    # of them.
+    # The sweep checked that each scheduled pair is a distinct inversion
+    # between order0 and order1, listed at its own time; if they are as
+    # many as the inversions, they are all of them (``_carried_certificates``).
     count, inversions = sum(map(len, schedule.pairs_at)), _inversions(order0, order1)
     if count != inversions:
-        raise _missed_crossing(K, f0, f1, schedule, count, inversions)
+        raise _missed_crossing(
+            K, f0, f1, schedule,
+            f"the schedule lists {count} crossing pairs, but f0 and f1 order "
+            f"{inversions} pairs differently",
+        )
     D0 = diagram_from_pivots(K, f0, first)
     D1 = diagram_from_pivots(K, f1, last)
 

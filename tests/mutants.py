@@ -6,10 +6,14 @@ in the copy, and runs the node ids with pytest, ``PYTHONPATH`` set to the
 copy.  Every named test must then fail on its own: only a FAILED outcome
 is a kill.  A test that errors (ERROR, as when a fixture it shares with
 other tests raises) is reported as errored, which is not a kill, since
-its own assertion was never reached.  The catalogue fails (exit 1) if an
-old text does not occur exactly once in its file, if pytest does not run
-a named test, or if a named test passes or errors under its mutant.
-Standard library and pytest only; run it from anywhere:
+its own assertion was never reached.  Each mutant's pytest run is cut at
+``TIME_LIMIT`` seconds, far above the slowest entry's, and a run cut there
+is reported as TIMED OUT, which is not a kill either: a mutant that makes
+the code loop shows that no named test FAILED.  The catalogue fails
+(exit 1) if an old text does not occur exactly once in its file, if
+pytest does not run a named test, if a named test passes or errors under
+its mutant, or if a run times out.  Standard library and pytest only; run
+it from anywhere:
 
     python tests/mutants.py
 """
@@ -24,6 +28,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Seconds one mutant's pytest run may take; the slowest entry takes about 15 s.
+TIME_LIMIT = 120
+TIMED_OUT = "TIMED OUT"
 
 CATALOGUE = [
     # diagram_from_pivots reads each death from the birth simplex
@@ -211,31 +219,31 @@ CATALOGUE += [
     ),
 ]
 
-# The sweep by dimension: pairs of two dimensions are no events, so the
-# schedule's ties across dimensions and its inversion count stand in for
-# the comparison with every tied pair
+# The schedule drives the sweep: each scheduled pair is checked at its
+# time, the pairs of one dimension are reversed as blocks of the order, and
+# the inversion count stands in for a check of the order per interval
 ACROSS = "tests/test_stability.py::test_schedule_faults_across_dimensions_are_violations"
 DOCTORED = (
     "tests/test_acceptance.py::"
     "test_a_doctored_schedule_is_a_violation_naming_crossing_t_and_pair"
 )
 CATALOGUE += [
-    # certify keeps adjacent pairs of two dimensions too, so a vertex and
-    # an edge can swap and the order is no longer by dimension
+    # pairs of two dimensions join the classes too, so a vertex and an
+    # edge can swap and the order is no longer by dimension
     (
         "src/phstab/stability.py",
-        "if live[x] == y or dims[x] != dims[y]:",
-        "if live[x] == y:",
+        "if dim_of[i] == dim_of[j]:",
+        "if True:",
         [
             "tests/test_stability.py::test_verify_stability_random_instances",
             "tests/test_acceptance.py::test_transpositions_are_the_same_dimension_crossing_pairs",
             MID_SIZE[0],
         ],
     ),
-    # a scheduled pair of two dimensions need not tie at its time
+    # a scheduled pair need not tie at its time
     (
         "src/phstab/stability.py",
-        "                and a[i] * rest + b[i] * p == a[j] * rest + b[j] * p\n",
+        "                and v == a[j] * rest + b[j] * p\n",
         "",
         [ACROSS + "[moved]", ACROSS + "[added]", DOCTORED],
     ),
@@ -247,12 +255,35 @@ CATALOGUE += [
         "if False:",
         [ACROSS + "[dropped]", ACROSS + "[dropped-across]", DOCTORED],
     ),
-    # a pair of two dimensions may be listed twice at one time
+    # a pair may be listed twice at one time
     (
         "src/phstab/stability.py",
         "                previous < pair\n                and i < j\n",
         "                i < j\n",
         [ACROSS + "[twice]"],
+    ),
+    # a pair may be listed as (j, i), so one inversion could count twice
+    (
+        "src/phstab/stability.py",
+        "                and i < j\n",
+        "",
+        [ACROSS + "[reversed]"],
+    ),
+    # a pair's lines need not differ at 0, so identical lines can be
+    # scheduled and swapped
+    (
+        "src/phstab/stability.py",
+        "                and a[i] != a[j]\n",
+        "",
+        ["tests/test_stability.py::test_identical_lines_are_never_scheduled"],
+    ),
+    # a class need not be a block of the order, so a missed crossing
+    # reverses simplices that do not tie
+    (
+        "src/phstab/stability.py",
+        "if max(at) - start >= len(at):",
+        "if False:",
+        [ACROSS + "[dropped-same]", DOCTORED],
     ),
     # the crossing times need not increase, so a pair may be listed twice
     (
@@ -260,6 +291,40 @@ CATALOGUE += [
         "if p * lo.denominator <= lo.numerator * q:",
         "if False:",
         [ACROSS + "[time-twice]"],
+    ),
+]
+
+# A run of four or more reversed only in part: the corpus has no run longer
+# than three, so only the crafted runs can tell
+CRAFTED = "tests/test_acceptance.py::test_crafted_runs_equal_the_reference_and_the_twins"
+CATALOGUE += [
+    (
+        "src/phstab/persistence.py",
+        "for last in range(end - 1, start, -1):",
+        "for last in range(min(end - 1, start + 2), start, -1):",
+        [
+            CRAFTED + case
+            for case in (
+                "[4-4-1-False]", "[5-5-2-True]", "[6-6-1-True]", "[7-7-2-False]",
+                "[8-8-1-True]", "[0-5-2-False]", "[0-5-2-True]",
+                "[1-5-1-False-apart]", "[2-6-1-False-across]",
+            )
+        ],
+    ),
+]
+
+# The key scale of the crossing times: distinct times must get keys at
+# least one apart, which span alone does not give
+CATALOGUE += [
+    (
+        "src/phstab/interpolation.py",
+        "return span * span",
+        "return span",
+        [
+            "tests/test_interpolation.py::test_the_closest_crossing_times_get_adjacent_keys",
+            "tests/test_interpolation.py::"
+            "test_time_keys_are_exact_for_huge_values_over_large_denominators",
+        ],
     ),
 ]
 
@@ -336,7 +401,13 @@ def survivors(file: str, old: str, new: str, tests: list) -> list:
         # pyproject's pythonpath would put the checkout's src/ first
         cmd = [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider"]
         cmd += ["-o", "pythonpath=", *tests]
-        done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+        try:
+            done = subprocess.run(
+                cmd, cwd=ROOT, env=env, capture_output=True, text=True,
+                timeout=TIME_LIMIT,
+            )
+        except subprocess.TimeoutExpired:
+            return [f"{TIMED_OUT} after {TIME_LIMIT} s: no named test FAILED"]
     outcomes: dict = {}
     for line in done.stdout.splitlines():
         m = _OUTCOME.match(line)
@@ -358,7 +429,9 @@ def main() -> int:
         start = time.perf_counter()
         problems = survivors(file, old, new, tests)
         took = time.perf_counter() - start
-        verdict = "SURVIVED" if problems else "killed"
+        verdict = "killed" if not problems else "SURVIVED"
+        if problems and problems[0].startswith(TIMED_OUT):
+            verdict = TIMED_OUT
         print(f"{verdict} ({took:.1f} s): {file}: {old!r} -> {new!r}")
         for line in problems or tests:
             print(f"    {line}")

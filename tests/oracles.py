@@ -604,7 +604,9 @@ def same_dimension_pairs(K, schedule) -> int:
     return sum(dim[i] == dim[j] for pairs in schedule.pairs_at for i, j in pairs)
 
 
-def crafted_runs(seed: int, k: int, runs: int = 1, mixed: bool = False) -> tuple:
+def crafted_runs(
+    seed: int, k: int, runs: int = 1, mixed: bool = False, deaths: "str | None" = None
+) -> tuple:
     """A seeded instance whose lines meet where the sweep's fast paths
     need them, and the groups of simplex positions that tie at its time
     t*: (instance, t*, groups).
@@ -616,19 +618,34 @@ def crafted_runs(seed: int, k: int, runs: int = 1, mixed: bool = False) -> tuple
     one simplex of another dimension, neither a face nor a coface of any
     of them, passes through (t*, v_0) too and is the last of group 0: that
     tie mixes dimensions, and the sweep sees its run of k alone.
+
+    With ``deaths``, the one group is k vertices, and a second group of
+    edges, each a coface of one of them, passes through a point above
+    theirs at t*, so the edges tie there as a run of their own.  Each edge
+    kills one vertex of the run, so at t* the pairs they make have equal
+    points.  "apart" takes edges whose other vertex is outside the run:
+    each kills its own run vertex in either order, so the crossing has
+    equal points and no switch.  "across" takes disjoint edges between two
+    run vertices: each kills the later of its two, which the reversal
+    changes, so the crossing has equal points and a switch.
+
     Simplices of one dimension are never faces of one another, so only
     the faces and cofaces of the chosen simplices need room: their faces
     take values below every line at both ends and their cofaces values
-    above.  Every other simplex takes values between, rising with
+    above (no simplex is both, as the groups' dimensions differ by at most
+    one).  Every other simplex takes values between, rising with
     dimension, so the lines also cross it.  Draws repeat until a mixed
-    tie has a simplex to take and both functions are untied.
+    tie has a simplex to take, the edges number two or more, and both
+    functions are untied.
     """
     rng = random.Random(seed)
     K = generate_complex(rng, GeneratorConfig(seed=seed, num_vertices=8, fill_prob=0.6))
     by_dim: dict = {}
     for s, simplex in enumerate(K.simplices):
         by_dim.setdefault(simplex.dim, []).append(s)
-    d = rng.choice([e for e, group in by_dim.items() if len(group) >= k * runs])
+    d = 0 if deaths else rng.choice(
+        [e for e, group in by_dim.items() if len(group) >= k * runs]
+    )
     vertex_sets = [set(simplex.vertices) for simplex in K.simplices]
 
     def related(s, c) -> bool:  # face or coface
@@ -645,11 +662,22 @@ def crafted_runs(seed: int, k: int, runs: int = 1, mixed: bool = False) -> tuple
             if not others:
                 continue
             groups[0].append(rng.choice(others))
+        if deaths:
+            run = {K.simplices[s].vertices[0] for s in chosen}
+            edges, used = [], set()
+            for e in rng.sample(by_dim[1], len(by_dim[1])):
+                inside = run.intersection(K.simplices[e].vertices)
+                if len(inside) == (1 if deaths == "apart" else 2) and not inside & used:
+                    edges.append(e)
+                    used |= inside
+            if len(edges) < 2:
+                continue
+            groups.append(edges)
         t = Fraction(rng.randint(1, 15), 16)
         lines = {}
         slopes = iter(rng.sample(range(-12, 13), sum(map(len, groups))))
         for g, group in enumerate(groups):
-            v = 100 + 15 * g
+            v = 100 + (30 if deaths else 15) * g
             for c in group:
                 slope = next(slopes)
                 lines[c] = (v - t * slope, v + (1 - t) * slope)
@@ -671,6 +699,22 @@ def crafted_runs(seed: int, k: int, runs: int = 1, mixed: bool = False) -> tuple
         f0, f1 = FiltrationFunction(K, tuple(a)), FiltrationFunction(K, tuple(b))
         if len(set(a)) == len(set(b)) == len(K):
             return InstanceFile(K, (f0, f1)), t, groups
+
+
+def crossing_features(K, f0, f1, events, t, groups) -> tuple:
+    """What the crossing at ``t`` of a run recorded by ``verify_recording``
+    holds, from the groups that ``crafted_runs`` made tie there: (two
+    pairs born in the groups have equal points there, a pair changes
+    there, a pair born in the groups is essential)."""
+    _, _, _, left, right, _ = next(e for e in events if e[0] == "crossing" and e[2] == t)
+    values = fraction_interpolate(f0, f1, t).values
+    members = {s for group in groups for s in group}
+    points = Counter(_point(K, values, pv) for pv in right if pv.birth in members)
+    return (
+        max(points.values(), default=0) > 1,
+        set(left) != set(right),
+        any(pv.death is None for pv in left if pv.birth in members),
+    )
 
 
 def interval_references(K, f0, f1, schedule) -> tuple:
@@ -778,7 +822,7 @@ def doctored_schedule_differences(K, f0, f1, rng) -> tuple:
     from the true schedule.
 
     Verify sweeps the simplices of each dimension apart, so a pair of two
-    dimensions is no event, and the copies (6) to (9) aim at such pairs:
+    dimensions is no swap, and the copies (6) to (9) aim at such pairs:
     (6) add one that does not tie at the picked time; (7) drop one from a
     time with several pairs, if any holds one; and, at a time that holds
     only such pairs, if any, (8) move it as in (2) and (9) drop it as in

@@ -38,6 +38,7 @@ from oracles import (
     brute_force_bottleneck,
     counts_by_dim,
     crafted_runs,
+    crossing_features,
     crossings_to_reidentify,
     diagram_rank_count,
     diagram_with_order,
@@ -230,15 +231,15 @@ def test_carried_certificates_equal_the_reference_at_mid_size(
 
 
 def test_a_doctored_schedule_is_a_violation_naming_crossing_t_and_pair(corpus):
-    """verify checks the order by certificates of adjacent pairs of one
-    dimension, so a crossing it misses would be a certificate it never
-    pops; a pair of two dimensions is checked against the schedule and the
-    inversion count instead.  Up to nine doctored copies of each schedule
-    with at least two crossing times, on the corpus and at mid size, must
-    each raise the violation they cause, naming the interval or crossing,
-    t and a simplex pair (see ``doctored_schedule_differences``).  The
-    copies aimed at pairs of two dimensions reach hundreds of instances
-    each."""
+    """verify checks each scheduled pair's tie at its time, and a crossing
+    the schedule lacks leaves a class that is no block of the order, an
+    order that misses f1's, or a pair count below the inversion count,
+    each diagnosed from the values.  Up to nine doctored copies of each
+    schedule with at least two crossing times, on the corpus and at mid
+    size, must each raise the violation they cause, naming the interval or
+    crossing, t and a simplex pair (see ``doctored_schedule_differences``).
+    The copies aimed at pairs of two dimensions reach hundreds of
+    instances each."""
     instances = [
         inst for inst, report, _ in _verified(corpus) if len(report.schedule) > 1
     ]
@@ -379,25 +380,39 @@ def test_transpositions_are_the_same_dimension_crossing_pairs():
     assert (transposed, crossing_pairs) == (11_211, 20_432)
 
 
-# (seed, k, runs, mixed) for ``crafted_runs``: runs of k = 3 to 8 simplices
-# of one dimension through one point, two runs at one time, and ties at
-# that point that mix dimensions
+# (seed, k, runs, mixed, deaths) for ``crafted_runs``, and what its
+# crossing at t* holds (``crossing_features``): equal points, a switch, an
+# essential pair born in the run.  Runs of k = 3 to 8 simplices of one
+# dimension through one point, two runs at one time, ties at that point
+# that mix dimensions, equal points of essential pairs born in one run,
+# with and without a switch, and equal points whose deaths tie in a run of
+# edges, with and without a switch
 CRAFTED = [
-    (3, 3, 2, True),
-    (4, 4, 1, False),
-    (5, 5, 2, True),
-    (6, 6, 1, True),
-    (7, 7, 2, False),
-    (8, 8, 1, True),
+    ((3, 3, 2, True, None), (False, False, False)),
+    ((4, 4, 1, False, None), (False, True, False)),
+    ((5, 5, 2, True, None), (False, True, False)),
+    ((6, 6, 1, True, None), (False, False, False)),
+    ((7, 7, 2, False, None), (False, True, False)),
+    ((8, 8, 1, True, None), (False, True, True)),
+    ((0, 5, 2, False, None), (True, False, True)),
+    ((0, 5, 2, True, None), (True, True, True)),
+    ((1, 5, 1, False, "apart"), (True, False, False)),
+    ((2, 6, 1, False, "across"), (True, True, False)),
 ]
 
 
-@pytest.mark.parametrize("seed, k, runs, mixed", CRAFTED)
-def test_crafted_runs_equal_the_reference_and_the_twins(seed, k, runs, mixed):
+@pytest.mark.parametrize(
+    "seed, k, runs, mixed, deaths, features",
+    [(*case, features) for case, features in CRAFTED],
+    ids=["-".join(str(x) for x in case if x is not None) for case, _ in CRAFTED],
+)
+def test_crafted_runs_equal_the_reference_and_the_twins(
+    seed, k, runs, mixed, deaths, features
+):
     """The crafted runs, which the corpus never reaches (it has no run
     longer than three), go through the reference comparison, the bucket
     twin and both work counts."""
-    inst, t, groups = crafted_runs(seed, k, runs, mixed)
+    inst, t, groups = crafted_runs(seed, k, runs, mixed, deaths)
     K, (f0, f1) = inst.complex, inst.functions
     report, events = verify_recording(K, f0, f1)
     schedule = report.schedule
@@ -405,6 +420,7 @@ def test_crafted_runs_equal_the_reference_and_the_twins(seed, k, runs, mixed):
     for group in groups:
         assert set(combinations(sorted(group), 2)) <= tied
     assert len({K.simplices[s].dim for s in groups[0]}) == 1 + mixed
+    assert crossing_features(K, f0, f1, events, t, groups) == features
     refs = interval_references(K, f0, f1, schedule)
     assert reference_differences(K, report, events, refs) == []
     assert reidentify_differences(K, f0, f1, events)[2] == []

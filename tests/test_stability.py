@@ -304,6 +304,12 @@ HALF = Fraction(1, 2)
             "crossing 0 at t = 1/2: scheduled simplices ({0}, {1,2}) are listed "
             "twice or out of order",
         ),
+        # one listed as (j, i), which the count alone would not tell
+        (
+            ACROSS, (HALF,), (((3, 0),),),
+            "crossing 0 at t = 1/2: simplices ({0}, {1,2}) tie but are not "
+            "scheduled",
+        ),
         # a time listed twice, so a pair could be listed at two times
         (
             ACROSS, (HALF, HALF), ((CROSS,), (CROSS,)),
@@ -323,15 +329,15 @@ HALF = Fraction(1, 2)
         ),
     ],
     ids=[
-        "moved", "dropped", "added", "twice", "time-twice", "dropped-across",
-        "dropped-same",
+        "moved", "dropped", "added", "twice", "reversed", "time-twice",
+        "dropped-across", "dropped-same",
     ],
 )
 def test_schedule_faults_across_dimensions_are_violations(
     monkeypatch, values, times, pairs_at, message
 ):
     # verify sweeps each dimension apart: a pair of a vertex and an edge is
-    # no event, and is checked by its tie and by the inversion count
+    # no swap, and is checked by its tie and by the inversion count
     K = validate_complex([(0,), (1,), (2,), (1, 2)])
     f0, f1 = (FiltrationFunction(K, v) for v in values)
     true = crossing_times(f0, f1)
@@ -358,12 +364,15 @@ def test_missing_crossing_is_a_violation_naming_interval_t_and_pair(monkeypatch)
 def test_decreasing_values_print_as_reduced_fractions_at_a_non_dyadic_t(
     monkeypatch,
 ):
-    # the true crossing is at 1/5; the doctored one at 2/3 leaves the order
-    # (0, 1) there, where the ints 8 and 1 are over 3 * 2 = 6
-    K = _vertices(2)
-    f0 = FiltrationFunction(K, (0, Fraction(1, 2)))
-    f1 = FiltrationFunction(K, (2, 0))
-    doctored = CrossingSchedule((Fraction(2, 3),), (((0, 1),),))
+    # {0} and {1} cross at 1/5, {0} and {2} at 2/3; with 1/5 dropped, {0}
+    # and {2} are no block of the order (0, 1, 2) at 2/3, where the ints
+    # of {0} and {1}, 8 and 1, are over 3 * 2 = 6
+    K = _vertices(3)
+    f0 = FiltrationFunction(K, (0, Fraction(1, 2), 3))
+    f1 = FiltrationFunction(K, (2, 0, Fraction(1, 2)))
+    true = crossing_times(f0, f1)
+    assert true.times == (Fraction(1, 5), Fraction(2, 3))
+    doctored = CrossingSchedule(true.times[1:], true.pairs_at[1:])
     _doctor_schedule(monkeypatch, doctored)
     with pytest.raises(InternalProofViolation) as ei:
         verify_stability(K, f0, f1)
@@ -373,16 +382,21 @@ def test_decreasing_values_print_as_reduced_fractions_at_a_non_dyadic_t(
     )
 
 
-def test_interior_tie_is_a_violation_naming_interval_t_and_pair(monkeypatch):
-    # identical lines tie everywhere; reachable only past the uniqueness check
+def test_identical_lines_are_never_scheduled(monkeypatch):
+    # identical lines tie everywhere, so they cross nowhere: past the
+    # uniqueness check, verify sweeps no crossing and bounds 0 by 0, and a
+    # schedule that lists them is a violation naming crossing, t and pair
     K = _vertices(2)
     f = FiltrationFunction(K, (0, 0))
     _doctor_schedule(monkeypatch, CrossingSchedule((), ()))
-    with pytest.raises(InternalProofViolation) as ei:
+    report = verify_stability(K, f, f)
+    assert (report.exact_bottleneck, report.composed_cost, report.sup_norm_value) == (
+        0, 0, 0
+    )
+    _doctor_schedule(monkeypatch, CrossingSchedule((Fraction(1, 2),), (((0, 1),),)))
+    message = "crossing 0 at t = 1/2: scheduled simplices ({0}, {1}) do not tie"
+    with pytest.raises(InternalProofViolation, match="^" + re.escape(message) + "$"):
         verify_stability(K, f, f)
-    message = str(ei.value)
-    assert "interval 0 [0, 1]" in message and "t = 1/2" in message
-    assert "({0}, {1})" in message
 
 
 def test_carried_order_that_misses_the_end_order_is_a_violation(monkeypatch):
