@@ -9,12 +9,13 @@ the sup-norm: the certificate checks this partition, not a measured cost.
 At a crossing time both adjacent orders give the same value multiset, so a
 zero-cost re-identification of the two pair lists exists.  Only the pairs
 with a simplex tied there can move, and only at a switch, where a pair
-changes, or where two of them have equal points (``_reidentify``); at
-every other crossing the map is the identity.  One point map
-carried through them is an explicit bijection between the end diagrams,
-the only diagrams built.  The interval shares add up to the sup-norm by
-construction, so that bijection costs at most the sup-norm, which the
-exact bottleneck distance can only undercut.
+changes, or where two of them have equal points, which the classes of
+tied simplices tell with no values (``_reidentify``); at every other
+crossing the map is the identity.  One point map carried through them is
+an explicit bijection between the end diagrams, the only diagrams built.
+The interval shares add up to the sup-norm by construction, so that
+bijection costs at most the sup-norm, which the exact bottleneck distance
+can only undercut.
 
 The order and its reduction are carried from interval to interval rather
 than rebuilt (``persistence.Vineyard``), so a verify reduces once, and
@@ -134,69 +135,47 @@ def _check_partition(
 
 
 def _reidentify(
-    K: SimplicialComplex,
-    names: tuple,
-    dims: list,
-    left: list,
-    right: list,
-    values: "dict | list",
-    scale: int,
-    k: int,
-    t: Fraction,
+    K: SimplicialComplex, f0: FiltrationFunction, f1: FiltrationFunction,
+    schedule: CrossingSchedule, names: tuple, left: list, right: list,
+    key, k: int, t: Fraction,
 ) -> list:
     """Zero-cost re-identification at crossing ``k`` of the pairs with a
     simplex tied at ``t``.
 
     ``left`` and ``right`` hold those pairs before and after the swaps as
     (birth, death) labels, ordered by birth position; ``names`` maps a
-    label to its simplex, ``dims`` to its dimension, and ``values`` maps
-    each label of those pairs to f_t as an int over ``scale``
-    (``interpolate``).  Both orders serve f_t at the crossing, so both
-    lists give one multiset of points.  Equal ints are equal values, so
-    points are keyed and compared on ints, and ``scale`` only turns them
-    back into values for a message.  Each pair of ``left`` in turn takes
-    the first unused pair of ``right`` with the same (dimension, birth
-    value, death value).  Returns the map from ``left``'s indices to
-    ``right``'s; a pair with no equal partner would falsify
-    order-invariance, an InternalProofViolation.
+    label to its simplex, and ``key`` maps a pair to its key at ``t``,
+    equal for two pairs exactly when their points are (see
+    ``_carried_certificates``).  Both orders serve f_t at the crossing, so
+    both lists give one multiset of points.  Each pair of ``left`` in turn
+    takes the first unused pair of ``right`` with its key.  Returns the
+    map from ``left``'s indices to ``right``'s.  A pair with no partner
+    falsifies order-invariance or shows a crossing pair the schedule
+    lacks, which is named if so (``_missed_crossing``); f0 and f1 are read
+    only for that message.
     """
-    # This is the map that puts every pair of the two full lists into a
-    # bucket keyed by its point.  A simplex that is not tied has a value no
-    # other simplex has at t.  So the point of a pair with an untied birth
-    # and death can equal only the point of a pair with the same birth and
-    # the same death simplex (or both deaths infinite): itself, unchanged
-    # by the swaps.  A point equal to one with a tied birth has a tied
-    # birth too (the same simplex or one of equal value), and a point equal
-    # to one with an untied birth and a tied death has the same birth and a
-    # death of equal value, so a tied one.  So the buckets of the pairs
-    # with a tied simplex hold exactly these pairs, in the same order.
     if len(left) != len(right):
         raise InternalProofViolation(
             f"crossing {k} at t = {fraction_string(t)}: {len(left)} pivot "
             f"pairs with a tied simplex before vs {len(right)} after"
         )
-    # A pair's point is (dimension, birth value, death value or None).
-    unused: dict = {}  # point -> indices of right with it, last first
+    unused: dict = {}  # key -> indices of right with it, last first
     for j in range(len(right) - 1, -1, -1):
-        b, d = right[j]
-        point = dims[b], values[b], None if d is None else values[d]
-        bucket = unused.get(point)
-        if bucket is None:
-            unused[point] = [j]
-        else:
-            bucket.append(j)
+        unused.setdefault(key(*right[j]), []).append(j)
     step = []
     for b, d in left:
-        bucket = unused.get((dims[b], values[b], None if d is None else values[d]))
+        bucket = unused.get(key(b, d))
         if bucket:
             step.append(bucket.pop())
             continue
-        dth = INF if d is None else Fraction(values[d], scale)
-        raise InternalProofViolation(
+        s, e = names[b], None if d is None else names[d]
+        f_t = [(1 - t) * x + t * y for x, y in zip(f0.values, f1.values)]
+        raise _missed_crossing(
+            K, f0, f1, schedule,
             f"crossing {k} at t = {fraction_string(t)}: pivot pair "
-            f"{_simplex_pair(K, names[b], None if d is None else names[d])} at "
-            f"dim {dims[b]} ({format_value(Fraction(values[b], scale))}, "
-            f"{format_value(dth)}) has no partner with equal values"
+            f"{_simplex_pair(K, s, e)} at dim {K.dims[s]} ({format_value(f_t[s])}, "
+            f"{format_value(INF if e is None else f_t[e])}) has no partner "
+            "with equal values",
         )
     return step
 
@@ -239,9 +218,10 @@ def _schedule_fault(
 
     Built on the error path only, from the values: every pair of distinct
     lines that meet at t ties there.  It names the first tied pair that
-    is not scheduled, else the first scheduled pair that does not tie,
-    whatever their dimensions.  Otherwise a scheduled pair is listed twice
-    or out of order.
+    is not scheduled, else the first scheduled pair that does not tie, or
+    whose lines are equal at 0 (identical lines tie at every t), whatever
+    their dimensions.  Otherwise a scheduled pair is listed twice or out
+    of order.
     """
     by_value: dict = {}
     for s, v in enumerate(interpolate(a, b, t)):
@@ -258,7 +238,9 @@ def _schedule_fault(
         pair = _simplex_pair(K, *unscheduled[0])
         what = f"simplices {pair} tie but are not scheduled"
     elif untied:
-        what = f"scheduled simplices {_simplex_pair(K, *untied[0])} do not tie"
+        i, j = untied[0]
+        fails = "are equal at t = 0" if a[i] == a[j] else "do not tie"
+        what = f"scheduled simplices {_simplex_pair(K, i, j)} {fails}"
     else:
         twice = next(y for x, y in zip(expected, expected[1:]) if not x < y)
         what = (
@@ -388,9 +370,9 @@ def _carried_certificates(
     those pairs before the swaps, from the snapshot, and after: they must
     cover the same simplices before and after, so the pairs partition the
     simplices in every interval, and they alone are re-identified by
-    value, which is exact (see ``_reidentify``).  The point map is keyed
-    by birth simplex and follows them.  So a crossing costs its scheduled
-    pairs, its transpositions and its tied labels, and the values of its
+    their classes (see ``_reidentify``).  The point map is keyed by birth
+    simplex and follows them.  So a crossing costs its scheduled pairs,
+    its transpositions and its tied labels, and a re-identification of its
     tied pairs only where a pair changes or two points may be equal.  That
     the schedule holds every crossing pair is checked once the sweep is
     done, by ``verify_stability``.  Any failure is a bug, so every one is
@@ -403,11 +385,10 @@ def _carried_certificates(
     crossing, with the full pair lists and the full map from ``left``'s
     indices to ``right``'s; they are built only when it is given.
     """
-    a, b, scale = common_scale(f0, f1)
+    a, b, _ = common_scale(f0, f1)
     vine = Vineyard(K, _by_dimension(K, order0))
     perm, pos, names, low, owner = vine.perm, vine.pos, vine.simplex, vine.low, vine.owner
     n = len(perm)
-    num0, num1 = [a[s] for s in names], [b[s] for s in names]
     dim_of = K.dims  # complex position -> dimension
     dims = [dim_of[s] for s in names]  # label -> dimension
     label = _inverse(names)  # complex position -> label
@@ -458,9 +439,25 @@ def _carried_certificates(
     # crossing pair the schedule lacks, raised as such
     # (``_missed_crossing``) before the vineyard transposes simplices that
     # do not tie.
+    #
+    # Why the classes tell equal points.  Two pairs with equal points at a
+    # crossing have one dimension.  The classes are the simplices of one
+    # dimension and one value there, and an untied simplex has a value no
+    # other simplex of its dimension has and is one pair's alone.  So two
+    # distinct pairs have equal points exactly when they have one
+    # dimension, their births lie in one class, and their deaths are both
+    # essential or lie in one class.  A pair's key (``point``) is its
+    # dimension and the class, or else the label, of its birth and of its
+    # death: equal keys are equal points, and a pair with no tied simplex
+    # keeps its place.  Until the sweep is done the schedule may lack a
+    # tie, which splits equal points; a pair left with no partner is raised
+    # through ``_missed_crossing``, which names it.
 
     def links():  # the pivot row and owner of each tied label
         return [(low[x], owner[x]) for x in tied]
+
+    def point(x, y):  # the key of pair (x, y) at the current crossing
+        return dims[x], run_of.get(x, x), run_of.get(y, y)
 
     bps, pairs_at = schedule.breakpoints(), schedule.pairs_at
     crossings = len(bps) - 2
@@ -524,22 +521,12 @@ def _carried_certificates(
             # every pair with a tied simplex keeps both its simplices, so
             # its point at hi is unchanged, and so is the cover they make.
             # The bucket rule of _reidentify then sends each of those pairs
-            # to itself, unless two of them have equal points, which it may
-            # cross.  Equal points need no values.  Two pairs with equal
-            # points have one dimension, so births of one dimension and
-            # deaths of one dimension.  The classes are the simplices of
-            # one dimension and equal value at hi, and an untied simplex
-            # has a value no other simplex of its dimension has.  So two
-            # distinct pairs have equal points only if they have one
-            # dimension, their births lie in one class, and their deaths
-            # are both essential or lie in one class (an untied death is
-            # one pair's alone).  Each pair with a tied birth is keyed by
-            # (dimension, class of its birth, class of its death, or its
-            # death label if that is untied, or None), and a changed label
-            # or a repeated key sends the crossing through the full step
-            # below.
+            # to itself, unless two of them share a key, which it may
+            # cross.  Only pairs with a tied birth can, as an untied birth
+            # is keyed by its label, so a changed label or a repeated key
+            # among them sends the crossing through the full step below.
             born = [x for x in tied if low[x] is None]
-            points = {(dims[x], run_of[x], run_of.get(owner[x], owner[x])) for x in born}
+            points = {point(x, owner[x]) for x in born}
             if held != links() or len(points) != len(born):
                 # The pivot pairs with a tied simplex, as (birth, death)
                 # labels, before the swaps (from the snapshot) and after,
@@ -572,10 +559,7 @@ def _carried_certificates(
                                 f"{was.count(x)} pivot pairs with a tied simplex "
                                 f"before the swaps and of {now.count(x)} after"
                             )
-                values = dict(zip(
-                    was, interpolate([num0[x] for x in was], [num1[x] for x in was], hi)
-                ))
-                step = _reidentify(K, names, dims, left, right, values, q * scale, k, hi)
+                step = _reidentify(K, f0, f1, schedule, names, left, right, point, k, hi)
                 for i, j in zip([origin[names[x]] for x, _ in left], step):
                     origin[names[right[j][0]]] = i
         if sink is not None:
@@ -638,9 +622,10 @@ def verify_stability(
 ) -> StabilityReport:
     """Run the whole pipeline and certify the stability bound.
 
-    Produces per-interval certificates, the end-to-end bijection carried
-    through the zero-cost re-identifications at the crossings, and the
-    exact bottleneck distance.  Checked in exact rationals: the schedule
+    Produces the end-to-end bijection carried through the zero-cost
+    re-identifications at the crossings and the exact bottleneck distance;
+    the report derives the per-interval certificates from the schedule
+    when they are read.  Checked in exact rationals: the schedule
     holds exactly the crossing pairs, each interval's pivot pairs partition
     the simplices, exact <= composed <= sup-norm, and the exact distance is
     its witness's cost.

@@ -33,6 +33,13 @@ ROOT = Path(__file__).resolve().parent.parent
 TIME_LIMIT = 120
 TIMED_OUT = "TIMED OUT"
 
+# The crafted runs; "apart" and "across" hold equal points whose deaths tie
+# in a run of edges, without and with a switch
+CRAFTED = "tests/test_acceptance.py::test_crafted_runs_equal_the_reference_and_the_twins"
+EQUAL_DEATHS = [CRAFTED + "[1-5-1-False-apart]", CRAFTED + "[2-6-1-False-across]"]
+BUCKET_TWIN = "tests/test_acceptance.py::test_local_reidentification_equals_the_bucket_twin"
+SWAPPING_PIN = "tests/test_cli.py::test_verify_machine_of_two_swapping_vertices_is_pinned"
+
 CATALOGUE = [
     # diagram_from_pivots reads each death from the birth simplex
     (
@@ -50,10 +57,7 @@ CATALOGUE = [
         "src/phstab/stability.py",
         "step.append(bucket.pop())",
         "step.append(bucket.pop(0))",
-        [
-            "tests/test_acceptance.py::test_local_reidentification_equals_the_bucket_twin",
-            "tests/test_cli.py::test_verify_machine_of_two_swapping_vertices_is_pinned",
-        ],
+        [BUCKET_TWIN, SWAPPING_PIN, *EQUAL_DEATHS],
     ),
 ]
 
@@ -202,20 +206,23 @@ CATALOGUE += [
         "src/phstab/stability.py",
         "if held != links() or len(points) != len(born):",
         "if held != links():",
-        [
-            *MID_SIZE,
-            WORK_COUNT,
-            "tests/test_acceptance.py::test_local_reidentification_equals_the_bucket_twin",
-            "tests/test_cli.py::test_verify_machine_of_two_swapping_vertices_is_pinned",
-        ],
+        [*MID_SIZE, WORK_COUNT, BUCKET_TWIN, SWAPPING_PIN],
     ),
-    # a tied death keyed by its own label, not by its run, so two points
-    # whose deaths tie are taken as distinct
+    # a tied death keyed by its own label, not by its class, so two points
+    # whose deaths tie are taken as distinct, in the skip and the buckets
     (
         "src/phstab/stability.py",
-        "run_of.get(owner[x], owner[x])",
-        "owner[x]",
-        [WORK_COUNT],
+        "run_of.get(y, y)",
+        "y",
+        [WORK_COUNT, BUCKET_TWIN, *EQUAL_DEATHS],
+    ),
+    # a tied birth keyed by its own label, not by its class, so no two
+    # points are ever equal and a pair whose birth moves has no partner
+    (
+        "src/phstab/stability.py",
+        "run_of.get(x, x)",
+        "x",
+        [WORK_COUNT, BUCKET_TWIN, SWAPPING_PIN, *EQUAL_DEATHS],
     ),
 ]
 
@@ -278,12 +285,16 @@ CATALOGUE += [
         ["tests/test_stability.py::test_identical_lines_are_never_scheduled"],
     ),
     # a class need not be a block of the order, so a missed crossing
-    # reverses simplices that do not tie
+    # reverses simplices that do not tie; the key check after the swaps
+    # then names the same missed pair, so only the transpositions tell
     (
         "src/phstab/stability.py",
         "if max(at) - start >= len(at):",
         "if False:",
-        [ACROSS + "[dropped-same]", DOCTORED],
+        [
+            "tests/test_stability.py::"
+            "test_a_class_that_is_no_block_is_raised_before_any_transposition"
+        ],
     ),
     # the crossing times need not increase, so a pair may be listed twice
     (
@@ -296,7 +307,6 @@ CATALOGUE += [
 
 # A run of four or more reversed only in part: the corpus has no run longer
 # than three, so only the crafted runs can tell
-CRAFTED = "tests/test_acceptance.py::test_crafted_runs_equal_the_reference_and_the_twins"
 CATALOGUE += [
     (
         "src/phstab/persistence.py",
@@ -322,6 +332,8 @@ CATALOGUE += [
         "return span",
         [
             "tests/test_interpolation.py::test_the_closest_crossing_times_get_adjacent_keys",
+            "tests/test_interpolation.py::"
+            "test_keys_one_apart_at_the_largest_span_are_two_times[101]",
             "tests/test_interpolation.py::"
             "test_time_keys_are_exact_for_huge_values_over_large_denominators",
         ],

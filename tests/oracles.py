@@ -475,8 +475,8 @@ def bucket_reidentify(
     Every pair of ``right`` goes into a bucket keyed by its point, in list
     order, and each pair of ``left`` in turn takes the first unused index
     of its bucket.  ``stability._reidentify`` buckets only the pairs with
-    a simplex tied at ``t``, and every other pair keeps its place; the
-    full map that gives must be this one.
+    a simplex tied at ``t``, by class keys that read no value, and every
+    other pair keeps its place; the full map that gives must be this one.
     """
     where = f"crossing {k} at t = {fraction_string(t)}"
     if len(left) != len(right):
@@ -549,9 +549,9 @@ def reidentify_calls(K, f0, f1) -> tuple:
     calls: list = []
     reidentify = stability._reidentify
 
-    def counted(K, names, dims, left, right, values, scale, k, t):
-        calls.append(k)
-        return reidentify(K, names, dims, left, right, values, scale, k, t)
+    def counted(*args):  # its arguments end with k and t
+        calls.append(args[-2])
+        return reidentify(*args)
 
     with mock.patch.object(stability, "_reidentify", counted):
         _, events = verify_recording(K, f0, f1)

@@ -329,9 +329,10 @@ def test_bitset_reduction_equals_the_set_reduction_on_the_corpus(corpus):
 
 def test_local_reidentification_equals_the_bucket_twin(corpus):
     """At every crossing of the corpus, re-identifying only the pairs with
-    a tied simplex by value gives the map of bucketing every pair.  The
-    corpus has over 200 crossings where two points of one pair list are
-    equal, so the tie-break by list order decides the map there."""
+    a tied simplex by their class keys gives the map of bucketing every
+    pair by its value point.  The corpus has over 200 crossings where two
+    points of one pair list are equal, so the tie-break by list order
+    decides the map there."""
     crossings = equal_points = 0
     for inst, _, events in _verified(corpus):
         c, e, differences = reidentify_differences(inst.complex, *inst.functions, events)

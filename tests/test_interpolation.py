@@ -23,11 +23,14 @@ from phstab.interpolation import (
 )
 from oracles import (
     TOutOfRange,
+    crossings_to_reidentify,
     fraction_interpolate,
     interval_midpoints,
     interval_references,
     is_order_constant,
     reference_differences,
+    reidentify_calls,
+    reidentify_differences,
     scan_crossing_times,
     verify_recording,
 )
@@ -217,6 +220,54 @@ def test_the_closest_crossing_times_get_adjacent_keys():
     assert _keys(f0, f1, schedule.times)[1:] == [153, 154]
     assert [t * 17 // 1 for t in schedule.times[1:]] == [9, 9]
     _verified_as_reference(K, f0, f1)
+
+
+def _adjacent_keys_instance(rng, B, m):
+    """Isolated vertices p, q and s, then a path of m vertices, B >= 2m + 1.
+    f0 ranges over [0, A], A = B + 1, and f1 over [0, B], so span = 2B + 1.
+    p = (A, 0) and q = (0, B) are the extremes of both, so they cross at
+    A / span, with D = span.  p and s = (1, B - 1) cross at
+    (A - 1) / (span - 2).  The path's values lie strictly inside both
+    ranges, and each edge lies above every vertex."""
+    def path(lo, hi):  # m vertex values below m - 1 edge values
+        values = sorted(rng.sample(range(lo, hi), 2 * m - 1))
+        vertices, edges = values[:m], values[m:]
+        rng.shuffle(vertices)
+        rng.shuffle(edges)
+        return vertices + edges
+
+    A = B + 1
+    raw = [(v,) for v in range(m + 3)] + [(v, v + 1) for v in range(3, m + 2)]
+    K = validate_complex(raw)
+    f0 = FiltrationFunction(K, [A, 0, 1] + path(2, A))
+    return K, f0, FiltrationFunction(K, [0, B, B - 1] + path(1, B - 1))
+
+
+@pytest.mark.parametrize("B", [13, 14, 101, 10 ** 12])
+def test_keys_one_apart_at_the_largest_span_are_two_times(B):
+    """Two crossing times whose keys are one apart, the first with
+    D = span.  Only the pair of f0's extremes has f0-gap A, and only the
+    pair of f1's extremes has f1-gap B; here both are p and q.  So every
+    other pair has D <= span - 2, and p and s attain it: the times
+    A / span and (A - 1) / (span - 2) are 1 / (span (span - 2)) apart,
+    just above 1/span^2.  Their keys floor(t * span^2) are A * span and
+    A * span + 1, and over span alone both would be A."""
+    K, f0, f1 = _adjacent_keys_instance(random.Random(B), B, 6)
+    span, A = 2 * B + 1, B + 1
+    schedule = crossing_times(f0, f1)
+    assert schedule == scan_crossing_times(f0, f1)
+    t1, t2 = Fraction(A, span), Fraction(A - 1, span - 2)
+    k = schedule.times.index(t1)
+    assert schedule.times[k + 1] == t2
+    assert (0, 1) in schedule.pairs_at[k] and (0, 2) in schedule.pairs_at[k + 1]
+    assert _keys(f0, f1, (t1, t2)) == [A * span, A * span + 1]
+    assert t1 * span // 1 == t2 * span // 1 == A
+    report = _verified_as_reference(K, f0, f1)
+    assert report.schedule == schedule
+    _, events = verify_recording(K, f0, f1)
+    assert reidentify_differences(K, f0, f1, events)[2] == []
+    calls, events = reidentify_calls(K, f0, f1)
+    assert calls == crossings_to_reidentify(K, f0, f1, events)
 
 
 def test_equal_times_from_unreduced_gaps_are_one_time():

@@ -349,6 +349,31 @@ def test_schedule_faults_across_dimensions_are_violations(
         verify_stability(K, f0, f1)
 
 
+def test_a_class_that_is_no_block_is_raised_before_any_transposition(monkeypatch):
+    # MIXED with {1} and {2} dropped from 1/2, so they never swap: at 6/7
+    # {0} and {1} are no block of the carried order, and reversing the
+    # block that starts at {1} would transpose {1} and {2}, which do not
+    # tie there.  Every path to the violation names the missed pair; only
+    # the transpositions tell whether it was raised before the vineyard
+    # moved simplices that do not tie.
+    K = validate_complex([(0,), (1,), (2,), (1, 2)])
+    f0, f1 = (FiltrationFunction(K, v) for v in MIXED)
+    transposed = []
+    transpose = Vineyard.transpose
+
+    def counted(self, i):
+        transposed.append(i)
+        transpose(self, i)
+
+    monkeypatch.setattr(Vineyard, "transpose", counted)
+    times = (HALF, Fraction(6, 7))
+    _doctor_schedule(monkeypatch, CrossingSchedule(times, ((CROSS,), ((0, 1),))))
+    message = "crossing 0 at t = 1/2: simplices ({1}, {2}) tie but are not scheduled"
+    with pytest.raises(InternalProofViolation, match="^" + re.escape(message) + "$"):
+        verify_stability(K, f0, f1)
+    assert transposed == []
+
+
 def test_missing_crossing_is_a_violation_naming_interval_t_and_pair(monkeypatch):
     K = _vertices(2)
     f0 = FiltrationFunction(K, (0, 1))
@@ -394,7 +419,9 @@ def test_identical_lines_are_never_scheduled(monkeypatch):
         0, 0, 0
     )
     _doctor_schedule(monkeypatch, CrossingSchedule((Fraction(1, 2),), (((0, 1),),)))
-    message = "crossing 0 at t = 1/2: scheduled simplices ({0}, {1}) do not tie"
+    message = (
+        "crossing 0 at t = 1/2: scheduled simplices ({0}, {1}) are equal at t = 0"
+    )
     with pytest.raises(InternalProofViolation, match="^" + re.escape(message) + "$"):
         verify_stability(K, f, f)
 
@@ -458,36 +485,91 @@ def test_pair_list_that_does_not_partition_is_a_violation(
     assert re.match("internal consistency failure: " + where + message, text)
 
 
+def _label_key(dims, classes=None):
+    """The crossing step's key of a pair (b, d) of labels: (dimension,
+    class of the birth or its label, class of the death or its label or
+    None); ``classes`` maps each tied label to its class, apart from every
+    label."""
+    run_of = classes or {}
+    return lambda b, d: (dims[b], run_of.get(b, b), run_of.get(d, d))
+
+
 def test_reidentify_rejects_pair_lists_of_different_functions():
-    # f_a is born at {0}, f_b at {1}; at f_a's values the two pair lists
-    # give (0, inf), (1, 2) against (0, 2), (1, inf)
+    # f_a is born at {0}, f_b at {1}; keyed by label, as at a crossing
+    # where nothing ties, the two pair lists give (0, -), (1, {0,1})
+    # against (0, {0,1}), (1, -)
     K = validate_complex(EDGE)
     f_a = FiltrationFunction(K, (0, 1, 2))
     f_b = FiltrationFunction(K, (1, 0, 2))
     names = (0, 1, 2)  # labels are complex positions here
-    label_dims = [0, 0, 1]
+    key = _label_key([0, 0, 1])
 
     def pairs(f):
         return [(p.birth, p.death) for p in pivot_pairs(K, total_order(K, f))]
 
-    # f_a's values as ints over 2, as verify holds them at t = 1/2; the
-    # second list is f_a + 1, whose birth prints as the value 1, not the int
+    # the message prints f_t at t = 1/2 from f0 and f1, with no crossing
+    # between them: f_a itself, and f_a + 1, whose birth prints as the
+    # value 1, not as its int 2 over the scale 2
     t = Fraction(1, 2)
-    for values, scale, birth in (([0, 2, 4], 2, "0"), ([6, 12, 18], 6, "1")):
-        same = _reidentify(K, names, label_dims, pairs(f_a), pairs(f_a), values, scale, 3, t)
+    for f1, birth in ((f_a, "0"), (FiltrationFunction(K, (2, 3, 4)), "1")):
+        schedule = crossing_times(f_a, f1)
+        assert schedule.times == ()
+        args = (K, f_a, f1, schedule, names)
+        same = _reidentify(*args, pairs(f_a), pairs(f_a), key, 3, t)
         assert same == [0, 1]
         with pytest.raises(InternalProofViolation) as ei:
-            _reidentify(K, names, label_dims, pairs(f_a), pairs(f_b), values, scale, 3, t)
+            _reidentify(*args, pairs(f_a), pairs(f_b), key, 3, t)
         assert str(ei.value) == (
             f"crossing 3 at t = 1/2: pivot pair ({{0}}, -) at dim 0 "
             f"({birth}, inf) has no partner with equal values"
         )
         with pytest.raises(InternalProofViolation) as ei:
-            _reidentify(K, names, label_dims, pairs(f_a), pairs(f_a)[:1], values, scale, 3, t)
+            _reidentify(*args, pairs(f_a), pairs(f_a)[:1], key, 3, t)
         assert str(ei.value) == (
             "crossing 3 at t = 1/2: 2 pivot pairs with a tied simplex before "
             "vs 1 after"
         )
+
+
+def test_reidentify_crosses_equal_points_of_one_class():
+    # {0} and {1} tie at t = 1/2 and swap, so the essential pair and the
+    # pair that dies at {0,1} trade births.  Both births lie in one class,
+    # so each point keeps its key and goes to the pair of the other birth.
+    # Keyed by label, as if the schedule lacked the tie, a pair finds no
+    # partner, and a schedule that lacks it is named as a missed crossing.
+    K = validate_complex(EDGE)
+    f0 = FiltrationFunction(K, (0, 1, 2))
+    f1 = FiltrationFunction(K, (1, 0, 2))
+    schedule = crossing_times(f0, f1)
+    t = Fraction(1, 2)
+    assert schedule == CrossingSchedule((t,), (((0, 1),),))
+    names, dims = (0, 1, 2), [0, 0, 1]
+    left, right = [(0, None), (1, 2)], [(1, None), (0, 2)]
+    args = (K, f0, f1, schedule, names, left, right)
+    assert _reidentify(*args, _label_key(dims, {0: 3, 1: 3}), 0, t) == [0, 1]
+    with pytest.raises(InternalProofViolation) as ei:
+        _reidentify(*args, _label_key(dims), 0, t)
+    assert str(ei.value) == (
+        "crossing 0 at t = 1/2: pivot pair ({0}, -) at dim 0 (0.5, inf) has "
+        "no partner with equal values"
+    )
+    lacking = CrossingSchedule((), ())
+    with pytest.raises(InternalProofViolation) as ei:
+        _reidentify(K, f0, f1, lacking, names, left, right, _label_key(dims), 0, t)
+    assert str(ei.value) == (
+        "interval 0 [0, 1]: carried order fails at t = 1: values decrease "
+        "along the order: f(0) = 1 > 0 = f(1)"
+    )
+    # without the edge both points are essential and equal: the tie-break
+    # takes the first of their key before to the first after
+    V = _vertices(2)
+    g0, g1 = FiltrationFunction(V, (0, 1)), FiltrationFunction(V, (1, 0))
+    essential = [(0, None), (1, None)]
+    crossed = _reidentify(
+        V, g0, g1, crossing_times(g0, g1), (0, 1), essential, essential[::-1],
+        _label_key([0, 0], {0: 2, 1: 2}), 0, t,
+    )
+    assert crossed == [0, 1]
 
 
 def test_violation_exits_two_through_the_cli(monkeypatch, tmp_path):
