@@ -134,25 +134,19 @@ def _check_partition(
             )
 
 
-def _reidentify(
-    K: SimplicialComplex, f0: FiltrationFunction, f1: FiltrationFunction,
-    schedule: CrossingSchedule, names: tuple, left: list, right: list,
-    key, k: int, t: Fraction,
-) -> list:
+def _reidentify(left: list, right: list, key, k: int, t: Fraction) -> list:
     """Zero-cost re-identification at crossing ``k`` of the pairs with a
     simplex tied at ``t``.
 
     ``left`` and ``right`` hold those pairs before and after the swaps as
-    (birth, death) labels, ordered by birth position; ``names`` maps a
-    label to its simplex, and ``key`` maps a pair to its key at ``t``,
-    equal for two pairs exactly when their points are (see
-    ``_carried_certificates``).  Both orders serve f_t at the crossing, so
-    both lists give one multiset of points.  Each pair of ``left`` in turn
-    takes the first unused pair of ``right`` with its key.  Returns the
-    map from ``left``'s indices to ``right``'s.  A pair with no partner
-    falsifies order-invariance or shows a crossing pair the schedule
-    lacks, which is named if so (``_missed_crossing``); f0 and f1 are read
-    only for that message.
+    (birth, death) labels, ordered by birth position, and ``key`` maps a
+    pair to its key at ``t``, equal for two pairs exactly when their
+    points are (see ``_carried_certificates``).  Both orders serve f_t at
+    the crossing, so both lists give one multiset of points.  Each pair of
+    ``left`` in turn takes the first unused pair of ``right`` with its
+    key.  Returns the map from ``left``'s indices to ``right``'s, up to the
+    first pair with no partner, which the caller raises
+    (``_no_partner``).
     """
     if len(left) != len(right):
         raise InternalProofViolation(
@@ -165,19 +159,31 @@ def _reidentify(
     step = []
     for b, d in left:
         bucket = unused.get(key(b, d))
-        if bucket:
-            step.append(bucket.pop())
-            continue
-        s, e = names[b], None if d is None else names[d]
-        f_t = [(1 - t) * x + t * y for x, y in zip(f0.values, f1.values)]
-        raise _missed_crossing(
-            K, f0, f1, schedule,
-            f"crossing {k} at t = {fraction_string(t)}: pivot pair "
-            f"{_simplex_pair(K, s, e)} at dim {K.dims[s]} ({format_value(f_t[s])}, "
-            f"{format_value(INF if e is None else f_t[e])}) has no partner "
-            "with equal values",
-        )
+        if not bucket:
+            break
+        step.append(bucket.pop())
     return step
+
+
+def _no_partner(
+    K: SimplicialComplex, f0: FiltrationFunction, f1: FiltrationFunction,
+    schedule: CrossingSchedule, k: int, t: Fraction, s: int, e: "int | None",
+) -> InternalProofViolation:
+    """The violation at crossing ``k`` at ``t`` for pivot pair (s, e),
+    which has no partner with its key after the swaps.  It falsifies
+    order-invariance or shows a crossing pair the schedule lacks, which is
+    named if so (``_missed_crossing``).  f_t is read at s and e only for
+    the message."""
+
+    def f_t(x):  # f_t at simplex x, inf at no simplex
+        return INF if x is None else (1 - t) * f0.values[x] + t * f1.values[x]
+
+    return _missed_crossing(
+        K, f0, f1, schedule,
+        f"crossing {k} at t = {fraction_string(t)}: pivot pair "
+        f"{_simplex_pair(K, s, e)} at dim {K.dims[s]} ({format_value(f_t(s))}, "
+        f"{format_value(f_t(e))}) has no partner with equal values",
+    )
 
 
 def _by_dimension(K: SimplicialComplex, order: tuple) -> tuple:
@@ -475,19 +481,13 @@ def _carried_certificates(
             sink.append(("interval", k, lo, hi, tuple(names[x] for x in perm), pairs))
         if k == crossings:
             break
-        # The crossing at hi = p/q, where f_t is a * (q - p) + b * p over
-        # q * L.
+        # The crossing at hi: the two lines of each scheduled pair there.
         classes: dict = {}  # (dimension, value at hi) -> labels tied there
-        rest, previous = q - p, ()
+        previous = ()
         for pair in pairs_at[k]:
             i, j = pair
-            v = a[i] * rest + b[i] * p
-            if not (
-                previous < pair
-                and i < j
-                and a[i] != a[j]
-                and v == a[j] * rest + b[j] * p
-            ):
+            v, w = interpolate([a[i], a[j]], [b[i], b[j]], hi)
+            if not (previous < pair and i < j and a[i] != a[j] and v == w):
                 raise _schedule_fault(K, a, b, k, hi, pairs_at[k])
             previous = pair
             if dim_of[i] == dim_of[j]:
@@ -559,7 +559,13 @@ def _carried_certificates(
                                 f"{was.count(x)} pivot pairs with a tied simplex "
                                 f"before the swaps and of {now.count(x)} after"
                             )
-                step = _reidentify(K, f0, f1, schedule, names, left, right, point, k, hi)
+                step = _reidentify(left, right, point, k, hi)
+                if len(step) < len(left):
+                    x, y = left[len(step)]
+                    raise _no_partner(
+                        K, f0, f1, schedule, k, hi,
+                        names[x], None if y is None else names[y],
+                    )
                 for i, j in zip([origin[names[x]] for x, _ in left], step):
                     origin[names[right[j][0]]] = i
         if sink is not None:

@@ -224,6 +224,14 @@ CATALOGUE += [
         "x",
         [WORK_COUNT, BUCKET_TWIN, SWAPPING_PIN, *EQUAL_DEATHS],
     ),
+    # a re-identification that stops at a pair with no partner is not
+    # raised, so the point map silently loses the pairs after it
+    (
+        "src/phstab/stability.py",
+        "if len(step) < len(left):",
+        "if False:",
+        ["tests/test_stability.py::test_a_pair_with_no_partner_is_named_by_its_simplices"],
+    ),
 ]
 
 # The schedule drives the sweep: each scheduled pair is checked at its
@@ -250,8 +258,8 @@ CATALOGUE += [
     # a scheduled pair need not tie at its time
     (
         "src/phstab/stability.py",
-        "                and v == a[j] * rest + b[j] * p\n",
-        "",
+        " and v == w):",
+        "):",
         [ACROSS + "[moved]", ACROSS + "[added]", DOCTORED],
     ),
     # the schedule's pair count is not checked against the inversions, so
@@ -265,23 +273,23 @@ CATALOGUE += [
     # a pair may be listed twice at one time
     (
         "src/phstab/stability.py",
-        "                previous < pair\n                and i < j\n",
-        "                i < j\n",
+        "previous < pair and i < j",
+        "i < j",
         [ACROSS + "[twice]"],
     ),
     # a pair may be listed as (j, i), so one inversion could count twice
     (
         "src/phstab/stability.py",
-        "                and i < j\n",
-        "",
+        "and i < j and a[i] != a[j]",
+        "and a[i] != a[j]",
         [ACROSS + "[reversed]"],
     ),
     # a pair's lines need not differ at 0, so identical lines can be
     # scheduled and swapped
     (
         "src/phstab/stability.py",
-        "                and a[i] != a[j]\n",
-        "",
+        "and a[i] != a[j] and v == w",
+        "and v == w",
         ["tests/test_stability.py::test_identical_lines_are_never_scheduled"],
     ),
     # a class need not be a block of the order, so a missed crossing

@@ -21,7 +21,7 @@ from phstab.generate import (
 from phstab.interpolation import CrossingSchedule, crossing_times
 from phstab.ordering import total_order
 from phstab.persistence import PivotPair, Vineyard, diagram, pivot_pairs
-from phstab.stability import _reidentify, verify_stability
+from phstab.stability import _no_partner, _reidentify, verify_stability
 
 from oracles import (
     OrderNotConstant,
@@ -497,37 +497,33 @@ def _label_key(dims, classes=None):
 def test_reidentify_rejects_pair_lists_of_different_functions():
     # f_a is born at {0}, f_b at {1}; keyed by label, as at a crossing
     # where nothing ties, the two pair lists give (0, -), (1, {0,1})
-    # against (0, {0,1}), (1, -)
+    # against (0, {0,1}), (1, -), so the first pair has no partner
     K = validate_complex(EDGE)
     f_a = FiltrationFunction(K, (0, 1, 2))
     f_b = FiltrationFunction(K, (1, 0, 2))
-    names = (0, 1, 2)  # labels are complex positions here
-    key = _label_key([0, 0, 1])
+    key = _label_key([0, 0, 1])  # labels are complex positions here
 
     def pairs(f):
         return [(p.birth, p.death) for p in pivot_pairs(K, total_order(K, f))]
 
+    t = Fraction(1, 2)
+    assert _reidentify(pairs(f_a), pairs(f_a), key, 3, t) == [0, 1]
+    assert _reidentify(pairs(f_a), pairs(f_b), key, 3, t) == []
+    with pytest.raises(InternalProofViolation) as ei:
+        _reidentify(pairs(f_a), pairs(f_a)[:1], key, 3, t)
+    assert str(ei.value) == (
+        "crossing 3 at t = 1/2: 2 pivot pairs with a tied simplex before "
+        "vs 1 after"
+    )
     # the message prints f_t at t = 1/2 from f0 and f1, with no crossing
     # between them: f_a itself, and f_a + 1, whose birth prints as the
     # value 1, not as its int 2 over the scale 2
-    t = Fraction(1, 2)
     for f1, birth in ((f_a, "0"), (FiltrationFunction(K, (2, 3, 4)), "1")):
         schedule = crossing_times(f_a, f1)
         assert schedule.times == ()
-        args = (K, f_a, f1, schedule, names)
-        same = _reidentify(*args, pairs(f_a), pairs(f_a), key, 3, t)
-        assert same == [0, 1]
-        with pytest.raises(InternalProofViolation) as ei:
-            _reidentify(*args, pairs(f_a), pairs(f_b), key, 3, t)
-        assert str(ei.value) == (
+        assert str(_no_partner(K, f_a, f1, schedule, 3, t, 0, None)) == (
             f"crossing 3 at t = 1/2: pivot pair ({{0}}, -) at dim 0 "
             f"({birth}, inf) has no partner with equal values"
-        )
-        with pytest.raises(InternalProofViolation) as ei:
-            _reidentify(*args, pairs(f_a), pairs(f_a)[:1], key, 3, t)
-        assert str(ei.value) == (
-            "crossing 3 at t = 1/2: 2 pivot pairs with a tied simplex before "
-            "vs 1 after"
         )
 
 
@@ -535,41 +531,50 @@ def test_reidentify_crosses_equal_points_of_one_class():
     # {0} and {1} tie at t = 1/2 and swap, so the essential pair and the
     # pair that dies at {0,1} trade births.  Both births lie in one class,
     # so each point keeps its key and goes to the pair of the other birth.
-    # Keyed by label, as if the schedule lacked the tie, a pair finds no
-    # partner, and a schedule that lacks it is named as a missed crossing.
+    # Keyed by label, as if the schedule lacked the tie, the first pair
+    # finds no partner, and a schedule that lacks it is named as a missed
+    # crossing.
     K = validate_complex(EDGE)
     f0 = FiltrationFunction(K, (0, 1, 2))
     f1 = FiltrationFunction(K, (1, 0, 2))
     schedule = crossing_times(f0, f1)
     t = Fraction(1, 2)
     assert schedule == CrossingSchedule((t,), (((0, 1),),))
-    names, dims = (0, 1, 2), [0, 0, 1]
+    dims = [0, 0, 1]
     left, right = [(0, None), (1, 2)], [(1, None), (0, 2)]
-    args = (K, f0, f1, schedule, names, left, right)
-    assert _reidentify(*args, _label_key(dims, {0: 3, 1: 3}), 0, t) == [0, 1]
-    with pytest.raises(InternalProofViolation) as ei:
-        _reidentify(*args, _label_key(dims), 0, t)
-    assert str(ei.value) == (
+    assert _reidentify(left, right, _label_key(dims, {0: 3, 1: 3}), 0, t) == [0, 1]
+    assert _reidentify(left, right, _label_key(dims), 0, t) == []
+    assert str(_no_partner(K, f0, f1, schedule, 0, t, 0, None)) == (
         "crossing 0 at t = 1/2: pivot pair ({0}, -) at dim 0 (0.5, inf) has "
         "no partner with equal values"
     )
     lacking = CrossingSchedule((), ())
-    with pytest.raises(InternalProofViolation) as ei:
-        _reidentify(K, f0, f1, lacking, names, left, right, _label_key(dims), 0, t)
-    assert str(ei.value) == (
+    assert str(_no_partner(K, f0, f1, lacking, 0, t, 0, None)) == (
         "interval 0 [0, 1]: carried order fails at t = 1: values decrease "
         "along the order: f(0) = 1 > 0 = f(1)"
     )
     # without the edge both points are essential and equal: the tie-break
     # takes the first of their key before to the first after
-    V = _vertices(2)
-    g0, g1 = FiltrationFunction(V, (0, 1)), FiltrationFunction(V, (1, 0))
     essential = [(0, None), (1, None)]
     crossed = _reidentify(
-        V, g0, g1, crossing_times(g0, g1), (0, 1), essential, essential[::-1],
-        _label_key([0, 0], {0: 2, 1: 2}), 0, t,
+        essential, essential[::-1], _label_key([0, 0], {0: 2, 1: 2}), 0, t
     )
     assert crossed == [0, 1]
+
+
+def test_a_pair_with_no_partner_is_named_by_its_simplices(monkeypatch):
+    # a re-identification that stops at the second pair before the swaps,
+    # ({1}, {0,1}), is a violation naming it with f_t's values there
+    K = validate_complex(EDGE)
+    f0 = FiltrationFunction(K, (0, 1, 2))
+    f1 = FiltrationFunction(K, (1, 0, 2))
+    monkeypatch.setattr(stability, "_reidentify", lambda *args: [0])
+    with pytest.raises(InternalProofViolation) as ei:
+        verify_stability(K, f0, f1)
+    assert str(ei.value) == (
+        "crossing 0 at t = 1/2: pivot pair ({1}, {0,1}) at dim 0 (0.5, 2) has "
+        "no partner with equal values"
+    )
 
 
 def test_violation_exits_two_through_the_cli(monkeypatch, tmp_path):
