@@ -45,7 +45,12 @@ class Simplex:
         return len(self.vertices) - 1
 
     def __str__(self) -> str:
-        return ",".join(str(v) for v in self.vertices)
+        return _name(self.vertices)
+
+
+def _name(vertices: tuple[int, ...]) -> str:
+    """A simplex as messages and output print it: ``0,1,2``."""
+    return ",".join(map(str, vertices))
 
 
 def facets(vertices: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -57,20 +62,30 @@ def facets(vertices: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """An ordered, duplicate-free, face-closed list of simplices."""
+    """An ordered, duplicate-free, face-closed list of simplices.
 
-    simplices: tuple[Simplex, ...]
+    It is held as canonical vertex tuples, ``vertex_tuples``, each strictly
+    increasing and of non-negative ints, which the reduction and the order
+    read (``index``, ``facet_positions``, ``tie_order``, ``dims``); the
+    constructor takes them as they are and checks nothing, as
+    ``validate_complex`` does that.  ``simplices``, the same list as
+    Simplex objects, is built when first read, for output and messages.
+    Two complexes are equal when their tuples are.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "simplices", tuple(self.simplices))
+    vertex_tuples: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
-        return len(self.simplices)
+        return len(self.vertex_tuples)
+
+    @cached_property
+    def simplices(self) -> tuple[Simplex, ...]:
+        return tuple(map(Simplex, self.vertex_tuples))
 
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
         """Canonical vertex tuple -> position in the simplex list."""
-        return {s.vertices: i for i, s in enumerate(self.simplices)}
+        return {t: i for i, t in enumerate(self.vertex_tuples)}
 
     @cached_property
     def facet_positions(self) -> tuple[tuple, ...]:
@@ -78,24 +93,27 @@ class SimplicialComplex:
         order of ``facets``; None for a face the list lacks, which only a
         complex that ``validate_complex`` has not accepted can have."""
         get = self.index.get
-        return tuple(tuple(map(get, facets(s.vertices))) for s in self.simplices)
+        return tuple(
+            tuple(map(get, facets(t))) if len(t) > 1 else ()
+            for t in self.vertex_tuples
+        )
 
     @cached_property
     def tie_order(self) -> tuple[int, ...]:
         """Positions sorted by (dimension, vertex sequence): the canonical
         order's tie-break, the same for every function on the complex."""
-        keys = [(len(s.vertices), s.vertices) for s in self.simplices]
+        keys = [(len(t), t) for t in self.vertex_tuples]
         return tuple(sorted(range(len(keys)), key=keys.__getitem__))
 
     @cached_property
     def dims(self) -> tuple[int, ...]:
         """The dimension of each simplex, by position."""
-        return tuple(len(s.vertices) - 1 for s in self.simplices)
+        return tuple(len(t) - 1 for t in self.vertex_tuples)
 
     @property
     def dim(self) -> int:
         """Largest simplex dimension; -1 for the empty complex."""
-        return max((s.dim for s in self.simplices), default=-1)
+        return max(self.dims, default=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -122,25 +140,26 @@ def validate_complex(simplices: Iterable) -> SimplicialComplex:
     missing codimension-1 faces, each at the position of its entry.
     """
     issues: list = []
-    canon: list = []  # (input position, Simplex)
+    canon: list = []  # (input position, canonical vertex tuple)
     for pos, raw in enumerate(simplices):
         try:
-            canon.append((pos, raw if isinstance(raw, Simplex) else Simplex(raw)))
+            s = raw if isinstance(raw, Simplex) else Simplex(raw)
+            canon.append((pos, s.vertices))
         except (TypeError, ValueError) as exc:
             issues.append(Issue(f"malformed simplex {raw!r}: {exc}", pos))
     # The index holds each vertex tuple once, so it is short exactly on a
     # duplicate; closure reads the complex's face positions, one look-up each.
-    K = SimplicialComplex(tuple(s for _, s in canon))
+    K = SimplicialComplex(tuple(t for _, t in canon))
     seen: set[tuple[int, ...]] = set()
-    for pos, s in canon if len(K.index) < len(K) else ():
-        if s.vertices in seen:
-            issues.append(Issue(f"duplicate simplex {{{s}}}", pos))
-        seen.add(s.vertices)
-    for (pos, s), found in zip(canon, K.facet_positions):
+    for pos, t in canon if len(K.index) < len(K) else ():
+        if t in seen:
+            issues.append(Issue(f"duplicate simplex {{{_name(t)}}}", pos))
+        seen.add(t)
+    for (pos, t), found in zip(canon, K.facet_positions):
         if None in found:
             issues.extend(
-                Issue(f"simplex {{{s}}} is missing face {{{Simplex(face)}}}", pos)
-                for face, where in zip(facets(s.vertices), found)
+                Issue(f"simplex {{{_name(t)}}} is missing face {{{_name(face)}}}", pos)
+                for face, where in zip(facets(t), found)
                 if where is None
             )
     if issues:
@@ -239,15 +258,15 @@ def validate_filtration(K: SimplicialComplex, f: FiltrationFunction) -> tuple:
     the coface's position; empty when ``f`` is monotone on K."""
     if f.complex is not K and f.complex != K:
         raise DomainMismatch("filtration is not defined on this complex")
-    nums = f.numerators  # the Fraction values are read only for a message
+    nums = f.numerators  # the simplices and values are read only for a message
     return tuple(
         Issue(
             f"face {{{K.simplices[i]}}} has value {fraction_string(f.values[i])}"
-            f" > {fraction_string(f.values[j])} on coface {{{s}}}",
+            f" > {fraction_string(f.values[j])} on coface {{{K.simplices[j]}}}",
             j,
         )
-        for j, s in enumerate(K.simplices)
-        for i in K.facet_positions[j]
+        for j, faces in enumerate(K.facet_positions)
+        for i in faces
         if nums[i] > nums[j]
     )
 

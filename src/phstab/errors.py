@@ -51,7 +51,8 @@ class DomainMismatch(PhstabError):
 
 
 class ComplexTooLarge(PhstabError):
-    """A generated complex would pass ``generate.MAX_SIMPLICES`` simplices."""
+    """A generated complex would pass ``generate.MAX_SIMPLICES`` simplices,
+    or its vertices ``generate.MAX_VERTICES``."""
 
 
 class NonUniqueValues(PhstabError):

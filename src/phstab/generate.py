@@ -4,7 +4,9 @@ Complexes come from a random graph: keep every vertex, flip a coin per
 edge, then fill in every clique up to the configured dimension.  A clique
 grows only by the common neighbours above its largest vertex, so the work
 follows the cliques that exist, not every vertex set of their size, and
-building stops as soon as the count passes ``MAX_SIMPLICES``.  Values
+building stops as soon as the count passes ``MAX_SIMPLICES``.  The edge
+coins come first, one per vertex pair, so a vertex count above
+``MAX_VERTICES`` is refused before the first of them.  Values
 start as random quarter-integer draws, get repaired upward to restore
 monotonicity, and (by default) receive tiny per-simplex offsets that make
 all values distinct without breaking monotonicity.  Offsets are dyadic, so
@@ -16,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .complexes import FiltrationFunction, Simplex, SimplicialComplex
+from .complexes import FiltrationFunction, SimplicialComplex
 from .errors import ComplexTooLarge
 from .instances import InstanceFile
 
@@ -25,6 +27,11 @@ from .instances import InstanceFile
 # simplices), which would exhaust memory long before a result, so the
 # generator stops once the count passes this.
 MAX_SIMPLICES = 100_000
+
+# The most vertices the generator takes.  It flips a coin for each vertex
+# pair before it builds any clique, and the 4.5 million coins of 3000
+# vertices take about 0.7 s; 100000 vertices would take minutes.
+MAX_VERTICES = 3000
 
 
 @dataclass(frozen=True)
@@ -46,9 +53,15 @@ def generate_complex(rng: random.Random, cfg: GeneratorConfig) -> SimplicialComp
     neighbours above its largest vertex are one AND per added vertex, and
     extending each clique of one size by them, in increasing order, lists
     the cliques of the next size in lexicographic order.  Raises
-    ComplexTooLarge once the count passes ``MAX_SIMPLICES``.
+    ComplexTooLarge for more than ``MAX_VERTICES`` vertices, before any
+    coin, and once the count passes ``MAX_SIMPLICES``.
     """
     n = cfg.num_vertices
+    if n > MAX_VERTICES:
+        raise ComplexTooLarge(
+            f"{n} vertices are more than {MAX_VERTICES}, the generator's limit: "
+            "it flips a coin for every pair of them"
+        )
 
     def check(count):
         if count > MAX_SIMPLICES:
@@ -66,7 +79,7 @@ def generate_complex(rng: random.Random, cfg: GeneratorConfig) -> SimplicialComp
         count += len(row)
         check(count)
         up.append(sum(1 << v for v in row))
-    simplices = [Simplex((v,)) for v in range(n)]
+    simplices = [(v,) for v in range(n)]
     level = [((v,), up[v]) for v in range(n)]  # cliques and their common up
     for _ in range(max(cfg.max_dimension, 1)):
         grown = []
@@ -76,7 +89,7 @@ def generate_complex(rng: random.Random, cfg: GeneratorConfig) -> SimplicialComp
                 common &= common - 1
                 grown.append((clique + (v,), common & up[v]))
             check(len(simplices) + len(grown))
-        simplices += [Simplex(clique) for clique, _ in grown]
+        simplices += [clique for clique, _ in grown]
         level = grown
     return SimplicialComplex(tuple(simplices))
 

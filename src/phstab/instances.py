@@ -13,13 +13,15 @@ same number of values (one or two).  Values may be written as integers,
 decimals, scientific notation, or ``p/q`` fractions; they are read exactly,
 each as an int numerator and denominator (``rational.read_value``), and
 every value of a file is held as an int over one scale, the lcm of its
-denominators.  Writing uses the shortest exact form, so a parse/format
-round trip is the identity.
+denominators.  A valid file is read in one lean pass; only a file with a
+problem is read again, line by line, to name every problem.  Writing uses
+the shortest exact form, so a parse/format round trip is the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm
 
 from .complexes import (
@@ -48,11 +50,66 @@ def _lines(text: str) -> list:
 
 
 def parse_instance_text(text: str, path: "str | None" = None) -> InstanceFile:
-    """Parse instance file content, collecting every problem before failing."""
+    """Parse instance file content, collecting every problem before failing.
+
+    A file with no problem is read once, on ints and tuples
+    (``_read_lean``); any other is read again line by line
+    (``_read_lines``), which names every problem in a ParseError.
+    """
+    lines = _lines(text)
+    return _read_lean(lines) or _read_lines(lines, path)
+
+
+def _read_lean(lines: list) -> "InstanceFile | None":
+    """The instance that ``lines`` hold if they hold no problem, else None.
+
+    Each data line is split into its vertex ids and value tokens, read
+    with the same ``int()`` and ``read_value`` as ``_read_lines``; the
+    widths, vertex ids, duplicate simplices and missing faces are then
+    checked for all lines at once, on the tokens and the canonical tuples.
+    """
+    vertex_tokens, value_tokens = [], []
+    for raw in lines:
+        left, colon, right = raw.partition("#")[0].partition(":")
+        if colon:
+            vertex_tokens.append(left.split())
+            value_tokens.append(right.split())
+        elif left.strip():
+            return None  # a line with no ':'
+    widths = set(map(len, value_tokens))
+    width = min(widths, default=0)
+    if len(widths) != 1 or not 0 < width <= 2:
+        return None  # no simplices, or lines of no, three or unlike widths
+    try:
+        tuples = [
+            (int(t[0]),) if len(t) == 1 else tuple(sorted(set(map(int, t))))
+            for t in vertex_tokens
+        ]
+        values = list(map(read_value, chain.from_iterable(value_tokens)))
+    except (ValueError, ZeroDivisionError):
+        return None
+    K = SimplicialComplex(tuple(tuples))
+    lowest = min(K.index)  # () before any simplex, else one of the least vertex
+    if (
+        not lowest
+        or lowest[0] < 0
+        or len(K.index) < len(tuples)  # a duplicate simplex
+        or sum(map(len, tuples)) != sum(map(len, vertex_tokens))  # a vertex twice
+        or None in chain.from_iterable(K.facet_positions)  # a missing face
+    ):
+        return None
+    return _instance(K, [values[k::width] for k in range(width)])
+
+
+def _read_lines(lines: list, path: "str | None") -> InstanceFile:
+    """Read ``lines`` one at a time; every line, good or bad, takes the
+    same checks in the same order, and a ParseError names every problem:
+    each line's first (each of its unreadable values), then, once every
+    line reads, the duplicate simplices and missing faces."""
     problems: "list[tuple[int | None, str]]" = []
     line_nos, simplices, rows = [], [], []  # per data line; rows of (n, d)
     width = None
-    for line_no, raw in enumerate(_lines(text), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         left, colon, right = raw.partition("#")[0].partition(":")
         if not colon:
             if left.strip():
@@ -107,16 +164,22 @@ def parse_instance_text(text: str, path: "str | None" = None) -> InstanceFile:
         raise ParseError(
             [(line_nos[issue.index], issue.message) for issue in exc.issues], path
         ) from None
+    return _instance(K, list(zip(*rows)))
 
-    # One scale for the whole file, so its columns compare as they are.
-    scale = lcm(*{d for row in rows for _, d in row})
-    functions = tuple(
-        FiltrationFunction.over_scale(
-            K, tuple([n * (scale // d) for n, d in column]), scale
-        )
-        for column in zip(*rows)
+
+def _instance(K: SimplicialComplex, columns: list) -> InstanceFile:
+    """The functions of value columns of (numerator, denominator) pairs,
+    over one scale for the whole file, so its columns compare as they are."""
+    scale = lcm(*{d for column in columns for _, d in column})
+    return InstanceFile(
+        K,
+        tuple(
+            FiltrationFunction.over_scale(
+                K, tuple([n * (scale // d) for n, d in column]), scale
+            )
+            for column in columns
+        ),
     )
-    return InstanceFile(K, functions)
 
 
 def parse_instance(path: str) -> InstanceFile:
@@ -137,10 +200,9 @@ def parse_instance(path: str) -> InstanceFile:
 
 def format_instance(instance: InstanceFile) -> str:
     """Render an instance back to file text, values in exact shortest form."""
-    K = instance.complex
     lines = []
-    for i, simplex in enumerate(K.simplices):
-        verts = " ".join(str(v) for v in simplex.vertices)
+    for i, vertices in enumerate(instance.complex.vertex_tuples):
+        verts = " ".join(map(str, vertices))
         vals = " ".join(format_value(f.values[i]) for f in instance.functions)
         lines.append(f"{verts} : {vals}")
     return "\n".join(lines) + "\n"

@@ -14,8 +14,9 @@ A ``Vineyard`` keeps the reduction R = D * V, with V the column operations
 done, and carries it across a swap of two adjacent simplices with O(1)
 bitset operations instead of reducing again: the transposition cases of
 Cohen-Steiner, Edelsbrunner and Morozov, "Vines and Vineyards by Updating
-Persistence in Linear Time" (SoCG 2006).  ``pivot_pairs`` is a vineyard's
-first reduction, so there is one reduction routine.
+Persistence in Linear Time" (SoCG 2006).  There is one reduction routine,
+``_reduce``; it keeps V only for a vineyard, since a diagram needs only
+the pivots.
 """
 
 from __future__ import annotations
@@ -57,17 +58,29 @@ class Diagram:
     point-by-point.  A diagram is built from and held as ints over one
     positive ``scale``: point i has dimension ``dims[i]``, birth
     ``births[i] / scale`` and death ``deaths[i] / scale`` (None for an
-    essential class) and comes from pivot pair ``pairs[i]``; nothing is
-    checked.  ``points``, the DiagramPoints with Fraction values, are
-    built when first read; two diagrams are equal when their points are,
-    whatever their scales.
+    essential class), and its birth and death simplices are at positions
+    ``birth_simplices[i]`` and ``death_simplices[i]`` of the complex (a
+    death None again); nothing is checked.  ``pairs``, the
+    PivotPairs of those positions, and ``points``, the DiagramPoints with
+    Fraction values, are built when first read; two diagrams are equal
+    when their points are, whatever their scales.
     """
 
     def __init__(
-        self, dims: tuple, births: tuple, deaths: tuple, scale: int, pairs: tuple
+        self,
+        dims: tuple,
+        births: tuple,
+        deaths: tuple,
+        scale: int,
+        birth_simplices: tuple,
+        death_simplices: tuple,
     ):
-        self.dims, self.births, self.deaths = dims, births, deaths
-        self.scale, self.pairs = scale, pairs
+        self.dims, self.births, self.deaths, self.scale = dims, births, deaths, scale
+        self.birth_simplices, self.death_simplices = birth_simplices, death_simplices
+
+    @cached_property
+    def pairs(self) -> tuple[PivotPair, ...]:
+        return tuple(map(PivotPair, self.birth_simplices, self.death_simplices))
 
     @cached_property
     def points(self) -> tuple[DiagramPoint, ...]:
@@ -116,34 +129,10 @@ class Vineyard:
 
     def __init__(self, K: SimplicialComplex, order: tuple):
         n = len(order)
-        label = [0] * n  # complex position -> label
-        for j, c in enumerate(order):
-            label[c] = j
-        facet_positions = K.facet_positions
-        R = []
-        for c in order:
-            col = 0
-            for i in facet_positions[c]:
-                col |= 1 << label[i]
-            R.append(col)
-        V = [1 << j for j in range(n)]
-        low: list = [None] * n
-        owner: list = [None] * n
-        for j, col in enumerate(R):
-            v = V[j]
-            while col:
-                r = col.bit_length() - 1
-                k = owner[r]
-                if k is None:
-                    owner[r], low[j] = j, r
-                    break
-                col ^= R[k]
-                v ^= V[k]
-            R[j], V[j] = col, v
+        self.R, self.V, self.low, self.owner = _reduce(K, order, keep_v=True)
         self.simplex = tuple(order)
         self.perm = list(range(n))
         self.pos = list(range(n))
-        self.R, self.V, self.low, self.owner = R, V, low, owner
 
     def births(self) -> list[int]:
         """The labels of the birth simplices, in the current order.  A
@@ -154,12 +143,10 @@ class Vineyard:
 
     def pairs(self) -> tuple[PivotPair, ...]:
         """One PivotPair per diagram point, essentials with death None, in
-        the current order of the birth simplices.  Each is built by
-        ``tuple.__new__``, as ``PivotPair._make`` builds one, which skips
-        the NamedTuple's ``__new__``, a Python call per point."""
-        simplex, owner, make = self.simplex, self.owner, tuple.__new__
+        the current order of the birth simplices."""
+        simplex, owner = self.simplex, self.owner
         return tuple(
-            make(PivotPair, (simplex[x], None if owner[x] is None else simplex[owner[x]]))
+            PivotPair(simplex[x], None if owner[x] is None else simplex[owner[x]])
             for x in self.births()
         )
 
@@ -226,6 +213,50 @@ class Vineyard:
                 self.transpose(i)
 
 
+def _reduce(K: SimplicialComplex, order: tuple, keep_v: bool) -> tuple:
+    """The reduction of (K, order) with rows and columns labelled by their
+    position in ``order``: (R, V, low, owner) as a ``Vineyard`` holds them,
+    V None unless ``keep_v``."""
+    n = len(order)
+    label = [0] * n  # complex position -> label
+    for j, c in enumerate(order):
+        label[c] = j
+    facet_positions = K.facet_positions
+    R = []
+    for c in order:
+        col = 0
+        for i in facet_positions[c]:
+            col |= 1 << label[i]
+        R.append(col)
+    V = [1 << j for j in range(n)] if keep_v else None
+    low: list = [None] * n
+    owner: list = [None] * n
+    for j, col in enumerate(R):
+        while col:
+            r = col.bit_length() - 1
+            k = owner[r]
+            if k is None:
+                owner[r], low[j] = j, r
+                break
+            col ^= R[k]
+            if V:
+                V[j] ^= V[k]
+        R[j] = col
+    return R, V, low, owner
+
+
+def _pivots(K: SimplicialComplex, order: tuple) -> tuple[tuple, tuple]:
+    """(birth simplices, death simplices) of (K, order), as complex
+    positions in the order of the births, a death None for an essential
+    class; reduced without V."""
+    _, _, low, owner = _reduce(K, order, keep_v=False)
+    born = [x for x, r in enumerate(low) if r is None]
+    return (
+        tuple(map(order.__getitem__, born)),
+        tuple(None if owner[x] is None else order[owner[x]] for x in born),
+    )
+
+
 def pivot_pairs(K: SimplicialComplex, order: tuple) -> tuple[PivotPair, ...]:
     """Reduce the boundary matrix of (K, order) and return its pivot pairs.
 
@@ -234,7 +265,22 @@ def pivot_pairs(K: SimplicialComplex, order: tuple) -> tuple[PivotPair, ...]:
     order of the birth simplices.  It depends on K and the order only, not
     on values.
     """
-    return Vineyard(K, order).pairs()
+    return tuple(map(PivotPair, *_pivots(K, order)))
+
+
+def _evaluate(
+    K: SimplicialComplex, f: FiltrationFunction, birth_simplices, death_simplices
+) -> Diagram:
+    """The diagram of pivot positions under ``f``: its ints, over its scale."""
+    nums = f.numerators
+    return Diagram(
+        tuple(map(K.dims.__getitem__, birth_simplices)),
+        tuple(map(nums.__getitem__, birth_simplices)),
+        tuple(None if d is None else nums[d] for d in death_simplices),
+        f.scale,
+        birth_simplices,
+        death_simplices,
+    )
 
 
 def diagram_from_pivots(
@@ -242,19 +288,14 @@ def diagram_from_pivots(
 ) -> Diagram:
     """Evaluate a pair list against a function compatible with its order:
     the births and deaths are ``f``'s ints, over its scale."""
-    nums, dims = f.numerators, K.dims
-    return Diagram(
-        tuple(dims[pv.birth] for pv in pairs),
-        tuple(nums[pv.birth] for pv in pairs),
-        tuple(None if pv.death is None else nums[pv.death] for pv in pairs),
-        f.scale,
-        tuple(pairs),
+    return _evaluate(
+        K, f, tuple(pv.birth for pv in pairs), tuple(pv.death for pv in pairs)
     )
 
 
 def diagram(K: SimplicialComplex, f: FiltrationFunction) -> Diagram:
     """Diagram of f under the canonical order, diagonal points included."""
-    return diagram_from_pivots(K, f, pivot_pairs(K, total_order(K, f)))
+    return _evaluate(K, f, *_pivots(K, total_order(K, f)))
 
 
 def format_diagram(

@@ -93,12 +93,10 @@ def read_value(token) -> tuple[int, int]:
                     d = int(denominator)
                     if d:
                         return int(numerator), d
-            else:
-                sign = -1 if token[:1] == "-" else 1
-                body = token[1:] if token[:1] in ("+", "-") else token
-                whole, _, decimals = body.partition(".")
-                if (whole + decimals).isdigit():
-                    return sign * int(whole + decimals), 10 ** len(decimals)
+            else:  # int() reads the sign of the digits with the point taken out
+                whole, _, decimals = token.partition(".")
+                if (whole.lstrip("+-") + decimals).isdigit():
+                    return int(whole + decimals), 10 ** len(decimals)
         except ValueError:  # two signs, or past the interpreter's int digit limit
             pass
     x = to_fraction(token)

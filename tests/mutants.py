@@ -41,11 +41,11 @@ BUCKET_TWIN = "tests/test_acceptance.py::test_local_reidentification_equals_the_
 SWAPPING_PIN = "tests/test_cli.py::test_verify_machine_of_two_swapping_vertices_is_pinned"
 
 CATALOGUE = [
-    # diagram_from_pivots reads each death from the birth simplex
+    # a diagram reads each death from the birth simplex
     (
         "src/phstab/persistence.py",
-        "tuple(None if pv.death is None else nums[pv.death] for pv in pairs)",
-        "tuple(None if pv.death is None else nums[pv.birth] for pv in pairs)",
+        "tuple(None if d is None else nums[d] for d in death_simplices)",
+        "tuple(None if d is None else nums[b] for b, d in zip(birth_simplices, death_simplices))",
         [
             "tests/test_acceptance.py::test_2_interval_certificates_stay_within_their_share",
             "tests/test_acceptance.py::test_carried_certificates_equal_the_from_scratch_reference",
@@ -366,8 +366,8 @@ CATALOGUE += [
     # validate_complex misses a duplicate simplex
     (
         "src/phstab/complexes.py",
-        "for pos, s in canon if len(K.index) < len(K) else ():",
-        "for pos, s in ():",
+        "for pos, t in canon if len(K.index) < len(K) else ():",
+        "for pos, t in ():",
         [
             FUZZ,
             "tests/test_complexes.py::test_validate_complex_collects_every_issue",
@@ -401,6 +401,79 @@ CATALOGUE += [
         "return int(numerator), d",
         "return abs(int(numerator)), d",
         [FUZZ, "tests/test_rational.py::test_read_value_equals_to_fraction"],
+    ),
+]
+
+# The lean pass that reads a valid file, and the reduction without V that
+# diagrams and pivot pairs use: each against its twin
+LINE_BY_LINE = (
+    "tests/test_instances.py::test_only_a_file_with_a_problem_is_read_line_by_line"
+)
+BAD_VERTEX = (
+    "tests/test_instances.py::test_a_bad_vertex_is_named_though_every_face_is_listed"
+)
+V_FREE = "tests/test_acceptance.py::test_the_v_free_reduction_equals_the_vineyard_"
+CATALOGUE += [
+    # the lean pass accepts a duplicate simplex
+    (
+        "src/phstab/instances.py",
+        "        or len(K.index) < len(tuples)  # a duplicate simplex\n",
+        "",
+        [
+            FUZZ,
+            LINE_BY_LINE,
+            "tests/test_instances.py::test_a_duplicate_is_reported_at_its_own_line",
+        ],
+    ),
+    # the lean pass accepts a missing face
+    (
+        "src/phstab/instances.py",
+        "        or None in chain.from_iterable(K.facet_positions)  # a missing face\n",
+        "",
+        [
+            FUZZ,
+            LINE_BY_LINE,
+            "tests/test_instances.py::test_parse_reports_missing_faces_with_lines",
+        ],
+    ),
+    # the lean pass accepts a negative vertex, which a file can list with
+    # every face of its simplices
+    (
+        "src/phstab/instances.py",
+        "        or lowest[0] < 0\n",
+        "",
+        [BAD_VERTEX],
+    ),
+    # the lean pass accepts a vertex listed twice in a simplex
+    (
+        "src/phstab/instances.py",
+        "        or sum(map(len, tuples)) != sum(map(len, vertex_tokens))  # a vertex twice\n",
+        "",
+        [BAD_VERTEX],
+    ),
+    # the reduction without V clears a column's pivot row instead of
+    # adding the pivot's column
+    (
+        "src/phstab/persistence.py",
+        "            col ^= R[k]\n",
+        "            col ^= R[k] if V else 1 << r\n",
+        [
+            V_FREE + "on_the_corpus",
+            "tests/test_persistence.py::"
+            "test_bitset_reduction_equals_the_set_reduction_on_tied_instances",
+            "tests/test_acceptance.py::test_7_independent_oracles_agree",
+        ],
+    ),
+    # a diagram's pivot pairs swap birth and death
+    (
+        "src/phstab/persistence.py",
+        "return tuple(map(PivotPair, self.birth_simplices, self.death_simplices))",
+        "return tuple(map(PivotPair, self.death_simplices, self.birth_simplices))",
+        [
+            V_FREE + "on_the_corpus",
+            "tests/test_persistence.py::test_edge_diagram_records_pivot_simplices",
+            "tests/test_cli.py::test_diagram_of_every_literal_form_is_pinned",
+        ],
     ),
 ]
 

@@ -962,7 +962,9 @@ def diagram_with_order(
 def sublevel(K: SimplicialComplex, f: FiltrationFunction, alpha) -> SimplicialComplex:
     """The subcomplex of all simplices with value at most alpha."""
     a = to_fraction(alpha)
-    return SimplicialComplex(tuple(s for s, v in zip(K.simplices, f.values) if v <= a))
+    return SimplicialComplex(
+        tuple(s.vertices for s, v in zip(K.simplices, f.values) if v <= a)
+    )
 
 
 def random_compatible_order(
@@ -1319,7 +1321,7 @@ def combination_generate_complex(rng: random.Random, cfg) -> SimplicialComplex:
             if all(pair in edges for pair in combinations(combo, 2)):
                 simplices.append(Simplex(combo))
     simplices.sort(key=lambda s: (s.dim, s.vertices))
-    return SimplicialComplex(tuple(simplices))
+    return SimplicialComplex(tuple(s.vertices for s in simplices))
 
 
 def fraction_random_filtration(

@@ -20,7 +20,13 @@ import pytest
 from phstab import bottleneck
 from phstab.bottleneck import bottleneck_bijection, bottleneck_diagonal, matching_cost
 from phstab.cli import run_command
-from phstab.complexes import FiltrationFunction, common_scale, find_duplicate_value
+from phstab.complexes import (
+    FiltrationFunction,
+    Simplex,
+    common_scale,
+    find_duplicate_value,
+    validate_complex,
+)
 from phstab.errors import PhstabError
 from phstab.generate import (
     GeneratorConfig,
@@ -28,10 +34,17 @@ from phstab.generate import (
     generate_instance,
     random_filtration,
 )
-from phstab.instances import format_instance
+from phstab.instances import format_instance, parse_instance_text
 from phstab.interpolation import interpolate, sup_norm
 from phstab.ordering import total_order
-from phstab.persistence import Diagram, diagram, pivot_pairs
+from phstab.persistence import (
+    Diagram,
+    Vineyard,
+    diagram,
+    diagram_from_pivots,
+    pivot_pairs,
+)
+from phstab.rational import format_value
 from phstab.stability import verify_stability
 
 from oracles import (
@@ -279,7 +292,8 @@ def test_int_recheck_equals_the_fraction_twin_on_the_corpus(corpus):
             tuple(3 * b for b in D1.births),
             tuple(None if d is None else 3 * d for d in D1.deaths),
             3 * D1.scale,
-            D1.pairs,
+            D1.birth_simplices,
+            D1.death_simplices,
         )
         witnesses = (
             report.composed_matching,
@@ -325,6 +339,86 @@ def test_bitset_reduction_equals_the_set_reduction_on_the_corpus(corpus):
             assert pairs == set_pivot_pairs(K, order), format_instance(inst)
         orders += len(canonical) + len(reduced)
     assert orders > 10_000
+
+
+def _diagram_fields(D: Diagram) -> tuple:
+    return (
+        D.dims, D.births, D.deaths, D.scale,
+        D.birth_simplices, D.death_simplices, D.pairs, D.points,
+    )
+
+
+def _assert_v_free_paths_equal_the_vineyard(K, f) -> None:
+    """``pivot_pairs`` and ``diagram`` reduce without V; their pairs are
+    those of a vineyard, which keeps V, and ``diagram`` equals the
+    vineyard's pairs evaluated by ``diagram_from_pivots``, field for field
+    and point for point."""
+    order = total_order(K, f)
+    twin = Vineyard(K, order).pairs()
+    assert pivot_pairs(K, order) == twin
+    D = diagram(K, f)
+    assert D.pairs == twin
+    assert [p.pair for p in D.points] == list(twin)
+    assert _diagram_fields(D) == _diagram_fields(diagram_from_pivots(K, f, twin))
+
+
+def test_the_v_free_reduction_equals_the_vineyard_on_the_corpus(corpus):
+    """Both functions of every corpus instance."""
+    for inst, _, _ in corpus:
+        for f in inst.functions:
+            _assert_v_free_paths_equal_the_vineyard(inst.complex, f)
+
+
+def _ladder_shaped_text(rng, points: int, shift: Fraction) -> tuple:
+    """Two files of ``points`` isolated vertices, as the bottleneck
+    benchmark writes them: distinct quarter-integers in [0, points), and
+    the same values moved by ``shift``."""
+    values = [Fraction(v, 4) for v in rng.sample(range(4 * points), points)]
+    return tuple(
+        "".join(f"{i} : {format_value(v + moved)}\n" for i, v in enumerate(values))
+        for moved in (0, shift)
+    )
+
+
+@pytest.mark.parametrize("points", [1, 2, 100, 200, 300])
+def test_the_v_free_reduction_equals_the_vineyard_on_ladder_shaped_files(
+    points, tmp_path
+):
+    """Files of isolated vertices, read from text: the twins agree, and
+    both bottleneck variants of the pair give the shift."""
+    texts = _ladder_shaped_text(random.Random(points), points, Fraction(1, 2))
+    paths = []
+    for k, text in enumerate(texts):
+        inst = parse_instance_text(text)
+        _assert_v_free_paths_equal_the_vineyard(inst.complex, inst.functions[0])
+        paths.append(tmp_path / f"shift-{k}.txt")
+        paths[-1].write_text(text)
+    for extra in ([], ["--diagonal"]):
+        assert _cli(["bottleneck", *map(str, paths), *extra]) == (0, "distance 0.5")
+
+
+def test_a_complex_read_from_a_file_equals_one_built_from_simplices(corpus):
+    """Every corpus complex, its file's lines listing each simplex's
+    vertices as written and reversed: the complex read equals the
+    generator's and the ones ``validate_complex`` builds from Simplex
+    objects and from reversed vertex tuples, in its simplices and in every
+    structure the reduction reads."""
+    fields = ("vertex_tuples", "simplices", "index", "facet_positions")
+    fields += ("tie_order", "dims", "dim")
+    for inst, _, _ in corpus:
+        simplices = inst.complex.simplices
+        text = format_instance(inst)
+        reversed_text = "".join(
+            f"{' '.join(map(str, s.vertices[::-1]))} :{line.partition(':')[2]}\n"
+            for s, line in zip(simplices, text.splitlines())
+        )
+        built = validate_complex([Simplex(s.vertices[::-1]) for s in simplices])
+        accepted = validate_complex([s.vertices[::-1] for s in simplices])
+        for read in (parse_instance_text(t).complex for t in (text, reversed_text)):
+            for other in (built, accepted, inst.complex):
+                assert read == other and hash(read) == hash(other)
+                for name in fields:
+                    assert getattr(read, name) == getattr(other, name), name
 
 
 def test_local_reidentification_equals_the_bucket_twin(corpus):

@@ -85,7 +85,8 @@ def _points_diagram(points):
         tuple(over(birth) for _, birth, _ in points),
         tuple(over(death) for _, _, death in points),
         scale,
-        (PivotPair(0, None),) * len(points),
+        (0,) * len(points),
+        (None,) * len(points),
     )
 
 

@@ -2,6 +2,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -9,11 +10,13 @@ from pathlib import Path
 
 import pytest
 
+from phstab import generate
 from phstab.bottleneck import bottleneck_bijection, bottleneck_diagonal
 from phstab.cli import run_command
+from phstab.complexes import Simplex
 from phstab.generate import GeneratorConfig
 from phstab.instances import format_instance, parse_instance
-from phstab.persistence import diagram
+from phstab.persistence import PivotPair, Vineyard, diagram
 
 from oracles import diagonal_cost, is_essential, pair_cost, perturbed_instance
 
@@ -455,6 +458,72 @@ def test_a_complex_past_the_generator_limit_exits_one_at_once(cli_env):
     argv = ["verify", "--random", "--trials", "1", "--vertices", "200"]
     status, text = run_command(argv + ["--prob", "1"])
     assert (status, text) == (1, done.stderr.rstrip("\n"))
+
+
+def test_bottleneck_builds_no_simplex_pivot_pair_or_vineyard(tmp_path, monkeypatch):
+    """``bottleneck`` without --matching reads the files and reduces on ints
+    and tuples: with every construction of a Simplex, a PivotPair and a
+    Vineyard made to fail, a single-file and a two-file run, with and
+    without --diagonal, print what they print unguarded."""
+    here = Path(__file__).parent
+    other = tmp_path / "gen123.txt"
+    argv = ["gen", "--seed", "123", "--vertices", "7", "--prob", "0.5"]
+    _ok(argv + ["--max-dim", "2", "--out", str(other)])
+    commands = [
+        ["bottleneck", str(here / "perturbed_seed8.txt"), *extra]
+        for extra in ([], ["--diagonal"])
+    ]
+    commands.append(
+        ["bottleneck", str(other), str(here / "perturbed_seed8.txt"), "--diagonal"]
+    )
+    unguarded = [_ok(argv) for argv in commands]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built by a command that prints only ints")
+
+    for cls, name in (
+        (Simplex, "__init__"),
+        (PivotPair, "__new__"),
+        (Vineyard, "__init__"),
+    ):
+        monkeypatch.setattr(cls, name, refuse)
+    assert [_ok(argv) for argv in commands] == unguarded
+    # the guard bites: a diagram prints its simplices, and --matching
+    # prints points, which carry their pivot pairs
+    for argv in (["diagram", commands[0][1]], commands[0] + ["--matching"]):
+        with pytest.raises(AssertionError, match="prints only ints"):
+            run_command(argv)
+
+
+def test_a_vertex_count_past_the_generator_limit_exits_one_before_any_coin():
+    """100000 vertices would take minutes of coin flips for their pairs;
+    ``gen`` and ``verify --random`` refuse them at once."""
+    for argv in (
+        ["gen", "--vertices", "100000", "--prob", "0"],
+        ["verify", "--random", "--trials", "1", "--vertices", "100000"],
+    ):
+        start = time.perf_counter()
+        assert run_command(argv) == (
+            1,
+            "error: 100000 vertices are more than 3000, the generator's "
+            "limit: it flips a coin for every pair of them",
+        )
+        assert time.perf_counter() - start < 1
+
+
+def test_the_vertex_limit_is_checked_before_the_first_coin(monkeypatch):
+    """At the limit the complex is built as before; past it the rng is
+    untouched, so a pre-check changes no generated output."""
+    monkeypatch.setattr(generate, "MAX_VERTICES", 12)
+    for vertices in (11, 12):
+        cfg = GeneratorConfig(seed=3, num_vertices=vertices, fill_prob=0.3)
+        assert len(generate.generate_complex(random.Random(3), cfg)) > vertices
+    rng = random.Random(3)
+    state = rng.getstate()
+    cfg = GeneratorConfig(seed=3, num_vertices=13, fill_prob=0.3)
+    with pytest.raises(generate.ComplexTooLarge, match="more than 12, the generator"):
+        generate.generate_complex(rng, cfg)
+    assert rng.getstate() == state
 
 
 def test_verify_needs_input():

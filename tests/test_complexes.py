@@ -208,7 +208,7 @@ def test_facet_positions():
             tuple(listed.index(f) for f in facets(v)) for v in listed
         )
     # A complex built without validation may lack a face: None marks it.
-    open_edge = SimplicialComplex((Simplex((0,)), Simplex((0, 1))))
+    open_edge = SimplicialComplex(((0,), (0, 1)))
     assert open_edge.facet_positions == ((), (None, 0))
 
 

@@ -3,9 +3,11 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from phstab import instances
 from phstab.cli import run_command
 from phstab.errors import ParseError
 from phstab.generate import GeneratorConfig, generate_instance
@@ -83,6 +85,17 @@ def test_parse_rejects_duplicates_and_junk_vertices():
     assert any("no vertices" in msg for _, msg in _problems(" : 1\n"))
     assert any("no values" in msg for _, msg in _problems("0 :\n"))
     assert any("1 or 2" in msg for _, msg in _problems("0 : 1 2 3\n"))
+
+
+def test_a_bad_vertex_is_named_though_every_face_is_listed():
+    """A negative vertex, or one listed twice, leaves no face missing."""
+    assert _problems("0 : 1\n-1 : 2\n-1 0 : 3\n") == (
+        (2, "negative vertex id -1"),
+        (3, "negative vertex id -1"),
+    )
+    assert _problems("0 : 1\n1 : 2\n1 0 1 : 3\n") == (
+        (3, "duplicate vertex in (1, 0, 1)"),
+    )
 
 
 @pytest.mark.parametrize("text", ["", "# empty\n", "\n  \n"])
@@ -299,3 +312,44 @@ def test_the_reader_equals_the_reference_parse_on_fuzzed_files():
             kinds[f"{len(want[2])} columns"] += 1
     assert valid > 500
     assert set(kinds) == {*_PROBLEMS, "1 columns", "2 columns"}, kinds
+
+
+def test_only_a_file_with_a_problem_is_read_line_by_line(monkeypatch):
+    """500 seeded files of the fuzz test's kinds: the lean pass reads a
+    valid file alone, and the line loop, which names the problems, reads
+    exactly the files the reference refuses."""
+    rng = random.Random(35)
+    calls = []
+    line_by_line = instances._read_lines
+
+    def counted(lines, path):
+        calls.append(path)
+        return line_by_line(lines, path)
+
+    monkeypatch.setattr(instances, "_read_lines", counted)
+    refused = 0
+    for _ in range(500):
+        text = _fuzz_file(rng)
+        calls.clear()
+        want = _read(reference_parse, text)
+        assert _read(_library_parse, text) == want, repr(text)
+        assert len(calls) == (want[0] == "error"), repr(text)
+        refused += want[0] == "error"
+    assert 100 < refused < 400
+
+
+def test_the_bad_files_name_every_problem_kind_as_pinned(monkeypatch):
+    """CI diffs ``validate``'s messages for the three bad files against the
+    same pin on 3.10 to 3.13: one file holds every problem of a line, one
+    the problems of a complex, whose simplices are checked only once every
+    line reads, and one no data line.  Together they hold every kind."""
+    here = Path(__file__).parent
+    monkeypatch.chdir(here.parent)
+    messages = []
+    for name in ("lines", "complex", "empty"):
+        status, text = run_command(["validate", f"tests/bad_{name}.txt"])
+        assert status == 1
+        messages.append(text + "\n")
+    assert "".join(messages) == (here / "validate_bad_files.txt").read_text()
+    for kind in _PROBLEMS:
+        assert kind in "".join(messages), kind
